@@ -153,7 +153,7 @@ let eq_tests =
           C.Equality.assume eq
             (C.Ast.TVar (Printf.sprintf "t%d" i))
             (C.Ast.TVar (Printf.sprintf "t%d" (i + 1))))
-        C.Equality.empty
+        (C.Equality.empty ())
         (List.init n (fun i -> i))
     in
     let a = C.Ast.TVar "t0" and b = C.Ast.TVar (Printf.sprintf "t%d" n) in

@@ -614,7 +614,7 @@ let eq_cmd =
               | C.Ast.CSame (a, b) -> C.Equality.assume eq a b
               | C.Ast.CModel _ ->
                   failwith "assumptions must be same-type constraints (a == b)")
-            C.Equality.empty assumptions
+            (C.Equality.empty ()) assumptions
         in
         match C.Parser.constr_of_string query with
         | C.Ast.CSame (a, b) ->

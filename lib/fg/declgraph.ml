@@ -45,52 +45,28 @@ type acc = { refs : Sset.t; cons : Sset.t }
 let empty_acc = { refs = Sset.empty; cons = Sset.empty }
 let add_ref a x = { a with refs = Sset.add x a.refs }
 
-(* Binder names under foralls: shadowing an in-scope alias is an
-   FG0205 error, so the binder's name is an observation of scope. *)
-let rec binders_of_ty = function
-  | TBase _ | TVar _ -> Sset.empty
-  | TArrow (args, ret) ->
-      List.fold_left
-        (fun acc t -> Sset.union acc (binders_of_ty t))
-        (binders_of_ty ret) args
-  | TTuple ts | TAssoc (_, ts, _) ->
-      List.fold_left
-        (fun acc t -> Sset.union acc (binders_of_ty t))
-        Sset.empty ts
-  | TList t -> binders_of_ty t
+let add_concept_name a c =
+  { refs = Sset.add c a.refs; cons = Sset.add c a.cons }
+
+(* One pass over a type collecting every type-variable occurrence and
+   every forall binder, free or bound (shadowing an in-scope alias is an
+   FG0205 error, so a binder's name is an observation of scope), and
+   every concept name, which is a reference as well as a concept. *)
+let rec add_ty a = function
+  | TBase _ -> a
+  | TVar x -> add_ref a x
+  | TArrow (args, ret) -> List.fold_left add_ty (add_ty a ret) args
+  | TTuple ts -> List.fold_left add_ty a ts
+  | TList t -> add_ty a t
+  | TAssoc (c, args, _) -> List.fold_left add_ty (add_concept_name a c) args
   | TForall (tvs, constrs, body) ->
-      let inner =
-        List.fold_left
-          (fun acc c -> Sset.union acc (binders_of_constr c))
-          (binders_of_ty body) constrs
-      in
-      Sset.union (Sset.of_list tvs) inner
+      List.fold_left add_constr
+        (add_ty (List.fold_left add_ref a tvs) body)
+        constrs
 
-and binders_of_constr = function
-  | CModel (_, args) ->
-      List.fold_left
-        (fun acc t -> Sset.union acc (binders_of_ty t))
-        Sset.empty args
-  | CSame (a, b) -> Sset.union (binders_of_ty a) (binders_of_ty b)
-
-let add_ty a t =
-  let cs = concept_names t in
-  {
-    refs =
-      Sset.union
-        (Sset.union (ftv t) (binders_of_ty t))
-        (Sset.union cs a.refs);
-    cons = Sset.union cs a.cons;
-  }
-
-let add_constr a c =
-  let cs = constr_concept_names c in
-  {
-    refs =
-      Sset.union (ftv_constr c)
-        (Sset.union (binders_of_constr c) (Sset.union cs a.refs));
-    cons = Sset.union cs a.cons;
-  }
+and add_constr a = function
+  | CModel (c, args) -> List.fold_left add_ty (add_concept_name a c) args
+  | CSame (x, y) -> add_ty (add_ty a x) y
 
 let rec add_exp a (e : exp) =
   match e.desc with
@@ -108,9 +84,7 @@ let rec add_exp a (e : exp) =
   | Nth (e0, _) -> add_exp a e0
   | Fix (x, t, body) -> add_exp (add_ty (add_ref a x) t) body
   | If (c, t, f) -> add_exp (add_exp (add_exp a c) t) f
-  | Member (c, args, _) ->
-      let a = { refs = Sset.add c a.refs; cons = Sset.add c a.cons } in
-      List.fold_left add_ty a args
+  | Member (c, args, _) -> List.fold_left add_ty (add_concept_name a c) args
   | ConceptDecl (d, body) -> add_exp (add_concept a d) body
   | ModelDecl (d, body) -> add_exp (add_model a d) body
   | Using (m, body) -> add_exp (add_ref a m) body
@@ -126,10 +100,7 @@ and add_concept a (d : concept_decl) =
           (Sset.add d.c_name a.refs);
     }
   in
-  let add_capp a (c, tys) =
-    let a = { refs = Sset.add c a.refs; cons = Sset.add c a.cons } in
-    List.fold_left add_ty a tys
-  in
+  let add_capp a (c, tys) = List.fold_left add_ty (add_concept_name a c) tys in
   let a = List.fold_left add_capp a d.c_refines in
   let a = List.fold_left add_capp a d.c_requires in
   let a = List.fold_left (fun a (_, t) -> add_ty a t) a d.c_members in

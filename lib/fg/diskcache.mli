@@ -11,8 +11,9 @@
     blob or none.
 
     {b Validation.}  Every blob is stamped with the store format
-    version, [Sys.ocaml_version], and a digest of the running compiler
-    binary, followed by an MD5 of the body.  Unit keys (and the
+    version, [Sys.ocaml_version], and the identity of the running
+    compiler binary (its GNU build-id note, or a digest of the file
+    when it carries none), followed by an MD5 of the body.  Unit keys (and the
     marshalled closures behind them) are only stable within one
     compiler build, so entries written by any other build — or
     truncated or corrupted by the filesystem — fail validation and are
@@ -58,6 +59,11 @@ val gc : t -> unit
 (** Where [key]'s entry lives — tests use this to corrupt entries and
     to back-date access times. *)
 val entry_path : t -> string -> string
+
+(** [elf_build_id path] — the hex of the GNU build-id note
+    (NT_GNU_BUILD_ID) of the ELF file at [path]; [None] when the file
+    is unreadable, not ELF, malformed, or has no such note. *)
+val elf_build_id : string -> string option
 
 (** [encode_blob body] / [decode_blob s] — the stamped on-disk framing
     ([decode_blob] returns [None] unless the stamp matches this build

@@ -96,7 +96,7 @@ let create ?(resolution = Resolution.Lexical) ?(escape_check = true) () =
     concepts = Smap.empty;
     models = [];
     named_models = Smap.empty;
-    eq = Equality.empty;
+    eq = Equality.empty ();
     gensym = Gensym.create ();
     resolution;
     escape_check;
@@ -168,12 +168,16 @@ let lookup_concept_exn ?loc env c =
    diverge; bound the recursion and report rather than loop. *)
 let max_resolution_depth = 64
 
+(* [what] renders the subject for the message.  It is a thunk because
+   this check runs on every resolution step and pretty-printing the
+   subject costs far more than the search it guards; only a tripped
+   fuse pays for it. *)
 let check_depth ?loc depth what =
   if depth > max_resolution_depth then
     Diag.resolve_error ~code:"FG0405" ?loc
       "model resolution exceeded depth %d while resolving %s (diverging \
        parameterized models?)"
-      max_resolution_depth what
+      max_resolution_depth (what ())
 
 (** Normalize a type by resolving associated-type projections through
     the models in scope.  Ground models also contribute equations to the
@@ -181,7 +185,7 @@ let check_depth ?loc depth what =
     declaration covers infinitely many instances — so their projections
     are resolved here, by rewriting, before any equality query. *)
 let rec normalize ?loc ?(depth = 0) env (t : ty) : ty =
-  check_depth ?loc depth (Pretty.ty_to_string t);
+  check_depth ?loc depth (fun () -> Pretty.ty_to_string t);
   let norm t = normalize ?loc ~depth env t in
   match t with
   | TBase _ | TVar _ -> t
@@ -236,7 +240,8 @@ and lookup_model ?loc ?(depth = 0) env c args : found_model option =
       r
 
 and lookup_model_uncached ?loc ~depth env c args : found_model option =
-  check_depth ?loc depth (Pretty.constr_to_string (CModel (c, args)));
+  check_depth ?loc depth (fun () ->
+      Pretty.constr_to_string (CModel (c, args)));
   let args = List.map (normalize ?loc ~depth:(depth + 1) env) args in
   List.find_map
     (fun me ->

@@ -105,14 +105,14 @@ type t = {
    left over after the declaration spine means the text was not purely
    declarations. *)
 let check_decl_stack hc cache ~spine env src ~file =
+  let source = src ^ "\n0" in
   let ast =
-    Telemetry.time Telemetry.Parse (fun () ->
-        Parser.exp_of_string ~file (src ^ "\n0"))
+    Telemetry.time Telemetry.Parse (fun () -> Parser.exp_of_string ~file source)
   in
   let ast = Hashcons.intern_exp hc ast in
   let w =
     Telemetry.time Telemetry.Check (fun () ->
-        Unit.walk cache ~spine env ast)
+        Unit.walk cache ~source ~spine env ast)
   in
   (match w.Unit.w_residual.Ast.desc with
   | Ast.Lit (Ast.LInt 0) -> ()
@@ -270,7 +270,7 @@ let check_source ?file t source =
   rewind t;
   let triple =
     Telemetry.time Telemetry.Check (fun () ->
-        let w = Unit.walk t.cache ~spine:t.spine t.env ast in
+        let w = Unit.walk t.cache ~source ~spine:t.spine t.env ast in
         t.wrap (w.Unit.w_wrap (Check.check w.Unit.w_env w.Unit.w_residual)))
   in
   (ast, triple)
@@ -422,8 +422,8 @@ let run_full_impl ~file ?fuel ?decl_log t source : run_report =
       let poisoned = Names.Sset.of_list dropped in
       let w =
         Telemetry.time Telemetry.Check (fun () ->
-            Unit.walk ~recover:engine ~poisoned t.cache ~spine:t.spine t.env
-              ast)
+            Unit.walk ~recover:engine ~poisoned t.cache ~source
+              ~spine:t.spine t.env ast)
       in
       Option.iter (fun r -> r := w.Unit.w_decls) decl_log;
       let poisoned = w.Unit.w_poisoned in

@@ -3,20 +3,22 @@
     Each declaration of a spine becomes a unit addressed by a content
     hash chained through its dependencies:
 
-      pkey = H(decl content ‖ dep pkeys ‖ gensym position ‖
-               resolution mode ‖ escape-check flag)
-      key  = H(env family ‖ pkey)
+      pkey = H(resolution mode ‖ escape-check flag ‖ gensym position ‖
+               file ‖ span line/cols ‖ decl source bytes ‖ dep pkeys)
+      key  = pkey ‖ env family
 
     The portable key (pkey) addresses the persistent tiers — disk
     store and cache peers — which outlive any process; the memory map
     additionally scopes it by the process-local environment family.
 
-    The content hash covers the declaration node verbatim — locations
-    included, so a cached unit can only ever be replayed for text at
-    the same position of the same file, which is exactly the re-check
-    and shared-prefix scenarios and keeps every diagnostic and
-    elaborated location byte-identical.  [Marshal.No_sharing] keeps the
-    bytes independent of hash-consing.  The gensym position makes the
+    The content is the declaration's source text together with its
+    file and the line/col of its span, so a cached unit can only ever
+    be replayed for the same text at the same lines of the same file,
+    which is exactly the re-check and shared-prefix scenarios and keeps
+    every diagnostic and elaborated location byte-identical.  Hashing
+    bytes the walk already holds costs far less than re-encoding the
+    parsed declaration, which matters because a warm walk computes a
+    key for every declaration it replays.  The gensym position makes the
     fresh names a unit consumed part of its address, the dependency
     keys cover (transitively) everything the checker could observe in
     scope, and the family confines hits to environments descending from
@@ -278,87 +280,55 @@ let invalidate c ~protect ~seeds =
 (* ---------------------------------------------------------------- *)
 (* Keys                                                               *)
 
-(* Byte offsets in spans are written by the lexer and read nowhere —
-   every diagnostic and JSON rendering uses line/col only — so they are
-   normalized out of the content hash.  Without this, editing one
-   declaration would shift the offsets (but not the lines) of every
-   later same-line-count declaration and spuriously invalidate it. *)
-let zero_pos (p : Loc.pos) = { p with Loc.offset = 0 }
-
-let zero_span (s : Loc.span) =
-  {
-    s with
-    Loc.start_pos = zero_pos s.Loc.start_pos;
-    end_pos = zero_pos s.Loc.end_pos;
-  }
-
-let rec strip_offsets (e : Ast.exp) : Ast.exp =
-  let open Ast in
-  let desc =
-    match e.desc with
-    | (Var _ | Lit _ | Prim _ | Member _) as d -> d
-    | App (f, args) -> App (strip_offsets f, List.map strip_offsets args)
-    | Abs (params, body) -> Abs (params, strip_offsets body)
-    | TyAbs (tvs, constrs, body) -> TyAbs (tvs, constrs, strip_offsets body)
-    | TyApp (f, tys) -> TyApp (strip_offsets f, tys)
-    | Let (x, rhs, body) -> Let (x, strip_offsets rhs, strip_offsets body)
-    | Tuple es -> Tuple (List.map strip_offsets es)
-    | Nth (e0, i) -> Nth (strip_offsets e0, i)
-    | Fix (x, t, body) -> Fix (x, t, strip_offsets body)
-    | If (c, t, f) -> If (strip_offsets c, strip_offsets t, strip_offsets f)
-    | ConceptDecl (d, body) ->
-        ConceptDecl
-          ( {
-              d with
-              c_defaults =
-                List.map (fun (n, e) -> (n, strip_offsets e)) d.c_defaults;
-            },
-            strip_offsets body )
-    | ModelDecl (d, body) ->
-        ModelDecl
-          ( {
-              d with
-              m_members =
-                List.map (fun (n, e) -> (n, strip_offsets e)) d.m_members;
-            },
-            strip_offsets body )
-    | Using (m, body) -> Using (m, strip_offsets body)
-    | TypeAlias (t, ty, body) -> TypeAlias (t, ty, strip_offsets body)
-  in
-  { desc; loc = zero_span e.loc }
-
-let content_hash (e : Ast.exp) : string =
-  let dummy_body = Ast.unit ~loc:Loc.dummy () in
-  let header =
-    match e.Ast.desc with
-    | Ast.Let (x, rhs, _) -> { e with Ast.desc = Ast.Let (x, rhs, dummy_body) }
-    | Ast.ConceptDecl (d, _) ->
-        { e with Ast.desc = Ast.ConceptDecl (d, dummy_body) }
-    | Ast.ModelDecl (d, _) ->
-        { e with Ast.desc = Ast.ModelDecl (d, dummy_body) }
-    | Ast.Using (m, _) -> { e with Ast.desc = Ast.Using (m, dummy_body) }
-    | Ast.TypeAlias (t, ty, _) ->
-        { e with Ast.desc = Ast.TypeAlias (t, ty, dummy_body) }
-    | _ -> e
-  in
-  Digest.string (Marshal.to_string (strip_offsets header) [ Marshal.No_sharing ])
-
 (* The portable key is everything the checker can observe except the
    environment family: families are allocated from a per-process
    counter, so they can never agree across processes.  Persistent tiers
    are addressed by the portable key; the memory map scopes it by
    family (cached closures may share supplies with their environment,
    so in-memory replay stays confined to environments descending from
-   one [Env.create], exactly as before). *)
-let pkey_of ~(env : Env.t) ~gensym_start ~content ~dep_pkeys =
-  Digest.string
-    (String.concat "\x00"
-       (Resolution.mode_name env.Env.resolution
-        :: string_of_bool env.Env.escape_check
-        :: string_of_int gensym_start :: content :: dep_pkeys))
+   one [Env.create], exactly as before).
 
-let key_of ~(env : Env.t) ~pkey =
-  Digest.string (string_of_int env.Env.family ^ "\x00" ^ pkey)
+   A declaration's content is its own source text.  Both parsers end a
+   declaration's span at its trailing "in", so the bytes under the span
+   are exactly the header the checker reads; the body is the next unit
+   or the residual.  Read from the span's start line and column in its
+   file, those bytes fix every line and column inside the declaration,
+   and line/col are the only positions diagnostics and elaborated terms
+   show.  Byte offsets, which shift whenever an earlier declaration
+   changes length, stay out of the key, so such an edit re-checks only
+   what it touched.  The span's end line/col is kept too: two parses
+   that bound a declaration differently never share a key.
+
+   Everything goes into one digest of bytes written into [b], a buffer
+   the walk reuses for every declaration (a warm walk computes a key for
+   each declaration it replays).  Integers are fixed-width, the file and
+   the header bytes are length-prefixed, and dependency pkeys are
+   fixed-size digests, so distinct inputs never write the same bytes. *)
+let pkey_of b ~(env : Env.t) ~gensym_start ~source (decl : Ast.exp)
+    ~dep_pkeys =
+  let { Loc.file; start_pos = s; end_pos = e } = decl.Ast.loc in
+  let len = e.Loc.offset - s.Loc.offset in
+  if s.Loc.offset < 0 || len < 0 || e.Loc.offset > String.length source then
+    Diag.ice "Unit.walk: declaration span %s lies outside its source"
+      (Loc.to_string decl.Ast.loc);
+  Buffer.clear b;
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let str x =
+    int (String.length x);
+    Buffer.add_string b x
+  in
+  str (Resolution.mode_name env.Env.resolution);
+  int (Bool.to_int env.Env.escape_check);
+  int gensym_start;
+  str file;
+  int s.Loc.line;
+  int s.Loc.col;
+  int e.Loc.line;
+  int e.Loc.col;
+  int len;
+  Buffer.add_substring b source s.Loc.offset len;
+  List.iter (Buffer.add_string b) dep_pkeys;
+  Digest.string (Buffer.contents b)
 
 (* ---------------------------------------------------------------- *)
 (* The disk tier as a store                                          *)
@@ -404,8 +374,8 @@ let globals_delta ~before after =
   in
   take n after
 
-let walk ?recover ?(poisoned = Sset.empty) cache ~(spine : checked list) env0
-    ast : walk_result =
+let walk ?recover ?(poisoned = Sset.empty) cache ~source
+    ~(spine : checked list) env0 ast : walk_result =
   let decls, residual = split_spine ast in
   let n_spine = List.length spine in
   let infos =
@@ -423,6 +393,11 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~(spine : checked list) env0
       pkeys.(i) <- u.ck_pkey)
     spine;
   let env = ref env0 in
+  let key_bytes = Buffer.create 512 in
+  (* The memory key is the pkey scoped by the environment family, which
+     every extension of [env0] keeps.  pkeys are fixed-size, so
+     appending the family is unambiguous. *)
+  let family = string_of_int env0.Env.family in
   let wraps = ref [] in
   let units = ref [] in
   let dlog = ref [] in
@@ -444,10 +419,10 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~(spine : checked list) env0
       let pkey =
         if !failed then ""
         else
-          pkey_of ~env:!env ~gensym_start ~content:(content_hash decl)
+          pkey_of key_bytes ~env:!env ~gensym_start ~source decl
             ~dep_pkeys:(List.map (fun j -> pkeys.(j)) deps.(k))
       in
-      let key = if !failed then "" else key_of ~env:!env ~pkey in
+      let key = if !failed then "" else pkey ^ family in
       keys.(k) <- key;
       pkeys.(k) <- pkey;
       match

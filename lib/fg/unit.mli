@@ -4,11 +4,11 @@
     a program's whole declaration spine on every request past the cached
     prelude.  This module splits any program into its declaration spine
     and checks each declaration at most once per content: a unit is
-    addressed by a digest of the declaration itself chained through the
-    keys of the units it depends on (a Merkle-style key, so one hash
-    comparison covers the whole transitive history), together with the
-    resolution mode, the escape-check flag, the environment family, and
-    the fresh-name supply position.  Checking a spine against a warm
+    addressed by a digest of the declaration's source text chained
+    through the keys of the units it depends on (a Merkle-style key, so
+    one hash comparison covers the whole transitive history), together
+    with the resolution mode, the escape-check flag, the environment
+    family, and the fresh-name supply position.  Checking a spine against a warm
     cache replays recorded environment deltas and warnings instead of
     re-running the checker, and is byte-identical to a cold check —
     types, elaborated terms, System F translations, diagnostics, and
@@ -113,10 +113,13 @@ type walk_result = {
   w_poisoned : Sset.t;  (** recovery: names whose declarations failed *)
 }
 
-(** [walk cache ~spine env ast] checks [ast]'s declaration spine
-    through [cache].  [spine] holds the already-checked units the
-    session's history put in scope of [env] (their keys seed the
-    dependency chain; their declarations are NOT re-walked).  Without
+(** [walk cache ~source ~spine env ast] checks [ast]'s declaration
+    spine through [cache].  [source] is the text [ast] was parsed from:
+    each declaration is keyed by the bytes under its span, its file and
+    the line/col of the span's ends.  [spine] holds the
+    already-checked units the session's history put in scope of [env]
+    (their keys seed the dependency chain; their declarations are NOT
+    re-walked).  Without
     [?recover], the first failing declaration raises [Diag.Error], as
     {!Check.check_prefix} would.  With [?recover:engine], failures are
     reported to [engine] (cascade-suppressed via [?poisoned], as
@@ -129,6 +132,7 @@ val walk :
   ?recover:Fg_util.Diag.engine ->
   ?poisoned:Sset.t ->
   cache ->
+  source:string ->
   spine:checked list ->
   Env.t ->
   exp ->

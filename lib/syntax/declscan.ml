@@ -19,4 +19,4 @@ let is_decl_kw tok =
 let is_decl_start line =
   match Fg_util.Diag.protect (fun () -> Lexer.tokenize line) with
   | Error _ -> false
-  | Ok toks -> Array.length toks > 0 && is_decl_kw (fst toks.(0))
+  | Ok toks -> is_decl_kw (Lexer.token toks 0)

@@ -4,6 +4,12 @@
     parsers want arbitrary lookahead for cheap).  Supports [//] line
     comments and nestable [/* ... */] block comments.
 
+    The stream keeps each token's span as six integers in one int array
+    and builds the {!Loc.t} record only when asked.  A (token, span)
+    pair per token would make a large program's stream thousands of
+    small blocks that one array holds across minor collections, and
+    copying them to the major heap costs more than scanning the text.
+
     ['<'] and ['>'] are always lexed as single tokens, never combined
     into shifts, so nested concept applications like [C<D<int>>] lex
     correctly; the parsers disambiguate comparison operators from
@@ -115,9 +121,11 @@ let next_token lx : Token.t =
   else if is_digit c then Token.INT (read_int lx)
   else if is_ident_start c then begin
     let s = read_ident lx in
-    if Token.is_keyword s then Token.KW s
-    else if s.[0] >= 'A' && s.[0] <= 'Z' then Token.UIDENT s
-    else Token.LIDENT s
+    match Token.keyword s with
+    | Some kw -> kw
+    | None ->
+        if s.[0] >= 'A' && s.[0] <= 'Z' then Token.UIDENT s
+        else Token.LIDENT s
   end
   else begin
     let two tok =
@@ -160,47 +168,89 @@ let next_token lx : Token.t =
     | c, _ -> error lx "unexpected character %C" c
   end
 
-(** Lex the whole input to an array of located tokens, ending in [EOF]. *)
-let tokenize ?file src =
-  let lx = create ?file src in
-  let toks = ref [] in
+(* ---------------------------------------------------------------- *)
+(* The token stream                                                  *)
+
+type tokens = {
+  file : string;
+  mutable toks : Token.t array;
+  mutable spans : int array;
+      (** per token: start line, col, offset, end line, col, offset *)
+  mutable count : int;
+}
+
+let push t tok ~line ~col ~offset lx =
+  if t.count = Array.length t.toks then begin
+    let toks = Array.make (2 * t.count) Token.EOF in
+    let spans = Array.make (12 * t.count) 0 in
+    Array.blit t.toks 0 toks 0 t.count;
+    Array.blit t.spans 0 spans 0 (6 * t.count);
+    t.toks <- toks;
+    t.spans <- spans
+  end;
+  let b = 6 * t.count in
+  t.toks.(t.count) <- tok;
+  t.spans.(b) <- line;
+  t.spans.(b + 1) <- col;
+  t.spans.(b + 2) <- offset;
+  t.spans.(b + 3) <- lx.line;
+  t.spans.(b + 4) <- lx.col;
+  t.spans.(b + 5) <- lx.pos;
+  t.count <- t.count + 1
+
+(* Scan the whole input; [on_error] decides what a lexer error does. *)
+let scan ?(file = "<input>") src ~on_error =
+  let lx = create ~file src in
+  let cap = max 16 (String.length src / 2) in
+  let t =
+    {
+      file;
+      toks = Array.make cap Token.EOF;
+      spans = Array.make (6 * cap) 0;
+      count = 0;
+    }
+  in
   let continue = ref true in
   while !continue do
-    skip_trivia lx;
-    let start_pos = current_pos lx in
-    let tok = next_token lx in
-    let end_pos = current_pos lx in
-    let loc = Loc.make ~file:lx.file ~start_pos ~end_pos in
-    toks := (tok, loc) :: !toks;
-    if tok = Token.EOF then continue := false
+    match
+      skip_trivia lx;
+      let line = lx.line and col = lx.col and offset = lx.pos in
+      let tok = next_token lx in
+      push t tok ~line ~col ~offset lx;
+      tok
+    with
+    | Token.EOF -> continue := false
+    | _ -> ()
+    | exception Diag.Error d -> on_error lx d
   done;
-  Array.of_list (List.rev !toks)
+  t
+
+(** Lex the whole input to located tokens, ending in [EOF]. *)
+let tokenize ?file src =
+  scan ?file src ~on_error:(fun _ d -> raise (Diag.Error d))
 
 (** Like {!tokenize}, but lexer errors are reported to [engine] and the
     scan keeps going: the offending character is skipped and the next
     token is read after it.  The result always ends in [EOF], so the
     parser can run over whatever tokens survived. *)
 let tokenize_recovering ~engine ?file src =
-  let lx = create ?file src in
-  let toks = ref [] in
-  let continue = ref true in
-  while !continue do
-    match
-      skip_trivia lx;
-      let start_pos = current_pos lx in
-      let tok = next_token lx in
-      let end_pos = current_pos lx in
-      (tok, Loc.make ~file:lx.file ~start_pos ~end_pos)
-    with
-    | tok, loc ->
-        toks := (tok, loc) :: !toks;
-        if tok = Token.EOF then continue := false
-    | exception Diag.Error d ->
-        Coverage.hit p_recover_skip;
-        Diag.report engine d;
-        (* Skip the character the scanner tripped on so the loop makes
-           progress; at end of input (unterminated comment) the next
-           round produces EOF. *)
-        if not (eof lx) then advance lx
-  done;
-  Array.of_list (List.rev !toks)
+  scan ?file src ~on_error:(fun lx d ->
+      Coverage.hit p_recover_skip;
+      Diag.report engine d;
+      (* Skip the character the scanner tripped on so the loop makes
+         progress; at end of input (unterminated comment) the next
+         round produces EOF. *)
+      if not (eof lx) then advance lx)
+
+let length t = t.count
+
+let token t i =
+  if i < 0 || i >= t.count then invalid_arg "Lexer.token";
+  t.toks.(i)
+
+let loc t i =
+  if i < 0 || i >= t.count then invalid_arg "Lexer.loc";
+  let s = t.spans and b = 6 * i in
+  Loc.make ~file:t.file
+    ~start_pos:{ Loc.line = s.(b); col = s.(b + 1); offset = s.(b + 2) }
+    ~end_pos:{ Loc.line = s.(b + 3); col = s.(b + 4); offset = s.(b + 5) }

@@ -1,41 +1,57 @@
 (** Token-stream cursor shared by the two recursive-descent parsers.
 
-    Wraps the array produced by {!Lexer.tokenize} with peeking,
+    Wraps the stream produced by {!Lexer.tokenize} with peeking,
     expectation and error-reporting helpers.  The parsers themselves live
     with their languages ([fg_systemf] and [fg_core]). *)
 
 open Fg_util
 
-type t = { toks : (Token.t * Loc.t) array; mutable cursor : int }
+type t = {
+  toks : Lexer.tokens;
+  mutable cursor : int;
+  mutable span_at : int;  (** index whose span [span] holds, or -1 *)
+  mutable span : Loc.t;
+}
 
 let of_tokens toks =
-  if Array.length toks = 0 then Diag.ice "parser: empty token stream";
-  { toks; cursor = 0 }
+  if Lexer.length toks = 0 then Diag.ice "parser: empty token stream";
+  { toks; cursor = 0; span_at = -1; span = Loc.dummy }
 
 let of_string ?file src = of_tokens (Lexer.tokenize ?file src)
 
-let peek p = fst p.toks.(p.cursor)
-
-let peek2 p =
-  if p.cursor + 1 < Array.length p.toks then fst p.toks.(p.cursor + 1)
-  else Token.EOF
+let peek p = Lexer.token p.toks p.cursor
 
 (** [peek_nth p 0 = peek p]. *)
 let peek_nth p k =
-  if p.cursor + k < Array.length p.toks then fst p.toks.(p.cursor + k)
+  if p.cursor + k < Lexer.length p.toks then Lexer.token p.toks (p.cursor + k)
   else Token.EOF
 
-let loc p = snd p.toks.(p.cursor)
+let peek2 p = peek_nth p 1
+
+(* Each parsing level asks for the span of the token it starts at, so
+   one token's span is requested several times in a row.  Keeping the
+   last one built lets those nodes share one record, as they did when
+   the stream held a record per token, and saves about a sixth of a
+   parse's allocation. *)
+let span_of p i =
+  if p.span_at <> i then begin
+    p.span <- Lexer.loc p.toks i;
+    p.span_at <- i
+  end;
+  p.span
+
+let loc p = span_of p p.cursor
 
 (** Span of the most recently consumed token. *)
-let prev_loc p = if p.cursor = 0 then loc p else snd p.toks.(p.cursor - 1)
+let prev_loc p = if p.cursor = 0 then loc p else span_of p (p.cursor - 1)
+
+let skip p =
+  match peek p with Token.EOF -> () | _ -> p.cursor <- p.cursor + 1
 
 let advance p =
-  let tok, l = p.toks.(p.cursor) in
-  if tok <> Token.EOF then p.cursor <- p.cursor + 1;
+  let tok = peek p and l = loc p in
+  skip p;
   (tok, l)
-
-let skip p = ignore (advance p)
 
 let error p fmt =
   Fmt.kstr

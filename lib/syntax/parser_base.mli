@@ -3,7 +3,7 @@
 
 type t
 
-val of_tokens : (Token.t * Fg_util.Loc.t) array -> t
+val of_tokens : Lexer.tokens -> t
 val of_string : ?file:string -> string -> t
 
 val peek : t -> Token.t

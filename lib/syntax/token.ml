@@ -50,7 +50,17 @@ let keywords =
     "using";
   ]
 
-let is_keyword s = List.mem s keywords
+(* Every identifier the lexer reads is looked up here, so this is a hash
+   lookup rather than a scan of the list, and it returns one shared [KW]
+   value per keyword rather than a fresh one per occurrence.  The table
+   is filled once and only read afterwards, so domains may share it. *)
+let keyword_tokens =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k (KW k)) keywords;
+  t
+
+(** [keyword s] is the token for [s] when [s] is a keyword. *)
+let keyword s = Hashtbl.find_opt keyword_tokens s
 
 let pp ppf = function
   | INT n -> Fmt.pf ppf "integer literal %d" n

@@ -8,9 +8,10 @@
     relative to the declaration's start, so when a later version of the
     document replays that unit from cache at a different byte position
     the fragment is rebased by a plain offset delta.  This is sound
-    because the unit content hash keeps line/column (only byte offsets
-    are zeroed): the same portable key guarantees the same line/column
-    geometry, so only offsets can differ between two occurrences. *)
+    because a unit's key covers its source bytes and the line/column of
+    its span but never a byte offset: the same portable key guarantees
+    the same text at the same line/column geometry, so only offsets can
+    differ between two occurrences. *)
 
 open Fg_util
 module C = Fg_core

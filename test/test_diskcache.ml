@@ -60,6 +60,76 @@ let test_blob_roundtrip () =
     (C.Diskcache.decode_blob (String.sub blob 0 (String.length blob / 2))
     = None)
 
+(* ---------------------------------------------------------------- *)
+(* Build identity                                                    *)
+
+(* A minimal little-endian ELF64 image: the file header, one PT_NOTE
+   program header, and a note segment holding an ABI-tag-style note
+   followed by a 4-byte GNU build-id. *)
+let synthetic_elf () =
+  let b = Buffer.create 160 in
+  Buffer.add_string b "\x7fELF\002\001\001";
+  Buffer.add_string b (String.make 9 '\000');
+  Buffer.add_uint16_le b 2 (* e_type *);
+  Buffer.add_uint16_le b 62 (* e_machine *);
+  Buffer.add_int32_le b 1l (* e_version *);
+  Buffer.add_int64_le b 0L (* e_entry *);
+  Buffer.add_int64_le b 64L (* e_phoff *);
+  Buffer.add_int64_le b 0L (* e_shoff *);
+  Buffer.add_int32_le b 0l (* e_flags *);
+  List.iter (Buffer.add_uint16_le b) [ 64; 56; 1; 0; 0; 0 ];
+  let note ty desc =
+    let n = Buffer.create 24 in
+    Buffer.add_int32_le n 4l;
+    Buffer.add_int32_le n (Int32.of_int (String.length desc));
+    Buffer.add_int32_le n (Int32.of_int ty);
+    Buffer.add_string n "GNU\000";
+    Buffer.add_string n desc;
+    Buffer.contents n
+  in
+  let notes = note 1 "\000\000\000\000" ^ note 3 "\xde\xad\xbe\xef" in
+  let seg_off = 64 + 56 in
+  Buffer.add_int32_le b 4l (* PT_NOTE *);
+  Buffer.add_int32_le b 4l (* p_flags *);
+  Buffer.add_int64_le b (Int64.of_int seg_off);
+  Buffer.add_int64_le b 0L;
+  Buffer.add_int64_le b 0L;
+  Buffer.add_int64_le b (Int64.of_int (String.length notes));
+  Buffer.add_int64_le b (Int64.of_int (String.length notes));
+  Buffer.add_int64_le b 4L (* p_align *);
+  Buffer.add_string b notes;
+  Buffer.contents b
+
+let write_temp contents =
+  let path = Filename.temp_file "fgelf" ".bin" in
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  path
+
+let test_build_id_note () =
+  let elf = synthetic_elf () in
+  let id_of contents =
+    let path = write_temp contents in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> C.Diskcache.elf_build_id path)
+  in
+  Alcotest.(check (option string)) "note found past another note"
+    (Some "deadbeef") (id_of elf);
+  Alcotest.(check (option string)) "truncated note segment" None
+    (id_of (String.sub elf 0 (String.length elf - 2)));
+  Alcotest.(check (option string)) "truncated header" None
+    (id_of (String.sub elf 0 40));
+  Alcotest.(check (option string)) "not ELF" None
+    (id_of "#!/bin/sh\necho not a binary\n");
+  Alcotest.(check (option string)) "missing file" None
+    (C.Diskcache.elf_build_id "/nonexistent/fgc.exe");
+  (* the running binary: whatever identity it has is stable *)
+  Alcotest.(check (option string)) "stable for this executable"
+    (C.Diskcache.elf_build_id Sys.executable_name)
+    (C.Diskcache.elf_build_id Sys.executable_name)
+
 let test_get_put () =
   let d = C.Diskcache.open_store (fresh_root ()) in
   let key = Digest.string "some unit" in
@@ -223,6 +293,8 @@ let suite =
   [
     Alcotest.test_case "blob framing round-trips and rejects" `Quick
       test_blob_roundtrip;
+    Alcotest.test_case "build identity from the ELF note" `Quick
+      test_build_id_note;
     Alcotest.test_case "get/put and corrupt-entry handling" `Quick
       test_get_put;
     Alcotest.test_case "cold and warm runs byte-identical" `Quick

@@ -164,6 +164,18 @@ let test_depth_fuse () =
       Alcotest.(check bool) "depth message" true
         (Astring_contains.contains ~needle:"depth" d.message)
 
+let test_fresh_closure_per_env () =
+  (* Equality queries intern terms into the context's congruence
+     closure, which is unsynchronized.  Environments from separate
+     [create] calls (one per batch domain or server session) must each
+     own theirs: a query in one leaves the other's closure empty. *)
+  let e1 = Env.create () and e2 = Env.create () in
+  ignore (Env.ty_eq e1 (ty "list a") (ty "list b"));
+  Alcotest.(check bool) "e1 interned its query" true
+    (Equality.class_count e1.Env.eq > 0);
+  Alcotest.(check int) "e2's closure is untouched" 0
+    (Equality.class_count e2.Env.eq)
+
 let test_ty_repr_prefers_ground () =
   let env = Env.assume base_env (Ast.TVar "a") (ty "int") in
   let env = Env.bind_tyvars env [ "a" ] in
@@ -193,6 +205,8 @@ let suite =
     Alcotest.test_case "parameterized assoc normalization" `Quick
       test_parameterized_assoc_normalization;
     Alcotest.test_case "depth fuse" `Quick test_depth_fuse;
+    Alcotest.test_case "each environment owns its closure" `Quick
+      test_fresh_closure_per_env;
     Alcotest.test_case "ty_repr prefers ground" `Quick
       test_ty_repr_prefers_ground;
     Alcotest.test_case "named model table" `Quick test_named_model_table;

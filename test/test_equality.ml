@@ -10,7 +10,7 @@ let ty = Parser.ty_of_string
 let eq_of assumptions =
   List.fold_left
     (fun eq (a, b) -> Equality.assume eq (ty a) (ty b))
-    Equality.empty assumptions
+    (Equality.empty ()) assumptions
 
 let check_equal eq a b expected =
   Alcotest.(check bool)
@@ -25,7 +25,7 @@ let check_repr eq a expected =
     (Pretty.ty_to_string (Equality.repr eq (ty a)))
 
 let test_syntactic () =
-  let eq = Equality.empty in
+  let eq = Equality.empty () in
   check_equal eq "int" "int" true;
   check_equal eq "int" "bool" false;
   check_equal eq "list int" "list int" true;
@@ -97,14 +97,14 @@ let test_repr_var_over_projection () =
 let test_forall_alpha_opaque () =
   (* foralls compare up to alpha; equalities do not propagate inside
      (documented limitation) *)
-  let eq = Equality.empty in
+  let eq = Equality.empty () in
   check_equal eq "forall a. fn(a) -> a" "forall b. fn(b) -> b" true;
   check_equal eq "forall a. fn(a) -> a" "forall a b. fn(a) -> a" false;
   let eq2 = eq_of [ ("t", "int") ] in
   check_equal eq2 "forall a. fn(a) -> t" "forall a. fn(a) -> int" false
 
 let test_forall_with_constraints () =
-  let eq = Equality.empty in
+  let eq = Equality.empty () in
   check_equal eq "forall t where Monoid<t>. t" "forall u where Monoid<u>. u"
     true;
   check_equal eq "forall t where Monoid<t>. t" "forall t where Eq<t>. t" false;
@@ -112,7 +112,7 @@ let test_forall_with_constraints () =
 
 let test_persistence () =
   (* assume returns a NEW context; the original is unchanged *)
-  let eq0 = Equality.empty in
+  let eq0 = Equality.empty () in
   let eq1 = Equality.assume eq0 (ty "a") (ty "int") in
   check_equal eq1 "a" "int" true;
   check_equal eq0 "a" "int" false;
@@ -127,7 +127,7 @@ let test_assumptions_listing () =
     (List.length (Equality.assumptions eq))
 
 let test_tuple_arity () =
-  let eq = Equality.empty in
+  let eq = Equality.empty () in
   check_equal eq "tuple(int)" "int" false;
   check_equal eq "tuple()" "unit" false;
   check_equal eq "int * bool" "int * bool" true
@@ -160,7 +160,7 @@ let ty_arb = QCheck.make ~print:Pretty.ty_to_string small_ty_gen
 let eqs_arb =
   QCheck.(list_of_size (QCheck.Gen.int_bound 4) (pair ty_arb ty_arb))
 
-let build eqs = List.fold_left (fun e (a, b) -> Equality.assume e a b) Equality.empty eqs
+let build eqs = List.fold_left (fun e (a, b) -> Equality.assume e a b) (Equality.empty ()) eqs
 
 let prop_reflexive =
   QCheck.Test.make ~name:"equality is reflexive" ~count:200

@@ -201,6 +201,33 @@ model <t> where C<list t> => C<t> { v = C<list t>.v(0); } in
 C<int>.v|}
     Fg_util.Diag.Resolve
 
+(* FG0405 pinned: code, span and exact text.  Each requirement asks for
+   C at a list one level deeper, and the fuse trips while normalizing
+   the argument of the 65th, so the subject is list^64 int, printed
+   with the line breaks the message's pretty-printer gives it. *)
+let test_depth_fuse_text () =
+  let src =
+    "concept C<t> { m : fn(t) -> int; } in\n\
+     model <t> where C<list t> => C<t> { m = fun (x : t) => 0; } in\n\
+     C<int>.m(1)"
+  in
+  let indent = "\n" ^ String.make 66 ' ' in
+  let subject =
+    String.concat "" (List.init 12 (fun _ -> "list ("))
+    ^ String.concat "" (List.init 49 (fun _ -> indent ^ "list ("))
+    ^ indent ^ "list (list (list int" ^ String.make 63 ')'
+  in
+  let s = Session.of_config Session.Config.default in
+  match Session.run_result ~file:"div.fg" s src with
+  | Ok _ -> Alcotest.fail "expected the resolution depth fuse"
+  | Error d ->
+      Alcotest.(check string) "code" "FG0405" d.code;
+      Alcotest.(check string) "text"
+        ("div.fg:3:1-9: resolution error[FG0405]: model resolution exceeded \
+          depth 64 while resolving " ^ subject
+       ^ " (diverging parameterized models?)")
+        (Fg_util.Diag.to_string d)
+
 let prop_parameterized_agreement =
   (* random element lists, equality through the parameterized instance:
      direct interpreter and translation agree with the OCaml oracle *)
@@ -247,5 +274,6 @@ let suite =
     Alcotest.test_case "missing context rejected" `Quick
       test_missing_context_rejected;
     Alcotest.test_case "divergence fused" `Quick test_divergence_fused;
+    Alcotest.test_case "FG0405 code and text" `Quick test_depth_fuse_text;
     QCheck_alcotest.to_alcotest prop_parameterized_agreement;
   ]

@@ -203,6 +203,38 @@ let test_batch_more_domains_than_jobs () =
       Alcotest.(check bool) "value" true (o.value = Interp.FlInt 8)
   | _ -> Alcotest.fail "unexpected batch shape"
 
+(* Batch domains must share no mutable checker state.  When the empty
+   equality context was one top-level value, every session's congruence
+   closure was the same unsynchronized structure, and concurrent domains
+   interning into it crashed (Not_found, index out of bounds) or reported
+   spurious FG0202/FG0301/FG0303.  Heavy generated families plus random
+   programs, batched again and again over 2 and 4 domains, must
+   reproduce the one-domain results exactly. *)
+let test_batch_domains_share_nothing () =
+  let jobs =
+    [
+      ("let_chain_80", Genprog.let_chain 80);
+      ("many_models_160", Genprog.many_models 160);
+      ("wide_where_32", Genprog.wide_where 32);
+      ("refine_diamond_08", Genprog.refinement_diamond 8);
+      ("same_type_chain_64", Genprog.same_type_chain 64);
+      ("assoc_chain_24", Genprog.assoc_chain 24);
+      ("param_depth_10", Genprog.param_depth 10);
+      ("fanout_08", Genprog.instantiation_fanout ~reps:6 8);
+    ]
+    @ List.init 60 (fun i ->
+          ( Printf.sprintf "gen_%02d" i,
+            Pretty.exp_to_string (Gen.program_of_seed i) ))
+  in
+  let s = Session.of_config Session.Config.default in
+  let want = Session.run_batch ~domains:1 s jobs in
+  for _ = 1 to 3 do
+    List.iter
+      (fun domains ->
+        check_batches_equal want (Session.run_batch ~domains s jobs))
+      [ 2; 4 ]
+  done
+
 let prop_batch_matches_single_on_generated =
   QCheck.Test.make ~name:"batch over generated programs = single runs"
     ~count:30
@@ -279,6 +311,32 @@ let test_incremental_mutation_equals_cold () =
       true
       (after.Unit.s_hits - before.Unit.s_hits >= 2 * (decls + 1))
   done
+
+let test_length_changing_edit_rechecks_one_unit () =
+  (* Widening a leading literal shifts the byte offsets of everything
+     after it without moving a line.  Offsets are not part of a unit's
+     content, so only the edited declaration re-checks: not the concept
+     and model behind it (whose own spans shifted), and not [b], which
+     depends on them. *)
+  let src lit =
+    Printf.sprintf
+      "let a = %s in\n\
+       concept C<t> { m : t; } in\n\
+       model C<int> { m = 2; } in\n\
+       let b = C<int>.m in\n\
+       a + b"
+      lit
+  in
+  let warm = Session.of_config Session.Config.default in
+  ignore (quintuple warm "t" (src "1"));
+  let before = Session.cache_stats warm in
+  let got = quintuple warm "t" (src "100") in
+  let after = Session.cache_stats warm in
+  Alcotest.(check string) "warm = cold"
+    (quintuple (Session.of_config Session.Config.default) "t" (src "100"))
+    got;
+  Alcotest.(check int) "only the edited let re-checks" 1
+    (after.Unit.s_misses - before.Unit.s_misses)
 
 let prop_warm_session_equals_cold =
   QCheck.Test.make ~name:"generated programs: warm session = cold session"
@@ -401,9 +459,13 @@ let suite =
       test_batch_deterministic;
     Alcotest.test_case "batch with more domains than jobs" `Quick
       test_batch_more_domains_than_jobs;
+    Alcotest.test_case "batch domains share no checker state" `Quick
+      test_batch_domains_share_nothing;
     QCheck_alcotest.to_alcotest prop_batch_matches_single_on_generated;
     Alcotest.test_case "incremental mutation = cold check" `Quick
       test_incremental_mutation_equals_cold;
+    Alcotest.test_case "length-changing edit re-checks one unit" `Quick
+      test_length_changing_edit_rechecks_one_unit;
     QCheck_alcotest.to_alcotest prop_warm_session_equals_cold;
     Alcotest.test_case "warnings replayed exactly once" `Quick
       test_warnings_replayed_once;

@@ -5,7 +5,8 @@ open Fg_syntax
 module T = Token
 
 let toks src =
-  Lexer.tokenize src |> Array.to_list |> List.map fst
+  let ts = Lexer.tokenize src in
+  List.init (Lexer.length ts) (Lexer.token ts)
   |> List.filter (fun t -> t <> T.EOF)
 
 let test_basic_tokens () =
@@ -44,9 +45,9 @@ let test_comments () =
   | Error d -> Alcotest.(check bool) "phase" true (d.phase = Fg_util.Diag.Lexer)
 
 let test_locations () =
-  let arr = Lexer.tokenize ~file:"f.fg" "ab\n  cd" in
-  let _, loc1 = arr.(0) in
-  let _, loc2 = arr.(1) in
+  let ts = Lexer.tokenize ~file:"f.fg" "ab\n  cd" in
+  let loc1 = Lexer.loc ts 0 in
+  let loc2 = Lexer.loc ts 1 in
   Alcotest.(check int) "first line" 1 loc1.start_pos.line;
   Alcotest.(check int) "first col" 1 loc1.start_pos.col;
   Alcotest.(check int) "second line" 2 loc2.start_pos.line;

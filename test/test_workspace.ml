@@ -70,6 +70,35 @@ let test_edit_misses_decl_and_dependents () =
   Alcotest.(check int) "a and its dependent c re-checked" 2
     (after - before)
 
+let test_length_changing_edit_misses_only_dirty_decl () =
+  (* "1" -> "100" shifts the byte offsets of every later declaration
+     (the concept and model included) without moving a line; only [a]
+     itself may re-check. *)
+  let text =
+    "let a = 1 in\n\
+     concept C<t> { m : t; } in\n\
+     model C<int> { m = 2; } in\n\
+     let b = C<int>.m in\n\
+     a + b"
+  in
+  let ws = W.create () in
+  ignore (ok (open_doc ws ~name:"t.fg" ~version:1 text));
+  let before = (W.cache_stats ws).Unit.s_misses in
+  let off = String.index text '1' in
+  let edited =
+    ok
+      (W.change_doc ws ~name:"t.fg" ~version:2
+         (W.Edits [ { W.e_start = off; e_len = 1; e_text = "100" } ]))
+  in
+  let after = (W.cache_stats ws).Unit.s_misses in
+  Alcotest.(check int) "only a re-checked" 1 (after - before);
+  let cold =
+    ok
+      (open_doc (W.create ()) ~name:"t.fg" ~version:1
+         (splice text (off, 1, "100")))
+  in
+  Alcotest.(check string) "warm = cold" cold edited
+
 (* ------------------------------------------------------------------ *)
 (* Warm = cold byte identity                                           *)
 
@@ -334,6 +363,8 @@ let suite =
       test_edit_misses_only_dirty_decl;
     Alcotest.test_case "edit re-checks decl + transitive dependents"
       `Quick test_edit_misses_decl_and_dependents;
+    Alcotest.test_case "length-changing edit re-checks only that decl"
+      `Quick test_length_changing_edit_misses_only_dirty_decl;
     Alcotest.test_case "edit then revert = cold open bytes" `Quick
       test_edit_then_revert_matches_cold;
     QCheck_alcotest.to_alcotest prop_random_edits_match_cold;

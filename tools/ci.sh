@@ -60,6 +60,13 @@ rm -f "$bench_out"
 awk -v s="$speedup" 'BEGIN { exit (s >= 3.0) ? 0 : 1 }' \
   || { echo "bench smoke: incremental speedup ${speedup}x < 3x"; exit 1; }
 
+echo "== benchmark spine smoke (every workload at ~1% size)"
+# Runs each BENCHMARK.json workload briefly, untraced and traced, and
+# checks every output against references the compiler did not produce,
+# so a change that breaks a workload fails CI rather than the next
+# benchmark run.
+dune build @benchspine/bench-smoke
+
 echo "== server smoke"
 # A real daemon on a unix socket: 200+ requests through one batch
 # connection, the protocol-violation probe (garbage JSON frame,
