@@ -32,8 +32,12 @@ let fg_parse src = C.Parser.exp_of_string src
 let fg_check ast = ignore (C.Check.typecheck ast)
 let fg_translate ast = C.Check.translate ast
 
+(* One-shot driving: a fresh session per run, so nothing is amortized. *)
 let staged_pipeline name src =
-  Test.make ~name (Staged.stage (fun () -> ignore (C.Pipeline.run src)))
+  Test.make ~name
+    (Staged.stage (fun () ->
+         let s = C.Session.of_config C.Session.Config.default in
+         ignore (C.Session.run s src)))
 
 let staged_typecheck name src =
   let ast = fg_parse src in
@@ -246,11 +250,15 @@ let session_tests =
     Test.make ~name:"session/prelude_amortized"
       (Staged.stage (fun () -> ignore (C.Session.run shared body)));
     Test.make ~name:"session/prelude_fresh_pipeline"
-      (Staged.stage (fun () -> ignore (C.Pipeline.run (C.Prelude.wrap body))));
+      (Staged.stage (fun () ->
+           let s = C.Session.of_config C.Session.Config.default in
+           ignore (C.Session.run s (C.Prelude.wrap body))));
     Test.make ~name:"session/no_prelude_shared"
       (Staged.stage (fun () -> ignore (C.Session.run no_prelude standalone)));
     Test.make ~name:"session/no_prelude_fresh"
-      (Staged.stage (fun () -> ignore (C.Pipeline.run standalone)));
+      (Staged.stage (fun () ->
+           let s = C.Session.of_config C.Session.Config.default in
+           ignore (C.Session.run s standalone)));
   ]
 
 (* ---------------------------------------------------------------- *)
@@ -331,7 +339,7 @@ let print_backend_comparison () =
   let module B = C.Backend in
   let backends = [ B.Dict; B.Stencil; B.Hybrid ] in
   let session_for b =
-    C.Session.of_config C.Session.Config.(default |> with_backend b)
+    C.Session.of_config { C.Session.Config.default with backend = b }
   in
   let rows =
     List.map
@@ -460,9 +468,12 @@ let print_batch_scaling () =
    declaration.  Cold checks a fresh session per member; warm shares
    one session, so every member past the first re-checks exactly one
    compilation unit (the edited declaration) plus the residual body.
-   tools/ci.sh greps the speedup line and asserts the 3x bar. *)
+   One round's check time is mostly minor-GC pauses, so the speedup is
+   measured over several rounds (each with a fresh warm session) and
+   the median is reported; tools/ci.sh greps that line and asserts the
+   3x bar. *)
 let print_incremental () =
-  let decls = 120 and members = 20 in
+  let decls = 120 and members = 20 and rounds = 5 in
   let member i =
     C.Genprog.shared_prefix ~edit_at:(decls - 1) ~edit:i ~decls ()
   in
@@ -479,39 +490,50 @@ let print_incremental () =
       float_of_int d.T.parse_ns /. 1e6,
       float_of_int d.T.check_ns /. 1e6 )
   in
-  let cold_wall, cold_parse, cold_check =
-    phases (fun () ->
-        for i = 1 to members do
-          ignore
-            (C.Session.typecheck ~file:"bench"
-               (C.Session.of_config C.Session.Config.default)
-               (member i))
-        done)
+  let row round strategy (wall, parse, check) =
+    Fmt.pr "%-6s %-28s %10.1f %10.1f %10.1f@." round strategy wall parse check
   in
-  let s = C.Session.of_config C.Session.Config.default in
-  ignore (C.Session.typecheck ~file:"bench" s (member 0));
-  let warm_wall, warm_parse, warm_check =
-    phases (fun () ->
-        for i = 1 to members do
-          ignore (C.Session.typecheck ~file:"bench" s (member i))
-        done)
-  in
-  let st = C.Session.cache_stats s in
   Fmt.pr
     "@.S3 incremental re-check (%d members sharing a %d-declaration \
-     prefix, edit last decl)@."
-    members decls;
-  Fmt.pr "%s@." (String.make 66 '-');
-  Fmt.pr "%-28s %10s %10s %10s@." "strategy" "wall (ms)" "parse (ms)"
-    "check (ms)";
-  Fmt.pr "%-28s %10.1f %10.1f %10.1f@." "cold (fresh session each)" cold_wall
-    cold_parse cold_check;
-  Fmt.pr "%-28s %10.1f %10.1f %10.1f@." "warm (shared unit cache)" warm_wall
-    warm_parse warm_check;
-  Fmt.pr "unit cache: %d hits, %d misses, %d entries@." st.C.Unit.s_hits
-    st.C.Unit.s_misses st.C.Unit.s_size;
-  Fmt.pr "incremental re-check speedup (edit last decl): %.2fx@."
-    (cold_check /. warm_check)
+     prefix, edit last decl, %d rounds)@."
+    members decls rounds;
+  Fmt.pr "%s@." (String.make 73 '-');
+  Fmt.pr "%-6s %-28s %10s %10s %10s@." "round" "strategy" "wall (ms)"
+    "parse (ms)" "check (ms)";
+  let results =
+    List.init rounds (fun r ->
+        let ((_, _, cold_check) as cold) =
+          phases (fun () ->
+              for i = 1 to members do
+                ignore
+                  (C.Session.typecheck ~file:"bench"
+                     (C.Session.of_config C.Session.Config.default)
+                     (member i))
+              done)
+        in
+        let s = C.Session.of_config C.Session.Config.default in
+        ignore (C.Session.typecheck ~file:"bench" s (member 0));
+        let ((_, _, warm_check) as warm) =
+          phases (fun () ->
+              for i = 1 to members do
+                ignore (C.Session.typecheck ~file:"bench" s (member i))
+              done)
+        in
+        let round = string_of_int (r + 1) in
+        row round "cold (fresh session each)" cold;
+        row round "warm (shared unit cache)" warm;
+        (cold_check /. warm_check, C.Session.cache_stats s))
+  in
+  let speedups = List.map fst results in
+  let st = snd (List.nth results (rounds - 1)) in
+  Fmt.pr "unit cache (last round): %d hits, %d misses, %d entries@."
+    st.C.Unit.s_hits st.C.Unit.s_misses st.C.Unit.s_size;
+  Fmt.pr "speedup per round: %s@."
+    (String.concat " " (List.map (Printf.sprintf "%.2f") speedups));
+  Fmt.pr "incremental re-check speedup (edit last decl): %.2fx (median of %d \
+          rounds)@."
+    (List.nth (List.sort compare speedups) (rounds / 2))
+    rounds
 
 let () =
   Fmt.pr "FG benchmark harness (quota %.2fs per test)@." quota;

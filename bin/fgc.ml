@@ -88,10 +88,7 @@ let global_flag =
   in
   Arg.(value & flag & info [ "global-models" ] ~doc)
 
-let resolution_of_flag g =
-  if g then C.Resolution.Global else C.Resolution.Lexical
-
-let with_prelude_flag =
+let prelude_flag =
   let doc = "Check the program under the standard prelude (concepts, \
              models for int/bool/list int, and the generic algorithms), \
              cached in the session and checked only once." in
@@ -193,26 +190,12 @@ let format_arg =
        & info [ "format" ] ~docv:"FMT" ~doc)
 
 (* The session every subcommand drives: prelude cached at creation when
-   requested, so per-program work excludes it.  All construction goes
-   through one [Session.Config.t]. *)
-let session_config ?(backend = "dict") ?cache_dir ?cache_max_bytes ?profile
-    ~global ~with_prelude () =
-  let module Cfg = C.Session.Config in
-  let cfg =
-    Cfg.default
-    |> Cfg.with_resolution (resolution_of_flag global)
-    |> Cfg.with_backend (C.Backend.of_string_exn backend)
-    |> Cfg.with_cache_dir cache_dir
-    |> Cfg.with_cache_max_bytes cache_max_bytes
-    |> Cfg.with_profile profile
-  in
-  if with_prelude then Cfg.with_standard_prelude cfg else cfg
-
-let make_session ?backend ?cache_dir ?cache_max_bytes ?profile ~global
-    ~with_prelude () =
+   requested, so per-program work excludes it. *)
+let make_session ?(backend = "dict") ?cache_dir ?cache_max_bytes ?profile
+    ~global ~prelude () =
   C.Session.of_config
-    (session_config ?backend ?cache_dir ?cache_max_bytes ?profile ~global
-       ~with_prelude ())
+    (C.Session.Config.of_flags ?cache_dir ?cache_max_bytes ?profile ~prelude
+       ~global_models:global ~backend:(C.Backend.of_string_exn backend) ())
 
 let get_source file expr =
   match expr with Some s -> ("<expr>", s) | None -> read_input file
@@ -225,33 +208,33 @@ let file_pos_arg =
 (* check                                                             *)
 
 let check_cmd =
-  let run file expr global with_prelude backend cache_dir cache_max_bytes
+  let run file expr global prelude backend cache_dir cache_max_bytes
       stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
         let s =
           make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~with_prelude ()
+            ~prelude ()
         in
         Fmt.pr "%a@." C.Pretty.pp_ty (C.Session.typecheck ~file:name s src))
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Type check an FG program and print its type")
     Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ with_prelude_flag $ backend_arg $ cache_dir_arg
+          $ prelude_flag $ backend_arg $ cache_dir_arg
           $ cache_max_bytes_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* translate                                                         *)
 
 let translate_cmd =
-  let run file expr global with_prelude backend cache_dir cache_max_bytes
+  let run file expr global prelude backend cache_dir cache_max_bytes
       show_type stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
         let s =
           make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~with_prelude ()
+            ~prelude ()
         in
         let f = C.Session.translate ~file:name s src in
         (* Off the Dict backend, print the partially evaluated program
@@ -275,7 +258,7 @@ let translate_cmd =
          "Translate an FG program to System F (dictionary passing, or a \
           specialized backend with $(b,--backend))")
     Term.(
-      const run $ file_pos_arg $ expr_arg $ global_flag $ with_prelude_flag
+      const run $ file_pos_arg $ expr_arg $ global_flag $ prelude_flag
       $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ show_type
       $ stats_flag)
 
@@ -283,7 +266,7 @@ let translate_cmd =
 (* run                                                               *)
 
 let run_cmd =
-  let run file expr global with_prelude backend cache_dir cache_max_bytes
+  let run file expr global prelude backend cache_dir cache_max_bytes
       profile profile_out verbose format stats =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let name, src = get_source file expr in
@@ -291,7 +274,7 @@ let run_cmd =
         if profile_out <> None then Profile.set_collecting true;
         let s =
           make_session ~backend ?cache_dir ?cache_max_bytes ?profile ~global
-            ~with_prelude ()
+            ~prelude ()
         in
         (* The recovering pipeline: every independent error in the
            program comes back in one invocation, plus any warnings. *)
@@ -340,7 +323,7 @@ let run_cmd =
           evaluate both directly and via the translation, and print the \
           (agreeing) value")
     Term.(
-      const run $ file_pos_arg $ expr_arg $ global_flag $ with_prelude_flag
+      const run $ file_pos_arg $ expr_arg $ global_flag $ prelude_flag
       $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ profile_arg
       $ profile_out_arg $ verbose $ format_arg $ stats_flag)
 
@@ -348,10 +331,10 @@ let run_cmd =
 (* elaborate                                                         *)
 
 let elaborate_cmd =
-  let run file expr global with_prelude stats =
+  let run file expr global prelude stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s = make_session ~global ~with_prelude () in
+        let s = make_session ~global ~prelude () in
         let _, elaborated, _ = C.Session.elaborate ~file:name s src in
         Fmt.pr "%a@." C.Pretty.pp_exp elaborated)
   in
@@ -361,16 +344,16 @@ let elaborate_cmd =
          "Print the elaborated FG program (implicit instantiations made \
           explicit, member defaults filled in)")
     Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ with_prelude_flag $ stats_flag)
+          $ prelude_flag $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* verify                                                            *)
 
 let verify_cmd =
-  let run file expr global with_prelude format stats =
+  let run file expr global prelude format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let name, src = get_source file expr in
-        let s = make_session ~global ~with_prelude () in
+        let s = make_session ~global ~prelude () in
         let report = C.Session.verify ~file:name s src in
         match format with
         | `Json ->
@@ -398,7 +381,7 @@ let verify_cmd =
          "Check the paper's Theorems 1/2 on this program: the translation \
           type checks in System F at the translated type")
     Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ with_prelude_flag $ format_arg $ stats_flag)
+          $ prelude_flag $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* batch                                                             *)
@@ -409,7 +392,7 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 let batch_cmd =
-  let run files global with_prelude backend cache_dir cache_max_bytes
+  let run files global prelude backend cache_dir cache_max_bytes
       profile profile_out domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let jobs = List.map read_input files in
@@ -417,7 +400,7 @@ let batch_cmd =
         if profile_out <> None then Profile.set_collecting true;
         let s =
           make_session ~backend ?cache_dir ?cache_max_bytes ?profile ~global
-            ~with_prelude ()
+            ~prelude ()
         in
         let results = C.Session.run_batch ?domains s jobs in
         Option.iter
@@ -464,7 +447,7 @@ let batch_cmd =
          "Run many FG programs through the full pipeline, fanned out over \
           OCaml domains with a shared session configuration; output order \
           matches the argument order regardless of the domain count")
-    Term.(const run $ files $ global_flag $ with_prelude_flag $ backend_arg
+    Term.(const run $ files $ global_flag $ prelude_flag $ backend_arg
           $ cache_dir_arg $ cache_max_bytes_arg $ profile_arg
           $ profile_out_arg $ domains_arg $ format_arg $ stats_flag)
 
@@ -488,7 +471,7 @@ let corpus_cmd =
                outcome matches its stated expectation. *)
             let s =
               make_session ~backend ?cache_dir ?cache_max_bytes ?profile
-                ~global:false ~with_prelude:false ()
+                ~global:false ~prelude:false ()
             in
             let jobs =
               List.map (fun (e : C.Corpus.entry) -> (e.name, e.source))
@@ -561,7 +544,7 @@ let corpus_cmd =
             Fmt.pr "// %s (%s)@.%s@.@." e.description e.paper e.source;
             let s =
               make_session ~backend ?cache_dir ?cache_max_bytes ?profile
-                ~global:false ~with_prelude:false ()
+                ~global:false ~prelude:false ()
             in
             let finish () =
               Option.iter
@@ -1247,7 +1230,7 @@ let client_cmd =
           fleet.  Payloads printed for $(b,run) are byte-identical to \
           one-shot $(b,fgc run --format=json) output")
     Term.(const run $ action $ files $ expr_arg $ socket_arg $ port_arg
-          $ host_arg $ with_prelude_flag $ global_flag $ backend_arg
+          $ host_arg $ prelude_flag $ global_flag $ backend_arg
           $ profile_arg $ timeout_ms $ window $ w_seed $ w_count $ w_size
           $ w_mutants $ w_corpus $ doc_version $ offset $ at $ del $ insert
           $ pretty)

@@ -81,8 +81,7 @@ let relaxed_session st =
     | ds -> Some (String.concat "\n" ds)
   in
   C.Session.of_config
-    C.Session.Config.(
-      default |> with_escape_check false |> with_prelude prelude)
+    { C.Session.Config.default with escape_check = false; prelude }
 
 let show_type st text =
   match
@@ -119,8 +118,7 @@ let load_prelude st =
   end
 
 let show_stats st =
-  Fmt.pr "%a@." Fg_util.Telemetry.pp (C.Session.stats st.session);
-  Fmt.pr "interned types : %10d@." (C.Session.interned_types st.session)
+  Fmt.pr "%a@." Fg_util.Telemetry.pp (C.Session.stats st.session)
 
 let help () =
   Fmt.pr

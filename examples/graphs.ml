@@ -14,7 +14,9 @@ let banner s = Fmt.pr "@.=== %s ===@." s
 
 (* One session over the graph library: its concepts, models and
    algorithms are checked once and shared by every [show]. *)
-let session = C.Session.create ~prelude:C.Graph_lib.full ()
+let session =
+  C.Session.of_config
+    { C.Session.Config.default with prelude = Some C.Graph_lib.full }
 
 let show body =
   let out = C.Session.run ~file:"graphs" session body in

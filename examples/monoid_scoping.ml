@@ -55,8 +55,11 @@ let () =
 
   (* One session per resolution mode; both programs below are
      self-contained, so no prelude is loaded. *)
-  let lexical = C.Session.create () in
-  let global = C.Session.create ~resolution:C.Resolution.Global () in
+  let lexical = C.Session.of_config C.Session.Config.default in
+  let global =
+    C.Session.of_config
+      { C.Session.Config.default with resolution = C.Resolution.Global }
+  in
 
   (* FG (lexical) resolution: both models coexist. *)
   let out = C.Session.run ~file:"monoid_scoping" lexical program in

@@ -63,7 +63,8 @@ let () =
   Fmt.pr "via the translation   : %a@." F.Eval.pp_value via_translation;
 
   (* 6. Or do all of the above in one call, via a session. *)
-  let out = C.Session.run ~file:"quickstart" (C.Session.create ()) program in
+  let session = C.Session.of_config C.Session.Config.default in
+  let out = C.Session.run ~file:"quickstart" session program in
   Fmt.pr "@.pipeline says: %a : %a (theorem %s)@." C.Interp.pp_flat out.value
     C.Pretty.pp_ty out.fg_ty
     (if out.theorem_holds then "holds" else "VIOLATED")

@@ -22,7 +22,9 @@ let banner s = Fmt.pr "@.=== %s ===@." s
 (* One session over the matrix library: concepts, the three named
    semiring models and mat_mul are checked once, shared by every
    [show]. *)
-let session = C.Session.create ~prelude:C.Matrix_lib.full ()
+let session =
+  C.Session.of_config
+    { C.Session.Config.default with prelude = Some C.Matrix_lib.full }
 
 let show label body =
   let out = C.Session.run ~file:"semirings" session body in

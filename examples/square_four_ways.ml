@@ -62,8 +62,11 @@ square[int](4)
 |}
 
 let () =
-  let lexical = C.Session.create () in
-  let global = C.Session.create ~resolution:C.Resolution.Global () in
+  let lexical = C.Session.of_config C.Session.Config.default in
+  let global =
+    C.Session.of_config
+      { C.Session.Config.default with resolution = C.Resolution.Global }
+  in
 
   banner "(a) FG concepts (the paper's proposal)";
   let out = C.Session.run ~file:"fig1a" lexical fg_concepts in

@@ -247,8 +247,7 @@ let ty_equal (a : ty) (b : ty) : bool =
   let rec go la lb depth a b =
     (* Pointer fast path: physically equal subtrees are structurally
        identical, so they are alpha-equal whenever both sides resolve
-       bound variables through the same (physical) renaming — hash-
-       consed types (see {!Hashcons}) hit this constantly. *)
+       bound variables through the same (physical) renaming. *)
     if a == b && la == lb then true
     else
       match (a, b) with

@@ -78,34 +78,6 @@ val decl_poison : exp -> string list
 (** The body of a declaration form, if the expression is one. *)
 val decl_body : exp -> exp option
 
-(** Check the declaration spine of a program — every leading concept /
-    model / let / using / type-alias declaration — without checking a
-    body.  Returns the extended environment, the residual (first
-    non-declaration) expression, and a wrapper that rebuilds the whole
-    program's (type, elaborated term, translation) from the body's.
-    This is the primitive behind {!Session}'s cached prelude: the
-    prelude's spine is checked once, then each program is checked as
-    [wrap (check env program)]. *)
-val check_prefix : Env.t -> exp -> Env.t * exp * (ty * exp * F.exp -> ty * exp * F.exp)
-
-(** Like {!check_prefix}, but a declaration that fails to check is
-    reported to [engine] and skipped: its bindings are poisoned instead
-    of made, and later diagnostics mentioning a poisoned name are
-    suppressed as cascades.  [poisoned] seeds the set (names dropped by
-    the recovering parser).  Returns the final poisoned set alongside
-    the usual triple; the composed wrapper only covers the declarations
-    that checked, so use its result only when the engine recorded no
-    errors. *)
-val check_prefix_recovering :
-  engine:Fg_util.Diag.engine ->
-  ?poisoned:Fg_util.Names.Sset.t ->
-  Env.t ->
-  exp ->
-  Env.t
-  * exp
-  * (ty * exp * F.exp -> ty * exp * F.exp)
-  * Fg_util.Names.Sset.t
-
 (** Is this diagnostic a likely cascade of a failure that poisoned one
     of the given names?  (Matches quoted names and failed resolutions
     of poisoned concepts in the message.) *)

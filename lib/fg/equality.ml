@@ -240,9 +240,6 @@ let equal eq a b =
   let c = force eq in
   Closure.equiv c.cc (encode c a) (encode c b)
 
-let equal_list eq xs ys =
-  List.length xs = List.length ys && List.for_all2 (equal eq) xs ys
-
 (** Canonical representative of [a]'s equivalence class.  Memoized per
     closure generation: re-asking for the representative of the same
     type (the checker does, constantly) is a hash lookup as long as no

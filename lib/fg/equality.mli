@@ -34,8 +34,6 @@ val assumptions : t -> (Ast.ty * Ast.ty) list
 (** Does [a = b] follow from the assumptions (by congruence)? *)
 val equal : t -> Ast.ty -> Ast.ty -> bool
 
-val equal_list : t -> Ast.ty list -> Ast.ty list -> bool
-
 (** Canonical representative of the type's class. *)
 val repr : t -> Ast.ty -> Ast.ty
 

@@ -1473,8 +1473,8 @@ let run_blind ?domains (cfg : config) =
   let before = Coverage.snapshot () in
   let programs = List.init cfg.count (fun i -> generate cfg ~index:i) in
   let scfg =
-    Session.Config.(
-      default |> with_backend cfg.backend |> with_profile cfg.profile)
+    { Session.Config.default with
+      backend = cfg.backend; profile = cfg.profile }
   in
   let sess = Session.of_config scfg in
   let jobs =
@@ -1857,8 +1857,8 @@ let corpus_shrink_fuel = 96
 
 let run_guided ?domains (cfg : config) =
   let scfg =
-    Session.Config.(
-      default |> with_backend cfg.backend |> with_profile cfg.profile)
+    { Session.Config.default with
+      backend = cfg.backend; profile = cfg.profile }
   in
   (* In-memory corpus: only entries that re-parse can seed mutations;
      everything is tracked by digest so fleet merges are idempotent. *)

@@ -15,8 +15,8 @@
       environment and stay warm across programs (scope generations keep
       per-program extensions from contaminating each other);
     - {!run_batch} fans out over [Domain.spawn], one private session
-      per domain (checker state — gensym, hash-cons table, caches — is
-      single-domain by design). *)
+      per domain (checker state — gensym, caches — is single-domain by
+      design). *)
 
 open Fg_util
 module F = Fg_systemf
@@ -27,7 +27,6 @@ module Config = struct
     resolution : Resolution.mode;
     escape_check : bool;
     prelude : string option;
-    unit_cache_capacity : int option;
     cache_dir : string option;
     cache_max_bytes : int option;
     profile : Profile.t option;
@@ -39,22 +38,28 @@ module Config = struct
       resolution = Resolution.Lexical;
       escape_check = true;
       prelude = None;
-      unit_cache_capacity = None;
       cache_dir = None;
       cache_max_bytes = None;
       profile = None;
     }
 
-  let with_backend backend c = { c with backend }
-  let with_resolution resolution c = { c with resolution }
-  let with_escape_check escape_check c = { c with escape_check }
-  let with_prelude prelude c = { c with prelude }
   let with_standard_prelude c = { c with prelude = Some Prelude.full }
-  let with_unit_cache_capacity unit_cache_capacity c =
-    { c with unit_cache_capacity }
-  let with_cache_dir cache_dir c = { c with cache_dir }
-  let with_cache_max_bytes cache_max_bytes c = { c with cache_max_bytes }
-  let with_profile profile c = { c with profile }
+
+  let of_flags ?cache_dir ?cache_max_bytes ?profile ~prelude ~global_models
+      ~backend () =
+    {
+      default with
+      backend;
+      resolution =
+        (if global_models then Resolution.Global else Resolution.Lexical);
+      prelude = (if prelude then Some Prelude.full else None);
+      cache_dir;
+      cache_max_bytes;
+      (* Only guided sessions are keyed on the profile: other backends
+         ignore it, and folding it into their keys would split otherwise
+         identical warm sessions for nothing. *)
+      profile = (if backend = Backend.Guided then profile else None);
+    }
 end
 
 type spec = {
@@ -87,7 +92,6 @@ type t = {
   mark : int;  (** fresh-name supply position after the prelude *)
   globals_mark : (string * Ast.ty list) list;
       (** the Global-ablation overlap set after the prelude *)
-  hc : Hashcons.t;
   cache : Unit.cache;  (** compilation-unit cache (possibly shared) *)
   spine : Unit.checked list;
       (** the units whose scope [env] reflects: prelude then every
@@ -104,12 +108,11 @@ type t = {
    checked units.  The stack is parsed with a dummy [0] body; anything
    left over after the declaration spine means the text was not purely
    declarations. *)
-let check_decl_stack hc cache ~spine env src ~file =
+let check_decl_stack cache ~spine env src ~file =
   let source = src ^ "\n0" in
   let ast =
     Telemetry.time Telemetry.Parse (fun () -> Parser.exp_of_string ~file source)
   in
-  let ast = Hashcons.intern_exp hc ast in
   let w =
     Telemetry.time Telemetry.Check (fun () ->
         Unit.walk cache ~source ~spine env ast)
@@ -127,12 +130,11 @@ let of_config ?cache (cfg : Config.t) : t =
     Env.create ~resolution:cfg.Config.resolution
       ~escape_check:cfg.Config.escape_check ()
   in
-  let hc = Hashcons.create () in
   let cache =
     match cache with
     | Some c -> c
     | None ->
-        let c = Unit.create_cache ?capacity:cfg.Config.unit_cache_capacity () in
+        let c = Unit.create_cache () in
         (* Attach the disk tier before the prelude walk so the
            prelude's own units persist too (and replay on warm runs). *)
         (match cfg.Config.cache_dir with
@@ -149,7 +151,7 @@ let of_config ?cache (cfg : Config.t) : t =
     | None -> (env0, (fun res -> res), [])
     | Some src ->
         Telemetry.record_prelude_build ();
-        check_decl_stack hc cache ~spine:[] env0 src ~file:"<prelude>"
+        check_decl_stack cache ~spine:[] env0 src ~file:"<prelude>"
   in
   {
     cfg;
@@ -157,7 +159,6 @@ let of_config ?cache (cfg : Config.t) : t =
     wrap;
     mark = Gensym.mark env.Env.gensym;
     globals_mark = !(env.Env.global_models);
-    hc;
     cache;
     spine;
     created = Telemetry.snapshot ();
@@ -165,28 +166,26 @@ let of_config ?cache (cfg : Config.t) : t =
 
 let config t = t.cfg
 
-(* Deprecated optional-argument shims, kept for one release. *)
-let create ?(resolution = Resolution.Lexical) ?(escape_check = true) ?prelude
-    ?cache ?unit_cache_capacity () : t =
-  of_config ?cache
-    {
-      Config.default with
-      Config.resolution;
-      escape_check;
-      prelude;
-      unit_cache_capacity;
-    }
-
-let with_prelude ?resolution () =
-  of_config
-    (Config.with_standard_prelude
-       (match resolution with
-       | None -> Config.default
-       | Some r -> Config.with_resolution r Config.default))
-
 let backend t = t.cfg.Config.backend
-let resolution t = t.cfg.Config.resolution
-let prelude_source t = t.cfg.Config.prelude
+
+module Table = struct
+  type session = t
+
+  type nonrec t = {
+    cache : Unit.cache;
+    mutable sessions : (Config.t * session) list;
+  }
+
+  let create cache = { cache; sessions = [] }
+
+  let find tbl cfg =
+    match List.assoc_opt cfg tbl.sessions with
+    | Some s -> s
+    | None ->
+        let s = of_config ~cache:tbl.cache cfg in
+        tbl.sessions <- (cfg, s) :: tbl.sessions;
+        s
+end
 
 let extend t decls =
   (* Rewind the supply first so extension points do not depend on how
@@ -194,7 +193,7 @@ let extend t decls =
   Gensym.restore t.env.Env.gensym t.mark;
   t.env.Env.global_models := t.globals_mark;
   let env', wrap', units =
-    check_decl_stack t.hc t.cache ~spine:t.spine t.env decls ~file:"<decls>"
+    check_decl_stack t.cache ~spine:t.spine t.env decls ~file:"<decls>"
   in
   (* A redefinition shadows earlier spine units; drop cached entries
      that depended on the shadowed definitions.  (Correctness does not
@@ -226,11 +225,13 @@ let extend t decls =
   {
     t with
     cfg =
-      Config.with_prelude
-        (Some
-           (Option.fold ~none:decls ~some:(fun p -> p ^ "\n" ^ decls)
-              t.cfg.Config.prelude))
-        t.cfg;
+      {
+        t.cfg with
+        Config.prelude =
+          Some
+            (Option.fold ~none:decls ~some:(fun p -> p ^ "\n" ^ decls)
+               t.cfg.Config.prelude);
+      };
     env = env';
     wrap = (fun res -> t.wrap (wrap' res));
     mark = Gensym.mark env'.Env.gensym;
@@ -253,12 +254,8 @@ let rewind t =
   Telemetry.record_program ();
   if t.cfg.Config.prelude <> None then Telemetry.record_prelude_reuse ()
 
-let parse t ?(file = "<program>") source =
-  let ast =
-    Telemetry.time Telemetry.Parse (fun () ->
-        Parser.exp_of_string ~file source)
-  in
-  Hashcons.intern_exp t.hc ast
+let parse ?(file = "<program>") source =
+  Telemetry.time Telemetry.Parse (fun () -> Parser.exp_of_string ~file source)
 
 (* Parse and check one program under the session environment, returning
    the program's own AST and the whole-program (prelude-wrapped)
@@ -266,7 +263,7 @@ let parse t ?(file = "<program>") source =
    the unit cache: re-checking an edited program re-checks only the
    units whose content or dependencies changed. *)
 let check_source ?file t source =
-  let ast = parse t ?file source in
+  let ast = parse ?file source in
   rewind t;
   let triple =
     Telemetry.time Telemetry.Check (fun () ->
@@ -417,7 +414,6 @@ let run_full_impl ~file ?fuel ?decl_log t source : run_report =
         Telemetry.time Telemetry.Parse (fun () ->
             Parser.exp_of_string_recovering ~engine ~file source)
       in
-      let ast = Hashcons.intern_exp t.hc ast in
       rewind t;
       let poisoned = Names.Sset.of_list dropped in
       let w =
@@ -524,6 +520,4 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
 (* Observability                                                     *)
 
 let stats t = Telemetry.diff (Telemetry.snapshot ()) t.created
-let interned_types t = Hashcons.size t.hc
-let unit_cache t = t.cache
 let cache_stats t = Unit.stats t.cache

@@ -7,12 +7,9 @@
       the prelude's, each program's, each {!extend} — is split into
       content-hashed units, each checked at most once per (content,
       dependency chain) and replayed from the cache everywhere else.
-      The prelude is checked {e once} at {!create}; re-checking an
+      The prelude is checked {e once} at {!of_config}; re-checking an
       edited program re-checks only the declarations whose content or
       dependencies changed;
-    - a {b hash-consed type table} ({!Hashcons}): each program's AST is
-      interned on parse, so the pointer fast path in {!Ast.ty_equal}
-      fires for every repeated type;
     - a {b memoized model-resolution cache} (in {!Env}): lookups are
       keyed on (concept, argument types, scope generation), so the
       prelude-scope resolutions one program performs are free for the
@@ -38,8 +35,8 @@ type t
     comparable record: servers key worker sessions on a [Config.t],
     batch domains rebuild sessions from one, and every driver entry
     point ([fgc], the REPL, the fuzzer, tests) goes through
-    {!of_config}.  Build one with {!Config.default} and the [with_*]
-    narrowers. *)
+    {!of_config}.  Build one from {!Config.default} by record update,
+    or from a driver's flags with {!Config.of_flags}. *)
 module Config : sig
   type t = {
     backend : Backend.t;  (** translation backend (default {!Backend.Dict}) *)
@@ -48,9 +45,6 @@ module Config : sig
     prelude : string option;
         (** a declaration stack in concrete syntax (each declaration
             ending in [in], as {!Prelude.full} is written) *)
-    unit_cache_capacity : int option;
-        (** bound for a private unit cache; [None] =
-            {!Unit.default_capacity} *)
     cache_dir : string option;
         (** root of a persistent on-disk unit store ({!Diskcache})
             attached behind the session's private unit cache; [None]
@@ -70,18 +64,19 @@ module Config : sig
 
   val default : t
 
-  val with_backend : Backend.t -> t -> t
-  val with_resolution : Resolution.mode -> t -> t
-  val with_escape_check : bool -> t -> t
-  val with_prelude : string option -> t -> t
-
   (** The standard prelude ({!Prelude.full}). *)
   val with_standard_prelude : t -> t
 
-  val with_unit_cache_capacity : int option -> t -> t
-  val with_cache_dir : string option -> t -> t
-  val with_cache_max_bytes : int option -> t -> t
-  val with_profile : Profile.t option -> t -> t
+  (** The configuration a driver's flags denote: the one mapping from
+      [fgc]'s flags, a served request's fields and a workspace
+      document's open parameters to a {!t}.  [prelude] selects
+      {!Prelude.full} and [global_models] {!Resolution.Global}.  Only
+      {!Backend.Guided} reads a profile, so every other backend drops
+      [profile]: configs that differ only in a profile nothing reads
+      compare equal and share one warm session. *)
+  val of_flags :
+    ?cache_dir:string -> ?cache_max_bytes:int -> ?profile:Profile.t ->
+    prelude:bool -> global_models:bool -> backend:Backend.t -> unit -> t
 end
 
 (** What the specializing backends add to an outcome: the partially
@@ -97,8 +92,7 @@ type spec = {
   spec_stats : F.Specialize.stats;
 }
 
-(** Everything the full pipeline produces for one program — the same
-    shape {!Pipeline.outcome} always had. *)
+(** Everything the full pipeline produces for one program. *)
 type outcome = {
   source : string;
   ast : Ast.exp;
@@ -128,20 +122,22 @@ val of_config : ?cache:Unit.cache -> Config.t -> t
 (** The session's configuration (its creation-time [Config.t]). *)
 val config : t -> Config.t
 
-(** [create ?prelude ()] — optional-argument shim over {!of_config}.
-    @deprecated Build a {!Config.t} and call {!of_config}. *)
-val create :
-  ?resolution:Resolution.mode -> ?escape_check:bool -> ?prelude:string ->
-  ?cache:Unit.cache -> ?unit_cache_capacity:int ->
-  unit -> t
-
-(** A session preloaded with the standard prelude ({!Prelude.full}).
-    @deprecated Use {!Config.with_standard_prelude} and {!of_config}. *)
-val with_prelude : ?resolution:Resolution.mode -> unit -> t
-
 val backend : t -> Backend.t
-val resolution : t -> Resolution.mode
-val prelude_source : t -> string option
+
+(** Warm sessions keyed by configuration, each built by {!of_config}
+    on first use over the table's one shared unit cache.  A server
+    worker and the workspace service each keep one, so a prelude is
+    checked once per distinct {!Config.t}, not once per request.  Not
+    thread-safe: the owner serializes access. *)
+module Table : sig
+  type session := t
+  type t
+
+  val create : Unit.cache -> t
+
+  (** The table's session for a configuration, created on first use. *)
+  val find : t -> Config.t -> session
+end
 
 (** [extend t decls] — a session whose scope additionally contains
     [decls] (a declaration stack), checked incrementally on top of
@@ -154,8 +150,7 @@ val extend_result : t -> string -> (t, Diag.diagnostic) result
 (** {1 Per-program operations}
 
     All of these parse their argument, check it under the session
-    environment, and raise {!Diag.Error} on failure, exactly like the
-    corresponding one-shot {!Pipeline} entry points. *)
+    environment, and raise {!Diag.Error} on failure. *)
 
 (** Full pipeline: check, translate, verify the theorem, evaluate both
     semantics and require agreement. *)
@@ -234,12 +229,6 @@ val run_batch :
 (** Telemetry accumulated process-wide since this session was created
     (includes work done by batch domains the session spawned). *)
 val stats : t -> Telemetry.snapshot
-
-(** Distinct hash-consed types interned by this session. *)
-val interned_types : t -> int
-
-(** The session's compilation-unit cache (shared or private). *)
-val unit_cache : t -> Unit.cache
 
 (** Unit-cache counters: hits, misses, evictions, invalidations, size. *)
 val cache_stats : t -> Unit.stats

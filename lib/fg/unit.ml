@@ -39,6 +39,8 @@ open Fg_util
 module F = Fg_systemf
 module Sset = Names.Sset
 
+let p_recover_poison = Coverage.probe "recover.check.poison"
+
 type triple = Ast.ty * Ast.exp * F.Ast.exp
 
 type checked = {
@@ -455,6 +457,7 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source
               match recover with
               | None -> raise (Diag.Error d)
               | Some engine ->
+                  Coverage.hit p_recover_poison;
                   if not (Check.is_cascade !poisoned d) then
                     Diag.report engine d;
                   poisoned :=

@@ -102,8 +102,8 @@ type walk_result = {
   w_env : Env.t;  (** environment after the whole spine *)
   w_residual : exp;  (** first non-declaration expression *)
   w_wrap : triple -> triple;
-      (** rebuilds the program's triple from the residual's, exactly as
-          {!Check.check_prefix} composes declaration wrappers *)
+      (** rebuilds the program's triple from the residual's by
+          composing the declarations' wrappers, outermost last *)
   w_units : checked list;  (** this walk's units, in spine order *)
   w_decls : (exp * string * decl_outcome) list;
       (** one entry per walked declaration, in order: the declaration
@@ -120,11 +120,12 @@ type walk_result = {
     already-checked units the session's history put in scope of [env]
     (their keys seed the dependency chain; their declarations are NOT
     re-walked).  Without
-    [?recover], the first failing declaration raises [Diag.Error], as
-    {!Check.check_prefix} would.  With [?recover:engine], failures are
-    reported to [engine] (cascade-suppressed via [?poisoned], as
-    {!Check.check_prefix_recovering}) and — because a skipped
-    declaration leaves every later unit's scope unknowable — all
+    [?recover], the first failing declaration raises [Diag.Error].
+    With [?recover:engine], a failing declaration is reported to
+    [engine] (cascade-suppressed via [?poisoned], see
+    {!Check.is_cascade}), its bindings are poisoned instead of made,
+    and — because a skipped declaration leaves every later unit's
+    scope unknowable — all
     subsequent units bypass the cache entirely, reproducing the cold
     recovering walk byte-for-byte.  Only successfully checked units are
     ever cached. *)

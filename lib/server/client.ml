@@ -90,7 +90,7 @@ let request c req =
   r
 
 (* ---------------------------------------------------------------- *)
-(* Pipelined batch                                                   *)
+(* Batch: a window of requests in flight on one connection          *)
 
 let default_window = 32
 

@@ -53,15 +53,6 @@ let zero_stats =
     st_rewritten = 0;
   }
 
-let add_stats a b =
-  {
-    st_stencils = a.st_stencils + b.st_stencils;
-    st_shared = a.st_shared + b.st_shared;
-    st_fallbacks = a.st_fallbacks + b.st_fallbacks;
-    st_hoisted = a.st_hoisted + b.st_hoisted;
-    st_rewritten = a.st_rewritten + b.st_rewritten;
-  }
-
 let changed s = s.st_rewritten > 0 || s.st_hoisted > 0 || s.st_stencils > 0
 
 (* Keep stenciling bounded on adversarial (fuzzed) programs: at most

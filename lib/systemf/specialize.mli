@@ -53,7 +53,6 @@ type stats = {
 }
 
 val zero_stats : stats
-val add_stats : stats -> stats -> stats
 
 (** Did specialization change the program at all?  (If not, callers
     can reuse the dictionary backend's evaluation verbatim.) *)

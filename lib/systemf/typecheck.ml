@@ -124,5 +124,3 @@ let rec typeof (env : env) (e : exp) : ty =
 
 (** Check a closed program. *)
 let typecheck e = typeof empty_env e
-
-let typecheck_result e = Diag.protect (fun () -> typecheck e)

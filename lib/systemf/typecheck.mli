@@ -21,5 +21,3 @@ val typeof : env -> exp -> ty
 
 (** Check a closed program. *)
 val typecheck : exp -> ty
-
-val typecheck_result : exp -> (ty, Fg_util.Diag.diagnostic) result

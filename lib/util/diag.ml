@@ -148,7 +148,6 @@ let translate_error ?code ?notes ?loc fmt =
   error ?code ?notes ?loc Translate fmt
 
 let eval_error ?code ?notes ?loc fmt = error ?code ?notes ?loc Eval fmt
-let server_error ?code ?notes ?loc fmt = error ?code ?notes ?loc Server fmt
 let config_error ?code ?notes ?loc fmt = error ?code ?notes ?loc Config fmt
 
 (** Internal invariant violation; not attributable to the input program. *)
@@ -161,25 +160,16 @@ let guard cond ?loc phase fmt =
 (** Run [f ()] and capture any diagnostic as [Error d]. *)
 let protect f = try Ok (f ()) with Error d -> Stdlib.Error d
 
-let protect_msg f =
-  match protect f with Ok v -> Ok v | Error d -> Stdlib.Error (to_string d)
-
 (* ------------------------------------------------------------------ *)
 (* Accumulating engine                                                 *)
 
-type engine = {
-  mutable rev_diags : diagnostic list;
-  mutable errors : int;
-  mutable warnings : int;
-}
+type engine = { mutable rev_diags : diagnostic list; mutable errors : int }
 
-let engine () = { rev_diags = []; errors = 0; warnings = 0 }
+let engine () = { rev_diags = []; errors = 0 }
 
 let report eng d =
   eng.rev_diags <- d :: eng.rev_diags;
-  match d.severity with
-  | Err -> eng.errors <- eng.errors + 1
-  | Warn -> eng.warnings <- eng.warnings + 1
+  if d.severity = Err then eng.errors <- eng.errors + 1
 
 let warn eng ?code ?notes ?loc phase fmt =
   Fmt.kstr
@@ -188,8 +178,6 @@ let warn eng ?code ?notes ?loc phase fmt =
     fmt
 
 let diagnostics eng = List.rev eng.rev_diags
-let error_count eng = eng.errors
-let warning_count eng = eng.warnings
 let has_errors eng = eng.errors > 0
 
 (** Run [f ()]; a raised diagnostic is reported to [eng] and the result

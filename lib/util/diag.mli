@@ -106,10 +106,6 @@ val eval_error :
   ?code:string -> ?notes:note list -> ?loc:Loc.t ->
   ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val server_error :
-  ?code:string -> ?notes:note list -> ?loc:Loc.t ->
-  ('a, Format.formatter, unit, 'b) format4 -> 'a
-
 val config_error :
   ?code:string -> ?notes:note list -> ?loc:Loc.t ->
   ('a, Format.formatter, unit, 'b) format4 -> 'a
@@ -122,8 +118,6 @@ val guard : bool -> ?loc:Loc.t -> phase -> ('a, Format.formatter, unit, unit) fo
 
 (** Run and capture any diagnostic as [Error]. *)
 val protect : (unit -> 'a) -> ('a, diagnostic) result
-
-val protect_msg : (unit -> 'a) -> ('a, string) result
 
 (** An accumulating sink of diagnostics.  Mutable and single-threaded:
     each session (and each domain of a batch) owns its own engine. *)
@@ -147,8 +141,6 @@ val warn :
 (** Accumulated diagnostics, in report order. *)
 val diagnostics : engine -> diagnostic list
 
-val error_count : engine -> int
-val warning_count : engine -> int
 val has_errors : engine -> bool
 
 (** Run [f ()]; a raised diagnostic is reported to the engine and the

@@ -131,13 +131,6 @@ end
 
 type phase = Parse | Check | Specialize | Verify | Eval
 
-let phase_label = function
-  | Parse -> "parse"
-  | Check -> "check"
-  | Specialize -> "specialize"
-  | Verify -> "verify"
-  | Eval -> "eval"
-
 (* ---------------------------------------------------------------- *)
 (* The counters                                                      *)
 

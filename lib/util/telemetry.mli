@@ -56,8 +56,6 @@ type phase =
   | Verify  (** System F re-check and theorem comparison *)
   | Eval  (** both evaluations (direct and translated) *)
 
-val phase_label : phase -> string
-
 (** {1 Time source}
 
     The only clock available is the wall clock, which NTP can step

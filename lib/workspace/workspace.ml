@@ -133,7 +133,7 @@ type t = {
   m : Mutex.t;
   fuel : int option;
   cache : C.Unit.cache;  (** shared by every session below *)
-  mutable sessions : (C.Session.Config.t * C.Session.t) list;
+  sessions : C.Session.Table.t;
   docs : (string, doc) Hashtbl.t;
   frags : (string, C.Check.index_entry list) Hashtbl.t;
       (** pkey -> entries with decl-relative byte offsets *)
@@ -147,11 +147,12 @@ type t = {
 }
 
 let create ?fuel () =
+  let cache = C.Unit.create_cache () in
   {
     m = Mutex.create ();
     fuel;
-    cache = C.Unit.create_cache ();
-    sessions = [];
+    cache;
+    sessions = C.Session.Table.create cache;
     docs = Hashtbl.create 16;
     frags = Hashtbl.create 256;
     h_open = Telemetry.Histogram.create ();
@@ -162,24 +163,6 @@ let create ?fuel () =
     h_definition = Telemetry.Histogram.create ();
     h_completion = Telemetry.Histogram.create ();
   }
-
-let config_of ~prelude ~global_models ~backend =
-  let module Cfg = C.Session.Config in
-  let cfg =
-    Cfg.default
-    |> Cfg.with_resolution
-         (if global_models then C.Resolution.Global else C.Resolution.Lexical)
-    |> Cfg.with_backend backend
-  in
-  if prelude then Cfg.with_standard_prelude cfg else cfg
-
-let session_for t cfg =
-  match List.assoc_opt cfg t.sessions with
-  | Some s -> s
-  | None ->
-      let s = C.Session.of_config ~cache:t.cache cfg in
-      t.sessions <- (cfg, s) :: t.sessions;
-      s
 
 let unknown_doc name =
   {
@@ -212,7 +195,7 @@ let shift_entry d = function
    every declaration extent (the residual body, which is checked every
    time) pass through directly. *)
 let check_doc t doc =
-  let sess = session_for t doc.d_cfg in
+  let sess = C.Session.Table.find t.sessions doc.d_cfg in
   let ir =
     C.Session.run_indexed ~file:doc.d_name ?fuel:t.fuel sess doc.d_text
   in
@@ -321,7 +304,9 @@ let with_doc t name f =
 
 let open_doc t ~name ~version ~prelude ~global_models ~backend text =
   timed t.h_open t (fun () ->
-      let cfg = config_of ~prelude ~global_models ~backend in
+      let cfg =
+        C.Session.Config.of_flags ~prelude ~global_models ~backend ()
+      in
       let doc =
         match Hashtbl.find_opt t.docs name with
         | Some d when d.d_cfg = cfg ->
@@ -673,12 +658,6 @@ let completion t ~name ~offset =
 
 (* ---------------------------------------------------------------- *)
 (* Observability                                                     *)
-
-let docs_count t =
-  Mutex.lock t.m;
-  let n = Hashtbl.length t.docs in
-  Mutex.unlock t.m;
-  n
 
 let stats_json t =
   Mutex.lock t.m;

@@ -98,9 +98,6 @@ val definition :
 val completion :
   t -> name:string -> offset:int -> (string, ws_error) result
 
-(** Open documents right now. *)
-val docs_count : t -> int
-
 (** The [{"docs", "open", "change", "close", "diagnostics", "hover",
     "definition", "completion"}] stats object: document count plus one
     latency histogram ({!Fg_util.Telemetry.Histogram.to_json}) per

@@ -41,25 +41,32 @@ let test_config_api () =
   Alcotest.(check bool) "default prelude is none" true
     (Cfg.default.Cfg.prelude = None);
   let cfg =
-    Cfg.(
-      default |> with_backend Backend.Hybrid
-      |> with_resolution Resolution.Global
-      |> with_escape_check false |> with_standard_prelude)
+    Cfg.of_flags ~prelude:true ~global_models:true ~backend:Backend.Hybrid ()
   in
   Alcotest.(check bool) "backend narrows" true
     (cfg.Cfg.backend = Backend.Hybrid);
   Alcotest.(check bool) "prelude set" true
     (cfg.Cfg.prelude = Some Prelude.full);
-  (* Structural equality of identically-built configs: the server
-     handler keys its warm-session table on Config.t, so this is what
-     makes two equivalent requests share one session. *)
+  Alcotest.(check bool) "global resolution" true
+    (cfg.Cfg.resolution = Resolution.Global);
+  (* Structural equality of identically-built configs: servers and the
+     workspace key their warm-session tables on Config.t, so this is
+     what makes two equivalent requests share one session. *)
   let again =
-    Cfg.(
-      default |> with_backend Backend.Hybrid
-      |> with_resolution Resolution.Global
-      |> with_escape_check false |> with_standard_prelude)
+    { (Cfg.with_standard_prelude Cfg.default) with
+      Cfg.backend = Backend.Hybrid; resolution = Resolution.Global }
   in
   Alcotest.(check bool) "configs compare structurally" true (cfg = again);
+  (* Only the guided backend reads a profile, so no other config
+     carries one (and none splits a warm session over it). *)
+  let flags ?profile backend =
+    Cfg.of_flags ?profile ~prelude:false ~global_models:false ~backend ()
+  in
+  Alcotest.(check bool) "dict drops the profile" true
+    (flags ~profile:Fg_util.Profile.empty Backend.Dict = flags Backend.Dict);
+  Alcotest.(check bool) "guided keeps the profile" true
+    ((flags ~profile:Fg_util.Profile.empty Backend.Guided).Cfg.profile
+    = Some Fg_util.Profile.empty);
   let s = Session.of_config cfg in
   Alcotest.(check bool) "session keeps its config" true
     (Session.config s = cfg);
@@ -70,7 +77,7 @@ let test_config_api () =
 (* Corpus differential: every program, all three backends *)
 
 let session_for backend =
-  Session.of_config Session.Config.(default |> with_backend backend)
+  Session.of_config { Session.Config.default with backend }
 
 let test_corpus_differential () =
   let sessions = List.map (fun b -> (b, session_for b)) all_backends in

@@ -5,8 +5,10 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let diag_of src =
-  match Pipeline.run_result ~file:"golden" src with
+  match Session.run_result ~file:"golden" (session ()) src with
   | Ok _ -> Alcotest.failf "%s: expected failure" src
   | Error d -> Fg_util.Diag.to_string d
 
@@ -63,7 +65,11 @@ let test_overlap_global () =
 model N<int> { m = 1; } in
 model N<int> { m = 2; } in 0|}
   in
-  match Pipeline.run_result ~resolution:Resolution.Global ~file:"golden" src with
+  let global =
+    Session.of_config
+      { Session.Config.default with resolution = Resolution.Global }
+  in
+  match Session.run_result ~file:"golden" global src with
   | Ok _ -> Alcotest.fail "expected overlap rejection"
   | Error d ->
       Alcotest.(check string) "overlap message"

@@ -162,10 +162,9 @@ let program =
   "accumulate[int](cons[int](1, cons[int](2, nil[int]))) + power[int](3, 3)"
 
 let session ?cache_dir () =
-  let module Cfg = C.Session.Config in
   C.Session.of_config
-    (Cfg.default |> Cfg.with_standard_prelude
-    |> Cfg.with_cache_dir cache_dir)
+    { (C.Session.Config.with_standard_prelude C.Session.Config.default) with
+      cache_dir }
 
 let rendered s =
   let report = C.Session.run_full ~file:"<t>" s program in

@@ -3,6 +3,8 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let typecheck ?resolution src =
   (* escape_check off: these tests inspect the types of generic values,
      which mention concepts declared in the same program — the checker's
@@ -229,7 +231,7 @@ let test_inner_model_wins () =
 model Semigroup<int> { binary_op = imult; } in
 Semigroup<int>.binary_op(2, 3)|}
   in
-  let out = Pipeline.run src in
+  let out = Session.run (session ()) src in
   Alcotest.(check string) "inner model used" "6"
     (Interp.flat_to_string out.value)
 

@@ -6,11 +6,13 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let adj_ty = "list (int * list int)"
 let edge_ty = "list int * list (int * int)"
 
 let check body expected =
-  match Pipeline.run_result ~file:"graph" (Graph_lib.wrap body) with
+  match Session.run_result ~file:"graph" (session ()) (Graph_lib.wrap body) with
   | Ok out ->
       Alcotest.(check string) body expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" body (Fg_util.Diag.to_string d)
@@ -115,7 +117,7 @@ let prop_reachable_matches_reference =
         Printf.sprintf "reachable[%s](%s, %d, %d)" adj_ty (Graph_lib.adj g)
           src tgt
       in
-      let out = Pipeline.run ~file:"prop" (Graph_lib.wrap body) in
+      let out = Session.run ~file:"prop" (session ()) (Graph_lib.wrap body) in
       Interp.flat_equal out.value (Interp.FlBool (ocaml_reachable g src tgt)))
 
 let suite =

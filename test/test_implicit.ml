@@ -6,20 +6,22 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let check body expected =
-  match Pipeline.run_result ~file:"implicit" (Prelude.wrap body) with
+  match Session.run_result ~file:"implicit" (session ()) (Prelude.wrap body) with
   | Ok out ->
       Alcotest.(check string) body expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" body (Fg_util.Diag.to_string d)
 
 let check_raw src expected =
-  match Pipeline.run_result ~file:"implicit" src with
+  match Session.run_result ~file:"implicit" (session ()) src with
   | Ok out ->
       Alcotest.(check string) src expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" src (Fg_util.Diag.to_string d)
 
 let check_fails src fragment =
-  match Pipeline.run_result ~file:"implicit" src with
+  match Session.run_result ~file:"implicit" (session ()) src with
   | Ok out ->
       Alcotest.failf "%s: expected failure, got %s" src
         (Interp.flat_to_string out.value)

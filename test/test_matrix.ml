@@ -4,8 +4,10 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let check body expected =
-  match Pipeline.run_result ~file:"matrix" (Matrix_lib.wrap body) with
+  match Session.run_result ~file:"matrix" (session ()) (Matrix_lib.wrap body) with
   | Ok out ->
       Alcotest.(check string) body expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" body (Fg_util.Diag.to_string d)
@@ -118,7 +120,7 @@ let test_overlapping_semirings_need_using () =
   (* arith and tropical both model Semiring<int>; neither is active
      without `using`, so the call is rejected *)
   match
-    Pipeline.run_result ~file:"matrix"
+    Session.run_result ~file:"matrix" (session ())
       (Matrix_lib.wrap "dot[int](nil[int], nil[int])")
   with
   | Ok _ -> Alcotest.fail "expected resolution failure"
@@ -154,7 +156,7 @@ let prop_matmul_matches_reference =
         Printf.sprintf "using arith in mat_mul[int](%s, %s)"
           (Matrix_lib.int_matrix ma) (Matrix_lib.int_matrix mb)
       in
-      let out = Pipeline.run ~file:"prop" (Matrix_lib.wrap body) in
+      let out = Session.run ~file:"prop" (session ()) (Matrix_lib.wrap body) in
       let expected =
         Interp.FlList
           (List.map

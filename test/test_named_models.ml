@@ -6,14 +6,16 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let check src expected =
-  match Pipeline.run_result ~file:"named" src with
+  match Session.run_result ~file:"named" (session ()) src with
   | Ok out ->
       Alcotest.(check string) src expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" src (Fg_util.Diag.to_string d)
 
 let check_fails src phase fragment =
-  match Pipeline.run_result ~file:"named" src with
+  match Session.run_result ~file:"named" (session ()) src with
   | Ok out ->
       Alcotest.failf "%s: expected failure, got %s" src
         (Interp.flat_to_string out.value)
@@ -114,7 +116,10 @@ model a = C<int> { v = 1; } in
 model C<int> { v = 2; } in 0|}
   in
   match
-    Pipeline.run_result ~resolution:Resolution.Global ~file:"named" src
+    Session.run_result ~file:"named"
+      (Session.of_config
+         { Session.Config.default with resolution = Resolution.Global })
+      src
   with
   | Ok _ -> Alcotest.fail "expected global-mode overlap"
   | Error d ->

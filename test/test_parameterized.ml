@@ -8,14 +8,17 @@
 
 open Fg_core
 
-let check ?resolution src expected =
-  match Pipeline.run_result ?resolution ~file:"parameterized" src with
+let session () = Session.of_config Session.Config.default
+
+let check ?(resolution = Resolution.Lexical) src expected =
+  let s = Session.of_config { Session.Config.default with resolution } in
+  match Session.run_result ~file:"parameterized" s src with
   | Ok out ->
       Alcotest.(check string) src expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" src (Fg_util.Diag.to_string d)
 
 let check_fails src phase =
-  match Pipeline.run_result ~file:"parameterized" src with
+  match Session.run_result ~file:"parameterized" (session ()) src with
   | Ok out ->
       Alcotest.failf "%s: expected failure, got %s" src
         (Interp.flat_to_string out.value)
@@ -176,7 +179,10 @@ model <u> Eq<list u> { eq = fun (a : list u, b : list u) => false; } in
 0|}
   in
   match
-    Pipeline.run_result ~resolution:Resolution.Global ~file:"overlap" src
+    Session.run_result ~file:"overlap"
+      (Session.of_config
+         { Session.Config.default with resolution = Resolution.Global })
+      src
   with
   | Ok _ -> Alcotest.fail "expected global-mode overlap rejection"
   | Error d ->
@@ -242,7 +248,7 @@ let prop_parameterized_agreement =
       let src =
         eq_defs ^ Printf.sprintf "Eq<list int>.eq(%s, %s)" (lit xs) (lit ys)
       in
-      let out = Pipeline.run ~file:"prop" src in
+      let out = Session.run ~file:"prop" (session ()) src in
       Interp.flat_equal out.value (Interp.FlBool (xs = ys)))
 
 let suite =

@@ -4,10 +4,12 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let l = Prelude.int_list
 
 let check body expected =
-  match Pipeline.run_result ~file:"prelude" (Prelude.wrap body) with
+  match Session.run_result ~file:"prelude" (session ()) (Prelude.wrap body) with
   | Ok out ->
       Alcotest.(check string) body expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" body (Fg_util.Diag.to_string d)
@@ -166,7 +168,9 @@ let test_max_element () =
 let test_prelude_typechecks_in_global_mode () =
   (* the prelude declares each model exactly once: Global mode accepts *)
   match
-    Pipeline.run_result ~resolution:Resolution.Global
+    Session.run_result
+      (Session.of_config
+         { Session.Config.default with resolution = Resolution.Global })
       (Prelude.wrap "accumulate[int](nil[int])")
   with
   | Ok out ->
@@ -178,7 +182,7 @@ let prop_sort_matches_ocaml =
     QCheck.(list_of_size (QCheck.Gen.int_bound 8) (int_bound 50))
     (fun xs ->
       let body = Printf.sprintf "insertion_sort(%s)" (Prelude.int_list xs) in
-      let out = Pipeline.run ~file:"prop" (Prelude.wrap body) in
+      let out = Session.run ~file:"prop" (session ()) (Prelude.wrap body) in
       Interp.flat_equal out.value
         (Interp.FlList
            (List.map (fun n -> Interp.FlInt n) (List.sort compare xs))))
@@ -195,7 +199,7 @@ let prop_merge_matches_ocaml =
         Printf.sprintf "merge(%s, %s, nil[int])" (Prelude.int_list xs)
           (Prelude.int_list ys)
       in
-      let out = Pipeline.run ~file:"prop" (Prelude.wrap body) in
+      let out = Session.run ~file:"prop" (session ()) (Prelude.wrap body) in
       Interp.flat_equal out.value
         (Interp.FlList
            (List.map (fun n -> Interp.FlInt n)

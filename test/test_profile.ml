@@ -190,9 +190,7 @@ let value_programs =
     C.Corpus.all
 
 let session_of backend profile =
-  let module Cfg = C.Session.Config in
-  C.Session.of_config
-    (Cfg.default |> Cfg.with_backend backend |> Cfg.with_profile profile)
+  C.Session.of_config { C.Session.Config.default with backend; profile }
 
 let test_guided_replay () =
   (* Phase 1: run the whole corpus on dict with collection on. *)

@@ -5,6 +5,8 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let programs_dir = "../programs"
 
 let read_file path =
@@ -49,7 +51,7 @@ let test_files_run () =
                else Alcotest.failf "%s: malformed header" f
            | _ -> Alcotest.failf "%s: malformed header" f
          in
-         match Pipeline.run_result ~file:f src with
+         match Session.run_result ~file:f (session ()) src with
          | Ok out ->
              Alcotest.(check string) f expected
                (Interp.flat_to_string out.value)

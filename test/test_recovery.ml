@@ -6,8 +6,9 @@
 open Fg_core
 module Diag = Fg_util.Diag
 
-let report_of ?resolution src =
-  Pipeline.run_full ~file:"rec" ?resolution src
+let session () = Session.of_config Session.Config.default
+
+let report_of src = Session.run_full ~file:"rec" (session ()) src
 
 let codes_of (r : Session.run_report) =
   List.map (fun (d : Diag.diagnostic) -> d.code) r.diagnostics
@@ -50,6 +51,18 @@ let test_cascade_suppressed () =
   let r = report_of "let x = unknown_thing in let y = x + 1 in y" in
   Alcotest.(check int) "one error" 1 (List.length (errors_of r));
   Alcotest.(check (list string)) "the root cause" [ "FG0302" ] (codes_of r)
+
+(* A declaration that fails to check fires the "recover.check.poison"
+   decision point, so guided fuzzing sees poisoned declarations. *)
+let test_poison_probe () =
+  let before = Fg_util.Coverage.snapshot () in
+  let r =
+    report_of "model NoSuchConcept<int> { x = 1; } in let y = 2 in y + 1"
+  in
+  let d = Fg_util.Coverage.diff (Fg_util.Coverage.snapshot ()) before in
+  Alcotest.(check (list string)) "the root cause" [ "FG0202" ] (codes_of r);
+  Alcotest.(check (option int)) "probe fired once" (Some 1)
+    (List.assoc_opt "recover.check.poison" d)
 
 (* Same for parse failures: the spine after a bad declaration is kept,
    so later independent errors still surface, but uses of the dropped
@@ -143,7 +156,7 @@ let test_clean_program_agrees () =
   let src = "let x = 6 in x * 7" in
   let r = report_of src in
   Alcotest.(check (list string)) "no diagnostics" [] (codes_of r);
-  match (r.Session.outcome, Pipeline.run_result src) with
+  match (r.Session.outcome, Session.run_result (session ()) src) with
   | Some a, Ok b ->
       Alcotest.(check bool) "same value" true
         (Interp.flat_equal a.Session.value b.Session.value)
@@ -160,6 +173,7 @@ let suite =
   [
     Alcotest.test_case "multi-phase errors" `Quick test_multi_phase;
     Alcotest.test_case "cascade suppressed" `Quick test_cascade_suppressed;
+    Alcotest.test_case "poisoned declaration probed" `Quick test_poison_probe;
     Alcotest.test_case "parse poison" `Quick test_parse_poison;
     Alcotest.test_case "residual checked" `Quick test_residual_checked;
     Alcotest.test_case "nearest-name suggestion" `Quick test_suggestion;

@@ -6,14 +6,16 @@
 
 open Fg_core
 
+let session () = Session.of_config Session.Config.default
+
 let check src expected =
-  match Pipeline.run_result ~file:"requires" src with
+  match Session.run_result ~file:"requires" (session ()) src with
   | Ok out ->
       Alcotest.(check string) src expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" src (Fg_util.Diag.to_string d)
 
 let check_fails src phase fragment =
-  match Pipeline.run_result ~file:"requires" src with
+  match Session.run_result ~file:"requires" (session ()) src with
   | Ok out ->
       Alcotest.failf "%s: expected failure, got %s" src
         (Interp.flat_to_string out.value)

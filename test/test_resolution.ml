@@ -6,17 +6,18 @@ open Fg_core
 let lexical = Resolution.Lexical
 let global = Resolution.Global
 
-let run ?resolution src = Pipeline.run_result ?resolution src
+let session resolution =
+  Session.of_config { Session.Config.default with resolution }
 
 let test_fig6_lexical_ok_global_rejected () =
   (* the paper's Figure 6 program *)
   let src = Corpus.fig6_overlap.source in
-  (match run ~resolution:lexical src with
+  (match Session.run_result (session lexical) src with
   | Ok out ->
       Alcotest.(check string) "lexical value" "(3, 2)"
         (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "lexical: %s" (Fg_util.Diag.to_string d));
-  match run ~resolution:global src with
+  match Session.run_result (session global) src with
   | Ok _ -> Alcotest.fail "global mode must reject Figure 6"
   | Error d ->
       Alcotest.(check bool) "resolve phase" true
@@ -27,12 +28,12 @@ let test_fig6_lexical_ok_global_rejected () =
 let test_shadowing_rejected_globally () =
   (* even nested shadowing counts as overlap under global resolution *)
   let src = Corpus.model_shadowing.source in
-  (match run ~resolution:lexical src with
+  (match Session.run_result (session lexical) src with
   | Ok out ->
       Alcotest.(check string) "lexical shadowing" "6"
         (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "lexical: %s" (Fg_util.Diag.to_string d));
-  match run ~resolution:global src with
+  match Session.run_result (session global) src with
   | Ok _ -> Alcotest.fail "global mode must reject shadowing"
   | Error _ -> ()
 
@@ -40,7 +41,10 @@ let test_no_overlap_agrees () =
   (* without overlap, both modes accept and agree *)
   List.iter
     (fun (e : Corpus.entry) ->
-      match (run ~resolution:lexical e.source, run ~resolution:global e.source) with
+      match
+        ( Session.run_result (session lexical) e.source,
+          Session.run_result (session global) e.source )
+      with
       | Ok a, Ok b ->
           Alcotest.(check string) (e.name ^ " values agree")
             (Interp.flat_to_string a.value)
@@ -65,7 +69,7 @@ model Show<int> { render = fun (x : int) => x; } in
 model Show<bool> { render = fun (b : bool) => if b then 1 else 0; } in
 (Show<int>.render(3), Show<bool>.render(true))|}
   in
-  match run ~resolution:global src with
+  match Session.run_result (session global) src with
   | Ok out ->
       Alcotest.(check string) "accepted" "(3, 1)"
         (Interp.flat_to_string out.value)
@@ -79,7 +83,7 @@ model A<int> { a = 1; } in
 model B<int> { b = 2; } in
 A<int>.a + B<int>.b|}
   in
-  match run ~resolution:global src with
+  match Session.run_result (session global) src with
   | Ok out ->
       Alcotest.(check string) "accepted" "3" (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "global: %s" (Fg_util.Diag.to_string d)
@@ -94,11 +98,11 @@ let x = model A<int> { a = 1; } in A<int>.a in
 let y = model A<int> { a = 2; } in A<int>.a in
 x + y|}
   in
-  (match run ~resolution:lexical src with
+  (match Session.run_result (session lexical) src with
   | Ok out ->
       Alcotest.(check string) "lexical" "3" (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "lexical: %s" (Fg_util.Diag.to_string d));
-  match run ~resolution:global src with
+  match Session.run_result (session global) src with
   | Ok _ -> Alcotest.fail "global must reject sibling overlap"
   | Error _ -> ()
 

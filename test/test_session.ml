@@ -1,6 +1,6 @@
 (* The session driver: a cached prelude must be observationally
    invisible — programs served by a session are identical to standalone
-   pipeline runs — while the caches (prelude, hash-consed types, model
+   pipeline runs — while the caches (prelude, compilation units, model
    resolution) actually amortize, batches are deterministic across
    domain counts, and extension leaves the original session intact. *)
 
@@ -34,7 +34,11 @@ let test_session_matches_pipeline () =
   List.iter
     (fun body ->
       let from_session = Session.run ~file:"t" s body in
-      let fresh = Pipeline.run ~file:"t" (Prelude.wrap body) in
+      let fresh =
+        Session.run ~file:"t"
+          (Session.of_config Session.Config.default)
+          (Prelude.wrap body)
+      in
       check_outcome_equal body from_session fresh)
     [
       Printf.sprintf "accumulate[int](%s)" (l [ 1; 2; 3 ]);
@@ -80,7 +84,11 @@ let test_overlapping_models_across_programs () =
      resolution cache is keyed by scope generation, so program 2 must
      see ITS model, not program 1's cached resolution. *)
   let s =
-    Session.of_config Session.Config.(default |> with_prelude (Some (Corpus.monoid_prelude ^ Corpus.accumulate_def)))
+    Session.of_config
+      {
+        Session.Config.default with
+        prelude = Some (Corpus.monoid_prelude ^ Corpus.accumulate_def);
+      }
   in
   let sum_prog =
     Printf.sprintf
@@ -107,7 +115,10 @@ let test_overlapping_models_across_programs () =
 let test_local_model_does_not_leak () =
   (* Program 1 declares a model for a prelude concept; program 2 uses
      the concept WITHOUT declaring the model and must be rejected. *)
-  let s = Session.of_config Session.Config.(default |> with_prelude (Some Corpus.monoid_prelude)) in
+  let s =
+    Session.of_config
+      { Session.Config.default with prelude = Some Corpus.monoid_prelude }
+  in
   let with_model =
     "model Semigroup<int> { binary_op = iadd; } in\n\
      model Monoid<int> { identity_elt = 0; } in\n\
@@ -407,7 +418,10 @@ let test_repl_redefinition_invalidates () =
 
 let test_unit_cache_eviction () =
   (* A deliberately tiny cache must stay within its bound and evict. *)
-  let s = Session.of_config Session.Config.(default |> with_unit_cache_capacity (Some 2)) in
+  let s =
+    Session.of_config ~cache:(Unit.create_cache ~capacity:2 ())
+      Session.Config.default
+  in
   ignore (Session.run ~file:"t" s (Genprog.shared_prefix ~decls:6 ()));
   let st = Session.cache_stats s in
   Alcotest.(check bool) "evicted" true (st.Unit.s_evictions > 0);
@@ -420,7 +434,7 @@ let test_unit_cache_eviction () =
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
-let test_stats_and_interning () =
+let test_stats () =
   let s = Session.of_config Session.Config.(default |> with_standard_prelude) in
   ignore (Session.run ~file:"t" s "power[int](2, 6)");
   ignore (Session.run ~file:"t" s "power[int](2, 6)");
@@ -429,13 +443,13 @@ let test_stats_and_interning () =
   Alcotest.(check bool) "programs counted" true (st.programs >= 2);
   Alcotest.(check bool) "prelude reused" true (st.prelude_reuses >= 2);
   Alcotest.(check bool) "lookups recorded" true (st.model_lookups > 0);
-  Alcotest.(check bool) "cache hits recorded" true (st.resolve_hits > 0);
-  Alcotest.(check bool) "types interned" true (Session.interned_types s > 0)
+  Alcotest.(check bool) "cache hits recorded" true (st.resolve_hits > 0)
 
 let test_prelude_must_be_declarations () =
   match
     Fg_util.Diag.protect (fun () ->
-        Session.of_config Session.Config.(default |> with_prelude (Some "1 + 1 in")))
+        Session.of_config
+          { Session.Config.default with prelude = Some "1 + 1 in" })
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-declaration prelude accepted"
@@ -473,8 +487,7 @@ let suite =
       test_repl_redefinition_invalidates;
     Alcotest.test_case "tiny unit cache evicts, stays correct" `Quick
       test_unit_cache_eviction;
-    Alcotest.test_case "stats and interning observable" `Quick
-      test_stats_and_interning;
+    Alcotest.test_case "stats observable" `Quick test_stats;
     Alcotest.test_case "prelude must be declarations" `Quick
       test_prelude_must_be_declarations;
   ]

@@ -5,6 +5,26 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every temp path and daemon pid a stage creates goes on these lists
+# (track / track_pid); the one EXIT trap stops and removes all of them,
+# whichever stage fails.  A daemon leaves the list when [reap] collects
+# its exit status, so the trap never signals a recycled pid.
+tmp_paths=""
+daemon_pids=""
+track() { tmp_paths="$tmp_paths $*"; }
+track_pid() { daemon_pids="$daemon_pids $1"; }
+reap() {
+  rest=""
+  for pid in $daemon_pids; do [ "$pid" = "$1" ] || rest="$rest $pid"; done
+  daemon_pids=$rest
+  wait "$1"
+}
+cleanup() {
+  for pid in $daemon_pids; do kill "$pid" 2>/dev/null || true; done
+  for p in $tmp_paths; do rm -rf "$p"; done
+}
+trap cleanup EXIT
+
 echo "== dune build @all"
 dune build @all
 
@@ -16,7 +36,7 @@ echo "== error corpus: diagnostic codes are stable"
 # recovering `fgc run` reports for it (warnings included); any drift
 # from expected_codes.txt fails the build.
 actual=$(mktemp)
-trap 'rm -f "$actual"' EXIT
+track "$actual"
 for f in programs/errors/*.fg; do
   codes=$(./_build/default/bin/fgc.exe run --format=json "$f" 2>/dev/null \
     | grep -o '"code": "FG[0-9]*"' \
@@ -50,13 +70,14 @@ done
 
 echo "== bench smoke (BENCH_QUOTA=0.02, incremental re-check >= 3x)"
 bench_out=$(mktemp)
+track "$bench_out"
 BENCH_QUOTA=0.02 dune exec bench/main.exe | tee "$bench_out"
 # The incremental group re-checks a program family sharing a long
 # declaration prefix; the unit cache must make warm re-checking at
-# least 3x faster than cold checking.
+# least 3x faster than cold checking.  The bench prints every round
+# and the median of five on the line read here.
 speedup=$(grep 'incremental re-check speedup' "$bench_out" \
   | grep -o '[0-9.]*x' | tr -d 'x')
-rm -f "$bench_out"
 awk -v s="$speedup" 'BEGIN { exit (s >= 3.0) ? 0 : 1 }' \
   || { echo "bench smoke: incremental speedup ${speedup}x < 3x"; exit 1; }
 
@@ -75,9 +96,10 @@ echo "== server smoke"
 # status exits nonzero (the client maps statuses to exit codes).
 fgc=./_build/default/bin/fgc.exe
 sock=$(mktemp -u /tmp/fgc_ci_XXXXXX.sock)
+track "$sock"
 "$fgc" serve --socket "$sock" 2>/dev/null &
 serve_pid=$!
-trap 'rm -f "$actual"; kill "$serve_pid" 2>/dev/null || true; rm -f "$sock"' EXIT
+track_pid "$serve_pid"
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "server smoke: daemon never bound $sock"; exit 1; }
 
@@ -100,7 +122,7 @@ echo "-- stats"
 
 echo "-- SIGTERM: clean drain"
 kill -TERM "$serve_pid"
-wait "$serve_pid" || { echo "server smoke: daemon exited nonzero"; exit 1; }
+reap "$serve_pid" || { echo "server smoke: daemon exited nonzero"; exit 1; }
 [ ! -S "$sock" ] || { echo "server smoke: socket not unlinked"; exit 1; }
 
 echo "== incremental smoke (shared unit cache vs one-shot, byte-identity)"
@@ -109,12 +131,14 @@ echo "== incremental smoke (shared unit cache vs one-shot, byte-identity)"
 # require each served response to be byte-identical to a one-shot
 # `fgc run --format=json` of the same file.
 sock=$(mktemp -u /tmp/fgc_inc_XXXXXX.sock)
+track "$sock"
 "$fgc" serve --socket "$sock" --workers 1 2>/dev/null &
 serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$sock"' EXIT
+track_pid "$serve_pid"
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "incremental smoke: daemon never bound $sock"; exit 1; }
 oneshot=$(mktemp) && cold=$(mktemp) && warm=$(mktemp)
+track "$oneshot" "$cold" "$warm"
 for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
   "$fgc" run --format=json "$f" > "$oneshot" 2>/dev/null || true
   "$fgc" client run "$f" --socket "$sock" > "$cold" 2>/dev/null || true
@@ -124,11 +148,10 @@ for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
   cmp -s "$cold" "$warm" \
     || { echo "incremental smoke: warm replay differs from cold: $f"; exit 1; }
 done
-rm -f "$oneshot" "$cold" "$warm"
 "$fgc" client stats --socket "$sock" | grep -q '"unit_cache"' \
   || { echo "incremental smoke: stats payload missing unit_cache"; exit 1; }
 kill -TERM "$serve_pid"
-wait "$serve_pid" || { echo "incremental smoke: daemon exited nonzero"; exit 1; }
+reap "$serve_pid" || { echo "incremental smoke: daemon exited nonzero"; exit 1; }
 
 echo "== cache smoke (persistent unit store: cold/warm byte-identity)"
 # Run the whole program tree against a fresh --cache-dir twice.  Both
@@ -137,8 +160,8 @@ echo "== cache smoke (persistent unit store: cold/warm byte-identity)"
 # report shows zero unit-cache misses.  (Error programs re-check by
 # design — failed declarations are never cached.)
 cache_dir=$(mktemp -d /tmp/fgc_cache_XXXXXX)
-trap 'rm -rf "$cache_dir"; kill "$serve_pid" 2>/dev/null || true' EXIT
 plain=$(mktemp) && cold=$(mktemp) && warm=$(mktemp) && wstats=$(mktemp)
+track "$cache_dir" "$plain" "$cold" "$warm" "$wstats"
 for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
   "$fgc" run --format=json "$f" > "$plain" 2>/dev/null || true
   "$fgc" run --format=json --cache-dir "$cache_dir" "$f" > "$cold" 2>/dev/null || true
@@ -155,7 +178,6 @@ for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
     ;;
   esac
 done
-rm -f "$plain" "$cold" "$warm" "$wstats"
 
 echo "== farm smoke (peer cache tier: cold daemon fed by a warm peer)"
 # Daemon A owns the warm store; daemon B has no disk of its own and
@@ -164,25 +186,26 @@ echo "== farm smoke (peer cache tier: cold daemon fed by a warm peer)"
 # (its units came over the wire, not from re-checking).
 sock_a=$(mktemp -u /tmp/fgc_farm_a_XXXXXX.sock)
 sock_b=$(mktemp -u /tmp/fgc_farm_b_XXXXXX.sock)
+track "$sock_a" "$sock_b"
 "$fgc" serve --socket "$sock_a" --workers 1 --cache-dir "$cache_dir" 2>/dev/null &
 pid_a=$!
-trap 'rm -rf "$cache_dir"; kill "$pid_a" 2>/dev/null || true; rm -f "$sock_a" "$sock_b"' EXIT
+track_pid "$pid_a"
 for _ in $(seq 1 50); do [ -S "$sock_a" ] && break; sleep 0.1; done
 [ -S "$sock_a" ] || { echo "farm smoke: daemon A never bound"; exit 1; }
 "$fgc" client batch programs -p --socket "$sock_a" > /dev/null   # warm A's store
 "$fgc" serve --socket "$sock_b" --workers 1 --cache-peer "unix:$sock_a" 2>/dev/null &
 pid_b=$!
-trap 'rm -rf "$cache_dir"; kill "$pid_a" "$pid_b" 2>/dev/null || true; rm -f "$sock_a" "$sock_b"' EXIT
+track_pid "$pid_b"
 for _ in $(seq 1 50); do [ -S "$sock_b" ] && break; sleep 0.1; done
 [ -S "$sock_b" ] || { echo "farm smoke: daemon B never bound"; exit 1; }
 oneshot=$(mktemp) && served=$(mktemp)
+track "$oneshot" "$served"
 for f in programs/*.fg; do
   "$fgc" run --format=json -p "$f" > "$oneshot" 2>/dev/null || true
   "$fgc" client run -p "$f" --socket "$sock_b" > "$served" 2>/dev/null || true
   cmp -s "$oneshot" "$served" \
     || { echo "farm smoke: peer-fed output differs from one-shot: $f"; exit 1; }
 done
-rm -f "$oneshot" "$served"
 # stats keys are canonically sorted, so pull the peer_cache object out
 # first and read its hits field wherever it landed
 "$fgc" client stats --socket "$sock_b" \
@@ -191,9 +214,8 @@ rm -f "$oneshot" "$served"
   || { echo "farm smoke: cold daemon reported no peer hits"; exit 1; }
 "$fgc" client shutdown --socket "$sock_a" > /dev/null
 "$fgc" client shutdown --socket "$sock_b" > /dev/null
-wait "$pid_a" || { echo "farm smoke: daemon A exited nonzero"; exit 1; }
-wait "$pid_b" || { echo "farm smoke: daemon B exited nonzero"; exit 1; }
-rm -rf "$cache_dir"
+reap "$pid_a" || { echo "farm smoke: daemon A exited nonzero"; exit 1; }
+reap "$pid_b" || { echo "farm smoke: daemon B exited nonzero"; exit 1; }
 
 echo "== fuzz-coverage: guided beats blind at the same seed (1k programs)"
 # The coverage-guided mutator must earn its keep: at the same seed and
@@ -202,7 +224,7 @@ echo "== fuzz-coverage: guided beats blind at the same seed (1k programs)"
 # points than blind generation.  Both runs print a deterministic
 # "coverage: N decision points" line.
 fuzz_corpus=$(mktemp -d /tmp/fgc_fuzzcov_XXXXXX)
-trap 'rm -rf "$fuzz_corpus"' EXIT
+track "$fuzz_corpus"
 blind_cov=$("$fgc" fuzz --seed 5 --count 1000 --mutants 0 \
   | sed -n 's/^coverage: \([0-9]*\) decision points.*/\1/p')
 guided_cov=$("$fgc" fuzz --seed 5 --count 1000 --mutants 0 \
@@ -223,9 +245,10 @@ echo "-- corpus merge: two workers converge through one daemon"
 w1=$(mktemp -d /tmp/fgc_fuzzw1_XXXXXX)
 w2=$(mktemp -d /tmp/fgc_fuzzw2_XXXXXX)
 sock=$(mktemp -u /tmp/fgc_fuzz_XXXXXX.sock)
+track "$w1" "$w2" "$sock"
 "$fgc" serve --socket "$sock" --workers 1 2>/dev/null &
 serve_pid=$!
-trap 'rm -rf "$fuzz_corpus" "$w1" "$w2"; kill "$serve_pid" 2>/dev/null || true; rm -f "$sock"' EXIT
+track_pid "$serve_pid"
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "fuzz-coverage: daemon never bound $sock"; exit 1; }
 "$fgc" client fuzz-worker --socket "$sock" --seed 11 --count 150 --corpus-dir "$w1"
@@ -239,7 +262,7 @@ common=$({ ls "$w1"; ls "$w2"; } | sort | uniq -d | wc -l)
 [ "$common" -gt 0 ] \
   || { echo "fuzz-coverage: workers share no corpus entries after sync"; exit 1; }
 "$fgc" client shutdown --socket "$sock" > /dev/null
-wait "$serve_pid" || { echo "fuzz-coverage: daemon exited nonzero"; exit 1; }
+reap "$serve_pid" || { echo "fuzz-coverage: daemon exited nonzero"; exit 1; }
 
 echo "== workspace smoke (v5 document lifecycle, edit/revert byte-identity)"
 # Open every corpus program as a workspace document over the wire, run
@@ -248,12 +271,14 @@ echo "== workspace smoke (v5 document lifecycle, edit/revert byte-identity)"
 # `fgc run --format=json -p` of the same file.  The warm incremental
 # path must be observationally invisible.
 sock=$(mktemp -u /tmp/fgc_ws_XXXXXX.sock)
+track "$sock"
 "$fgc" serve --socket "$sock" --workers 1 2>/dev/null &
 serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$sock"' EXIT
+track_pid "$serve_pid"
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "workspace smoke: daemon never bound $sock"; exit 1; }
 oneshot=$(mktemp) && served=$(mktemp)
+track "$oneshot" "$served"
 for f in programs/*.fg; do
   "$fgc" client open "$f" -p --socket "$sock" > /dev/null
   hit=$(grep -obE '[0-9]' "$f" | head -n 1 || true)
@@ -272,13 +297,12 @@ for f in programs/*.fg; do
     || { echo "workspace smoke: edited+reverted diagnostics differ: $f"; exit 1; }
   "$fgc" client close "$f" --socket "$sock" > /dev/null
 done
-rm -f "$oneshot" "$served"
 "$fgc" client stats --socket "$sock" | grep -q '"workspace"' \
   || { echo "workspace smoke: stats payload missing workspace block"; exit 1; }
 "$fgc" client stats --pretty --socket "$sock" | grep -q 'workspace' \
   || { echo "workspace smoke: pretty stats missing workspace block"; exit 1; }
 "$fgc" client shutdown --socket "$sock" > /dev/null
-wait "$serve_pid" || { echo "workspace smoke: daemon exited nonzero"; exit 1; }
+reap "$serve_pid" || { echo "workspace smoke: daemon exited nonzero"; exit 1; }
 
 echo "-- editgen: edit-to-diagnostics p95 under the bar"
 EDITGEN_EDITS=6 EDITGEN_P95_MS=200 dune exec bench/editgen.exe
@@ -301,7 +325,7 @@ prof2=$(mktemp /tmp/fgc_pgo2_XXXXXX.json)
 merged=$(mktemp /tmp/fgc_pgo_merged_XXXXXX.json)
 fuzzprof=$(mktemp /tmp/fgc_pgo_fuzz_XXXXXX.json)
 dict_out=$(mktemp) && guided_out=$(mktemp)
-trap 'rm -f "$prof" "$prof2" "$merged" "$fuzzprof" "$dict_out" "$guided_out"' EXIT
+track "$prof" "$prof2" "$merged" "$fuzzprof" "$dict_out" "$guided_out"
 "$fgc" corpus --all --profile-out "$prof" > /dev/null
 "$fgc" corpus --all --profile-out "$prof2" > /dev/null
 cmp -s "$prof" "$prof2" \
