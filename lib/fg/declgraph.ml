@@ -20,12 +20,19 @@
       concept in its transitive concept-interest closure;
     - the Global ablation's overlap check is order-dependent across all
       models, so under it every model-declaring unit depends on every
-      earlier one. *)
+      earlier one.
+
+    A unit's fixpoint reads nothing of the units before it but what
+    {!t} keeps: their closures, the latest provider of each name, the
+    named-model map and the model-contributing units.  So a prefix is
+    analysed once and its state extended by every spine that continues
+    it, with the same edges as analysing the whole spine at once. *)
 
 open Fg_util
 open Ast
 module Sset = Names.Sset
-module ISet = Set.Make (Int)
+module Smap = Names.Smap
+module IMap = Map.Make (Int)
 
 type info = {
   i_provides : Sset.t;
@@ -172,76 +179,123 @@ let is_decl (e : exp) =
 (* ---------------------------------------------------------------- *)
 (* The graph                                                          *)
 
-let build ~global (infos : info array) : int list array =
-  let n = Array.length infos in
-  let deps = Array.make n [] in
-  let refstar = Array.make n Sset.empty in
-  let closed = Array.make n Sset.empty in
-  let eff_model_of = Array.make n Sset.empty in
-  let providers : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let named_concept : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  (* Earlier units that contribute a model to scope, newest first. *)
-  let model_units = ref [] in
-  for k = 0 to n - 1 do
-    let info = infos.(k) in
-    let mo =
-      match info.i_using with
-      | Some m -> (
-          match Hashtbl.find_opt named_concept m with
-          | Some c -> Sset.add c info.i_model_of
-          | None -> info.i_model_of)
-      | None -> info.i_model_of
-    in
-    eff_model_of.(k) <- mo;
-    let d = ref ISet.empty in
-    let r = ref info.i_refs in
-    let c = ref info.i_concepts in
-    if global && info.i_declares_model then
-      List.iter
-        (fun j -> if infos.(j).i_declares_model then d := ISet.add j !d)
-        !model_units;
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      (* latest provider of every accumulated reference *)
+(* What later units can observe of an analysed unit: its spine index,
+   its transitive reference and concept closures, its effective
+   model-of set ([using] resolved) and whether it declares a model. *)
+type facts = {
+  f_index : int;
+  f_refs : Sset.t;
+  f_concepts : Sset.t;
+  f_model_of : Sset.t;
+  f_declares_model : bool;
+}
+
+type t = {
+  global : bool;
+  next : int;  (** spine index of the next unit *)
+  providers : facts Smap.t;  (** latest provider of each name *)
+  named_concept : string Smap.t;  (** named model -> its concept *)
+  model_units : facts list;
+      (** units that contribute a model to scope, newest first *)
+}
+
+let empty ~global =
+  {
+    global;
+    next = 0;
+    providers = Smap.empty;
+    named_concept = Smap.empty;
+    model_units = [];
+  }
+
+let global g = g.global
+
+(* The fixpoint for one unit, against the state of everything before
+   it: its dependencies and the facts later units will see. *)
+let analyse g (info : info) : facts * int list =
+  let model_of =
+    match info.i_using with
+    | Some m -> (
+        match Smap.find_opt m g.named_concept with
+        | Some c -> Sset.add c info.i_model_of
+        | None -> info.i_model_of)
+    | None -> info.i_model_of
+  in
+  let d = ref IMap.empty in
+  let r = ref info.i_refs in
+  let c = ref info.i_concepts in
+  (* names of [r] whose provider has not been looked up yet *)
+  let pending = ref info.i_refs in
+  (* a new dependency's closures fold into ours once, when it joins *)
+  let add (u : facts) =
+    d := IMap.add u.f_index u !d;
+    if not (Sset.subset u.f_refs !r) then begin
+      pending := Sset.union (Sset.diff u.f_refs !r) !pending;
+      r := Sset.union u.f_refs !r
+    end;
+    c := Sset.union u.f_concepts !c
+  in
+  if g.global && info.i_declares_model then
+    List.iter (fun u -> if u.f_declares_model then add u) g.model_units;
+  let changed = ref true in
+  while !changed do
+    (* latest provider of every accumulated reference *)
+    while not (Sset.is_empty !pending) do
+      let names = !pending in
+      pending := Sset.empty;
       Sset.iter
         (fun nm ->
-          match Hashtbl.find_opt providers nm with
-          | Some j when not (ISet.mem j !d) ->
-              d := ISet.add j !d;
-              changed := true
+          match Smap.find_opt nm g.providers with
+          | Some u when not (IMap.mem u.f_index !d) -> add u
           | _ -> ())
-        !r;
-      (* fold dependency closures into our own *)
-      ISet.iter
-        (fun j ->
-          if not (Sset.subset refstar.(j) !r) then begin
-            r := Sset.union refstar.(j) !r;
-            changed := true
-          end;
-          if not (Sset.subset closed.(j) !c) then begin
-            c := Sset.union closed.(j) !c;
-            changed := true
-          end)
-        !d;
-      (* every earlier model of an interesting concept is consultable *)
-      List.iter
-        (fun j ->
-          if
-            (not (ISet.mem j !d))
-            && not (Sset.is_empty (Sset.inter eff_model_of.(j) !c))
-          then begin
-            d := ISet.add j !d;
-            changed := true
-          end)
-        !model_units
+        names
     done;
-    refstar.(k) <- !r;
-    closed.(k) <- !c;
-    deps.(k) <- ISet.elements !d;
-    Sset.iter (fun nm -> Hashtbl.replace providers nm k) info.i_provides;
-    List.iter (fun (m, c) -> Hashtbl.replace named_concept m c) info.i_named;
-    if info.i_declares_model || not (Sset.is_empty mo) then
-      model_units := k :: !model_units
+    (* every earlier model of an interesting concept is consultable *)
+    changed := false;
+    List.iter
+      (fun u ->
+        if
+          (not (IMap.mem u.f_index !d))
+          && not (Sset.disjoint u.f_model_of !c)
+        then begin
+          add u;
+          changed := true
+        end)
+      g.model_units
   done;
-  deps
+  ( {
+      f_index = g.next;
+      f_refs = !r;
+      f_concepts = !c;
+      f_model_of = model_of;
+      f_declares_model = info.i_declares_model;
+    },
+    List.map fst (IMap.bindings !d) )
+
+(* The state after one more unit. *)
+let push g (info : info) (u : facts) =
+  {
+    g with
+    next = g.next + 1;
+    providers =
+      Sset.fold (fun nm p -> Smap.add nm u p) info.i_provides g.providers;
+    named_concept =
+      List.fold_left
+        (fun m (name, c) -> Smap.add name c m)
+        g.named_concept info.i_named;
+    model_units =
+      (if info.i_declares_model || not (Sset.is_empty u.f_model_of) then
+         u :: g.model_units
+       else g.model_units);
+  }
+
+let extend g (infos : info array) =
+  let deps = Array.make (Array.length infos) [] in
+  let g = ref g in
+  Array.iteri
+    (fun i info ->
+      let u, d = analyse !g info in
+      deps.(i) <- d;
+      g := push !g info u)
+    infos;
+  (!g, deps)

@@ -25,7 +25,7 @@ type info = {
   i_model_of : Sset.t;
       (** concepts whose model scope this declaration extends directly
           (an unnamed model declaration; [using] is resolved during
-          {!build}) *)
+          {!extend}) *)
   i_named : (string * string) list;
       (** named models declared: name, concept *)
   i_using : string option;  (** named model activated by [using] *)
@@ -41,9 +41,23 @@ val info_of_decl : exp -> info
 (** Is this expression a declaration form? *)
 val is_decl : exp -> bool
 
-(** [build ~global infos] — dependency edges for each unit of a spine,
-    given the units' facts in spine order.  [deps.(k)] lists the
-    indices [j < k] whose checked results unit [k]'s checking can
-    observe, in ascending order.  [global] enables the Global
-    ablation's all-models coupling. *)
-val build : global:bool -> info array -> int list array
+(** The analysis state after a spine prefix: everything the units
+    after it can observe of it.  Immutable, so one prefix's state (a
+    session's prelude) serves every spine that continues it. *)
+type t
+
+(** The state before any unit.  [global] enables the Global ablation's
+    all-models coupling. *)
+val empty : global:bool -> t
+
+(** Whether the state was built for the Global ablation. *)
+val global : t -> bool
+
+(** [extend g infos] — analyse the units [infos], given in spine order,
+    as the continuation of the prefix [g] describes.  Returns the state
+    after them and, for each, its dependency edges: [deps.(i)] lists
+    the spine indices (counted from the start of the whole spine,
+    prefix included) whose checked results the unit's checking can
+    observe, in ascending order.  Extending at any split point gives
+    the same edges as analysing the whole spine from {!empty}. *)
+val extend : t -> info array -> t * int list array

@@ -93,10 +93,11 @@ type t = {
   globals_mark : (string * Ast.ty list) list;
       (** the Global-ablation overlap set after the prelude *)
   cache : Unit.cache;  (** compilation-unit cache (possibly shared) *)
-  spine : Unit.checked list;
+  spine : Unit.spine;
       (** the units whose scope [env] reflects: prelude then every
           [extend], in declaration order — their keys seed each
-          program's dependency chain *)
+          program's dependency chain, and their dependency analysis,
+          done once here, is what each program's analysis extends *)
   created : Telemetry.snapshot;
 }
 
@@ -146,12 +147,16 @@ let of_config ?cache (cfg : Config.t) : t =
             Unit.set_stores c [ Unit.disk_store d ]);
         c
   in
+  let spine0 = Unit.empty_spine env0 in
   let env, wrap, spine =
     match cfg.Config.prelude with
-    | None -> (env0, (fun res -> res), [])
+    | None -> (env0, (fun res -> res), spine0)
     | Some src ->
         Telemetry.record_prelude_build ();
-        check_decl_stack cache ~spine:[] env0 src ~file:"<prelude>"
+        let env, wrap, units =
+          check_decl_stack cache ~spine:spine0 env0 src ~file:"<prelude>"
+        in
+        (env, wrap, Unit.extend_spine spine0 units)
   in
   {
     cfg;
@@ -178,13 +183,21 @@ module Table = struct
 
   let create cache = { cache; sessions = [] }
 
+  (* Building a session never reads the profile (only [complete]
+     does), so the table keys sessions on the config without it and
+     hands the warm session back carrying the caller's profile: a
+     client choosing a new profile does not re-check the prelude. *)
   let find tbl cfg =
-    match List.assoc_opt cfg tbl.sessions with
-    | Some s -> s
-    | None ->
-        let s = of_config ~cache:tbl.cache cfg in
-        tbl.sessions <- (cfg, s) :: tbl.sessions;
-        s
+    let key = { cfg with Config.profile = None } in
+    let s =
+      match List.assoc_opt key tbl.sessions with
+      | Some s -> s
+      | None ->
+          let s = of_config ~cache:tbl.cache key in
+          tbl.sessions <- (key, s) :: tbl.sessions;
+          s
+    in
+    match cfg.Config.profile with None -> s | Some _ -> { s with cfg }
 end
 
 let extend t decls =
@@ -195,6 +208,7 @@ let extend t decls =
   let env', wrap', units =
     check_decl_stack t.cache ~spine:t.spine t.env decls ~file:"<decls>"
   in
+  let spine = Unit.extend_spine t.spine units in
   (* A redefinition shadows earlier spine units; drop cached entries
      that depended on the shadowed definitions.  (Correctness does not
      need this — a dependent's key chains through its providers, so it
@@ -216,10 +230,10 @@ let extend t decls =
             (Names.Sset.inter u.Unit.ck_info.Declgraph.i_provides provided)
         then None
         else Some u.Unit.ck_key)
-      t.spine
+      (Unit.spine_units t.spine)
   in
   let protect =
-    List.map (fun (u : Unit.checked) -> u.Unit.ck_key) (t.spine @ units)
+    List.map (fun (u : Unit.checked) -> u.Unit.ck_key) (Unit.spine_units spine)
   in
   ignore (Unit.invalidate t.cache ~protect ~seeds);
   {
@@ -236,7 +250,7 @@ let extend t decls =
     wrap = (fun res -> t.wrap (wrap' res));
     mark = Gensym.mark env'.Env.gensym;
     globals_mark = !(env'.Env.global_models);
-    spine = t.spine @ units;
+    spine;
   }
 
 let extend_result t decls = Diag.protect (fun () -> extend t decls)
@@ -401,7 +415,9 @@ type run_report = {
   diagnostics : Diag.diagnostic list;
 }
 
-let run_full_impl ~file ?fuel ?decl_log t source : run_report =
+(* The recovering pipeline behind [run_full] and [run_indexed]: the
+   report, plus the recovering parse and the walked declaration log. *)
+let run_full_impl ~file ?fuel t source =
   let engine = Diag.engine () in
   (* Route warnings raised anywhere under this run (the environment's
      sink) into the same engine as the recovered errors. *)
@@ -421,7 +437,6 @@ let run_full_impl ~file ?fuel ?decl_log t source : run_report =
             Unit.walk ~recover:engine ~poisoned t.cache ~source
               ~spine:t.spine t.env ast)
       in
-      Option.iter (fun r -> r := w.Unit.w_decls) decl_log;
       let poisoned = w.Unit.w_poisoned in
       (* The residual body is checked even when declarations failed, so
          its own independent errors surface in the same invocation;
@@ -444,32 +459,39 @@ let run_full_impl ~file ?fuel ?decl_log t source : run_report =
                   ~backend:t.cfg.Config.backend ~source ~ast triple)
         | _ -> None
       in
-      { outcome; diagnostics = Diag.diagnostics engine })
+      ({ outcome; diagnostics = Diag.diagnostics engine }, ast, w.Unit.w_decls))
 
 let run_full ?(file = "<program>") ?fuel t source : run_report =
-  run_full_impl ~file ?fuel t source
+  let report, _, _ = run_full_impl ~file ?fuel t source in
+  report
 
 (* The workspace entry point: exactly [run_full] — same recovering
    parse, same walk, same diagnostics, so its report renders
-   byte-identically — but it also hands back the walked declaration
-   log and every position-index entry recorded while checking.
-   Replayed (cache-hit) declarations record no entries; the caller
-   rebases the entries it saved when their unit was first checked. *)
+   byte-identically — but it also hands back the parsed program, the
+   walked declaration log and every position-index entry recorded
+   while checking.  Replayed (cache-hit) declarations record no
+   entries; the caller rebases the entries it saved when their unit
+   was first checked. *)
 type indexed_run = {
   ix_report : run_report;
+  ix_ast : Ast.exp;
   ix_decls : (Ast.exp * string * Unit.decl_outcome) list;
   ix_entries : Check.index_entry list;  (** in recording order *)
 }
 
 let run_indexed ?(file = "<program>") ?fuel t source : indexed_run =
   let entries = ref [] in
-  let decl_log = ref [] in
-  let report =
+  let report, ast, decls =
     Check.with_index_sink
       (fun e -> entries := e :: !entries)
-      (fun () -> run_full_impl ~file ?fuel ~decl_log t source)
+      (fun () -> run_full_impl ~file ?fuel t source)
   in
-  { ix_report = report; ix_decls = !decl_log; ix_entries = List.rev !entries }
+  {
+    ix_report = report;
+    ix_ast = ast;
+    ix_decls = decls;
+    ix_entries = List.rev !entries;
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Parallel batch verification                                       *)

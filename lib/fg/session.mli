@@ -57,9 +57,10 @@ module Config : sig
     profile : Profile.t option;
         (** the workload profile consulted by the {!Backend.Guided}
             backend (hot instantiations get stenciled, everything else
-            keeps dictionary passing).  Ignored by other backends.
-            Plain data, so configs stay structurally comparable —
-            servers key worker sessions on them. *)
+            keeps dictionary passing).  Ignored by other backends,
+            and read only when a program runs, never while a session
+            is built, so {!Table} leaves it out of its key.  Plain
+            data, so configs stay structurally comparable. *)
   }
 
   val default : t
@@ -73,7 +74,7 @@ module Config : sig
       {!Prelude.full} and [global_models] {!Resolution.Global}.  Only
       {!Backend.Guided} reads a profile, so every other backend drops
       [profile]: configs that differ only in a profile nothing reads
-      compare equal and share one warm session. *)
+      compare equal. *)
   val of_flags :
     ?cache_dir:string -> ?cache_max_bytes:int -> ?profile:Profile.t ->
     prelude:bool -> global_models:bool -> backend:Backend.t -> unit -> t
@@ -127,15 +128,18 @@ val backend : t -> Backend.t
 (** Warm sessions keyed by configuration, each built by {!of_config}
     on first use over the table's one shared unit cache.  A server
     worker and the workspace service each keep one, so a prelude is
-    checked once per distinct {!Config.t}, not once per request.  Not
-    thread-safe: the owner serializes access. *)
+    checked once per distinct {!Config.t}, not once per request.  The
+    key leaves out [profile], which building a session never reads:
+    configs that differ only in their profile share one warm session.
+    Not thread-safe: the owner serializes access. *)
 module Table : sig
   type session := t
   type t
 
   val create : Unit.cache -> t
 
-  (** The table's session for a configuration, created on first use. *)
+  (** The table's session for a configuration, created on first use;
+      its {!config} is the one asked for, profile included. *)
   val find : t -> Config.t -> session
 end
 
@@ -177,14 +181,16 @@ type run_report = {
 val run_full : ?file:string -> ?fuel:int -> t -> string -> run_report
 
 (** {!run_full} plus the raw material a workspace language service
-    needs: the walked declaration log (pairing every program
-    declaration with its unit pkey and hit/checked/failed outcome) and
-    the position-index entries ({!Check.index_entry}) recorded while
-    checking.  The report is computed by the same code path as
-    {!run_full}, so its rendered diagnostics are byte-identical to a
-    plain run of the same source. *)
+    needs: the program's recovering parse, the walked declaration log
+    (pairing every program declaration with its unit pkey and
+    hit/checked/failed outcome) and the position-index entries
+    ({!Check.index_entry}) recorded while checking.  The report is
+    computed by the same code path as {!run_full}, so its rendered
+    diagnostics are byte-identical to a plain run of the same
+    source. *)
 type indexed_run = {
   ix_report : run_report;
+  ix_ast : Ast.exp;  (** the recovering parse the run checked *)
   ix_decls : (Ast.exp * string * Unit.decl_outcome) list;
   ix_entries : Check.index_entry list;  (** in recording order *)
 }

@@ -376,24 +376,59 @@ let globals_delta ~before after =
   in
   take n after
 
-let walk ?recover ?(poisoned = Sset.empty) cache ~source
-    ~(spine : checked list) env0 ast : walk_result =
+(* The units a walk starts from, with their keys and the dependency
+   analysis state after the last of them.  Only [extend_spine] adds
+   units, and it extends the analysis with the same units, so the two
+   cannot disagree. *)
+type spine = {
+  sp_units : checked list;  (** in declaration order *)
+  sp_keys : string array;
+  sp_pkeys : string array;
+  sp_graph : Declgraph.t;
+}
+
+let empty_spine (env : Env.t) =
+  {
+    sp_units = [];
+    sp_keys = [||];
+    sp_pkeys = [||];
+    sp_graph =
+      Declgraph.empty ~global:(env.Env.resolution = Resolution.Global);
+  }
+
+let extend_spine sp units =
+  let field f = Array.of_list (List.map f units) in
+  let graph, _ = Declgraph.extend sp.sp_graph (field (fun u -> u.ck_info)) in
+  {
+    sp_units = sp.sp_units @ units;
+    sp_keys = Array.append sp.sp_keys (field (fun u -> u.ck_key));
+    sp_pkeys = Array.append sp.sp_pkeys (field (fun u -> u.ck_pkey));
+    sp_graph = graph;
+  }
+
+let spine_units sp = sp.sp_units
+
+let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
+    ast : walk_result =
   let decls, residual = split_spine ast in
-  let n_spine = List.length spine in
-  let infos =
-    Array.of_list
-      (List.map (fun u -> u.ck_info) spine
-      @ List.map Declgraph.info_of_decl decls)
-  in
-  let global = env0.Env.resolution = Resolution.Global in
-  let deps = Declgraph.build ~global infos in
+  if
+    Declgraph.global spine.sp_graph
+    <> (env0.Env.resolution = Resolution.Global)
+  then Diag.ice "Unit.walk: spine analysed under another resolution mode";
+  (* Only this program's declarations are analysed; the spine's state
+     stands for everything before them.  Edges are spine indices:
+     below [n_spine] they name spine units, above it this walk's. *)
+  let infos = Array.of_list (List.map Declgraph.info_of_decl decls) in
+  let _, deps = Declgraph.extend spine.sp_graph infos in
+  let n_spine = Array.length spine.sp_keys in
   let keys = Array.make (Array.length infos) "" in
   let pkeys = Array.make (Array.length infos) "" in
-  List.iteri
-    (fun i u ->
-      keys.(i) <- u.ck_key;
-      pkeys.(i) <- u.ck_pkey)
-    spine;
+  let dep_key j =
+    if j < n_spine then spine.sp_keys.(j) else keys.(j - n_spine)
+  in
+  let dep_pkey j =
+    if j < n_spine then spine.sp_pkeys.(j) else pkeys.(j - n_spine)
+  in
   let env = ref env0 in
   let key_bytes = Buffer.create 512 in
   (* The memory key is the pkey scoped by the environment family, which
@@ -416,22 +451,19 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source
   in
   List.iteri
     (fun i decl ->
-      let k = n_spine + i in
       let gensym_start = Gensym.mark !env.Env.gensym in
       let pkey =
         if !failed then ""
         else
           pkey_of key_bytes ~env:!env ~gensym_start ~source decl
-            ~dep_pkeys:(List.map (fun j -> pkeys.(j)) deps.(k))
+            ~dep_pkeys:(List.map dep_pkey deps.(i))
       in
       let key = if !failed then "" else pkey ^ family in
-      keys.(k) <- key;
-      pkeys.(k) <- pkey;
+      keys.(i) <- key;
+      pkeys.(i) <- pkey;
       match
         if !failed then None
-        else
-          find cache ~key ~pkey
-            ~dep_keys:(List.map (fun j -> keys.(j)) deps.(k))
+        else find cache ~key ~pkey ~dep_keys:(List.map dep_key deps.(i))
       with
       | Some u ->
           (* replay: re-extend the environment, fast-forward the
@@ -477,8 +509,8 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source
                 {
                   ck_key = key;
                   ck_pkey = pkey;
-                  ck_deps = List.map (fun j -> keys.(j)) deps.(k);
-                  ck_info = infos.(k);
+                  ck_deps = List.map dep_key deps.(i);
+                  ck_info = infos.(i);
                   ck_extend = extend;
                   ck_wrap = wrap;
                   ck_gensym_end = Gensym.mark env'.Env.gensym;

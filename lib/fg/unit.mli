@@ -113,13 +113,32 @@ type walk_result = {
   w_poisoned : Sset.t;  (** recovery: names whose declarations failed *)
 }
 
+(** The checked units a walk starts from (a session's prelude and
+    every {!Session.extend} after it), their keys, and the dependency
+    analysis state ({!Declgraph.t}) after the last of them, so a walk
+    analyses only its own program's declarations. *)
+type spine
+
+(** No units, analysed under [env]'s resolution mode. *)
+val empty_spine : Env.t -> spine
+
+(** [extend_spine sp units] — [sp] followed by [units] (in declaration
+    order), with the analysis extended by the same units.  The only
+    way to add units to a spine, so its units and its analysis always
+    agree. *)
+val extend_spine : spine -> checked list -> spine
+
+(** The spine's units, in declaration order. *)
+val spine_units : spine -> checked list
+
 (** [walk cache ~source ~spine env ast] checks [ast]'s declaration
     spine through [cache].  [source] is the text [ast] was parsed from:
     each declaration is keyed by the bytes under its span, its file and
     the line/col of the span's ends.  [spine] holds the
     already-checked units the session's history put in scope of [env]
     (their keys seed the dependency chain; their declarations are NOT
-    re-walked).  Without
+    re-walked or re-analysed); it must have been built under [env]'s
+    resolution mode.  Without
     [?recover], the first failing declaration raises [Diag.Error].
     With [?recover:engine], a failing declaration is reported to
     [engine] (cascade-suppressed via [?poisoned], see
@@ -134,7 +153,7 @@ val walk :
   ?poisoned:Sset.t ->
   cache ->
   source:string ->
-  spine:checked list ->
+  spine:spine ->
   Env.t ->
   exp ->
   walk_result

@@ -202,11 +202,7 @@ let check_doc t doc =
   doc.d_payload <-
     Json.to_string
       (C.Jsonview.json_of_run_report ~file:doc.d_name ir.C.Session.ix_report);
-  (let engine = Diag.engine () in
-   let ast, _dropped =
-     C.Parser.exp_of_string_recovering ~engine ~file:doc.d_name doc.d_text
-   in
-   doc.d_ast <- ast);
+  doc.d_ast <- ir.C.Session.ix_ast;
   (* Declaration extents: a declaration node spans its own syntax
      (header through the trailing "in"), never the body that follows
      it, so [start, end) of its span is exactly its unit's extent. *)

@@ -35,6 +35,7 @@ let () =
       ("matrix-library", Test_matrix.suite);
       ("diagnostics", Test_diagnostics.suite);
       ("recovery", Test_recovery.suite);
+      ("declgraph", Test_declgraph.suite);
       ("session", Test_session.suite);
       ("diskcache", Test_diskcache.suite);
       ("cli", Test_cli.suite);

@@ -366,6 +366,46 @@ let test_backoff () =
   (* distinct seeds diverge (the jitter is real) *)
   Alcotest.(check bool) "different seeds differ" true (collect 1 12 <> a)
 
+(* A request's own profile only steers the guided backend's stencils;
+   it must not key a new warm session.  Twenty guided requests, each
+   with its own profile, build the prelude at most once on one handler,
+   and each answer is the bytes a fresh handler gives the same request
+   (the profiles alternate between marking the program's instantiation
+   hot and not, so a handler that ignored a request's profile would
+   answer differently). *)
+let test_profiles_share_session () =
+  let open Fg_util in
+  let source = "accumulate[int](cons[int](1, cons[int](2, nil[int])))" in
+  let request i =
+    let hot = if i mod 2 = 0 then "accumulate[int]" else "count[int]" in
+    let profile =
+      { Profile.empty with p_programs = i; p_instantiations = [ (hot, 5) ] }
+    in
+    Protocol.request ~id:i ~file:"t.fg" ~source ~prelude:true
+      ~backend:Fg_core.Backend.Guided ~profile Protocol.Run
+  in
+  let fresh =
+    List.init 20 (fun i -> Handler.handle_safe (Handler.create ()) (request i))
+  in
+  let handler = Handler.create () in
+  let before = Telemetry.snapshot () in
+  let served = List.init 20 (fun i -> Handler.handle_safe handler (request i)) in
+  let builds = (Telemetry.diff (Telemetry.snapshot ()) before).prelude_builds in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one prelude build (got %d)" builds)
+    true (builds <= 1);
+  List.iteri
+    (fun i ((st, payload), (st', payload')) ->
+      Alcotest.(check string)
+        (Printf.sprintf "request %d status" i)
+        (Protocol.status_name st) (Protocol.status_name st');
+      Alcotest.(check string)
+        (Printf.sprintf "request %d payload" i)
+        payload payload')
+    (List.combine fresh served);
+  Alcotest.(check bool) "the profiles steer the answers" true
+    (snd (List.nth served 0) <> snd (List.nth served 1))
+
 let suite =
   [
     Alcotest.test_case "single requests" `Quick test_single_requests;
@@ -377,6 +417,8 @@ let suite =
     Alcotest.test_case "workspace document kinds" `Quick
       test_workspace_kinds;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_drain;
+    Alcotest.test_case "profiles share a warm session" `Quick
+      test_profiles_share_session;
     Alcotest.test_case "batch byte-identical to one-shot" `Slow
       test_batch_byte_identical;
     Alcotest.test_case "sustained 1000-request batch" `Slow

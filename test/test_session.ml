@@ -1,16 +1,18 @@
 (* The session driver: a cached prelude must be observationally
-   invisible — programs served by a session are identical to standalone
-   pipeline runs — while the caches (prelude, compilation units, model
-   resolution) actually amortize, batches are deterministic across
-   domain counts, and extension leaves the original session intact. *)
+   invisible — programs served by a prelude session are identical to
+   the prelude-wrapped programs run on a fresh session — while the
+   caches (prelude, compilation units, model resolution) actually
+   amortize, batches are deterministic across domain counts, and
+   extension leaves the original session intact. *)
 
 open Fg_core
 
 let l = Prelude.int_list
 
-(* Translations from a session and from a one-shot pipeline differ only
-   in source locations (a session program starts at line 1; a wrapped
-   one sits below the prelude text), so compare their printed forms. *)
+(* Translations from a prelude session and from a fresh session running
+   the wrapped program differ only in source locations (a session
+   program starts at line 1; a wrapped one sits below the prelude
+   text), so compare their printed forms. *)
 let f_exp_str (f : Fg_systemf.Ast.exp) = Fg_systemf.Pretty.exp_to_string f
 
 let check_outcome_equal what (a : Session.outcome) (b : Session.outcome) =
@@ -29,7 +31,7 @@ let check_outcome_equal what (a : Session.outcome) (b : Session.outcome) =
 (* ------------------------------------------------------------------ *)
 (* Session-reuse equivalence                                           *)
 
-let test_session_matches_pipeline () =
+let test_prelude_matches_wrapped () =
   let s = Session.of_config Session.Config.(default |> with_standard_prelude) in
   List.iter
     (fun body ->
@@ -456,8 +458,8 @@ let test_prelude_must_be_declarations () =
 
 let suite =
   [
-    Alcotest.test_case "session run = pipeline run" `Quick
-      test_session_matches_pipeline;
+    Alcotest.test_case "prelude run = wrapped run" `Quick
+      test_prelude_matches_wrapped;
     Alcotest.test_case "repeat runs identical, caches hit" `Quick
       test_repeat_runs_identical;
     Alcotest.test_case "error then recover" `Quick

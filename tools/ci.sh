@@ -129,7 +129,9 @@ echo "== incremental smoke (shared unit cache vs one-shot, byte-identity)"
 # Sweep every corpus program through one warm single-worker daemon —
 # twice, so the second pass replays cached compilation units — and
 # require each served response to be byte-identical to a one-shot
-# `fgc run --format=json` of the same file.
+# `fgc run --format=json` of the same file.  Every file is swept both
+# without the prelude and with it (-p), where the program extends the
+# warm prelude session's units and dependency analysis.
 sock=$(mktemp -u /tmp/fgc_inc_XXXXXX.sock)
 track "$sock"
 "$fgc" serve --socket "$sock" --workers 1 2>/dev/null &
@@ -140,13 +142,15 @@ for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 oneshot=$(mktemp) && cold=$(mktemp) && warm=$(mktemp)
 track "$oneshot" "$cold" "$warm"
 for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
-  "$fgc" run --format=json "$f" > "$oneshot" 2>/dev/null || true
-  "$fgc" client run "$f" --socket "$sock" > "$cold" 2>/dev/null || true
-  "$fgc" client run "$f" --socket "$sock" > "$warm" 2>/dev/null || true
-  cmp -s "$oneshot" "$cold" \
-    || { echo "incremental smoke: served differs from one-shot: $f"; exit 1; }
-  cmp -s "$cold" "$warm" \
-    || { echo "incremental smoke: warm replay differs from cold: $f"; exit 1; }
+  for p in "" -p; do
+    "$fgc" run --format=json $p "$f" > "$oneshot" 2>/dev/null || true
+    "$fgc" client run $p "$f" --socket "$sock" > "$cold" 2>/dev/null || true
+    "$fgc" client run $p "$f" --socket "$sock" > "$warm" 2>/dev/null || true
+    cmp -s "$oneshot" "$cold" \
+      || { echo "incremental smoke: served differs from one-shot: $p $f"; exit 1; }
+    cmp -s "$cold" "$warm" \
+      || { echo "incremental smoke: warm replay differs from cold: $p $f"; exit 1; }
+  done
 done
 "$fgc" client stats --socket "$sock" | grep -q '"unit_cache"' \
   || { echo "incremental smoke: stats payload missing unit_cache"; exit 1; }
