@@ -98,6 +98,10 @@ type t = {
           [extend], in declaration order — their keys seed each
           program's dependency chain, and their dependency analysis,
           done once here, is what each program's analysis extends *)
+  prefix : F.Typecheck.prefix option;
+      (** the [let]s [wrap] puts around every program's translation,
+          typechecked once in System F: each theorem re-check resumes
+          after them ([None] if they do not typecheck) *)
   created : Telemetry.snapshot;
 }
 
@@ -125,6 +129,27 @@ let check_decl_stack cache ~spine env src ~file =
         "session prelude must be a stack of declarations (found a \
          non-declaration before the end)");
   (w.Unit.w_env, w.Unit.w_wrap, w.Unit.w_units)
+
+(* The lets [wrap] puts around every program's translation, checked
+   once: the wrapper applied to a hole no FG program can name.  The
+   wrappers build each let around the right-hand side translated when
+   its declaration was checked, so every program's translation shares
+   those right-hand sides physically and its re-check resumes after
+   them.  A type alias's wrapper rebuilds everything under it (checked
+   in full every time) and draws fresh names, so the supply goes back
+   to [mark].  A prelude whose translation does not typecheck keeps
+   no prefix, and every program reports the diagnostic. *)
+let translation_prefix env ~mark wrap =
+  let hole = "<hole>" in
+  let prefix =
+    Diag.protect (fun () ->
+        let _, _, f =
+          wrap (Ast.TBase Ast.TUnit, Ast.var hole, F.Ast.var hole)
+        in
+        F.Typecheck.check_prefix ~hole f)
+  in
+  Gensym.restore env.Env.gensym mark;
+  Result.to_option prefix
 
 let of_config ?cache (cfg : Config.t) : t =
   let env0 =
@@ -158,14 +183,17 @@ let of_config ?cache (cfg : Config.t) : t =
         in
         (env, wrap, Unit.extend_spine spine0 units)
   in
+  let mark = Gensym.mark env.Env.gensym in
+  let prefix = translation_prefix env ~mark wrap in
   {
     cfg;
     env;
     wrap;
-    mark = Gensym.mark env.Env.gensym;
+    mark;
     globals_mark = !(env.Env.global_models);
     cache;
     spine;
+    prefix;
     created = Telemetry.snapshot ();
   }
 
@@ -236,6 +264,9 @@ let extend t decls =
     List.map (fun (u : Unit.checked) -> u.Unit.ck_key) (Unit.spine_units spine)
   in
   ignore (Unit.invalidate t.cache ~protect ~seeds);
+  let wrap res = t.wrap (wrap' res) in
+  let mark = Gensym.mark env'.Env.gensym in
+  let prefix = translation_prefix env' ~mark wrap in
   {
     t with
     cfg =
@@ -247,10 +278,11 @@ let extend t decls =
                t.cfg.Config.prelude);
       };
     env = env';
-    wrap = (fun res -> t.wrap (wrap' res));
-    mark = Gensym.mark env'.Env.gensym;
+    wrap;
+    mark;
     globals_mark = !(env'.Env.global_models);
     spine;
+    prefix;
   }
 
 let extend_result t decls = Diag.protect (fun () -> extend t decls)
@@ -299,7 +331,7 @@ let translate ?file t source =
 let verify ?file t source =
   let triple = elaborate ?file t source in
   Telemetry.time Telemetry.Verify (fun () ->
-      Theorems.report_of_elaboration triple)
+      Theorems.report_of_elaboration ?prefix:t.prefix triple)
 
 let interpret ?file ?fuel t source =
   let _, elaborated, _ = elaborate ?file t source in
@@ -361,12 +393,14 @@ let specialized ?fuel ?profile ~backend ~direct ~translated_steps
       end
 
 (* Back half of the full pipeline, shared by [run] and [run_full]:
-   theorem check, both evaluations, agreement, and — off the Dict
-   backend — specialization plus its oracle. *)
-let complete ?fuel ?profile ~backend ~source ~ast triple : outcome =
+   theorem check (resumed after the session's checked prefix), both
+   evaluations, agreement, and — off the Dict backend — specialization
+   plus its oracle. *)
+let complete ?fuel t ~source ~ast triple : outcome =
+  let backend = t.cfg.Config.backend and profile = t.cfg.Config.profile in
   let report =
     Telemetry.time Telemetry.Verify (fun () ->
-        Theorems.report_of_elaboration triple)
+        Theorems.report_of_elaboration ?prefix:t.prefix triple)
   in
   (* Workload profiling: census the translation's ground instantiation
      sites (any backend, dict included — profiles recorded on the
@@ -404,8 +438,7 @@ let complete ?fuel ?profile ~backend ~source ~ast triple : outcome =
 
 let run ?file ?fuel t source : outcome =
   let ast, triple = check_source ?file t source in
-  complete ?fuel ?profile:t.cfg.Config.profile ~backend:t.cfg.Config.backend
-    ~source ~ast triple
+  complete ?fuel t ~source ~ast triple
 
 let run_result ?file ?fuel t source =
   Diag.protect (fun () -> run ?file ?fuel t source)
@@ -454,9 +487,7 @@ let run_full_impl ~file ?fuel t source =
       let outcome =
         match triple with
         | Some triple when not (Diag.has_errors engine) ->
-            Diag.capture engine (fun () ->
-                complete ?fuel ?profile:t.cfg.Config.profile
-                  ~backend:t.cfg.Config.backend ~source ~ast triple)
+            Diag.capture engine (fun () -> complete ?fuel t ~source ~ast triple)
         | _ -> None
       in
       ({ outcome; diagnostics = Diag.diagnostics engine }, ast, w.Unit.w_decls))

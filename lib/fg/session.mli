@@ -14,6 +14,8 @@
       keyed on (concept, argument types, scope generation), so the
       prelude-scope resolutions one program performs are free for the
       next;
+    - the prelude's System F translation, {b typechecked once}: each
+      program's theorem re-check resumes after it;
     - {b telemetry} ({!Fg_util.Telemetry}): per-phase wall time and
       cache counters, reported by [fgc --stats].
 
@@ -207,7 +209,10 @@ val translate : ?file:string -> t -> string -> F.Ast.exp
 (** Elaborate only: (type, elaborated program, translation). *)
 val elaborate : ?file:string -> t -> string -> Ast.ty * Ast.exp * F.Ast.exp
 
-(** Theorem check (Theorems 1/2) without evaluation. *)
+(** Theorem check (Theorems 1/2) without evaluation.  Like the check in
+    {!run}, the System F re-check resumes after the session's prelude
+    translation, which was typechecked once when the session was
+    built; the result is the full check's. *)
 val verify : ?file:string -> t -> string -> Theorems.report
 
 (** Direct interpretation only (of the elaborated program). *)

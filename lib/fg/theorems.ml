@@ -37,10 +37,12 @@ type report = {
     translation in System F and compare its type (up to alpha) against
     the translation of the FG type.  Factored out so drivers that
     obtained the elaboration some other way — a {!Session} checking
-    against a cached prelude — run exactly the same verification. *)
-let report_of_elaboration ((fg_ty, elaborated, f_exp) : Ast.ty * Ast.exp * F.Ast.exp)
-    : report =
-  let f_ty = F.Typecheck.typecheck f_exp in
+    against a cached prelude — run exactly the same verification.  A
+    session passes the [prefix] its prelude's translation was checked
+    as, so the re-check resumes after the prelude's [let]s. *)
+let report_of_elaboration ?prefix
+    ((fg_ty, elaborated, f_exp) : Ast.ty * Ast.exp * F.Ast.exp) : report =
+  let f_ty = F.Typecheck.typecheck ?prefix f_exp in
   let expected_f_ty = Types.translate_ty (Env.create ()) fg_ty in
   if not (F.Ast.alpha_equal f_ty expected_f_ty) then
     Diag.error Diag.Translate

@@ -22,8 +22,14 @@ val check_translation : ?resolution:Resolution.mode -> Ast.exp -> report
 
 (** The same verification on an elaboration produced elsewhere (e.g. by
     a {!Session} with a cached prelude): the [(τ, elaborated, f)]
-    triple from {!Check.check}/{!Check.elaborate}. *)
-val report_of_elaboration : Ast.ty * Ast.exp * Fg_systemf.Ast.exp -> report
+    triple from {!Check.check}/{!Check.elaborate}.  [prefix] is the
+    already-checked translation of the prelude [f] was wrapped in; the
+    System F re-check resumes after it (see
+    {!Fg_systemf.Typecheck.typecheck}), with the same result as the
+    full re-check. *)
+val report_of_elaboration :
+  ?prefix:Fg_systemf.Typecheck.prefix ->
+  Ast.ty * Ast.exp * Fg_systemf.Ast.exp -> report
 
 val check_translation_result :
   ?resolution:Resolution.mode -> Ast.exp ->

@@ -475,6 +475,9 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
       | None -> (
           let diag_cell = !env.Env.diag in
           let outer = !diag_cell in
+          (* read before the check: a Global-mode model declaration
+             pushes its overlap entry while it is checked *)
+          let globals_before = !(!env.Env.global_models) in
           let capture = Diag.engine () in
           diag_cell := capture;
           let finish () =
@@ -502,7 +505,6 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
               ignore (finish ());
               Diag.ice "Unit.walk: split_spine produced a non-declaration"
           | Some (extend, _body, wrap) ->
-              let globals_before = !(!env.Env.global_models) in
               let env' = extend !env in
               let warnings = finish () in
               let u =

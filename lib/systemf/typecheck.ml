@@ -122,5 +122,35 @@ let rec typeof (env : env) (e : exp) : ty =
         type_mismatch ~loc ~expected:tt ~got:tf "else branch";
       tt
 
-(** Check a closed program. *)
-let typecheck e = typeof empty_env e
+(* A checked [let] prefix: the binders and right-hand sides of a
+   term's leading [let]s, each paired with the environment after it.
+   [typeof] is a pure function of environment and term, so a later
+   term that starts with the same binders bound to the very same
+   (physically identical) right-hand sides reaches each of those
+   environments unchanged, and its check can resume after them.  A
+   right-hand side that was rebuilt, even into an equal term, stops
+   the resume: from there on the term is checked in full. *)
+type prefix = (string * exp * env) list
+
+let check_prefix ~hole e =
+  let rec go env acc e =
+    match e.desc with
+    | Let (x, rhs, body) ->
+        let env = bind_var env x (typeof env rhs) in
+        go env ((x, rhs, env) :: acc) body
+    | Var y when String.equal y hole -> List.rev acc
+    | _ -> invalid_arg "Typecheck.check_prefix: the lets do not end at the hole"
+  in
+  go empty_env [] e
+
+(** Check a closed program, resuming after the part of [prefix] it
+    starts with. *)
+let typecheck ?(prefix = []) e =
+  let rec resume env prefix e =
+    match (prefix, e.desc) with
+    | (x, rhs, env') :: rest, Let (y, rhs', body)
+      when rhs == rhs' && String.equal x y ->
+        resume env' rest body
+    | _ -> typeof env e
+  in
+  resume empty_env prefix e

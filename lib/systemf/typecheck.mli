@@ -19,5 +19,22 @@ val check_ty : ?loc:Fg_util.Loc.t -> env -> ty -> unit
 (** The typing judgment. *)
 val typeof : env -> exp -> ty
 
-(** Check a closed program. *)
-val typecheck : exp -> ty
+(** The leading [let]s of a closed term, checked once: each binder and
+    right-hand side with the environment after it. *)
+type prefix
+
+(** [check_prefix ~hole e] checks the leading [let]s of [e], which
+    must end at the variable [hole] (a name the checked terms never
+    bind, so it stands for whatever body a later term has).  Raises the
+    diagnostic of the first ill-typed right-hand side, and
+    [Invalid_argument] if the [let]s end anywhere but at [hole]. *)
+val check_prefix : hole:string -> exp -> prefix
+
+(** Check a closed program.  With [prefix], each leading [let] of the
+    program that has the prefix's next binder and a physically
+    identical ([==]) right-hand side is skipped, its environment taken
+    from the prefix; the rest is checked by {!typeof} as usual.  The
+    type and any diagnostic are the ones the full check gives, because
+    every skipped [let] would have been checked under the same
+    environment. *)
+val typecheck : ?prefix:prefix -> exp -> ty

@@ -418,6 +418,40 @@ let test_repl_redefinition_invalidates () =
   Alcotest.(check bool) "old session still 1" true
     (o1'.value = Interp.FlInt 1)
 
+let test_global_overlap_replayed () =
+  (* Under Global resolution a checked model records its overlap entry;
+     a replayed unit must record it again, or a later overlapping model
+     passes on a warm run that failed cold.  Both a program's own
+     models and the prelude's (replayed into a second session over the
+     same cache) count. *)
+  let cache = Unit.create_cache () in
+  let global () =
+    Session.of_config ~cache
+      {
+        (Session.Config.with_standard_prelude Session.Config.default) with
+        resolution = Resolution.Global;
+      }
+  in
+  let code s src =
+    match Session.run_result ~file:"g" s src with
+    | Ok _ -> "ok"
+    | Error d -> d.Fg_util.Diag.code
+  in
+  let own =
+    "concept N<t> { m : t; } in model N<int> { m = 1; } in\n\
+     model N<int> { m = 2; } in N<int>.m"
+  and prelude_overlap =
+    "model Monoid<int> { binary_op = fun (a : int, b : int) => a; \
+     identity_elt = 0; } in 1"
+  in
+  let s = global () in
+  Alcotest.(check string) "own models, cold" "FG0404" (code s own);
+  Alcotest.(check string) "own models, replayed" "FG0404" (code s own);
+  Alcotest.(check string) "prelude model, first session" "FG0404"
+    (code s prelude_overlap);
+  Alcotest.(check string) "prelude model, replayed prelude" "FG0404"
+    (code (global ()) prelude_overlap)
+
 let test_unit_cache_eviction () =
   (* A deliberately tiny cache must stay within its bound and evict. *)
   let s =
@@ -487,6 +521,8 @@ let suite =
       test_warnings_replayed_once;
     Alcotest.test_case "REPL redefinition invalidates" `Quick
       test_repl_redefinition_invalidates;
+    Alcotest.test_case "Global overlaps survive replay" `Quick
+      test_global_overlap_replayed;
     Alcotest.test_case "tiny unit cache evicts, stays correct" `Quick
       test_unit_cache_eviction;
     Alcotest.test_case "stats observable" `Quick test_stats;

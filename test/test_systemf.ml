@@ -170,6 +170,34 @@ let test_typecheck_errors () =
   check_fails "tfun a a => 1" "duplicate type parameter";
   check_fails "unknown_prim_xyz" "unbound variable"
 
+(* A checked prefix [let x = 1 in let y = 2 in <hole>] is reused only
+   for leading lets whose right-hand sides are the prefix's own nodes:
+   a rebuilt right-hand side is checked, and so is everything after
+   it. *)
+let test_prefix_resume () =
+  let one = A.int 1 and two = A.int 2 in
+  let prefix =
+    Typecheck.check_prefix ~hole:"<hole>"
+      (A.let_ "x" one (A.let_ "y" two (A.var "<hole>")))
+  in
+  (match
+     Fg_util.Diag.protect (fun () ->
+         Typecheck.typecheck ~prefix
+           (A.let_ "x" one (A.let_ "y" (parse "iadd(true, 1)") (A.var "y"))))
+   with
+  | Ok t ->
+      Alcotest.failf "ill-typed second let accepted at %s"
+        (Pretty.ty_to_string t)
+  | Error d -> Alcotest.(check string) "second let re-checked" "FG0301" d.code);
+  (* [x] is now a bool: a stale prefix would still bind it at int and
+     reject [if x]. *)
+  let t =
+    Typecheck.typecheck ~prefix
+      (A.let_ "x" (A.bool true)
+         (A.let_ "y" two (A.if_ (A.var "x") (A.var "y") (A.int 0))))
+  in
+  Alcotest.(check string) "first let re-checked" "int" (Pretty.ty_to_string t)
+
 let test_alpha_equal () =
   let t1 = parse_ty "forall a. fn(a) -> a" in
   let t2 = parse_ty "forall b. fn(b) -> b" in
@@ -301,6 +329,8 @@ let suite =
     Alcotest.test_case "typecheck polymorphism" `Quick
       test_typecheck_polymorphism;
     Alcotest.test_case "typecheck errors" `Quick test_typecheck_errors;
+    Alcotest.test_case "resumed prefix re-checks rebuilt lets" `Quick
+      test_prefix_resume;
     Alcotest.test_case "alpha equivalence" `Quick test_alpha_equal;
     Alcotest.test_case "capture-avoiding subst" `Quick test_subst_capture;
     Alcotest.test_case "eval basics" `Quick test_eval_basics;

@@ -84,6 +84,82 @@ let test_theorem_on_prelude_algorithms () =
       Printf.sprintf "sum_container[list int](%s)" (l [ 1; 2 ]);
     ]
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* A session typechecks its prelude's System F translation once, and
+   each theorem re-check resumes after it ([Session.verify] passes the
+   session's checked prefix).  On every program the resumed check must
+   agree with the full one, [Theorems.report_of_elaboration] with no
+   prefix: the same System F type up to alpha, or the same diagnostic.
+   The extended session ends in a type alias, whose wrapper rebuilds
+   the translation under it, so there the resume must stop early. *)
+let test_resumed_equals_full () =
+  let files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".fg")
+    |> List.sort String.compare
+    |> List.map (fun f ->
+           let path = Filename.concat dir f in
+           (path, read_file path))
+  in
+  let programs =
+    List.concat_map files
+      [ "../programs"; "../programs/errors"; "../programs/fuzz_regressions" ]
+    @ List.init 300 (fun seed ->
+          ( Printf.sprintf "Gen seed %d" seed,
+            Pretty.exp_to_string (Gen.program_of_seed seed) ))
+  in
+  let prelude resolution =
+    Session.of_config
+      { (Session.Config.with_standard_prelude Session.Config.default) with
+        resolution }
+  in
+  let sessions =
+    [
+      ("lexical prelude", prelude Resolution.Lexical);
+      ("global prelude", prelude Resolution.Global);
+      ( "prelude + alias",
+        Session.extend
+          (prelude Resolution.Lexical)
+          "type myint = int in let idt = fun (x : myint) => x in" );
+    ]
+  in
+  List.iter
+    (fun (sname, s) ->
+      let checked = ref 0 in
+      List.iter
+        (fun (file, src) ->
+          let resumed =
+            Fg_util.Diag.protect (fun () -> Session.verify ~file s src)
+          and full =
+            Fg_util.Diag.protect (fun () ->
+                Theorems.report_of_elaboration (Session.elaborate ~file s src))
+          in
+          match (resumed, full) with
+          | Ok r, Ok f ->
+              incr checked;
+              if not (Fg_systemf.Ast.alpha_equal r.f_ty f.f_ty) then
+                Alcotest.failf "%s, %s: resumed type %s, full type %s" sname
+                  file
+                  (Fg_systemf.Pretty.ty_to_string r.f_ty)
+                  (Fg_systemf.Pretty.ty_to_string f.f_ty)
+          | Error r, Error f ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s: diagnostic" sname file)
+                (Fg_util.Diag.to_string f) (Fg_util.Diag.to_string r)
+          | Ok _, Error d | Error d, Ok _ ->
+              Alcotest.failf "%s, %s: only one check failed: %s" sname file
+                (Fg_util.Diag.to_string d))
+        programs;
+      if !checked < 300 then
+        Alcotest.failf "%s: only %d of %d programs reached the re-check" sname
+          !checked (List.length programs))
+    sessions
+
 (* The centerpiece property tests: on randomly generated well-typed
    programs, (1) checking succeeds, (2) the translation re-checks in
    System F at the translated type, (3) both semantics agree. *)
@@ -158,6 +234,7 @@ let suite =
       test_theorem_report_fields;
     Alcotest.test_case "theorem on prelude algorithms" `Quick
       test_theorem_on_prelude_algorithms;
+    Alcotest.test_case "resumed = full" `Quick test_resumed_equals_full;
     QCheck_alcotest.to_alcotest prop_translation_preserves_typing;
     QCheck_alcotest.to_alcotest prop_semantic_agreement;
     QCheck_alcotest.to_alcotest prop_generated_programs_reparse;
