@@ -760,32 +760,9 @@ let host_arg =
 let address_of ~socket ~port ~host =
   match port with Some p -> `Tcp (host, p) | None -> `Unix socket
 
-(* A peer spec is "unix:PATH" or "HOST:PORT"; the spec string itself is
-   the peer's ring name, so every farm member that lists the same specs
-   agrees on key placement. *)
-let parse_peer spec : string * Protocol.address =
-  let bad () =
-    Diag.config_error ~code:"FG1002"
-      "bad --cache-peer %S (want unix:PATH or HOST:PORT)" spec
-  in
-  match String.index_opt spec ':' with
-  | None -> bad ()
-  | Some i when String.sub spec 0 i = "unix" ->
-      let path = String.sub spec 5 (String.length spec - 5) in
-      if path = "" then bad () else (spec, `Unix path)
-  | Some _ -> (
-      let i = String.rindex spec ':' in
-      let host = String.sub spec 0 i in
-      match int_of_string_opt (String.sub spec (i + 1)
-                                 (String.length spec - i - 1)) with
-      | Some port when host <> "" && port > 0 && port < 65536 ->
-          (spec, `Tcp (host, port))
-      | _ -> bad ())
-
 let serve_cmd =
   let run socket port host workers max_queue timeout_ms max_frame fuel
-      backend cache_dir cache_max_bytes cache_peers profile profile_out
-      verbose =
+      cache_dir cache_max_bytes profile profile_out verbose =
     handle_code (fun () ->
         let address = address_of ~socket ~port ~host in
         let base = Server.default_config address in
@@ -798,10 +775,8 @@ let serve_cmd =
             request_timeout_ms = timeout_ms;
             max_frame;
             fuel = (if fuel = 0 then None else Some fuel);
-            default_backend = C.Backend.of_string_exn backend;
             cache_dir;
             cache_max_bytes;
-            cache_peers = List.map parse_peer cache_peers;
             profile = Option.map Profile.load profile;
             profile_out;
             log = verbose;
@@ -853,15 +828,6 @@ let serve_cmd =
              ~doc:"Evaluator step bound per served run (0 = unbounded), \
                    so divergent programs cannot pin a worker.")
   in
-  let cache_peers =
-    Arg.(value & opt_all string []
-         & info [ "cache-peer" ] ~docv:"ADDR"
-             ~doc:"Another daemon whose unit store backs this one's \
-                   cache: $(b,unix:PATH) or $(b,HOST:PORT), repeatable.  \
-                   Workers consult peers on a local miss and populate \
-                   them on fresh checks; a peer that stops answering \
-                   degrades silently to local compilation.")
-  in
   let verbose =
     Arg.(value & flag
          & info [ "verbose" ] ~doc:"Log lifecycle events on stderr.")
@@ -872,13 +838,11 @@ let serve_cmd =
          "Run the compiler as a persistent daemon: a bounded request \
           queue fans out to worker domains with cached preludes; the \
           length-prefixed JSON protocol serves check/run/translate/\
-          fuzz_one/stats/shutdown — plus cache_get/cache_put for the \
-          peer cache tier — with deadlines, backpressure and \
+          fuzz_one/stats/shutdown with deadlines, backpressure and \
           graceful drain (see docs/SERVER.md)")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ max_queue
-          $ timeout_ms $ max_frame $ fuel $ backend_arg $ cache_dir_arg
-          $ cache_max_bytes_arg $ cache_peers $ profile_arg
-          $ profile_out_arg $ verbose)
+          $ timeout_ms $ max_frame $ fuel $ cache_dir_arg
+          $ cache_max_bytes_arg $ profile_arg $ profile_out_arg $ verbose)
 
 (* ---------------------------------------------------------------- *)
 (* client                                                            *)
@@ -931,11 +895,16 @@ let run_probe address =
   in
   expect_status "post-garbage-run" r Protocol.Ok_ "\"value\": 2";
   Client.close c;
-  (* 2. Version mismatch. *)
+  (* 2. Version mismatch, above and below the one version spoken. *)
   let c = Client.connect address in
-  Client.send_raw_frame c "{\"v\": 999, \"id\": 1, \"kind\": \"run\"}";
-  expect_status "version-mismatch" (Client.read_response c)
-    Protocol.Protocol_error "FG0804";
+  List.iter
+    (fun v ->
+      Client.send_raw_frame c
+        (Printf.sprintf "{\"v\": %d, \"id\": 1, \"kind\": \"run\"}" v);
+      expect_status
+        (Printf.sprintf "version-mismatch (v%d)" v)
+        (Client.read_response c) Protocol.Protocol_error "FG0804")
+    [ 999; Protocol.version - 1 ];
   Client.close c;
   (* 3. Oversized length prefix: bounded-allocation reject + close. *)
   let c = Client.connect address in

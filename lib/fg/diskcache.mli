@@ -67,8 +67,7 @@ val elf_build_id : string -> string option
 
 (** [encode_blob body] / [decode_blob s] — the stamped on-disk framing
     ([decode_blob] returns [None] unless the stamp matches this build
-    and the body digest checks out).  Exposed for the peer tier and
-    tests. *)
+    and the body digest checks out).  Exposed for tests. *)
 val encode_blob : string -> string
 
 val decode_blob : string -> string option

@@ -73,6 +73,3 @@ val default_fuel : int
 val run_program : ?fuel:int -> exp -> value * int
 
 val run_value : ?fuel:int -> exp -> value
-
-val run_result :
-  ?fuel:int -> exp -> (value * int, Fg_util.Diag.diagnostic) result

@@ -333,10 +333,6 @@ let verify ?file t source =
   Telemetry.time Telemetry.Verify (fun () ->
       Theorems.report_of_elaboration ?prefix:t.prefix triple)
 
-let interpret ?file ?fuel t source =
-  let _, elaborated, _ = elaborate ?file t source in
-  Telemetry.time Telemetry.Eval (fun () -> Interp.run_value ?fuel elaborated)
-
 (* Specializing back end: partially evaluate the translation, then
    enforce the oracle — the specialized program must re-typecheck in
    System F at a type alpha-equal to the translation's and evaluate to

@@ -215,9 +215,6 @@ val elaborate : ?file:string -> t -> string -> Ast.ty * Ast.exp * F.Ast.exp
     built; the result is the full check's. *)
 val verify : ?file:string -> t -> string -> Theorems.report
 
-(** Direct interpretation only (of the elaborated program). *)
-val interpret : ?file:string -> ?fuel:int -> t -> string -> Interp.value
-
 (** {1 Parallel batch verification} *)
 
 (** The default domain count: the runtime's recommendation, at least 1. *)

@@ -7,8 +7,8 @@
                file ‖ span line/cols ‖ decl source bytes ‖ dep pkeys)
       key  = pkey ‖ env family
 
-    The portable key (pkey) addresses the persistent tiers — disk
-    store and cache peers — which outlive any process; the memory map
+    The portable key (pkey) addresses the persistent tiers — the disk
+    store — which outlive any process; the memory map
     additionally scopes it by the process-local environment family.
 
     The content is the declaration's source text together with its
@@ -74,8 +74,8 @@ type cache = {
   tbl : (string, entry) Hashtbl.t;
   mutable tick : int;
   mutable stores : store list;
-      (** persistent tiers behind the memory map, consulted in order
-          (disk first, then peers); empty by default *)
+      (** persistent tiers behind the memory map, consulted in order;
+          empty by default *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   evictions : int Atomic.t;
@@ -213,7 +213,7 @@ let insert c (u : checked) =
     | None -> ()
     | Some blob -> List.iter (fun st -> store_put st u.ck_pkey blob) c.stores
 
-(* memory → disk → peer.  A deeper hit is written back into the tiers
+(* memory → stores in order.  A deeper hit is written back into the tiers
    that missed (so the next cold process finds it locally) and promoted
    into the memory map under the current family-scoped key. *)
 let find c ~key ~pkey ~dep_keys =

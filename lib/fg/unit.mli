@@ -34,7 +34,7 @@ type checked = {
   ck_key : string;  (** memory-tier key: the family-scoped {!ck_pkey} *)
   ck_pkey : string;
       (** portable key — family-free, so it addresses the persistent
-          tiers (disk store, cache peers), which outlive any process *)
+          tiers (the disk store), which outlive any process *)
   ck_deps : string list;
   ck_info : Declgraph.info;
   ck_extend : Env.t -> Env.t;
@@ -55,10 +55,10 @@ val create_cache : ?capacity:int -> unit -> cache
     keys; values are opaque marshalled-unit blobs.  Lookups go memory →
     stores in list order; a deeper hit is written back into the tiers
     that missed, a fresh check is written through to every tier, and a
-    store that throws is treated as a miss (peer failures degrade
-    silently to local compilation).  Blobs only decode in the compiler
-    build that produced them — a mismatched or corrupt blob counts as a
-    corrupt entry and reads as a miss. *)
+    store that throws is treated as a miss on lookup and skipped on
+    write-through, so the unit is compiled locally.  Blobs only decode
+    in the compiler build that produced them — a mismatched or corrupt
+    blob counts as a corrupt entry and reads as a miss. *)
 type store = {
   st_name : string;
   st_get : string -> string option;

@@ -38,8 +38,8 @@ let connect ?max_frame ?rcv_timeout (addr : Protocol.address) =
              (Unix.error_message e));
         fd
   in
-  (* A bounded receive wait turns a hung peer into a Unix error the
-     caller can degrade on, instead of a stuck worker. *)
+  (* A bounded receive wait turns a hung server into a Unix error the
+     caller can report, instead of a stuck caller. *)
   (match rcv_timeout with
   | None -> ()
   | Some s -> (
@@ -199,37 +199,6 @@ let run_file c ?timeout_ms ?(prelude = false) ?(global_models = false)
   request c
     (Protocol.request ~id:1 ~file ~source ~prelude ~global_models
        ?timeout_ms Protocol.Run)
-
-(* ---------------------------------------------------------------- *)
-(* Cache peer tier (v3)                                              *)
-
-(* Keys and blobs are raw bytes in the compiler and hex on the wire.
-   Both calls answer the tier contract: anything unexpected — not-ok
-   status, malformed payload, undecodable hex — is simply a miss or a
-   dropped put, never an error for the caller. *)
-
-let cache_get c ~key =
-  let r =
-    request c
-      (Protocol.request ~id:1 ~key:(Strutil.hex_encode key)
-         Protocol.CacheGet)
-  in
-  if r.Protocol.r_status <> Protocol.Ok_ then None
-  else
-    match Json.of_string r.Protocol.r_payload with
-    | Error _ -> None
-    | Ok j ->
-        if Json.bool_field "found" j = Some true then
-          Option.bind (Json.str_field "data" j) Strutil.hex_decode
-        else None
-
-let cache_put c ~key ~data =
-  let r =
-    request c
-      (Protocol.request ~id:1 ~key:(Strutil.hex_encode key)
-         ~data:(Strutil.hex_encode data) Protocol.CachePut)
-  in
-  r.Protocol.r_status = Protocol.Ok_
 
 (* ---------------------------------------------------------------- *)
 (* Fleet fuzzing (v4)                                                *)

@@ -13,8 +13,7 @@ exception Client_error of string
 
 (** [rcv_timeout] (seconds) bounds every blocking read on the
     connection ([SO_RCVTIMEO]), so a hung server surfaces as a
-    {!Client_error} instead of a stuck caller — the peer cache tier
-    connects with a short one. *)
+    {!Client_error} instead of a stuck caller. *)
 val connect :
   ?max_frame:int -> ?rcv_timeout:float -> Protocol.address -> conn
 
@@ -61,16 +60,6 @@ val shutdown : conn -> Protocol.response
 val run_file :
   conn -> ?timeout_ms:int -> ?prelude:bool -> ?global_models:bool ->
   file:string -> string -> Protocol.response
-
-(** {1 Cache peer tier (protocol v3)}
-
-    [key] and the returned/offered blob are raw bytes; both are
-    hex-encoded on the wire.  Neither call raises on a cooperating
-    server: a missing entry, a cache-less peer, or a malformed payload
-    all read as [None] / [false]. *)
-
-val cache_get : conn -> key:string -> string option
-val cache_put : conn -> key:string -> data:string -> bool
 
 (** {1 Fleet fuzzing (protocol v4)} *)
 

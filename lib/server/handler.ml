@@ -23,132 +23,10 @@ type t = {
   sessions : C.Session.Table.t;
 }
 
-(* ---------------------------------------------------------------- *)
-(* The peer tier: other daemons' disk stores, reached over the wire.
-   Keys route to peers on a consistent-hash ring so a farm of workers
-   agrees on placement without coordination, and a peer that stops
-   answering is benched briefly and then re-probed — every failure
-   mode degrades to local compilation, never to an error. *)
-
-type peer = {
-  p_name : string;
-  p_addr : Protocol.address;
-  mutable p_conn : Client.conn option;
-  mutable p_down_until : float;
-      (** wall-clock deadline before which we don't re-dial *)
-}
-
-let ring_vnodes = 64
-let peer_down_secs = 5.0
-let peer_rcv_timeout = 2.0
-
-(* [ring] is every peer's virtual points sorted; a key goes to the
-   first point at or after its own digest, wrapping past the end. *)
-let ring_of peers =
-  let points =
-    List.concat
-      (List.mapi
-         (fun i p ->
-           List.init ring_vnodes (fun v ->
-               (Digest.string (Printf.sprintf "%s\x00%d" p.p_name v), i)))
-         peers)
-  in
-  Array.of_list
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) points)
-
-let route ring key =
-  let n = Array.length ring in
-  if n = 0 then None
-  else begin
-    let h = Digest.string key in
-    (* First point >= h, else wrap to the smallest point. *)
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if String.compare (fst ring.(mid)) h < 0 then lo := mid + 1
-      else hi := mid
-    done;
-    Some (snd ring.(if !lo = n then 0 else !lo))
-  end
-
-let peer_fail p =
-  (match p.p_conn with Some c -> Client.close c | None -> ());
-  p.p_conn <- None;
-  p.p_down_until <- Unix.gettimeofday () +. peer_down_secs;
-  Telemetry.record_peer_failure ()
-
-let peer_conn p =
-  match p.p_conn with
-  | Some c -> Some c
-  | None ->
-      if Unix.gettimeofday () < p.p_down_until then None
-      else (
-        match Client.connect ~rcv_timeout:peer_rcv_timeout p.p_addr with
-        | c ->
-            p.p_conn <- Some c;
-            Some c
-        | exception _ ->
-            p.p_down_until <- Unix.gettimeofday () +. peer_down_secs;
-            Telemetry.record_peer_failure ();
-            None)
-
-let peer_store peers =
-  let peers = Array.of_list peers in
-  let ring = ring_of (Array.to_list peers) in
-  let target key = Option.map (Array.get peers) (route ring key) in
-  {
-    C.Unit.st_name = "peer";
-    st_get =
-      (fun key ->
-        match target key with
-        | None -> None
-        | Some p -> (
-            match peer_conn p with
-            | None ->
-                Telemetry.record_peer_miss ();
-                None
-            | Some c -> (
-                match Client.cache_get c ~key with
-                | Some data ->
-                    Telemetry.record_peer_hit ();
-                    Some data
-                | None ->
-                    Telemetry.record_peer_miss ();
-                    None
-                | exception _ ->
-                    peer_fail p;
-                    Telemetry.record_peer_miss ();
-                    None)));
-    st_put =
-      (fun key data ->
-        match target key with
-        | None -> ()
-        | Some p -> (
-            match peer_conn p with
-            | None -> ()
-            | Some c -> (
-                try ignore (Client.cache_put c ~key ~data)
-                with _ -> peer_fail p)));
-  }
-
-let create ?fuel ?disk ?(peers = []) ?unit_cache_capacity ?profile () =
+let create ?fuel ?disk ?unit_cache_capacity ?profile () =
   let cache = C.Unit.create_cache ?capacity:unit_cache_capacity () in
-  let t = { fuel; profile; cache; sessions = C.Session.Table.create cache } in
-  let stores =
-    (match disk with None -> [] | Some d -> [ C.Unit.disk_store d ])
-    @
-    match peers with
-    | [] -> []
-    | ps ->
-        [ peer_store
-            (List.map
-               (fun (name, addr) ->
-                 { p_name = name; p_addr = addr; p_conn = None;
-                   p_down_until = 0. })
-               ps) ]
-  in
-  (match stores with [] -> () | _ -> C.Unit.set_stores t.cache stores);
-  t
+  Option.iter (fun d -> C.Unit.set_stores cache [ C.Unit.disk_store d ]) disk;
+  { fuel; profile; cache; sessions = C.Session.Table.create cache }
 
 let cache_stats t = C.Unit.stats t.cache
 
@@ -181,16 +59,15 @@ let translate_payload s ~file source =
   | Error d -> C.Jsonview.json_of_failure ~file d
 
 (* Execute one program-shaped request; Stats/Shutdown (answered by the
-   pool) and CacheGet/CachePut/FuzzBatch plus the workspace kinds
-   (answered directly by the server's reader thread) must not reach
-   here. *)
+   pool) and FuzzBatch plus the workspace kinds (answered directly by
+   the server's reader thread) must not reach here. *)
 let handle t (req : Protocol.request) : Protocol.status * string =
   let file = req.file in
   match req.kind with
-  | Protocol.Stats | Protocol.Shutdown | Protocol.CacheGet
-  | Protocol.CachePut | Protocol.FuzzBatch | Protocol.DocOpen
-  | Protocol.DocChange | Protocol.DocClose | Protocol.DocDiagnostics
-  | Protocol.Hover | Protocol.Definition | Protocol.Completion ->
+  | Protocol.Stats | Protocol.Shutdown | Protocol.FuzzBatch
+  | Protocol.DocOpen | Protocol.DocChange | Protocol.DocClose
+  | Protocol.DocDiagnostics | Protocol.Hover | Protocol.Definition
+  | Protocol.Completion ->
       Diag.ice "control request %s reached a worker handler"
         (Protocol.kind_name req.kind)
   | Protocol.FuzzOne ->

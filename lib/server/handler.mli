@@ -15,14 +15,7 @@ type t
     FG0601 fuel diagnostic instead).
 
     [disk] attaches the daemon's shared on-disk unit store behind this
-    worker's memory cache; [peers] additionally attaches the cache
-    peer tier — each [(name, address)] is another daemon whose disk
-    store is consulted over the wire ([cache_get]) and populated on
-    fresh checks ([cache_put]).  Keys route to peers on a
-    consistent-hash ring keyed by peer name, so every member of a farm
-    agrees on placement; a peer that fails is benched for a few
-    seconds and retried, and every peer failure degrades silently to
-    local compilation.
+    worker's memory cache.
 
     [unit_cache_capacity] bounds this worker's compilation-unit cache
     (absent = {!Fg_core.Unit.default_capacity}); the server supplies
@@ -31,8 +24,7 @@ type t
     [guided]-backend sessions whose request ships no profile of its
     own. *)
 val create :
-  ?fuel:int -> ?disk:Fg_core.Diskcache.t ->
-  ?peers:(string * Protocol.address) list -> ?unit_cache_capacity:int ->
+  ?fuel:int -> ?disk:Fg_core.Diskcache.t -> ?unit_cache_capacity:int ->
   ?profile:Fg_util.Profile.t -> unit -> t
 
 (** Eagerly build the standard-prelude session (workers call this at

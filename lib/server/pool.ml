@@ -40,8 +40,8 @@ type metrics = {
   started_ns : int;
   by_kind_status : Shardcounter.t array;  (** [n_kinds * n_statuses] grid *)
   by_backend : Shardcounter.t array;
-      (** requests served per translation backend, {!Fg_core.Backend.all}
-          order *)
+      (** requests that ran a translation backend, per backend, in
+          {!Fg_core.Backend.all} order *)
   queue_depth : Shardcounter.t;
   enqueued : Shardcounter.t;
   protocol_errors : Shardcounter.t;
@@ -131,7 +131,6 @@ type t = {
   fuel : int option;
   disk : Fg_core.Diskcache.t option;
       (** the daemon's shared on-disk unit store, one per server *)
-  peers : (string * Protocol.address) list;  (** the cache peer tier *)
   unit_cache_capacity : int option;
       (** per-worker unit-cache bound (auto-sized by the server) *)
   profile : Profile.t option;  (** the daemon's default workload profile *)
@@ -149,14 +148,13 @@ type t = {
       (** the [stats] payload; the server closes over its own config *)
 }
 
-let create ?fuel ?disk ?(peers = []) ?unit_cache_capacity ?profile ~capacity
+let create ?fuel ?disk ?unit_cache_capacity ?profile ~capacity
     ~stats_json () =
   let metrics = metrics () in
   {
     capacity = max 1 capacity;
     fuel;
     disk;
-    peers;
     unit_cache_capacity;
     profile;
     m = Mutex.create ();
@@ -332,6 +330,9 @@ let process t handler (job : job) =
                    [ ("ok", Json.Bool true);
                      ("draining", Json.Bool true) ]) }
       | _ ->
+          (* Only the handler runs a backend: control requests and jobs
+             that expired in the queue count against none. *)
+          record_backend t.metrics job.req.Protocol.backend;
           let status, payload = Handler.handle_safe handler job.req in
           let finished = now_ns () in
           if past_deadline job finished then
@@ -348,12 +349,11 @@ let process t handler (job : job) =
   let done_ns = now_ns () in
   Telemetry.Histogram.observe t.metrics.latency (done_ns - job.enqueued_ns);
   record_outcome t.metrics job.req.Protocol.kind resp.Protocol.r_status;
-  record_backend t.metrics job.req.Protocol.backend;
   job.respond resp
 
 let worker_loop t =
   let handler =
-    Handler.create ?fuel:t.fuel ?disk:t.disk ~peers:t.peers
+    Handler.create ?fuel:t.fuel ?disk:t.disk
       ?unit_cache_capacity:t.unit_cache_capacity ?profile:t.profile ()
   in
   Mutex.lock t.m;

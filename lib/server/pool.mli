@@ -25,10 +25,6 @@ val metrics_to_json : ?extra:(string * Json.t) list -> metrics -> Json.t
 val record_protocol_error : metrics -> unit
 val record_connection : metrics -> unit
 
-(** Count a served request against its translation backend (the
-    [stats] payload's ["backends"] object). *)
-val record_backend : metrics -> Fg_core.Backend.t -> unit
-
 (** Count a response in the kind × status grid — workers do this for
     everything they serve; the server's reader threads do it for
     responses that never reach a worker (overload, shutting-down). *)
@@ -51,15 +47,14 @@ type t
 
 (** [stats_json] renders the [stats] payload from the live metrics
     (the server adds its own config fields via [?extra]).  [disk],
-    [peers], [unit_cache_capacity] and [profile] are handed to every
-    worker's {!Handler.create}: one shared on-disk unit store, one set
-    of cache peers, one (possibly auto-sized) unit-cache bound, and
-    one default workload profile per daemon. *)
+    [unit_cache_capacity] and [profile] are handed to every worker's
+    {!Handler.create}: one shared on-disk unit store, one (possibly
+    auto-sized) unit-cache bound, and one default workload profile per
+    daemon. *)
 val create :
-  ?fuel:int -> ?disk:Fg_core.Diskcache.t ->
-  ?peers:(string * Protocol.address) list -> ?unit_cache_capacity:int ->
-  ?profile:Profile.t -> capacity:int ->
-  stats_json:(metrics -> Json.t) -> unit -> t
+  ?fuel:int -> ?disk:Fg_core.Diskcache.t -> ?unit_cache_capacity:int ->
+  ?profile:Profile.t -> capacity:int -> stats_json:(metrics -> Json.t) ->
+  unit -> t
 
 val metrics : t -> metrics
 val stats_payload : t -> string
@@ -71,7 +66,7 @@ val stats_payload : t -> string
     unit-cache counters across every worker.  All safe to read while
     workers run. *)
 
-(** Requests served per translation backend, by backend name. *)
+(** Requests that ran a translation backend, by backend name. *)
 val backend_mix : t -> Shardcounter.map
 
 (** Requests admitted per wire kind (all statuses summed), by kind

@@ -11,10 +11,8 @@
 open Fg_util
 
 (* Version 2 added the optional request field ["backend"] (absent means
-   the dictionary backend).  Version 3 added the [cache_get]/[cache_put]
-   request kinds with their ["key"]/["data"] fields (the peer tier of
-   the compilation-unit cache).  Version 4 added the [fuzz_batch] kind
-   with its ["coverage"]/["corpus"]/["have"] fields (fleet-wide merge of
+   the dictionary backend).  Version 4 added the [fuzz_batch] kind with
+   its ["coverage"]/["corpus"]/["have"] fields (fleet-wide merge of
    guided-fuzzing coverage maps and corpora).  Version 5 added the
    workspace language-service kinds — [doc_open] / [doc_change] /
    [doc_close] / [doc_diagnostics] / [hover] / [definition] /
@@ -22,15 +20,13 @@ open Fg_util
    fields ([file] doubles as the document name).  Version 6 added the
    optional request field ["profile"] (a workload profile consulted by
    the guided backend; absent means the server's default profile, if
-   any).  Frames from older clients are still accepted — every earlier
-   field kept its meaning — so [min_version] stays at 1; only versions
-   outside [min_version .. version] are refused. *)
+   any).  The only client is {!Client}, which always sends [version],
+   so a frame with any other version is refused. *)
 let version = 6
-let min_version = 1
 let default_max_frame = 4 * 1024 * 1024
 
-(* Where a daemon listens and a client or cache peer connects; shared
-   by {!Server}, {!Client} and the peer tier in {!Handler}. *)
+(* Where a daemon listens and a client connects; shared by {!Server}
+   and {!Client}. *)
 type address = [ `Unix of string | `Tcp of string * int ]
 
 (* ---------------------------------------------------------------- *)
@@ -124,8 +120,6 @@ type kind =
   | FuzzOne
   | Stats
   | Shutdown
-  | CacheGet
-  | CachePut
   | FuzzBatch
   | DocOpen
   | DocChange
@@ -142,8 +136,6 @@ let kind_name = function
   | FuzzOne -> "fuzz_one"
   | Stats -> "stats"
   | Shutdown -> "shutdown"
-  | CacheGet -> "cache_get"
-  | CachePut -> "cache_put"
   | FuzzBatch -> "fuzz_batch"
   | DocOpen -> "doc_open"
   | DocChange -> "doc_change"
@@ -160,8 +152,6 @@ let kind_of_name = function
   | "fuzz_one" -> Some FuzzOne
   | "stats" -> Some Stats
   | "shutdown" -> Some Shutdown
-  | "cache_get" -> Some CacheGet
-  | "cache_put" -> Some CachePut
   | "fuzz_batch" -> Some FuzzBatch
   | "doc_open" -> Some DocOpen
   | "doc_change" -> Some DocChange
@@ -173,9 +163,8 @@ let kind_of_name = function
   | _ -> None
 
 let all_kinds =
-  [ Check; Run; Translate; FuzzOne; Stats; Shutdown; CacheGet; CachePut;
-    FuzzBatch; DocOpen; DocChange; DocClose; DocDiagnostics; Hover;
-    Definition; Completion ]
+  [ Check; Run; Translate; FuzzOne; Stats; Shutdown; FuzzBatch; DocOpen;
+    DocChange; DocClose; DocDiagnostics; Hover; Definition; Completion ]
 
 type request = {
   id : int;
@@ -189,8 +178,6 @@ type request = {
   seed : int;  (** fuzz_one *)
   size : int;  (** fuzz_one *)
   mutants : int;  (** fuzz_one *)
-  key : string;  (** cache_get/cache_put: hex portable unit key (v3) *)
-  data : string;  (** cache_put: hex unit blob (v3) *)
   coverage : Coverage.map;  (** fuzz_batch: the worker's coverage map (v4) *)
   corpus_entries : (string * string) list;
       (** fuzz_batch: [(digest, source)] corpus entries offered (v4) *)
@@ -211,12 +198,12 @@ type request = {
 
 let request ?(file = "<request>") ?(source = "") ?(prelude = false)
     ?(global_models = false) ?(backend = Fg_core.Backend.Dict) ?timeout_ms
-    ?(seed = 0) ?(size = 30) ?(mutants = 0) ?(key = "") ?(data = "")
-    ?(coverage = []) ?(corpus_entries = []) ?(have = []) ?(doc_version = 0)
-    ?(offset = 0) ?(edits = []) ?profile ~id kind =
+    ?(seed = 0) ?(size = 30) ?(mutants = 0) ?(coverage = [])
+    ?(corpus_entries = []) ?(have = []) ?(doc_version = 0) ?(offset = 0)
+    ?(edits = []) ?profile ~id kind =
   { id; kind; file; source; prelude; global_models; backend; timeout_ms;
-    seed; size; mutants; key; data; coverage; corpus_entries; have;
-    doc_version; offset; edits; profile }
+    seed; size; mutants; coverage; corpus_entries; have; doc_version;
+    offset; edits; profile }
 
 let request_to_json r =
   Json.Obj
@@ -243,8 +230,6 @@ let request_to_json r =
        else [])
     @
     match r.kind with
-    | CacheGet -> [ ("key", Json.Str r.key) ]
-    | CachePut -> [ ("key", Json.Str r.key); ("data", Json.Str r.data) ]
     | FuzzBatch ->
         [ ("coverage", Coverage.to_json r.coverage);
           ("corpus",
@@ -268,14 +253,13 @@ let request_to_json r =
 
 type proto_error =
   | Bad_version of int option
-      (** absent or outside [min_version .. version] *)
+      (** absent or other than [version] *)
   | Bad_request of string  (** shape violation; the message says what *)
 
 let request_of_json j =
   match Json.int_field "v" j with
   | None -> Error (Bad_version None)
-  | Some v when v < min_version || v > version ->
-      Error (Bad_version (Some v))
+  | Some v when v <> version -> Error (Bad_version (Some v))
   | Some _ -> (
       match Json.str_field "kind" j with
       | None -> Error (Bad_request "missing request field 'kind'")
@@ -292,13 +276,10 @@ let request_of_json j =
               let needs_source =
                 match kind with
                 | Check | Run | Translate | DocOpen -> true
-                | FuzzOne | Stats | Shutdown | CacheGet | CachePut
-                | FuzzBatch | DocChange | DocClose | DocDiagnostics | Hover
-                | Definition | Completion ->
+                | FuzzOne | Stats | Shutdown | FuzzBatch | DocChange
+                | DocClose | DocDiagnostics | Hover | Definition
+                | Completion ->
                     false
-              in
-              let needs_key =
-                match kind with CacheGet | CachePut -> true | _ -> false
               in
               let needs_offset =
                 match kind with
@@ -350,10 +331,6 @@ let request_of_json j =
                   (Bad_request
                      (Printf.sprintf "kind %S requires a 'source' field"
                         kname))
-              else if needs_key && Json.str_field "key" j = None then
-                Error
-                  (Bad_request
-                     (Printf.sprintf "kind %S requires a 'key' field" kname))
               else if needs_offset && Json.int_field "offset" j = None then
                 Error
                   (Bad_request
@@ -385,8 +362,6 @@ let request_of_json j =
                       Option.value ~default:30 (Json.int_field "size" j);
                     mutants =
                       Option.value ~default:0 (Json.int_field "mutants" j);
-                    key = str "key" "";
-                    data = str "data" "";
                     coverage =
                       (match Json.mem "coverage" j with
                       | Some cj -> Coverage.of_json cj
@@ -468,10 +443,8 @@ let response_of_json j =
       Json.str_field "status" j,
       Json.str_field "payload" j )
   with
-  | Some v, _, _, _ when v < min_version || v > version ->
-      Error
-        (Printf.sprintf "response version %d (want %d..%d)" v min_version
-           version)
+  | Some v, _, _, _ when v <> version ->
+      Error (Printf.sprintf "response version %d (want %d)" v version)
   | Some _, Some r_id, Some sname, Some r_payload -> (
       match status_of_name sname with
       | Some r_status -> Ok { r_id; r_status; r_payload }

@@ -8,32 +8,28 @@
     must be closed.
 
     {b Requests} are JSON objects
-    [{"v": 4, "id": N, "kind": K, ...}] where [K] is one of
+    [{"v": 6, "id": N, "kind": K, ...}] where [K] is one of
     [check | run | translate | fuzz_one | stats | shutdown |
-    cache_get | cache_put | fuzz_batch]; program kinds carry ["file"],
-    ["source"] and the one-shot driver's flags (["prelude"],
-    ["global_models"], and — since version 2 — an optional ["backend"]
-    of [dict | stencil | hybrid], absent meaning [dict]); the cache
-    kinds (since version 3) carry a hex ["key"] and, for [cache_put], a
-    hex ["data"] blob — the peer tier of the compilation-unit cache;
-    [fuzz_batch] (since version 4) carries a ["coverage"] map
+    fuzz_batch]; program kinds carry ["file"], ["source"] and the
+    one-shot driver's flags (["prelude"], ["global_models"], and an
+    optional ["backend"] of [dict | stencil | hybrid | guided], absent
+    meaning [dict]); [fuzz_batch] carries a ["coverage"] map
     (key → hit-count object), a ["corpus"] object (digest → source)
     of entries the worker offers, and a ["have"] digest list — the
     fleet-wide merge point of guided fuzzing; the workspace kinds
-    (since version 5: [doc_open | doc_change | doc_close |
-    doc_diagnostics | hover | definition | completion]) use ["file"]
-    as the document name and carry ["doc_version"] (open/change),
-    ["source"] or an ["edits"] splice array (change), and a byte
-    ["offset"] (hover/definition/completion); since version 6 any
-    program kind may carry a ["profile"] object (a canonical
-    {!Fg_util.Profile} document) consulted by the [guided] backend,
-    absent meaning the server's default profile; any request may set
-    ["timeout_ms"] to override the server's default deadline.  Any
-    version in [min_version .. version] is accepted: version-1 frames
-    decode and route exactly as before.
+    ([doc_open | doc_change | doc_close | doc_diagnostics | hover |
+    definition | completion]) use ["file"] as the document name and
+    carry ["doc_version"] (open/change), ["source"] or an ["edits"]
+    splice array (change), and a byte ["offset"]
+    (hover/definition/completion); any program kind may carry a
+    ["profile"] object (a canonical {!Fg_util.Profile} document)
+    consulted by the [guided] backend, absent meaning the server's
+    default profile; any request may set ["timeout_ms"] to override
+    the server's default deadline.  Exactly one version is accepted:
+    {!version}.
 
     {b Responses} are
-    [{"v": 4, "id": N, "status": S, "payload": P}] where [S] is one of
+    [{"v": 6, "id": N, "status": S, "payload": P}] where [S] is one of
     [ok | error | timeout | overload | shutting_down | protocol_error]
     and [P] is the result document as {e pre-rendered JSON text} — for
     [run] requests, byte-identical to what one-shot
@@ -41,15 +37,13 @@
 
 open Fg_util
 
+(** The one request/response version spoken and accepted. *)
 val version : int
-
-(** The oldest request/response version still accepted. *)
-val min_version : int
 
 val default_max_frame : int
 
-(** Where a daemon listens and a client or cache peer connects; shared
-    by {!Server}, {!Client} and the peer tier in {!Handler}. *)
+(** Where a daemon listens and a client connects; shared by {!Server}
+    and {!Client}. *)
 type address = [ `Unix of string | `Tcp of string * int ]
 
 (** {1 Framing} *)
@@ -87,8 +81,6 @@ type kind =
   | FuzzOne
   | Stats
   | Shutdown
-  | CacheGet  (** v3: probe the server's disk store for a unit blob *)
-  | CachePut  (** v3: offer a unit blob to the server's disk store *)
   | FuzzBatch
       (** v4: merge a fuzz worker's coverage map and corpus offers into
           the fleet state; the reply carries the merged map and the
@@ -119,8 +111,6 @@ type request = {
   seed : int;
   size : int;
   mutants : int;
-  key : string;  (** cache_get/cache_put: hex portable unit key (v3) *)
-  data : string;  (** cache_put: hex unit blob (v3) *)
   coverage : Coverage.map;  (** fuzz_batch: the worker's coverage map (v4) *)
   corpus_entries : (string * string) list;
       (** fuzz_batch: [(digest, source)] corpus entries offered (v4) *)
@@ -142,7 +132,7 @@ type request = {
 val request :
   ?file:string -> ?source:string -> ?prelude:bool -> ?global_models:bool ->
   ?backend:Fg_core.Backend.t -> ?timeout_ms:int -> ?seed:int -> ?size:int ->
-  ?mutants:int -> ?key:string -> ?data:string -> ?coverage:Coverage.map ->
+  ?mutants:int -> ?coverage:Coverage.map ->
   ?corpus_entries:(string * string) list -> ?have:string list ->
   ?doc_version:int -> ?offset:int -> ?edits:(int * int * string) list ->
   ?profile:Profile.t -> id:int -> kind -> request
@@ -151,7 +141,7 @@ val request_to_json : request -> Json.t
 
 type proto_error =
   | Bad_version of int option
-      (** ["v"] absent or outside [{!min_version} .. {!version}] *)
+      (** ["v"] absent or other than {!version} *)
   | Bad_request of string
 
 val request_of_json : Json.t -> (request, proto_error) result

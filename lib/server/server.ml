@@ -21,16 +21,10 @@ type config = {
   request_timeout_ms : int option;
   max_frame : int;
   fuel : int option;
-  default_backend : Fg_core.Backend.t;
-      (** backend for requests whose frame omits the [backend] field
-          (v1 clients in particular) *)
   cache_dir : string option;
       (** root of the daemon's shared on-disk unit store; [None] (the
-          default) runs memory-only and answers [cache_get] with
-          "not found" *)
+          default) runs memory-only *)
   cache_max_bytes : int option;
-  cache_peers : (string * address) list;
-      (** other daemons whose stores form this daemon's peer tier *)
   profile : Fg_util.Profile.t option;
       (** the daemon's default workload profile: consulted by guided
           sessions whose request ships none, and by startup
@@ -49,10 +43,8 @@ let default_config address =
     request_timeout_ms = None;
     max_frame = Protocol.default_max_frame;
     fuel = Some 10_000_000;
-    default_backend = Fg_core.Backend.Dict;
     cache_dir = None;
     cache_max_bytes = None;
-    cache_peers = [];
     profile = None;
     profile_out = None;
     log = false;
@@ -150,9 +142,6 @@ let mk_fuzz_state () =
 type t = {
   cfg : config;
   pool : Pool.t;
-  disk : Fg_core.Diskcache.t option;
-      (** the store behind [cache_dir]: shared by every worker and
-          served to peers via [cache_get]/[cache_put] *)
   fuzz : fuzz_state;
   ws : Fg_workspace.Workspace.t;
       (** the workspace language service: open-document state served
@@ -239,13 +228,6 @@ let stats_json cfg sizing disk fuzz ws metrics =
                   ("entries", Json.Int s.Fg_core.Diskcache.d_entries);
                   ("bytes", Json.Int s.Fg_core.Diskcache.d_bytes);
                 ] );
-        ( "peer_cache",
-          Json.Obj
-            [
-              ("hits", Json.Int t.Telemetry.peer_hits);
-              ("misses", Json.Int t.Telemetry.peer_misses);
-              ("failures", Json.Int t.Telemetry.peer_failures);
-            ] );
         ( "fuzz_soak",
           Json.Obj
             [
@@ -307,7 +289,7 @@ let create cfg =
   let fuzz = mk_fuzz_state () in
   let ws = Fg_workspace.Workspace.create ?fuel:cfg.fuel () in
   let pool =
-    Pool.create ?fuel:cfg.fuel ?disk ~peers:cfg.cache_peers
+    Pool.create ?fuel:cfg.fuel ?disk
       ?unit_cache_capacity:sizing.Profile.sz_unit_cache_capacity
       ?profile:cfg.profile ~capacity:cfg.max_queue
       ~stats_json:(stats_json cfg sizing disk fuzz ws) ()
@@ -317,7 +299,6 @@ let create cfg =
   {
     cfg;
     pool;
-    disk;
     fuzz;
     ws;
     listen_fd;
@@ -340,50 +321,13 @@ let deadline_of t (req : Protocol.request) ~enqueued_ns =
   | Some ms -> Some (enqueued_ns + (ms * 1_000_000))
   | None -> None
 
-(* Serve one cache_get/cache_put against the daemon's own disk store.
-   These run in the reader thread, never in the pool: cache traffic
-   must not wait behind compilation (two daemons peering at each other
-   with full queues would deadlock), and a disk probe is cheap enough
-   to answer inline.  A daemon without [--cache-dir] answers honestly
-   — found:false / stored:false — so a misconfigured peer set degrades
-   to misses, not errors. *)
-let cache_response t (req : Protocol.request) =
-  let ok fields =
-    { Protocol.r_id = req.Protocol.id; r_status = Protocol.Ok_;
-      r_payload = Json.to_string (Json.Obj fields) }
-  in
-  let malformed msg =
-    { Protocol.r_id = req.Protocol.id; r_status = Protocol.Protocol_error;
-      r_payload =
-        Protocol.error_payload ~file:"<cache>" ~code:"FG0803" "%s" msg }
-  in
-  match Strutil.hex_decode req.Protocol.key with
-  | None -> malformed "cache key is not valid hex"
-  | Some key -> (
-      match (req.Protocol.kind, t.disk) with
-      | Protocol.CacheGet, Some d -> (
-          match Fg_core.Diskcache.get d key with
-          | Some body ->
-              ok
-                [ ("found", Json.Bool true);
-                  ("data", Json.Str (Strutil.hex_encode body)) ]
-          | None -> ok [ ("found", Json.Bool false) ])
-      | Protocol.CacheGet, None -> ok [ ("found", Json.Bool false) ]
-      | _, Some d -> (
-          match Strutil.hex_decode req.Protocol.data with
-          | None -> malformed "cache data is not valid hex"
-          | Some body ->
-              Fg_core.Diskcache.put d key body;
-              ok [ ("stored", Json.Bool true) ])
-      | _, None -> ok [ ("stored", Json.Bool false) ])
-
 (* Serve one fuzz_batch: fold the worker's coverage map and corpus
    offers into the fleet state, reply with the merged map and the
-   entries the worker lacks.  Like the cache kinds this runs in the
-   reader thread, never in the pool — a merge is a few list operations
-   and must not wait behind compilation.  The reply's corpus is sorted
-   by digest so a worker fleet converges on identical on-disk corpora
-   regardless of merge order. *)
+   entries the worker lacks.  This runs in the reader thread, never in
+   the pool — a merge is a few list operations and must not wait behind
+   compilation.  The reply's corpus is sorted by digest so a worker
+   fleet converges on identical on-disk corpora regardless of merge
+   order. *)
 let fuzz_response t (req : Protocol.request) =
   let fs = t.fuzz in
   Mutex.lock fs.fm;
@@ -429,8 +373,8 @@ let fuzz_response t (req : Protocol.request) =
   }
 
 (* Serve one workspace request against the daemon's language service.
-   Like the cache and fuzz kinds these run in the reader thread, never
-   in the pool: an editor's hover must not wait behind a queued batch
+   Like the fuzz kind these run in the reader thread, never in the
+   pool: an editor's hover must not wait behind a queued batch
    compilation, and the service serializes itself on one internal
    mutex anyway (a document re-check holds it, but re-checks touch
    only the dirty declarations, so the hold is short).  Service-level
@@ -549,19 +493,7 @@ let handle_frame t conn payload =
                   "malformed request: %s" msg;
             }
       | Ok req -> (
-          (* The server-wide default backend applies only when the
-             frame said nothing; an explicit "backend" always wins. *)
-          let req =
-            if Json.str_field "backend" j = None then
-              { req with Protocol.backend = t.cfg.default_backend }
-            else req
-          in
           match req.Protocol.kind with
-          | Protocol.CacheGet | Protocol.CachePut ->
-              let resp = cache_response t req in
-              Pool.record_outcome metrics req.Protocol.kind
-                resp.Protocol.r_status;
-              respond_direct conn resp
           | Protocol.FuzzBatch ->
               let resp = fuzz_response t req in
               Pool.record_outcome metrics req.Protocol.kind

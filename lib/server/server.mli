@@ -27,22 +27,11 @@ type config = {
   request_timeout_ms : int option;  (** default per-request deadline *)
   max_frame : int;  (** largest accepted wire frame, bytes *)
   fuel : int option;  (** evaluator step bound per served run *)
-  default_backend : Fg_core.Backend.t;
-      (** backend for requests whose frame omits ["backend"]; an
-          explicit request field always wins *)
   cache_dir : string option;
       (** root of the daemon's shared on-disk unit store
           ({!Fg_core.Diskcache}), consulted by every worker behind its
-          memory cache and served to cache peers over [cache_get] /
-          [cache_put]; [None] (the default) runs memory-only *)
+          memory cache; [None] (the default) runs memory-only *)
   cache_max_bytes : int option;  (** disk-store size bound *)
-  cache_peers : (string * address) list;
-      (** other daemons whose stores form this daemon's peer tier:
-          workers consult them over the wire on a disk miss and
-          populate them on fresh checks.  [cache_get]/[cache_put]
-          requests are answered directly in the reader thread (never
-          queued behind compilation), so two daemons may peer at each
-          other without deadlock. *)
   profile : Fg_util.Profile.t option;
       (** the daemon's default workload profile ([fgc serve
           --profile]): consulted by [guided]-backend sessions whose
@@ -61,8 +50,8 @@ type config = {
 }
 
 (** Sensible defaults: one worker per recommended domain, queue of
-    128, no deadline, 4 MiB frames, 10M evaluation steps, the
-    dictionary backend, quiet. *)
+    128, no deadline, 4 MiB frames, 10M evaluation steps, no disk
+    store, quiet. *)
 val default_config : address -> config
 
 type t

@@ -63,5 +63,3 @@ let of_json = function
         fields
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   | _ -> []
-
-let reset () = Shardcounter.Registry.reset registry

@@ -73,7 +73,3 @@ val to_json : map -> Json.t
 
 val of_json : Json.t -> map
 (** Inverse of {!to_json}; non-object / non-int fields are ignored. *)
-
-val reset : unit -> unit
-(** Zero every registered probe (registration survives).  Test-only:
-    concurrent hits during a reset may land on either side. *)

@@ -61,8 +61,6 @@ let to_string t =
   write b t;
   Buffer.contents b
 
-let pp ppf t = Fmt.string ppf (to_string t)
-
 let rec sort_keys = function
   | (Null | Bool _ | Int _ | Float _ | Str _) as v -> v
   | List items -> List (List.map sort_keys items)

@@ -19,8 +19,6 @@ type t =
     spaces); strings are escaped per RFC 8259. *)
 val to_string : t -> string
 
-val pp : t Fmt.t
-
 (** Recursively sort every object's fields by key (stable, so
     duplicate keys keep their relative order).  Applied to stats and
     profile output so equal payloads render byte-identically for CI

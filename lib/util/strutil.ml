@@ -32,29 +32,6 @@ let hex_encode s =
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
   Buffer.contents b
 
-let hex_decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let nibble c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
-    in
-    let b = Bytes.create (n / 2) in
-    let rec go i =
-      if i >= n then Some (Bytes.to_string b)
-      else
-        match (nibble s.[i], nibble s.[i + 1]) with
-        | Some hi, Some lo ->
-            Bytes.set b (i / 2) (Char.chr ((hi lsl 4) lor lo));
-            go (i + 2)
-        | _ -> None
-    in
-    go 0
-
 let nearest ~candidates name =
   (* A candidate differing only in letter case is always a plausible
      typo (distance 0 here), even for one-character names where the

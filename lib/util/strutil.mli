@@ -10,12 +10,8 @@ val contains : needle:string -> string -> bool
 val levenshtein : string -> string -> int
 
 (** [hex_encode s] — lowercase hexadecimal rendering of [s]'s bytes
-    (the wire encoding of binary cache blobs). *)
+    (the disk store's entry names and build identities). *)
 val hex_encode : string -> string
-
-(** [hex_decode s] — the bytes [s] encodes, or [None] when [s] is not
-    even-length hexadecimal.  Inverse of {!hex_encode}. *)
-val hex_decode : string -> string option
 
 (** [nearest ~candidates name] is the candidate closest to [name] in
     edit distance, provided the distance is small relative to the

@@ -161,20 +161,6 @@ let disk_hits = Shardcounter.create ()
 let disk_misses = Shardcounter.create ()
 let disk_evictions = Shardcounter.create ()
 let corrupt_entries = Shardcounter.create ()
-let peer_hits = Shardcounter.create ()
-let peer_misses = Shardcounter.create ()
-let peer_failures = Shardcounter.create ()
-
-let all =
-  [
-    parse_ns; check_ns; specialize_ns; verify_ns; eval_ns; cc_rebuilds;
-    model_lookups; resolve_hits; resolve_misses; prelude_builds;
-    prelude_reuses; programs; fuzz_generated; fuzz_discarded; fuzz_shrunk;
-    unit_hits; unit_misses; unit_evictions; unit_invalidations;
-    stencils_created; stencils_shared; stencil_fallbacks; dicts_hoisted;
-    disk_hits; disk_misses; disk_evictions; corrupt_entries; peer_hits;
-    peer_misses; peer_failures;
-  ]
 
 let bump c = Shardcounter.incr c
 let record_cc_rebuild () = bump cc_rebuilds
@@ -194,9 +180,6 @@ let record_disk_hit () = bump disk_hits
 let record_disk_miss () = bump disk_misses
 let record_disk_eviction () = bump disk_evictions
 let record_corrupt_entry () = bump corrupt_entries
-let record_peer_hit () = bump peer_hits
-let record_peer_miss () = bump peer_misses
-let record_peer_failure () = bump peer_failures
 
 let add c n = if n > 0 then Shardcounter.add c n
 let record_unit_invalidations n = add unit_invalidations n
@@ -275,9 +258,6 @@ type snapshot = {
   disk_misses : int;
   disk_evictions : int;
   corrupt_entries : int;
-  peer_hits : int;
-  peer_misses : int;
-  peer_failures : int;
 }
 
 let snapshot () =
@@ -309,9 +289,6 @@ let snapshot () =
     disk_misses = Shardcounter.read disk_misses;
     disk_evictions = Shardcounter.read disk_evictions;
     corrupt_entries = Shardcounter.read corrupt_entries;
-    peer_hits = Shardcounter.read peer_hits;
-    peer_misses = Shardcounter.read peer_misses;
-    peer_failures = Shardcounter.read peer_failures;
   }
 
 let diff (b : snapshot) (a : snapshot) =
@@ -343,12 +320,7 @@ let diff (b : snapshot) (a : snapshot) =
     disk_misses = b.disk_misses - a.disk_misses;
     disk_evictions = b.disk_evictions - a.disk_evictions;
     corrupt_entries = b.corrupt_entries - a.corrupt_entries;
-    peer_hits = b.peer_hits - a.peer_hits;
-    peer_misses = b.peer_misses - a.peer_misses;
-    peer_failures = b.peer_failures - a.peer_failures;
   }
-
-let reset () = List.iter Shardcounter.reset all
 
 let ms ns = float_of_int ns /. 1e6
 
@@ -381,12 +353,6 @@ let pp ppf (s : snapshot) =
     Fmt.pf ppf "  evictions      : %10d@," s.disk_evictions;
     Fmt.pf ppf "  corrupt        : %10d" s.corrupt_entries
   end;
-  if s.peer_hits + s.peer_misses + s.peer_failures > 0 then begin
-    Fmt.pf ppf "@,peer cache:@,";
-    Fmt.pf ppf "  hits           : %10d@," s.peer_hits;
-    Fmt.pf ppf "  misses         : %10d@," s.peer_misses;
-    Fmt.pf ppf "  failures       : %10d" s.peer_failures
-  end;
   if s.fuzz_generated + s.fuzz_discarded + s.fuzz_shrunk > 0 then begin
     Fmt.pf ppf "@,fuzzing:@,";
     Fmt.pf ppf "  generated      : %10d@," s.fuzz_generated;
@@ -405,40 +371,3 @@ let pp ppf (s : snapshot) =
     Fmt.pf ppf "  dicts hoisted  : %10d" s.dicts_hoisted
   end;
   Fmt.pf ppf "@]"
-
-let to_json (s : snapshot) =
-  (* sort_keys: stats payloads are byte-stable for CI diffing *)
-  Json.sort_keys
-  @@ Json.Obj
-       [
-      ("parse_ns", Json.Int s.parse_ns);
-      ("check_ns", Json.Int s.check_ns);
-      ("specialize_ns", Json.Int s.specialize_ns);
-      ("verify_ns", Json.Int s.verify_ns);
-      ("eval_ns", Json.Int s.eval_ns);
-      ("cc_rebuilds", Json.Int s.cc_rebuilds);
-      ("model_lookups", Json.Int s.model_lookups);
-      ("resolve_hits", Json.Int s.resolve_hits);
-      ("resolve_misses", Json.Int s.resolve_misses);
-      ("prelude_builds", Json.Int s.prelude_builds);
-      ("prelude_reuses", Json.Int s.prelude_reuses);
-      ("programs", Json.Int s.programs);
-      ("fuzz_generated", Json.Int s.fuzz_generated);
-      ("fuzz_discarded", Json.Int s.fuzz_discarded);
-      ("fuzz_shrunk", Json.Int s.fuzz_shrunk);
-      ("unit_hits", Json.Int s.unit_hits);
-      ("unit_misses", Json.Int s.unit_misses);
-      ("unit_evictions", Json.Int s.unit_evictions);
-      ("unit_invalidations", Json.Int s.unit_invalidations);
-      ("stencils_created", Json.Int s.stencils_created);
-      ("stencils_shared", Json.Int s.stencils_shared);
-      ("stencil_fallbacks", Json.Int s.stencil_fallbacks);
-      ("dicts_hoisted", Json.Int s.dicts_hoisted);
-      ("disk_hits", Json.Int s.disk_hits);
-      ("disk_misses", Json.Int s.disk_misses);
-      ("disk_evictions", Json.Int s.disk_evictions);
-      ("corrupt_entries", Json.Int s.corrupt_entries);
-      ("peer_hits", Json.Int s.peer_hits);
-      ("peer_misses", Json.Int s.peer_misses);
-      ("peer_failures", Json.Int s.peer_failures);
-    ]

@@ -152,16 +152,6 @@ val record_corrupt_entry : unit -> unit
     different store format / compiler build) and was treated as a
     miss. *)
 
-val record_peer_hit : unit -> unit
-(** A cache peer served a unit over the wire. *)
-
-val record_peer_miss : unit -> unit
-(** A cache peer was asked and did not have the unit. *)
-
-val record_peer_failure : unit -> unit
-(** A cache-peer request failed (connect, I/O, timeout); the lookup
-    degraded silently to local compilation. *)
-
 (** {1 Snapshots} *)
 
 type snapshot = {
@@ -192,9 +182,6 @@ type snapshot = {
   disk_misses : int;
   disk_evictions : int;
   corrupt_entries : int;
-  peer_hits : int;
-  peer_misses : int;
-  peer_failures : int;
 }
 
 val snapshot : unit -> snapshot
@@ -202,11 +189,4 @@ val snapshot : unit -> snapshot
 (** [diff later earlier] — the work done between two snapshots. *)
 val diff : snapshot -> snapshot -> snapshot
 
-(** Reset every counter to zero (tests and benchmarks). *)
-val reset : unit -> unit
-
 val pp : snapshot Fmt.t
-
-(** The snapshot as a flat JSON object (stable key names, keys in
-    sorted order so equal snapshots render byte-identically). *)
-val to_json : snapshot -> Json.t

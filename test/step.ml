@@ -10,8 +10,10 @@
     Values are the expected term forms: literals, lambdas, type
     abstractions, tuples of values, [nil]/[cons]-spines, and partially
     applied primitives.  One {!step} contracts the leftmost-outermost
-    redex; {!normalize} iterates under a fuel bound. *)
+    redex; {!normalize} iterates under a fuel bound.  Only the tests
+    use it, as a reference oracle. *)
 
+open Fg_systemf
 open Ast
 open Fg_util
 module Smap = Names.Smap

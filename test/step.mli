@@ -2,6 +2,7 @@
     for System F — an independent third semantics, tested against the
     environment-based big-step evaluator. *)
 
+open Fg_systemf
 open Ast
 
 (** Free term variables. *)

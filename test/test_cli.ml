@@ -375,6 +375,22 @@ let test_backend_flag () =
   Alcotest.(check bool) "fuzz names FG1001" true
     (Astring_contains.contains ~needle:"FG1001" out)
 
+(* FG1002: a --cache-dir that cannot be used as a store directory is a
+   configuration error, reported before anything runs. *)
+let test_bad_cache_dir () =
+  let file = Filename.temp_file "fgc_not_a_dir" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let code, out =
+        run_cmd
+          ("run --cache-dir " ^ Filename.quote file ^ " -e 1")
+          ~stdin_text:""
+      in
+      Alcotest.(check int) "exit" 1 code;
+      Alcotest.(check bool) "FG1002 configuration error" true
+        (Astring_contains.contains ~needle:"configuration error[FG1002]" out))
+
 let suite =
   [
     Alcotest.test_case "run" `Quick test_run;
@@ -404,4 +420,6 @@ let suite =
     Alcotest.test_case "repl session" `Quick test_repl_session;
     Alcotest.test_case "repl using commits" `Quick test_repl_using;
     Alcotest.test_case "--backend flag" `Quick test_backend_flag;
+    Alcotest.test_case "--cache-dir not a directory" `Quick
+      test_bad_cache_dir;
   ]

@@ -1,7 +1,7 @@
 (* The persistent unit store: blob framing, cold/warm byte-identity
    through a real session, resilience to garbage in the store,
-   concurrent writers, oldest-access-first GC, and silent degrade when
-   a cache peer is unreachable. *)
+   concurrent writers, oldest-access-first GC, and a tier that throws
+   read as a miss. *)
 
 open Fg_util
 module C = Fg_core
@@ -261,32 +261,50 @@ let test_gc_oldest_access_first () =
     ((C.Diskcache.stats d).C.Diskcache.d_evictions >= 1)
 
 (* ---------------------------------------------------------------- *)
-(* Peer tier fallback                                                *)
+(* A failing tier                                                    *)
 
-let test_peer_down_fallback () =
-  (* A handler whose only peer never answers must compile everything
-     locally — same result, failures counted, nothing raised. *)
-  let before = Telemetry.snapshot () in
-  let handler =
-    Fg_server.Handler.create
-      ~peers:[ ("dead", `Unix "/tmp/no-such-fgc-peer.sock") ]
-      ()
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_throwing_store () =
+  (* [Unit] must treat a store that raises as a miss on lookup and drop
+     the write-through on insert: every corpus program renders exactly
+     as it does with no store attached, and nothing escapes. *)
+  let gets = ref 0 and puts = ref 0 in
+  let throwing =
+    {
+      C.Unit.st_name = "throwing";
+      st_get = (fun _ -> incr gets; failwith "st_get");
+      st_put = (fun _ _ -> incr puts; failwith "st_put");
+    }
   in
-  let status, payload =
-    Fg_server.Handler.handle_safe handler
-      (Fg_server.Protocol.request ~id:1 ~file:"<t>" ~source:program
-         ~prelude:true Fg_server.Protocol.Run)
+  let cache = C.Unit.create_cache () in
+  C.Unit.set_stores cache [ throwing ];
+  let config =
+    C.Session.Config.with_standard_prelude C.Session.Config.default
   in
-  Alcotest.(check string) "request served despite dead peer" "ok"
-    (Fg_server.Protocol.status_name status);
-  (match Json.of_string payload with
-  | Ok j ->
-      Alcotest.(check (option bool)) "payload ok" (Some true)
-        (Json.bool_field "ok" j)
-  | Error e -> Alcotest.fail e);
-  let d = Telemetry.diff (Telemetry.snapshot ()) before in
-  Alcotest.(check bool) "peer failures recorded" true
-    (d.Telemetry.peer_failures > 0)
+  let plain = C.Session.of_config config in
+  let stored = C.Session.of_config ~cache config in
+  let render s path =
+    let report = C.Session.run_full ~file:path s (read_file path) in
+    Json.to_string (C.Jsonview.json_of_run_report ~file:path report)
+  in
+  let files =
+    Sys.readdir "../programs" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".fg")
+    |> List.sort String.compare
+    |> List.map (Filename.concat "../programs")
+  in
+  Alcotest.(check bool) "corpus non-empty" true (files <> []);
+  List.iter
+    (fun path ->
+      Alcotest.(check string) path (render plain path) (render stored path))
+    files;
+  Alcotest.(check bool) "the store was consulted and written" true
+    (!gets > 0 && !puts > 0)
 
 let suite =
   [
@@ -304,6 +322,6 @@ let suite =
       test_concurrent_writers;
     Alcotest.test_case "GC evicts oldest access first" `Quick
       test_gc_oldest_access_first;
-    Alcotest.test_case "dead cache peer degrades silently" `Quick
-      test_peer_down_fallback;
+    Alcotest.test_case "a throwing store is a miss" `Quick
+      test_throwing_store;
   ]

@@ -128,35 +128,8 @@ let parse_request s =
   | Ok j -> Protocol.request_of_json j
   | Error e -> Alcotest.failf "test payload is invalid JSON: %s" e
 
-(* The v3 cache kinds: key/data survive the wire, a key is mandatory,
-   and no source is required. *)
-let test_cache_request_roundtrip () =
-  let put =
-    roundtrip_request
-      (Protocol.request ~id:9 ~key:"00ff17" ~data:"deadbeef"
-         Protocol.CachePut)
-  in
-  Alcotest.(check string) "put kind" "cache_put"
-    (Protocol.kind_name put.Protocol.kind);
-  Alcotest.(check string) "put key" "00ff17" put.Protocol.key;
-  Alcotest.(check string) "put data" "deadbeef" put.Protocol.data;
-  let get =
-    roundtrip_request (Protocol.request ~id:3 ~key:"00ff17" Protocol.CacheGet)
-  in
-  Alcotest.(check string) "get key" "00ff17" get.Protocol.key;
-  Alcotest.(check string) "get carries no data" "" get.Protocol.data;
-  (match parse_request "{\"v\":3,\"id\":1,\"kind\":\"cache_get\"}" with
-  | Error (Protocol.Bad_request _) -> ()
-  | _ -> Alcotest.fail "cache_get without a key must be rejected");
-  match
-    parse_request "{\"v\":3,\"id\":1,\"kind\":\"cache_put\",\"key\":\"aa\"}"
-  with
-  | Ok r -> Alcotest.(check string) "put data defaults empty" "" r.Protocol.data
-  | Error _ -> Alcotest.fail "cache_put needs no source"
-
-(* The v4 fuzz_batch kind: coverage map, corpus offers and the have
-   list all survive the wire; all three default empty, and a v1 frame
-   naming the kind still decodes. *)
+(* The fuzz_batch kind: coverage map, corpus offers and the have list
+   all survive the wire, and all three default empty. *)
 let test_fuzz_batch_roundtrip () =
   let coverage = [ ("check.app.ground", 41); ("diag.FG0302", 2) ] in
   let corpus_entries = [ ("d41d8cd9", "iadd(1, 2)"); ("ffee", "1") ] in
@@ -173,42 +146,41 @@ let test_fuzz_batch_roundtrip () =
   Alcotest.(check (list (pair string string))) "corpus entries"
     corpus_entries r.Protocol.corpus_entries;
   Alcotest.(check (list string)) "have" have r.Protocol.have;
-  (match parse_request "{\"v\":4,\"id\":1,\"kind\":\"fuzz_batch\"}" with
+  match parse_request "{\"v\":6,\"id\":1,\"kind\":\"fuzz_batch\"}" with
   | Ok r ->
       Alcotest.(check (list (pair string int))) "coverage defaults empty" []
         r.Protocol.coverage;
       Alcotest.(check (list string)) "have defaults empty" []
         r.Protocol.have
-  | Error _ -> Alcotest.fail "fuzz_batch needs no source/key");
-  match parse_request "{\"v\":1,\"id\":1,\"kind\":\"fuzz_batch\"}" with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "old-version frames naming fuzz_batch decode"
+  | Error _ -> Alcotest.fail "fuzz_batch needs no source"
 
+(* The daemon speaks exactly one version: any other, on either side of
+   it, and a missing one are refused before any shape validation. *)
 let test_request_version_mismatch () =
-  (match parse_request "{\"v\":999,\"id\":1,\"kind\":\"stats\"}" with
-  | Error (Protocol.Bad_version (Some 999)) -> ()
-  | _ -> Alcotest.fail "future version must be Bad_version");
+  Alcotest.(check int) "wire version is 6" 6 Protocol.version;
+  List.iter
+    (fun v ->
+      match
+        parse_request
+          (Printf.sprintf "{\"v\":%d,\"id\":1,\"kind\":\"stats\"}" v)
+      with
+      | Error (Protocol.Bad_version (Some v')) when v' = v -> ()
+      | _ -> Alcotest.failf "version %d must be Bad_version" v)
+    [ 0; 1; 5; 7; 999 ];
   (match parse_request "{\"id\":1,\"kind\":\"stats\"}" with
   | Error (Protocol.Bad_version None) -> ()
   | _ -> Alcotest.fail "missing version must be Bad_version");
   (* the version check comes first, before any shape validation *)
-  (match parse_request "{\"v\":999}" with
+  match parse_request "{\"v\":999}" with
   | Error (Protocol.Bad_version (Some 999)) -> ()
-  | _ -> Alcotest.fail "version precedes shape errors");
-  (* versions below the floor are refused too *)
-  match parse_request "{\"v\":0,\"id\":1,\"kind\":\"stats\"}" with
-  | Error (Protocol.Bad_version (Some 0)) -> ()
-  | _ -> Alcotest.fail "sub-min_version must be Bad_version"
+  | _ -> Alcotest.fail "version precedes shape errors"
 
-(* Version-1 frames predate the optional "backend" field; they must
-   keep decoding — defaulting to the dictionary backend — and keep
-   routing through a handler to the same result as a v2 frame. *)
-let test_v1_frame_decodes_and_routes () =
-  Alcotest.(check int) "wire version is 6" 6 Protocol.version;
-  Alcotest.(check int) "v1 still accepted" 1 Protocol.min_version;
-  let v1 = "{\"v\":1,\"id\":7,\"kind\":\"run\",\"source\":\"1 + 1\"}" in
-  match parse_request v1 with
-  | Error _ -> Alcotest.fail "v1 frame no longer decodes"
+(* "backend" is optional: a frame without it decodes to the dictionary
+   backend and routes through a handler to a dict payload. *)
+let test_no_backend_routes_dict () =
+  let frame = "{\"v\":6,\"id\":7,\"kind\":\"run\",\"source\":\"1 + 1\"}" in
+  match parse_request frame with
+  | Error _ -> Alcotest.fail "frame without backend does not decode"
   | Ok req ->
       Alcotest.(check int) "id" 7 req.Protocol.id;
       Alcotest.(check string) "defaults to dict" "dict"
@@ -222,7 +194,7 @@ let test_v1_frame_decodes_and_routes () =
             (match Fg_util.Json.mem "value" j with
             | Some (Fg_util.Json.Int n) -> Some n
             | _ -> None);
-          (* a v1 (hence dict) payload must not grow backend fields *)
+          (* a dict payload must not grow backend fields *)
           Alcotest.(check (option string)) "no backend field" None
             (Fg_util.Json.str_field "backend" j)
       | Error e -> Alcotest.failf "run payload is not JSON: %s" e)
@@ -243,7 +215,7 @@ let test_request_backend_field () =
   (* a named backend parses *)
   (match
      parse_request
-       "{\"v\":2,\"id\":1,\"kind\":\"run\",\"source\":\"1\",\
+       "{\"v\":6,\"id\":1,\"kind\":\"run\",\"source\":\"1\",\
         \"backend\":\"stencil\"}"
    with
   | Ok r ->
@@ -253,7 +225,7 @@ let test_request_backend_field () =
   (* an unknown backend is a stable Bad_request, not an exception *)
   match
     parse_request
-      "{\"v\":2,\"id\":1,\"kind\":\"run\",\"source\":\"1\",\
+      "{\"v\":6,\"id\":1,\"kind\":\"run\",\"source\":\"1\",\
        \"backend\":\"jit\"}"
   with
   | Error (Protocol.Bad_request msg) ->
@@ -309,12 +281,17 @@ let test_request_bad_shapes () =
     | Error (Protocol.Bad_version _) -> Alcotest.failf "%s: not a version issue" s
     | Ok _ -> Alcotest.failf "accepted bad request: %s" s
   in
-  bad "{\"v\":1}";
-  bad "{\"v\":1,\"id\":1,\"kind\":\"frobnicate\"}";
-  bad "{\"v\":1,\"kind\":\"stats\"}";
+  bad "{\"v\":6}";
+  bad "{\"v\":6,\"id\":1,\"kind\":\"frobnicate\"}";
+  bad "{\"v\":6,\"kind\":\"stats\"}";
   (* program kinds need a source *)
-  bad "{\"v\":1,\"id\":1,\"kind\":\"run\"}";
-  bad "{\"v\":1,\"id\":1,\"kind\":\"check\",\"file\":\"x.fg\"}"
+  bad "{\"v\":6,\"id\":1,\"kind\":\"run\"}";
+  bad "{\"v\":6,\"id\":1,\"kind\":\"check\",\"file\":\"x.fg\"}";
+  (* the unit-cache frames are not kinds of this version *)
+  bad "{\"v\":6,\"id\":1,\"kind\":\"cache_get\",\"key\":\"aa\"}";
+  bad
+    "{\"v\":6,\"id\":1,\"kind\":\"cache_put\",\"key\":\"aa\",\
+     \"data\":\"bb\"}"
 
 let test_response_roundtrip () =
   List.iter
@@ -367,14 +344,12 @@ let suite =
     Alcotest.test_case "request version mismatch" `Quick
       test_request_version_mismatch;
     Alcotest.test_case "request bad shapes" `Quick test_request_bad_shapes;
-    Alcotest.test_case "cache request round-trip" `Quick
-      test_cache_request_roundtrip;
     Alcotest.test_case "fuzz_batch request round-trip" `Quick
       test_fuzz_batch_roundtrip;
     Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
     Alcotest.test_case "error payload shape" `Quick test_error_payload_shape;
-    Alcotest.test_case "v1 frame decodes and routes" `Quick
-      test_v1_frame_decodes_and_routes;
+    Alcotest.test_case "no backend field means dict" `Quick
+      test_no_backend_routes_dict;
     Alcotest.test_case "request backend field" `Quick
       test_request_backend_field;
     Alcotest.test_case "request profile field (v6)" `Quick

@@ -242,6 +242,45 @@ let test_stats () =
               in
               Alcotest.(check bool) "enqueued >= 1" true (enqueued >= 1)))
 
+(* The stats "backends" object lists every backend and counts only
+   requests that ran one: stats requests (served by the pool, not a
+   handler) leave every count at 0, and one run counts once. *)
+let test_stats_backends () =
+  with_server ~workers:1 (fun addr _srv ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let backends () =
+            match
+              Fg_util.Json.of_string (Client.stats c).Protocol.r_payload
+            with
+            | Ok j -> (
+                match Fg_util.Json.mem "backends" j with
+                | Some (Fg_util.Json.Obj kvs) ->
+                    List.map
+                      (fun (k, v) ->
+                        match v with
+                        | Fg_util.Json.Int n -> (k, n)
+                        | _ -> Alcotest.failf "backend %s count" k)
+                      kvs
+                | _ -> Alcotest.fail "stats payload lacks backends")
+            | Error e -> Alcotest.failf "stats payload not JSON: %s" e
+          in
+          ignore (backends ());
+          ignore (backends ());
+          let all =
+            List.map Fg_core.Backend.to_string Fg_core.Backend.all
+            |> List.sort String.compare
+          in
+          Alcotest.(check (list (pair string int)))
+            "stats requests run no backend"
+            (List.map (fun b -> (b, 0)) all)
+            (backends ());
+          ignore (Client.run_file c ~file:"<t>" "1 + 1");
+          Alcotest.(check (list (pair string int)))
+            "one run counts once under dict"
+            (List.map (fun b -> (b, if b = "dict" then 1 else 0)) all)
+            (backends ())))
+
 (* The v5 document kinds over a real socket: lifecycle, splice edits,
    warm/one-shot byte identity, a hover answer, and the FG0807/FG0808
    service errors with their exit-relevant Failed status. *)
@@ -414,6 +453,7 @@ let suite =
     Alcotest.test_case "protocol violations" `Quick test_protocol_violations;
     Alcotest.test_case "overload and retry" `Quick test_overload;
     Alcotest.test_case "stats endpoint" `Quick test_stats;
+    Alcotest.test_case "stats backends" `Quick test_stats_backends;
     Alcotest.test_case "workspace document kinds" `Quick
       test_workspace_kinds;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_drain;

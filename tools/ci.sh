@@ -94,8 +94,9 @@ dune build @benchspine/bench-smoke
 
 echo "== server smoke"
 # A real daemon on a unix socket: 200+ requests through one batch
-# connection, the protocol-violation probe (garbage JSON frame,
-# version mismatch, oversized length prefix), a deliberate deadline
+# connection, the protocol-violation probe (garbage JSON frame, a
+# version above and one below the one spoken, oversized length
+# prefix), a deliberate deadline
 # miss, live stats, then SIGTERM and a clean drain.  Any unexpected
 # status exits nonzero (the client maps statuses to exit codes).
 fgc=./_build/default/bin/fgc.exe
@@ -112,7 +113,7 @@ for _ in $(seq 1 10); do
   "$fgc" client batch programs -p --socket "$sock" > /dev/null
 done
 
-echo "-- probe: malformed frame, version mismatch, oversized prefix"
+echo "-- probe: malformed frame, version above and below, oversized prefix"
 "$fgc" client probe --socket "$sock"
 
 echo "-- deliberate timeout (exit 4 expected)"
@@ -187,43 +188,34 @@ for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
   esac
 done
 
-echo "== farm smoke (peer cache tier: cold daemon fed by a warm peer)"
-# Daemon A owns the warm store; daemon B has no disk of its own and
-# lists A as its only cache peer.  B's served output must be
-# byte-identical to one-shot runs, and B's stats must show peer hits
-# (its units came over the wire, not from re-checking).
-sock_a=$(mktemp -u /tmp/fgc_farm_a_XXXXXX.sock)
-sock_b=$(mktemp -u /tmp/fgc_farm_b_XXXXXX.sock)
-track "$sock_a" "$sock_b"
-"$fgc" serve --socket "$sock_a" --workers 1 --cache-dir "$cache_dir" 2>/dev/null &
-pid_a=$!
-track_pid "$pid_a"
-for _ in $(seq 1 50); do [ -S "$sock_a" ] && break; sleep 0.1; done
-[ -S "$sock_a" ] || { echo "farm smoke: daemon A never bound"; exit 1; }
-"$fgc" client batch programs -p --socket "$sock_a" > /dev/null   # warm A's store
-"$fgc" serve --socket "$sock_b" --workers 1 --cache-peer "unix:$sock_a" 2>/dev/null &
-pid_b=$!
-track_pid "$pid_b"
-for _ in $(seq 1 50); do [ -S "$sock_b" ] && break; sleep 0.1; done
-[ -S "$sock_b" ] || { echo "farm smoke: daemon B never bound"; exit 1; }
-oneshot=$(mktemp) && served=$(mktemp)
-track "$oneshot" "$served"
+echo "-- served: a daemon on the warm store matches one-shot runs"
+# The daemon's disk tier (--cache-dir through the pool to every
+# worker's unit cache): a single-worker daemon on the store warmed
+# above must serve every corpus program, in the same prelude-less mode
+# the store was warmed in, byte-identically to an uncached one-shot
+# run, and its stats must show disk hits.
+sock=$(mktemp -u /tmp/fgc_disk_XXXXXX.sock)
+served=$(mktemp)
+track "$sock" "$served"
+"$fgc" serve --socket "$sock" --workers 1 --cache-dir "$cache_dir" 2>/dev/null &
+serve_pid=$!
+track_pid "$serve_pid"
+for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
+[ -S "$sock" ] || { echo "cache smoke: daemon never bound $sock"; exit 1; }
 for f in programs/*.fg; do
-  "$fgc" run --format=json -p "$f" > "$oneshot" 2>/dev/null || true
-  "$fgc" client run -p "$f" --socket "$sock_b" > "$served" 2>/dev/null || true
-  cmp -s "$oneshot" "$served" \
-    || { echo "farm smoke: peer-fed output differs from one-shot: $f"; exit 1; }
+  "$fgc" run --format=json "$f" > "$plain" 2>/dev/null || true
+  "$fgc" client run "$f" --socket "$sock" > "$served" 2>/dev/null || true
+  cmp -s "$plain" "$served" \
+    || { echo "cache smoke: served run on the warm store differs: $f"; exit 1; }
 done
-# stats keys are canonically sorted, so pull the peer_cache object out
+# stats keys are canonically sorted, so pull the disk_cache object out
 # first and read its hits field wherever it landed
-"$fgc" client stats --socket "$sock_b" \
-  | grep -o '"peer_cache": {[^}]*}' | grep -o '"hits": [0-9]*' \
+"$fgc" client stats --socket "$sock" \
+  | grep -o '"disk_cache": {[^}]*}' | grep -o '"hits": [0-9]*' \
   | grep -qv '"hits": 0$' \
-  || { echo "farm smoke: cold daemon reported no peer hits"; exit 1; }
-"$fgc" client shutdown --socket "$sock_a" > /dev/null
-"$fgc" client shutdown --socket "$sock_b" > /dev/null
-reap "$pid_a" || { echo "farm smoke: daemon A exited nonzero"; exit 1; }
-reap "$pid_b" || { echo "farm smoke: daemon B exited nonzero"; exit 1; }
+  || { echo "cache smoke: daemon on the warm store reported no disk hits"; exit 1; }
+"$fgc" client shutdown --socket "$sock" > /dev/null
+reap "$serve_pid" || { echo "cache smoke: daemon exited nonzero"; exit 1; }
 
 echo "== fuzz-coverage: guided beats blind at the same seed (1k programs)"
 # The coverage-guided mutator must earn its keep: at the same seed and
