@@ -236,7 +236,9 @@ let overhead_tests =
    a shared session (prelude checked once, outside the timed region)
    against the one-shot pipeline, which re-checks the prelude text
    every run.  The gap is exactly the per-program cost the session
-   design removes. *)
+   design removes.  The two [create_*] rows build a standard-prelude
+   session by checking the prelude and by loading the image fgc
+   embeds. *)
 let session_tests =
   let body =
     Printf.sprintf "accumulate[int](%s)" (C.Prelude.int_list [ 1; 2; 3; 4 ])
@@ -246,7 +248,15 @@ let session_tests =
   in
   let no_prelude = C.Session.of_config C.Session.Config.default in
   let standalone = C.Corpus.fig5_accumulate.source in
+  let prelude_cfg = C.Session.Config.(default |> with_standard_prelude) in
   [
+    Test.make ~name:"session/create_by_check"
+      (Staged.stage (fun () -> ignore (C.Session.of_config prelude_cfg)));
+    Test.make ~name:"session/create_from_image"
+      (Staged.stage (fun () ->
+           ignore
+             (C.Session.Image.load prelude_cfg
+                Fg_prelude_image.Prelude_image.lexical)));
     Test.make ~name:"session/prelude_amortized"
       (Staged.stage (fun () -> ignore (C.Session.run shared body)));
     Test.make ~name:"session/prelude_fresh_pipeline"

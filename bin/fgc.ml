@@ -10,10 +10,11 @@
      eq         decide a same-type query under assumptions
 
    All program-driving subcommands go through a {!Fg_core.Session}:
-   with [--prelude] the standard prelude is checked once per session
-   (not per program), and [--stats] reports the phase timers and cache
-   counters the session accumulated.  Programs are read from a file
-   argument or from stdin ("-"). *)
+   with [--prelude] every session loads the standard prelude from the
+   image checked when fgc was built (see lib/image/), and [--stats]
+   reports the phase timers and cache counters the session
+   accumulated.  Programs are read from a file argument or from stdin
+   ("-"). *)
 
 open Cmdliner
 module C = Fg_core
@@ -1271,6 +1272,7 @@ let repl_cmd =
 (* ---------------------------------------------------------------- *)
 
 let () =
+  Fg_prelude_image.Prelude_image.install ();
   let doc =
     "System FG: concepts, models, where clauses, associated types and \
      same-type constraints (PLDI 2005 reproduction)"

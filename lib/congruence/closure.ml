@@ -11,9 +11,12 @@
 
     Representative preference is client-controlled via [prefer]: given
     two candidate terms it returns the one that should represent the
-    class.  The FG translation prefers plain type variables (earliest
-    interned first) over associated-type projections, matching the
-    paper's choice of [elt1] over [elt2] in the [merge] example. *)
+    class.  It is an argument of each operation that can merge classes,
+    not part of the closure, so a closure is plain data and marshals
+    without [Marshal.Closures].  The FG translation prefers plain type
+    variables (earliest interned first) over associated-type
+    projections, matching the paper's choice of [elt1] over [elt2] in
+    the [merge] example. *)
 
 module Uf = Fg_unionfind.Uf
 
@@ -34,14 +37,15 @@ type t = {
   use : (int, int list) Hashtbl.t;
       (** class root -> ids of parent nodes with a child in that class *)
   best : (int, Term.t) Hashtbl.t;  (** class root -> preferred member term *)
-  prefer : Term.t -> Term.t -> Term.t;
   mutable generation : int;
       (** bumped on every merge; lets clients cache query results *)
 }
 
+type prefer = Term.t -> Term.t -> Term.t
+
 let default_prefer a b = if Term.compare a b <= 0 then a else b
 
-let create ?(prefer = default_prefer) () =
+let create () =
   {
     uf = Uf.create ();
     nodes = [||];
@@ -50,7 +54,6 @@ let create ?(prefer = default_prefer) () =
     sigs = Hashtbl.create 64;
     use = Hashtbl.create 64;
     best = Hashtbl.create 64;
-    prefer;
     generation = 0;
   }
 
@@ -78,12 +81,12 @@ let signature t n = (n.term.Term.sym, List.map (Uf.find t.uf) n.args)
 
 (* Merge propagation worklist.  Each entry is a pair of node ids whose
    classes must be unified. *)
-let rec process t worklist =
+let rec process ~prefer t worklist =
   match worklist with
   | [] -> ()
   | (x, y) :: rest ->
       let rx = Uf.find t.uf x and ry = Uf.find t.uf y in
-      if rx = ry then process t rest
+      if rx = ry then process ~prefer t rest
       else begin
         t.generation <- t.generation + 1;
         let px = use_of t rx and py = use_of t ry in
@@ -97,7 +100,7 @@ let rec process t worklist =
         Hashtbl.remove t.use dead;
         Hashtbl.remove t.best dead;
         Hashtbl.replace t.use r (px @ py);
-        Hashtbl.replace t.best r (t.prefer bx by);
+        Hashtbl.replace t.best r (prefer bx by);
         (* Re-insert parents; congruent collisions feed the worklist. *)
         let extra = ref rest in
         List.iter
@@ -109,14 +112,14 @@ let rec process t worklist =
             | Some _ -> ()
             | None -> Hashtbl.add t.sigs s p)
           (px @ py);
-        process t !extra
+        process ~prefer t !extra
       end
 
 (** Intern [term], returning its node id.  Subterms are interned first;
     if a congruent node already exists (same symbol, equivalent
     children) the new node is merged into its class immediately. *)
-let rec add t (term : Term.t) =
-  let args = List.map (add t) term.args in
+let rec add ?(prefer = default_prefer) t (term : Term.t) =
+  let args = List.map (add ~prefer t) term.args in
   match Hashtbl.find_opt t.intern (term.sym, args) with
   | Some id -> id
   | None ->
@@ -132,18 +135,18 @@ let rec add t (term : Term.t) =
         args;
       (let s = signature t n in
        match Hashtbl.find_opt t.sigs s with
-       | Some q -> process t [ (id, q) ]
+       | Some q -> process ~prefer t [ (id, q) ]
        | None -> Hashtbl.add t.sigs s id);
       id
 
 (** Assert that [a] and [b] are equal. *)
-let merge t a b =
-  let x = add t a and y = add t b in
-  process t [ (x, y) ]
+let merge ?(prefer = default_prefer) t a b =
+  let x = add ~prefer t a and y = add ~prefer t b in
+  process ~prefer t [ (x, y) ]
 
 (** Are [a] and [b] in the same class under the asserted equalities? *)
-let equiv t a b =
-  let x = add t a and y = add t b in
+let equiv ?prefer t a b =
+  let x = add ?prefer t a and y = add ?prefer t b in
   Uf.equiv t.uf x y
 
 (** The preferred member of [a]'s class, rebuilt recursively so every
@@ -151,13 +154,13 @@ let equiv t a b =
     equalities such as [x = f(x)], which have no finite canonical form —
     FG's typing rules never generate them, but user programs can write
     them, so we fail with a diagnostic rather than diverge. *)
-let repr ?(max_depth = 10_000) t a =
+let repr ?prefer ?(max_depth = 10_000) t a =
   let rec go depth (term : Term.t) =
     if depth > max_depth then
       Fg_util.Diag.ice
         "congruence: no finite representative (cyclic equality involving %s)"
         (Term.to_string a);
-    let id = add t term in
+    let id = add ?prefer t term in
     let best = Hashtbl.find t.best (Uf.find t.uf id) in
     if best.Term.args = [] then best
     else

@@ -215,6 +215,102 @@ let check_concept_decl ?loc env (d : concept_decl) : unit =
           "default for '%s', which is not a member of %s" x d.c_name)
     d.c_defaults
 
+(* Structurally replace this model's associated-type projections
+   [c<args>.s] by their assignments, everywhere in a type. *)
+let resolve_own_projections c margs massoc ty =
+  let rec go t =
+    match t with
+    | TBase _ | TVar _ -> t
+    | TArrow (args, ret) -> TArrow (List.map go args, go ret)
+    | TTuple ts -> TTuple (List.map go ts)
+    | TList t -> TList (go t)
+    | TAssoc (c', args, s) -> (
+        let args = List.map go args in
+        match List.assoc_opt s massoc with
+        | Some def
+          when String.equal c c'
+               && List.length args = List.length margs
+               && List.for_all2 ty_equal args margs ->
+            go def
+        | _ -> TAssoc (c', args, s))
+    | TForall (tvs, constrs, body) ->
+        TForall (tvs, List.map go_constr constrs, go body)
+  and go_constr = function
+    | CModel (c', args) -> CModel (c', List.map go args)
+    | CSame (a, b) -> CSame (go a, go b)
+  in
+  go ty
+
+(* A model's associated-type assignments as equations: facts inside
+   its own context, and in its body's scope for a ground model. *)
+let own_equations (d : model_decl) =
+  List.map (fun (s, ty) -> (TAssoc (d.m_concept, d.m_args, s), ty)) d.m_assoc
+
+(* ------------------------------------------------------------------ *)
+(* Declaration frames                                                  *)
+
+(* What checking one declaration leaves behind for its body, as plain
+   data: [extend] adds the declaration's bindings to an environment
+   and [wrap] rebuilds the declaration's result around its body's.
+   Frames hold no functions, so a checked unit — and a whole checked
+   prelude — marshals without [Marshal.Closures]. *)
+type frame =
+  | Flet of { loc : Loc.t; x : string; ty : ty; elab : exp; f : F.exp }
+  | Fconcept of { loc : Loc.t; d : concept_decl; escape_check : bool }
+  | Fmodel of {
+      loc : Loc.t;
+      d : model_decl;  (** members elaborated *)
+      entry : Env.model_entry;
+      dict : F.exp;  (** the dictionary's right-hand side *)
+    }
+  | Fusing of { loc : Loc.t; m : string; entry : Env.model_entry }
+  | Falias of { loc : Loc.t; t : string; ty : ty; env : Env.t }
+      (** [env] is the alias's own environment: its type is translated
+          after the body, when the frame is wrapped *)
+
+let extend env = function
+  | Flet { x; ty; _ } -> Env.bind_var env x ty
+  | Fconcept { d; _ } -> Env.bind_concept env d
+  | Fmodel { d = { m_name = Some m; _ }; entry; _ } ->
+      Env.bind_named_model env m entry
+  | Fmodel { d; entry; _ } ->
+      let base =
+        if d.m_params <> [] then env else Env.assume_all env (own_equations d)
+      in
+      Env.bind_model base entry
+  | Fusing { entry; _ } -> Env.bind_model env entry
+  | Falias { t; ty; _ } -> Env.assume (Env.bind_tyvars env [ t ]) (TVar t) ty
+
+let wrap frame ((tbody, body_elab, body') : ty * exp * F.exp) =
+  match frame with
+  | Flet { loc; x; elab; f; _ } ->
+      (tbody, let_ ~loc x elab body_elab, F.let_ ~loc x f body')
+  | Fconcept { loc; d; escape_check } ->
+      if escape_check && Sset.mem d.c_name (concept_names tbody) then
+        Diag.type_error ~code:"FG0308" ~loc
+          "concept %s escapes its scope in the type %s of the body" d.c_name
+          (Pretty.ty_to_string tbody);
+      (tbody, concept_decl ~loc d body_elab, body')
+  | Fmodel { loc; d; entry; dict } ->
+      (* The model (and the meaning of its associated-type projections)
+         goes out of scope here; resolve this model's projections in the
+         result type so they do not escape. *)
+      let tbody =
+        if d.m_params <> [] then tbody
+        else resolve_own_projections d.m_concept d.m_args d.m_assoc tbody
+      in
+      ( tbody,
+        model_decl ~loc d body_elab,
+        F.let_ ~loc entry.Env.me_dict dict body' )
+  | Fusing { loc; m; _ } -> (tbody, using ~loc m body_elab, body')
+  | Falias { loc; t; ty; env } ->
+      (* translated after the body, as the fused judgment did, so the
+         fresh-name supply is consumed in the same order *)
+      let f_ty = Types.translate_ty ~loc env ty in
+      ( subst_ty_list [ (t, ty) ] tbody,
+        type_alias ~loc t ty body_elab,
+        F.subst_ty_exp (Smap.singleton t f_ty) body' )
+
 (* ------------------------------------------------------------------ *)
 (* The main judgment                                                   *)
 
@@ -223,47 +319,35 @@ let check_concept_decl ?loc env (d : concept_decl) : unit =
    interpreter can run it), and the System F translation.
 
    Declaration forms (concept / model / let / using / type alias) are
-   factored through [check_decl], which does all of a declaration's own
-   work BEFORE the body is checked and returns the extended environment
-   plus a wrapper rebuilding the whole node's result from the body's.
-   [check] composes the two on the spot; {!Fg_core.Unit.walk} walks a
-   whole declaration spine once and keeps the environment and composed
-   wrapper around — that is what lets a {!Session} check a shared
-   prelude once and reuse it for every program. *)
+   factored through [check_decl_parts], which does all of a
+   declaration's own work BEFORE the body is checked and returns its
+   frame.  [check] extends and wraps with it on the spot;
+   {!Fg_core.Unit.walk} walks a whole declaration spine once and keeps
+   the environment and the frames around — that is what lets a
+   {!Session} check a shared prelude once and reuse it for every
+   program. *)
 let rec check (env : Env.t) (e : exp) : ty * exp * F.exp =
-  match check_decl env e with
-  | Some (env', body, wrap) -> wrap (check env' body)
+  match check_decl_parts env e with
+  | Some (frame, body) -> wrap frame (check (extend env frame) body)
   | None -> check_exp env e
 
-and check_decl (env : Env.t) (e : exp) :
-    (Env.t * exp * (ty * exp * F.exp -> ty * exp * F.exp)) option =
-  Option.map
-    (fun (extend, body, wrap) -> (extend env, body, wrap))
-    (check_decl_parts env e)
-
-(* One declaration node: [Some (extend, body, wrap)] when [e] is a
-   declaration with body [body], where [extend] rebuilds the extended
-   environment from the one the declaration was checked under (or any
-   environment of the same family binding the same dependencies — that
-   is what lets {!Fg_core.Unit} replay a cached declaration without
-   re-checking it) and [wrap] turns the body's checked triple into the
-   declaration's.  All side conditions of the declaration itself
-   (well-formedness, member checking, dictionary construction,
-   fresh-name generation) happen here, eagerly, in exactly the order
-   the fused judgment performed them. *)
-and check_decl_parts (env : Env.t) (e : exp) :
-    ((Env.t -> Env.t) * exp * (ty * exp * F.exp -> ty * exp * F.exp)) option =
+(* One declaration node: [Some (frame, body)] when [e] is a
+   declaration with body [body].  [extend] applies the frame to the
+   environment the declaration was checked under, or to any environment
+   of the same family binding the same dependencies (that is what lets
+   {!Fg_core.Unit} replay a cached declaration without re-checking it),
+   and [wrap] turns the body's checked triple into the declaration's.
+   All side conditions of the declaration itself (well-formedness,
+   member checking, dictionary construction, fresh-name generation)
+   happen here, eagerly, in exactly the order the fused judgment
+   performed them. *)
+and check_decl_parts (env : Env.t) (e : exp) : (frame * exp) option =
   let loc = e.loc in
   match e.desc with
   | Let (x, rhs, body) ->
       Coverage.hit p_let;
-      let trhs, rhs_elab, rhs' = check env rhs in
-      Some
-        ( (fun env -> Env.bind_var env x trhs),
-          body,
-          fun (tbody, body_elab, body') ->
-            (tbody, let_ ~loc x rhs_elab body_elab, F.let_ ~loc x rhs' body')
-        )
+      let ty, elab, f = check env rhs in
+      Some (Flet { loc; x; ty; elab; f }, body)
   | ConceptDecl (d, body) ->
       Coverage.hit p_concept;
       check_concept_decl ~loc env d;
@@ -293,20 +377,8 @@ and check_decl_parts (env : Env.t) (e : exp) :
                    d.c_name))
           d.c_defaults
       end;
-      Some
-        ( (fun env -> Env.bind_concept env d),
-          body,
-          fun (tbody, body_elab, body') ->
-            if env.Env.escape_check && Sset.mem d.c_name (concept_names tbody)
-            then
-              Diag.type_error ~code:"FG0308" ~loc
-                "concept %s escapes its scope in the type %s of the body"
-                d.c_name
-                (Pretty.ty_to_string tbody);
-            (tbody, concept_decl ~loc d body_elab, body') )
-  | ModelDecl (d, body) ->
-      let extend, wrap = check_model_decl env ~loc d in
-      Some (extend, body, wrap)
+      Some (Fconcept { loc; d; escape_check = env.Env.escape_check }, body)
+  | ModelDecl (d, body) -> Some (check_model_decl env ~loc d, body)
   | Using (m, body) -> (
       match Env.lookup_named_model env m with
       | None ->
@@ -322,27 +394,14 @@ and check_decl_parts (env : Env.t) (e : exp) :
             "unknown named model '%s'" m
       | Some entry ->
           Coverage.hit p_using;
-          Some
-            ( (fun env -> Env.bind_model env entry),
-              body,
-              fun (tbody, body_elab, body') ->
-                (tbody, using ~loc m body_elab, body') ))
+          Some (Fusing { loc; m; entry }, body))
   | TypeAlias (t, ty, body) ->
       Coverage.hit p_alias;
       Types.wf_ty ~loc env ty;
       if Env.tyvar_in_scope env t then
         Diag.wf_error ~code:"FG0205" ~loc
           "type alias '%s' shadows a type variable in scope" t;
-      Some
-        ( (fun env -> Env.assume (Env.bind_tyvars env [ t ]) (TVar t) ty),
-          body,
-          fun (tbody, body_elab, body') ->
-            (* translated after the body, as the fused judgment did, so
-               the fresh-name supply is consumed in the same order *)
-            let f_ty = Types.translate_ty ~loc env ty in
-            ( subst_ty_list [ (t, ty) ] tbody,
-              type_alias ~loc t ty body_elab,
-              F.subst_ty_exp (Smap.singleton t f_ty) body' ) )
+      Some (Falias { loc; t; ty; env }, body)
   | _ -> None
 
 and check_exp (env : Env.t) (e : exp) : ty * exp * F.exp =
@@ -552,7 +611,7 @@ and check_exp_desc (env : Env.t) (e : exp) : ty * exp * F.exp =
               record_index (Imodel (loc, c, args));
               (ty, e, F.nth_path ~loc (Types.model_dict_exp ~loc env fm) path)))
   | Let _ | ConceptDecl _ | ModelDecl _ | Using _ | TypeAlias _ ->
-      (* dispatched through check_decl by [check] *)
+      (* dispatched through check_decl_parts by [check] *)
       Diag.ice "check_exp reached a declaration form"
 
 (* MDL: check a model declaration and translate it to a let-bound
@@ -673,8 +732,7 @@ and infer_ty_args ~loc env (tvs : string list) (params : ty list)
             a)
     tvs
 
-and check_model_decl env ~loc (d : model_decl) :
-    (Env.t -> Env.t) * (ty * exp * F.exp -> ty * exp * F.exp) =
+and check_model_decl env ~loc (d : model_decl) : frame =
   let c = d.m_concept in
   let decl = Env.lookup_concept_exn ~loc env c in
   Types.arity_check ~loc "concept" c
@@ -748,10 +806,7 @@ and check_model_decl env ~loc (d : model_decl) :
     decl.c_assoc;
   (* The equality context in which requirements are interpreted: the
      model's own associated-type assignments are facts. *)
-  let own_equations =
-    List.map (fun (s, ty) -> (TAssoc (c, d.m_args, s), ty)) d.m_assoc
-  in
-  let env_eq = Env.assume_all env_m own_equations in
+  let env_eq = Env.assume_all env_m (own_equations d) in
   let dict_var = Env.fresh env c in
   let entry =
     {
@@ -915,56 +970,10 @@ and check_model_decl env ~loc (d : model_decl) :
           "this model of %s shadows an earlier model of the same types"
           (Pretty.constr_to_string (CModel (c, d.m_args)))
   | _ -> ());
-  let extend env =
-    match d.m_name with
-    | Some m -> Env.bind_named_model env m entry
-    | None ->
-        let base =
-          if parameterized then env else Env.assume_all env own_equations
-        in
-        Env.bind_model base entry
+  let d =
+    { d with m_members = List.map (fun (x, a, _) -> (x, a)) member_results }
   in
-  ( extend,
-    fun (tbody, body_elab, body') ->
-      (* The model (and the meaning of its associated-type projections)
-         goes out of scope here; resolve this model's projections in the
-         result type so they do not escape. *)
-      let tbody =
-        if parameterized then tbody
-        else resolve_own_projections c d.m_args d.m_assoc tbody
-      in
-      let d_elab =
-        { d with m_members = List.map (fun (x, a, _) -> (x, a)) member_results }
-      in
-      ( tbody,
-        model_decl ~loc d_elab body_elab,
-        F.let_ ~loc dict_var dict_rhs body' ) )
-
-(* Structurally replace this model's associated-type projections
-   [c<args>.s] by their assignments, everywhere in a type. *)
-and resolve_own_projections c margs massoc ty =
-  let rec go t =
-    match t with
-    | TBase _ | TVar _ -> t
-    | TArrow (args, ret) -> TArrow (List.map go args, go ret)
-    | TTuple ts -> TTuple (List.map go ts)
-    | TList t -> TList (go t)
-    | TAssoc (c', args, s) -> (
-        let args = List.map go args in
-        match List.assoc_opt s massoc with
-        | Some def
-          when String.equal c c'
-               && List.length args = List.length margs
-               && List.for_all2 ty_equal args margs ->
-            go def
-        | _ -> TAssoc (c', args, s))
-    | TForall (tvs, constrs, body) ->
-        TForall (tvs, List.map (go_constr) constrs, go body)
-  and go_constr = function
-    | CModel (c', args) -> CModel (c', List.map go args)
-    | CSame (a, b) -> CSame (go a, go b)
-  in
-  go ty
+  Fmodel { loc; d; entry; dict = dict_rhs }
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)

@@ -54,22 +54,54 @@ type index_entry =
     results and cached units are byte-identical either way. *)
 val with_index_sink : (index_entry -> unit) -> (unit -> 'a) -> 'a
 
-(** One declaration node: [Some (extend, body, wrap)] when the
-    expression is a declaration form (let / concept / model / using /
-    type alias) with body [body].  All of the declaration's own work —
-    well-formedness, member checking, dictionary construction,
-    fresh-name generation — happens eagerly in this call; [extend]
-    rebuilds the extended environment from the environment the
-    declaration was checked under, or from any later environment of the
-    same family that binds the same dependencies (this is what lets
-    {!Unit} replay a cached declaration without re-checking it), and
-    [wrap] turns the body's checked triple into the declaration's.
-    Raises [Diag.Error] when the declaration itself is ill-typed;
-    returns [None] on non-declarations. *)
-val check_decl_parts :
-  Env.t ->
-  exp ->
-  ((Env.t -> Env.t) * exp * (ty * exp * F.exp -> ty * exp * F.exp)) option
+(** What checking one declaration leaves behind for its body, as plain
+    data (no functions, so checked units and a checked prelude marshal
+    without [Marshal.Closures]): one case per declaration form. *)
+type frame =
+  | Flet of {
+      loc : Fg_util.Loc.t;
+      x : string;
+      ty : ty;
+      elab : exp;
+      f : F.exp;
+    }
+      (** the bound variable, its type, and the right-hand side's
+          elaboration and translation *)
+  | Fconcept of {
+      loc : Fg_util.Loc.t;
+      d : concept_decl;
+      escape_check : bool;
+    }
+  | Fmodel of {
+      loc : Fg_util.Loc.t;
+      d : model_decl;  (** members elaborated *)
+      entry : Env.model_entry;
+      dict : F.exp;  (** the dictionary's right-hand side *)
+    }
+  | Fusing of { loc : Fg_util.Loc.t; m : string; entry : Env.model_entry }
+  | Falias of { loc : Fg_util.Loc.t; t : string; ty : ty; env : Env.t }
+      (** [env] is the alias's own environment: its type is translated
+          after the body, when the frame is wrapped *)
+
+(** One declaration node: [Some (frame, body)] when the expression is a
+    declaration form (let / concept / model / using / type alias) with
+    body [body].  All of the declaration's own work — well-formedness,
+    member checking, dictionary construction, fresh-name generation —
+    happens eagerly in this call.  Raises [Diag.Error] when the
+    declaration itself is ill-typed; returns [None] on
+    non-declarations. *)
+val check_decl_parts : Env.t -> exp -> (frame * exp) option
+
+(** [extend env frame] adds the declaration's bindings to [env]: the
+    environment the declaration was checked under, or any environment
+    of the same family binding the same dependencies (this is what lets
+    {!Unit} replay a cached declaration without re-checking it). *)
+val extend : Env.t -> frame -> Env.t
+
+(** [wrap frame body] turns the body's checked triple into the
+    declaration's (and raises the declaration's checks that need the
+    body's type, such as a concept escaping its scope). *)
+val wrap : frame -> ty * exp * F.exp -> ty * exp * F.exp
 
 (** The names a failed declaration would have bound (an unnamed model
     binds none, so its concept stands in) — recovery poisons these. *)

@@ -80,8 +80,8 @@ type t = {
           for the duration of a run *)
   family : int;
       (** uniquely names the {!create} call this environment derives
-          from.  Closures produced while checking under one family
-          (declaration wrappers, cached compilation units) may capture
+          from.  Frames produced while checking under one family (a
+          type alias's, in cached compilation units) may hold
           environments and their shared mutable state (the gensym, the
           resolution cache), so they are only replayable under the same
           family — {!Fg_core.Unit} keys its cache on this. *)
@@ -107,6 +107,9 @@ let create ?(resolution = Resolution.Lexical) ?(escape_check = true) () =
     diag = ref (Diag.engine ());
     family = Atomic.fetch_and_add family_supply 1;
   }
+
+let with_fresh_family env =
+  { env with family = Atomic.fetch_and_add family_supply 1 }
 
 (* A fresh scope generation.  The supply is shared and monotone, so a
    generation uniquely names one (models, eq) pair for the lifetime of

@@ -51,11 +51,18 @@ type t = {
           the duration of a run *)
   family : int;
       (** uniquely names the {!create} call this environment derives
-          from; cached compilation units capture environments and are
-          only replayable under the same family *)
+          from (or the {!with_fresh_family} call); cached compilation
+          units may hold environments and are only replayable under the
+          same family *)
 }
 
 val create : ?resolution:Resolution.mode -> ?escape_check:bool -> unit -> t
+
+(** The same environment under a family no other environment in this
+    process has: how an environment unmarshalled from another process
+    (whose families were drawn from that process's supply) joins this
+    one. *)
+val with_fresh_family : t -> t
 
 (** {1 Extension} *)
 

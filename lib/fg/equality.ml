@@ -211,17 +211,17 @@ let build eq : cache =
   Telemetry.record_cc_rebuild ();
   let cache =
     {
-      cc = Closure.create ();  (* placeholder, replaced below *)
+      cc = Closure.create ();
       var_seq = Hashtbl.create 16;
       foralls = Hashtbl.create 8;
       next_seq = 0;
       repr_memo = Hashtbl.create 64;
     }
   in
-  let cc = Closure.create ~prefer:(make_prefer cache) () in
-  let cache = { cache with cc } in
   List.iter
-    (fun (a, b) -> Closure.merge cache.cc (encode cache a) (encode cache b))
+    (fun (a, b) ->
+      Closure.merge ~prefer:(make_prefer cache) cache.cc (encode cache a)
+        (encode cache b))
     (List.rev eq.assumptions);
   cache
 
@@ -238,7 +238,7 @@ let equal eq a b =
   ty_equal a b
   ||
   let c = force eq in
-  Closure.equiv c.cc (encode c a) (encode c b)
+  Closure.equiv ~prefer:(make_prefer c) c.cc (encode c a) (encode c b)
 
 (** Canonical representative of [a]'s equivalence class.  Memoized per
     closure generation: re-asking for the representative of the same
@@ -250,7 +250,9 @@ let repr eq a =
   match Hashtbl.find_opt c.repr_memo a with
   | Some (g, r) when g = gen -> r
   | _ ->
-      let r = decode c (Closure.repr c.cc (encode c a)) in
+      let r =
+        decode c (Closure.repr ~prefer:(make_prefer c) c.cc (encode c a))
+      in
       (* encoding may intern new terms and trigger congruence merges;
          record the generation the result is valid for *)
       Hashtbl.replace c.repr_memo a (Closure.generation c.cc, r);

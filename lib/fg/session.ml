@@ -87,8 +87,10 @@ type t = {
                        {!extend}, so batch domains and servers can
                        rebuild an equivalent session from it) *)
   env : Env.t;  (** the post-prelude environment *)
-  wrap : Ast.ty * Ast.exp * F.Ast.exp -> Ast.ty * Ast.exp * F.Ast.exp;
-      (** embeds a checked body into the prelude's results *)
+  frames : Check.frame list;
+      (** the prelude's declaration frames, innermost first:
+          {!Unit.unwind} embeds a checked body into the prelude's
+          results *)
   mark : int;  (** fresh-name supply position after the prelude *)
   globals_mark : (string * Ast.ty list) list;
       (** the Global-ablation overlap set after the prelude *)
@@ -99,7 +101,7 @@ type t = {
           program's dependency chain, and their dependency analysis,
           done once here, is what each program's analysis extends *)
   prefix : F.Typecheck.prefix option;
-      (** the [let]s [wrap] puts around every program's translation,
+      (** the [let]s [frames] put around every program's translation,
           typechecked once in System F: each theorem re-check resumes
           after them ([None] if they do not typecheck) *)
   created : Telemetry.snapshot;
@@ -109,10 +111,10 @@ type t = {
 (* Construction                                                      *)
 
 (* Check a declaration stack on top of [env] through the unit cache,
-   returning the extended environment, the composed wrapper, and the
-   checked units.  The stack is parsed with a dummy [0] body; anything
-   left over after the declaration spine means the text was not purely
-   declarations. *)
+   returning the extended environment, the declarations' frames
+   (innermost first), and the checked units.  The stack is parsed with
+   a dummy [0] body; anything left over after the declaration spine
+   means the text was not purely declarations. *)
 let check_decl_stack cache ~spine env src ~file =
   let source = src ^ "\n0" in
   let ast =
@@ -128,67 +130,70 @@ let check_decl_stack cache ~spine env src ~file =
       Diag.wf_error ~loc:w.Unit.w_residual.Ast.loc
         "session prelude must be a stack of declarations (found a \
          non-declaration before the end)");
-  (w.Unit.w_env, w.Unit.w_wrap, w.Unit.w_units)
+  (w.Unit.w_env, w.Unit.w_frames, w.Unit.w_units)
 
-(* The lets [wrap] puts around every program's translation, checked
-   once: the wrapper applied to a hole no FG program can name.  The
-   wrappers build each let around the right-hand side translated when
-   its declaration was checked, so every program's translation shares
+(* The lets [frames] put around every program's translation, checked
+   once: the frames wrapped around a hole no FG program can name.  A
+   frame builds its let around the right-hand side translated when its
+   declaration was checked, so every program's translation shares
    those right-hand sides physically and its re-check resumes after
-   them.  A type alias's wrapper rebuilds everything under it (checked
+   them.  A type alias's frame rebuilds everything under it (checked
    in full every time) and draws fresh names, so the supply goes back
    to [mark].  A prelude whose translation does not typecheck keeps
    no prefix, and every program reports the diagnostic. *)
-let translation_prefix env ~mark wrap =
+let translation_prefix env ~mark frames =
   let hole = "<hole>" in
   let prefix =
     Diag.protect (fun () ->
         let _, _, f =
-          wrap (Ast.TBase Ast.TUnit, Ast.var hole, F.Ast.var hole)
+          Unit.unwind frames
+            (Ast.TBase Ast.TUnit, Ast.var hole, F.Ast.var hole)
         in
         F.Typecheck.check_prefix ~hole f)
   in
   Gensym.restore env.Env.gensym mark;
   Result.to_option prefix
 
-let of_config ?cache (cfg : Config.t) : t =
+(* A session's unit cache: the shared one, or a private one with the
+   configured disk tier attached.  The tier goes on before the prelude
+   walk so the prelude's own units persist too (and replay on warm
+   runs). *)
+let session_cache ?cache (cfg : Config.t) =
+  match cache with
+  | Some c -> c
+  | None ->
+      let c = Unit.create_cache () in
+      (match cfg.Config.cache_dir with
+      | None -> ()
+      | Some dir ->
+          let d =
+            Diskcache.open_store ?max_bytes:cfg.Config.cache_max_bytes dir
+          in
+          Unit.set_stores c [ Unit.disk_store d ]);
+      c
+
+let check_config cache (cfg : Config.t) =
   let env0 =
     Env.create ~resolution:cfg.Config.resolution
       ~escape_check:cfg.Config.escape_check ()
   in
-  let cache =
-    match cache with
-    | Some c -> c
-    | None ->
-        let c = Unit.create_cache () in
-        (* Attach the disk tier before the prelude walk so the
-           prelude's own units persist too (and replay on warm runs). *)
-        (match cfg.Config.cache_dir with
-        | None -> ()
-        | Some dir ->
-            let d =
-              Diskcache.open_store ?max_bytes:cfg.Config.cache_max_bytes dir
-            in
-            Unit.set_stores c [ Unit.disk_store d ]);
-        c
-  in
   let spine0 = Unit.empty_spine env0 in
-  let env, wrap, spine =
+  let env, frames, spine =
     match cfg.Config.prelude with
-    | None -> (env0, (fun res -> res), spine0)
+    | None -> (env0, [], spine0)
     | Some src ->
         Telemetry.record_prelude_build ();
-        let env, wrap, units =
+        let env, frames, units =
           check_decl_stack cache ~spine:spine0 env0 src ~file:"<prelude>"
         in
-        (env, wrap, Unit.extend_spine spine0 units)
+        (env, frames, Unit.extend_spine spine0 units)
   in
   let mark = Gensym.mark env.Env.gensym in
-  let prefix = translation_prefix env ~mark wrap in
+  let prefix = translation_prefix env ~mark frames in
   {
     cfg;
     env;
-    wrap;
+    frames;
     mark;
     globals_mark = !(env.Env.global_models);
     cache;
@@ -196,6 +201,78 @@ let of_config ?cache (cfg : Config.t) : t =
     prefix;
     created = Telemetry.snapshot ();
   }
+
+(* ---------------------------------------------------------------- *)
+(* Prelude images                                                    *)
+
+(* What checking a prelude leaves in a session, as one value.  A
+   single marshalled value keeps the sharing between the frames'
+   right-hand sides and [i_prefix] that the resumed re-check relies
+   on; nothing in it is a function, so it marshals without
+   [Marshal.Closures] and unmarshalling never digests the code. *)
+type image = {
+  i_env : Env.t;
+  i_frames : Check.frame list;
+  i_mark : int;
+  i_globals : (string * Ast.ty list) list;
+  i_spine : Unit.spine;
+  i_prefix : F.Typecheck.prefix option;
+}
+
+module Image = struct
+  let installed : (Resolution.mode * string) list Atomic.t = Atomic.make []
+
+  let make cfg =
+    let t = check_config (Unit.create_cache ()) cfg in
+    Marshal.to_string
+      {
+        i_env = t.env;
+        i_frames = t.frames;
+        i_mark = t.mark;
+        i_globals = t.globals_mark;
+        i_spine = t.spine;
+        i_prefix = t.prefix;
+      }
+      []
+
+  (* The loaded environment gets a family of its own: the image's was
+     drawn from another process's supply and could equal one this
+     process already uses.  Its units join the cache under that
+     family, as a check would have left them. *)
+  let load ?cache cfg bytes =
+    let cache = session_cache ?cache cfg in
+    Telemetry.record_prelude_build ();
+    let i : image = Marshal.from_string bytes 0 in
+    let env = Env.with_fresh_family i.i_env in
+    {
+      cfg;
+      env;
+      frames = i.i_frames;
+      mark = i.i_mark;
+      globals_mark = i.i_globals;
+      cache;
+      spine = Unit.adopt cache i.i_spine env;
+      prefix = i.i_prefix;
+      created = Telemetry.snapshot ();
+    }
+
+  let install mode bytes =
+    Atomic.set installed
+      ((mode, bytes) :: List.remove_assoc mode (Atomic.get installed))
+
+  (* Installed images stand for the standard prelude under the default
+     escape check only; every other configuration is checked. *)
+  let find (cfg : Config.t) =
+    match cfg.Config.prelude with
+    | Some p when cfg.Config.escape_check && String.equal p Prelude.full ->
+        List.assoc_opt cfg.Config.resolution (Atomic.get installed)
+    | _ -> None
+end
+
+let of_config ?cache (cfg : Config.t) : t =
+  match Image.find cfg with
+  | Some bytes -> Image.load ?cache cfg bytes
+  | None -> check_config (session_cache ?cache cfg) cfg
 
 let config t = t.cfg
 
@@ -233,7 +310,7 @@ let extend t decls =
      many programs the session has served. *)
   Gensym.restore t.env.Env.gensym t.mark;
   t.env.Env.global_models := t.globals_mark;
-  let env', wrap', units =
+  let env', frames', units =
     check_decl_stack t.cache ~spine:t.spine t.env decls ~file:"<decls>"
   in
   let spine = Unit.extend_spine t.spine units in
@@ -264,9 +341,9 @@ let extend t decls =
     List.map (fun (u : Unit.checked) -> u.Unit.ck_key) (Unit.spine_units spine)
   in
   ignore (Unit.invalidate t.cache ~protect ~seeds);
-  let wrap res = t.wrap (wrap' res) in
+  let frames = frames' @ t.frames in
   let mark = Gensym.mark env'.Env.gensym in
-  let prefix = translation_prefix env' ~mark wrap in
+  let prefix = translation_prefix env' ~mark frames in
   {
     t with
     cfg =
@@ -278,7 +355,7 @@ let extend t decls =
                t.cfg.Config.prelude);
       };
     env = env';
-    wrap;
+    frames;
     mark;
     globals_mark = !(env'.Env.global_models);
     spine;
@@ -314,7 +391,9 @@ let check_source ?file t source =
   let triple =
     Telemetry.time Telemetry.Check (fun () ->
         let w = Unit.walk t.cache ~source ~spine:t.spine t.env ast in
-        t.wrap (w.Unit.w_wrap (Check.check w.Unit.w_env w.Unit.w_residual)))
+        Unit.unwind t.frames
+          (Unit.unwind w.Unit.w_frames
+             (Check.check w.Unit.w_env w.Unit.w_residual)))
   in
   (ast, triple)
 
@@ -473,7 +552,9 @@ let run_full_impl ~file ?fuel t source =
       let triple =
         match
           Telemetry.time Telemetry.Check (fun () ->
-              t.wrap (w.Unit.w_wrap (Check.check w.Unit.w_env w.Unit.w_residual)))
+              Unit.unwind t.frames
+                (Unit.unwind w.Unit.w_frames
+                   (Check.check w.Unit.w_env w.Unit.w_residual)))
         with
         | triple -> Some triple
         | exception Diag.Error d ->

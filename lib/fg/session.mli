@@ -122,6 +122,39 @@ type outcome = {
     itself is ill-formed. *)
 val of_config : ?cache:Unit.cache -> Config.t -> t
 
+(** Prelude images: a checked prelude as one marshalled value, so a
+    process can load it instead of checking it.  [fgc] embeds one image
+    per resolution mode, made from the standard prelude at build time,
+    and installs them at start-up; from then on {!of_config} loads the
+    installed image for every standard-prelude configuration with the
+    escape check on (the default), and checks every other prelude as
+    before.  A loaded session is indistinguishable from a checked one:
+    same environment, frames, fresh-name position, units and checked
+    System F prefix, so every report, translation and diagnostic is
+    byte-identical.  Its environment gets a family of its own and its
+    units join the session's unit cache (memory tier only), as a check
+    would have left them; telemetry shows no unit-cache traffic and no
+    check time for the prelude. *)
+module Image : sig
+  (** [make cfg] checks [cfg]'s prelude (always through the checker,
+      never through an installed image) and marshals the resulting
+      session state as one value without closures.  Bytes are only
+      valid for the build that made them. *)
+  val make : Config.t -> string
+
+  (** [load ?cache cfg image] — the session [of_config ?cache cfg]
+      would have checked, from an [image] made by this build for the
+      same prelude, resolution mode and escape check. *)
+  val load : ?cache:Unit.cache -> Config.t -> string -> t
+
+  (** [install mode image] — from now on {!of_config} loads [image]
+      (made by [make] from {!Config.with_standard_prelude} of
+      {!Config.default} under [mode]) instead of checking the standard
+      prelude under [mode].  Installing is just registering the bytes:
+      nothing is unmarshalled until a session needs them. *)
+  val install : Resolution.mode -> string -> unit
+end
+
 (** The session's configuration (its creation-time [Config.t]). *)
 val config : t -> Config.t
 

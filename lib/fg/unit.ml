@@ -22,9 +22,9 @@
     fresh names a unit consumed part of its address, the dependency
     keys cover (transitively) everything the checker could observe in
     scope, and the family confines hits to environments descending from
-    one [Env.create] — cached closures capture environments and their
-    shared supplies, so replaying them under a foreign family would not
-    be byte-identical.
+    one [Env.create] — a cached type alias's frame holds its environment
+    and with it the family's shared supplies, so replaying it under a
+    foreign family would not be byte-identical.
 
     A cache hit replays a unit instead of re-checking it: the recorded
     environment delta is re-applied, the fresh-name supply fast-forwards
@@ -48,8 +48,7 @@ type checked = {
   ck_pkey : string;
   ck_deps : string list;
   ck_info : Declgraph.info;
-  ck_extend : Env.t -> Env.t;
-  ck_wrap : triple -> triple;
+  ck_frame : Check.frame;
   ck_gensym_end : int;
   ck_globals_delta : (string * Ast.ty list) list;
   ck_warnings : Diag.diagnostic list;
@@ -67,12 +66,21 @@ type store = {
 (* ---------------------------------------------------------------- *)
 (* The bounded cache                                                  *)
 
-type entry = { e_unit : checked; mutable e_tick : int }
+(* Entries sit on a doubly linked recency list, most recent first, so
+   a touch, an insert and an eviction each cost O(1): the victim is the
+   list's last entry, the least recently touched one. *)
+type entry = {
+  e_key : string;
+  e_unit : checked;
+  mutable newer : entry option;
+  mutable older : entry option;
+}
 
 type cache = {
   capacity : int;
   tbl : (string, entry) Hashtbl.t;
-  mutable tick : int;
+  mutable newest : entry option;
+  mutable oldest : entry option;
   mutable stores : store list;
       (** persistent tiers behind the memory map, consulted in order;
           empty by default *)
@@ -92,7 +100,8 @@ let create_cache ?(capacity = default_capacity) () =
   {
     capacity = max 1 capacity;
     tbl = Hashtbl.create 64;
-    tick = 0;
+    newest = None;
+    oldest = None;
     stores = [];
     hits = Atomic.make 0;
     misses = Atomic.make 0;
@@ -120,9 +129,22 @@ let stats c =
     s_capacity = c.capacity;
   }
 
-let tick c =
-  c.tick <- c.tick + 1;
-  c.tick
+let unlink c e =
+  (match e.newer with
+  | Some n -> n.older <- e.older
+  | None -> c.newest <- e.older);
+  (match e.older with
+  | Some o -> o.newer <- e.newer
+  | None -> c.oldest <- e.newer);
+  e.newer <- None;
+  e.older <- None
+
+let push_newest c e =
+  e.older <- c.newest;
+  (match c.newest with
+  | Some n -> n.newer <- Some e
+  | None -> c.oldest <- Some e);
+  c.newest <- Some e
 
 let set_stores c stores = c.stores <- stores
 
@@ -132,7 +154,8 @@ let set_stores c stores = c.stores <- stores
 let find_mem c key =
   match Hashtbl.find_opt c.tbl key with
   | Some e ->
-      e.e_tick <- tick c;
+      unlink c e;
+      push_newest c e;
       Some e.e_unit
   | None -> None
 
@@ -148,53 +171,48 @@ let record_miss c =
   Telemetry.record_unit_miss ()
 
 let remove c key =
-  if Hashtbl.mem c.tbl key then begin
-    Hashtbl.remove c.tbl key;
-    ignore (Atomic.fetch_and_add c.size (-1))
-  end
-
-(* Evict the least recently used entry — a linear scan, fine at the
-   default capacity and only reached when the cache is full. *)
-let evict_one c =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key e ->
-      match !victim with
-      | Some (_, t) when t <= e.e_tick -> ()
-      | _ -> victim := Some (key, e.e_tick))
-    c.tbl;
-  match !victim with
+  match Hashtbl.find_opt c.tbl key with
+  | Some e ->
+      Hashtbl.remove c.tbl key;
+      unlink c e;
+      ignore (Atomic.fetch_and_add c.size (-1))
   | None -> ()
-  | Some (key, _) ->
-      remove c key;
+
+let evict_oldest c =
+  match c.oldest with
+  | None -> ()
+  | Some e ->
+      remove c e.e_key;
       Atomic.incr c.evictions;
       Telemetry.record_unit_eviction ()
 
 let insert_mem c (u : checked) =
   if not (Hashtbl.mem c.tbl u.ck_key) then begin
     while Atomic.get c.size >= c.capacity do
-      evict_one c
+      evict_oldest c
     done;
-    Hashtbl.replace c.tbl u.ck_key { e_unit = u; e_tick = tick c };
+    let e = { e_key = u.ck_key; e_unit = u; newer = None; older = None } in
+    Hashtbl.replace c.tbl u.ck_key e;
+    push_newest c e;
     ignore (Atomic.fetch_and_add c.size 1)
   end
 
 (* ---------------------------------------------------------------- *)
 (* Marshalling units through persistent tiers                         *)
 
-(* [Marshal.Closures] persists the replay closures by code pointer +
-   code digest: bytes written by any other compiler build refuse to
-   unmarshal (Failure), which is one of the guards below.  Encoding can
-   also fail — a closure could in principle capture an unmarshalable
-   value — and a unit that cannot be persisted is simply not persisted. *)
-let encode (u : checked) =
-  try Some (Marshal.to_string u [ Marshal.Closures ]) with _ -> None
+(* A unit is plain data (its frame holds no functions), so a blob
+   carries no code pointers and decoding it never digests the code
+   segment.  Nothing in a blob says which build's types it was written
+   with: the disk store's build-id stamp is what keeps a foreign
+   build's blobs from ever reaching [decode].  A unit that cannot be
+   encoded is simply not persisted. *)
+let encode (u : checked) = try Some (Marshal.to_string u []) with _ -> None
 
-(* Decoding guards every failure mode a persisted blob has: truncation
-   and wire-format drift (Failure from [Marshal]), foreign-build
-   closures (code digest mismatch), and a blob that unmarshals but was
-   stored under the wrong address (the embedded pkey disagrees).  All
-   of them count as corrupt and read as a miss — never a crash. *)
+(* Decoding guards the failure modes a stamped blob can still have:
+   truncation and wire-format drift (Failure from [Marshal]), and a
+   blob that unmarshals but was stored under the wrong address (the
+   embedded pkey disagrees).  Both count as corrupt and read as a
+   miss — never a crash. *)
 let decode ~pkey blob : checked option =
   match (Marshal.from_string blob 0 : checked) with
   | u when String.equal u.ck_pkey pkey -> Some u
@@ -286,9 +304,9 @@ let invalidate c ~protect ~seeds =
    environment family: families are allocated from a per-process
    counter, so they can never agree across processes.  Persistent tiers
    are addressed by the portable key; the memory map scopes it by
-   family (cached closures may share supplies with their environment,
-   so in-memory replay stays confined to environments descending from
-   one [Env.create], exactly as before).
+   family (a cached frame may share supplies with its environment, so
+   in-memory replay stays confined to environments descending from one
+   [Env.create]).
 
    A declaration's content is its own source text.  Both parsers end a
    declaration's span at its trailing "in", so the bytes under the span
@@ -353,11 +371,14 @@ type decl_outcome = Dhit | Dchecked | Dfailed
 type walk_result = {
   w_env : Env.t;
   w_residual : Ast.exp;
-  w_wrap : triple -> triple;
+  w_frames : Check.frame list;
   w_units : checked list;
   w_decls : (Ast.exp * string * decl_outcome) list;
   w_poisoned : Sset.t;
 }
+
+let unwind frames res =
+  List.fold_left (fun res f -> Check.wrap f res) res frames
 
 let split_spine (e : Ast.exp) : Ast.exp list * Ast.exp =
   let rec go acc e =
@@ -408,6 +429,30 @@ let extend_spine sp units =
 
 let spine_units sp = sp.sp_units
 
+(* A spine's units depend only on earlier units of the same spine, so
+   each dependency's new key is known by the time it is needed. *)
+let adopt c sp (env : Env.t) =
+  let family = string_of_int env.Env.family in
+  let rekey = Hashtbl.create 64 in
+  let units =
+    List.map
+      (fun u ->
+        let key = u.ck_pkey ^ family in
+        Hashtbl.replace rekey u.ck_key key;
+        {
+          u with
+          ck_key = key;
+          ck_deps = List.map (Hashtbl.find rekey) u.ck_deps;
+        })
+      sp.sp_units
+  in
+  List.iter (insert_mem c) units;
+  {
+    sp with
+    sp_units = units;
+    sp_keys = Array.of_list (List.map (fun u -> u.ck_key) units);
+  }
+
 let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
     ast : walk_result =
   let decls, residual = split_spine ast in
@@ -435,18 +480,18 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
      every extension of [env0] keeps.  pkeys are fixed-size, so
      appending the family is unambiguous. *)
   let family = string_of_int env0.Env.family in
-  let wraps = ref [] in
+  let frames = ref [] in
   let units = ref [] in
   let dlog = ref [] in
   let poisoned = ref poisoned in
   let failed = ref false in
   let commit (u : checked) =
-    env := u.ck_extend !env;
+    env := Check.extend !env u.ck_frame;
     Gensym.restore !env.Env.gensym u.ck_gensym_end;
     if u.ck_globals_delta <> [] then
       !env.Env.global_models :=
         u.ck_globals_delta @ !(!env.Env.global_models);
-    wraps := u.ck_wrap :: !wraps;
+    frames := u.ck_frame :: !frames;
     units := u :: !units
   in
   List.iteri
@@ -504,8 +549,8 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
           | None ->
               ignore (finish ());
               Diag.ice "Unit.walk: split_spine produced a non-declaration"
-          | Some (extend, _body, wrap) ->
-              let env' = extend !env in
+          | Some (frame, _body) ->
+              let env' = Check.extend !env frame in
               let warnings = finish () in
               let u =
                 {
@@ -513,8 +558,7 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
                   ck_pkey = pkey;
                   ck_deps = List.map dep_key deps.(i);
                   ck_info = infos.(i);
-                  ck_extend = extend;
-                  ck_wrap = wrap;
+                  ck_frame = frame;
                   ck_gensym_end = Gensym.mark env'.Env.gensym;
                   ck_globals_delta =
                     globals_delta ~before:globals_before
@@ -524,15 +568,14 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
               in
               if not !failed then insert cache u;
               env := env';
-              wraps := u.ck_wrap :: !wraps;
+              frames := frame :: !frames;
               dlog := (decl, pkey, Dchecked) :: !dlog;
               units := u :: !units))
     decls;
-  let acc = !wraps in
   {
     w_env = !env;
     w_residual = residual;
-    w_wrap = (fun res -> List.fold_left (fun res w -> w res) res acc);
+    w_frames = !frames;
     w_units = List.rev !units;
     w_decls = List.rev !dlog;
     w_poisoned = !poisoned;

@@ -25,11 +25,12 @@ module Sset := Fg_util.Names.Sset
 type triple = ty * exp * F.exp
 
 (** One checked declaration: its cache key, the keys it depends on, its
-    {!Declgraph} facts, and everything needed to replay it — the
-    environment delta, the translation wrapper, the fresh-name supply
-    position after checking, the Global-mode overlap-set delta, and the
-    warnings it emitted (replayed verbatim on a hit, so warnings appear
-    exactly once per program). *)
+    {!Declgraph} facts, and everything needed to replay it — its frame
+    (the environment delta and the translation wrapper, as data), the
+    fresh-name supply position after checking, the Global-mode
+    overlap-set delta, and the warnings it emitted (replayed verbatim on
+    a hit, so warnings appear exactly once per program).  A unit holds
+    no functions, so it marshals as plain data. *)
 type checked = {
   ck_key : string;  (** memory-tier key: the family-scoped {!ck_pkey} *)
   ck_pkey : string;
@@ -37,14 +38,15 @@ type checked = {
           tiers (the disk store), which outlive any process *)
   ck_deps : string list;
   ck_info : Declgraph.info;
-  ck_extend : Env.t -> Env.t;
-  ck_wrap : triple -> triple;
+  ck_frame : Check.frame;
   ck_gensym_end : int;
   ck_globals_delta : (string * ty list) list;
   ck_warnings : Fg_util.Diag.diagnostic list;
 }
 
-(** A bounded LRU map from unit key to checked unit. *)
+(** A bounded LRU map from unit key to checked unit.  Past capacity,
+    an insert evicts the least recently inserted or replayed unit, in
+    O(1). *)
 type cache
 
 val default_capacity : int
@@ -56,9 +58,11 @@ val create_cache : ?capacity:int -> unit -> cache
     stores in list order; a deeper hit is written back into the tiers
     that missed, a fresh check is written through to every tier, and a
     store that throws is treated as a miss on lookup and skipped on
-    write-through, so the unit is compiled locally.  Blobs only decode
-    in the compiler build that produced them — a mismatched or corrupt
-    blob counts as a corrupt entry and reads as a miss. *)
+    write-through, so the unit is compiled locally.  Blobs are plain
+    marshalled data with no code pointers; a store must only hand back
+    blobs written by the same compiler build (the disk store checks a
+    build-id stamp).  A corrupt blob counts as a corrupt entry and reads
+    as a miss. *)
 type store = {
   st_name : string;
   st_get : string -> string option;
@@ -101,9 +105,9 @@ type decl_outcome = Dhit | Dchecked | Dfailed
 type walk_result = {
   w_env : Env.t;  (** environment after the whole spine *)
   w_residual : exp;  (** first non-declaration expression *)
-  w_wrap : triple -> triple;
-      (** rebuilds the program's triple from the residual's by
-          composing the declarations' wrappers, outermost last *)
+  w_frames : Check.frame list;
+      (** the declarations' frames, innermost first: {!unwind}
+          rebuilds the program's triple from the residual's *)
   w_units : checked list;  (** this walk's units, in spine order *)
   w_decls : (exp * string * decl_outcome) list;
       (** one entry per walked declaration, in order: the declaration
@@ -112,6 +116,10 @@ type walk_result = {
           with the program's declarations even under recovery. *)
   w_poisoned : Sset.t;  (** recovery: names whose declarations failed *)
 }
+
+(** [unwind frames res] wraps [res] in each frame of [frames]
+    ({!Check.wrap}), innermost first. *)
+val unwind : Check.frame list -> triple -> triple
 
 (** The checked units a walk starts from (a session's prelude and
     every {!Session.extend} after it), their keys, and the dependency
@@ -130,6 +138,13 @@ val extend_spine : spine -> checked list -> spine
 
 (** The spine's units, in declaration order. *)
 val spine_units : spine -> checked list
+
+(** [adopt cache sp env] — [sp] with its units re-keyed under [env]'s
+    family, each inserted into [cache]'s memory tier in declaration
+    order: the state checking them under [env] would have left.  This
+    is how a spine checked in another process (a session image) joins
+    this one. *)
+val adopt : cache -> spine -> Env.t -> spine
 
 (** [walk cache ~source ~spine env ast] checks [ast]'s declaration
     spine through [cache].  [source] is the text [ast] was parsed from:

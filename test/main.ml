@@ -37,6 +37,7 @@ let () =
       ("recovery", Test_recovery.suite);
       ("declgraph", Test_declgraph.suite);
       ("session", Test_session.suite);
+      ("prelude-image", Test_image.suite);
       ("diskcache", Test_diskcache.suite);
       ("cli", Test_cli.suite);
       ("wire-protocol", Test_protocol.suite);

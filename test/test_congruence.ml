@@ -87,9 +87,9 @@ let test_repr_cycle_detected () =
   (* x = f(x): no finite representative; the custom prefer function
      insists on keeping f(x), forcing the cycle *)
   let prefer x y = if Term.depth x >= Term.depth y then x else y in
-  let cc2 = Cc.create ~prefer () in
-  Cc.merge cc2 a (f a);
-  (match Fg_util.Diag.protect (fun () -> Cc.repr ~max_depth:50 cc2 a) with
+  let cc2 = Cc.create () in
+  Cc.merge ~prefer cc2 a (f a);
+  (match Fg_util.Diag.protect (fun () -> Cc.repr ~prefer ~max_depth:50 cc2 a) with
   | Error d ->
       Alcotest.(check bool) "cycle reported" true
         (d.phase = Fg_util.Diag.Internal)
@@ -97,7 +97,7 @@ let test_repr_cycle_detected () =
       (* with depth-preferring selection this must have failed; if the
          implementation returns something it must at least be in the
          class *)
-      Alcotest.(check bool) "still equal" true (Cc.equiv cc2 r a));
+      Alcotest.(check bool) "still equal" true (Cc.equiv ~prefer cc2 r a));
   ignore cc
 
 let test_generation_counter () =

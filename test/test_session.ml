@@ -467,6 +467,30 @@ let test_unit_cache_eviction () =
   let small = quintuple s "t" (Genprog.shared_prefix ~decls:6 ()) in
   Alcotest.(check string) "tiny cache same output" cold small
 
+let test_unit_cache_lru () =
+  (* Capacity 3: three one-declaration programs fill the cache, the
+     first is replayed, then two more arrive.  Each insert past capacity
+     evicts the least recently inserted or replayed unit, so the
+     replayed one survives and the untouched ones go, oldest first. *)
+  let cache = Unit.create_cache ~capacity:3 () in
+  let env = Env.create () in
+  let spine = Unit.empty_spine env in
+  let walk x =
+    let src = Printf.sprintf "let %s = 1 in 0" x in
+    ignore
+      (Unit.walk cache ~source:src ~spine env
+         (Parser.exp_of_string ~file:"lru" src))
+  in
+  List.iter walk [ "a"; "b"; "c"; "a"; "d"; "e" ];
+  let st = Unit.stats cache in
+  Alcotest.(check (list int)) "hits, misses, evictions, size" [ 1; 5; 2; 3 ]
+    [ st.Unit.s_hits; st.Unit.s_misses; st.Unit.s_evictions; st.Unit.s_size ];
+  (* a hit inserts nothing, so probing the held units evicts nothing *)
+  List.iter walk [ "a"; "d"; "e" ];
+  Alcotest.(check int) "survivors: a, d, e" 4 (Unit.stats cache).Unit.s_hits;
+  List.iter walk [ "b"; "c" ];
+  Alcotest.(check int) "evicted: b, c" 7 (Unit.stats cache).Unit.s_misses
+
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
@@ -525,6 +549,8 @@ let suite =
       test_global_overlap_replayed;
     Alcotest.test_case "tiny unit cache evicts, stays correct" `Quick
       test_unit_cache_eviction;
+    Alcotest.test_case "unit cache evicts least recent" `Quick
+      test_unit_cache_lru;
     Alcotest.test_case "stats observable" `Quick test_stats;
     Alcotest.test_case "prelude must be declarations" `Quick
       test_prelude_must_be_declarations;

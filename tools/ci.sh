@@ -163,37 +163,40 @@ kill -TERM "$serve_pid"
 reap "$serve_pid" || { echo "incremental smoke: daemon exited nonzero"; exit 1; }
 
 echo "== cache smoke (persistent unit store: cold/warm byte-identity)"
-# Run the whole program tree against a fresh --cache-dir twice.  Both
-# passes must print exactly what a cache-less run prints, and the warm
-# pass must re-check nothing for the well-typed corpus: its --stats
-# report shows zero unit-cache misses.  (Error programs re-check by
-# design — failed declarations are never cached.)
+# Run the whole program tree against a fresh --cache-dir twice, without
+# and with the prelude (which -p loads from the image built into fgc).
+# Both passes must print exactly what a cache-less run prints, and the
+# warm pass must re-check nothing for the well-typed corpus: its
+# --stats report shows zero unit-cache misses.  (Error programs
+# re-check by design — failed declarations are never cached.)
 cache_dir=$(mktemp -d /tmp/fgc_cache_XXXXXX)
 plain=$(mktemp) && cold=$(mktemp) && warm=$(mktemp) && wstats=$(mktemp)
 track "$cache_dir" "$plain" "$cold" "$warm" "$wstats"
 for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
-  "$fgc" run --format=json "$f" > "$plain" 2>/dev/null || true
-  "$fgc" run --format=json --cache-dir "$cache_dir" "$f" > "$cold" 2>/dev/null || true
-  "$fgc" run --format=json --cache-dir "$cache_dir" --stats "$f" > "$warm" 2>"$wstats" || true
-  cmp -s "$plain" "$cold" \
-    || { echo "cache smoke: cold cached run differs from uncached: $f"; exit 1; }
-  cmp -s "$plain" "$warm" \
-    || { echo "cache smoke: warm cached run differs from uncached: $f"; exit 1; }
-  case "$f" in
-  programs/errors/* | programs/fuzz_regressions/*) ;;
-  *)
-    grep -A4 'unit cache:' "$wstats" | grep -q 'misses         :          0' \
-      || { echo "cache smoke: warm run re-checked units: $f"; exit 1; }
-    ;;
-  esac
+  for p in "" -p; do
+    "$fgc" run --format=json $p "$f" > "$plain" 2>/dev/null || true
+    "$fgc" run --format=json $p --cache-dir "$cache_dir" "$f" > "$cold" 2>/dev/null || true
+    "$fgc" run --format=json $p --cache-dir "$cache_dir" --stats "$f" > "$warm" 2>"$wstats" || true
+    cmp -s "$plain" "$cold" \
+      || { echo "cache smoke: cold cached run differs from uncached: $p $f"; exit 1; }
+    cmp -s "$plain" "$warm" \
+      || { echo "cache smoke: warm cached run differs from uncached: $p $f"; exit 1; }
+    case "$f" in
+    programs/errors/* | programs/fuzz_regressions/*) ;;
+    *)
+      grep -A4 'unit cache:' "$wstats" | grep -q 'misses         :          0' \
+        || { echo "cache smoke: warm run re-checked units: $p $f"; exit 1; }
+      ;;
+    esac
+  done
 done
 
 echo "-- served: a daemon on the warm store matches one-shot runs"
 # The daemon's disk tier (--cache-dir through the pool to every
 # worker's unit cache): a single-worker daemon on the store warmed
-# above must serve every corpus program, in the same prelude-less mode
-# the store was warmed in, byte-identically to an uncached one-shot
-# run, and its stats must show disk hits.
+# above must serve every corpus program without the prelude (one of the
+# two modes the store was warmed in) byte-identically to an uncached
+# one-shot run, and its stats must show disk hits.
 sock=$(mktemp -u /tmp/fgc_disk_XXXXXX.sock)
 served=$(mktemp)
 track "$sock" "$served"
