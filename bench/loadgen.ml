@@ -13,14 +13,7 @@
          LOADGEN_REQUESTS=300 dune exec bench/loadgen.exe   (CI smoke)
 
    Exits nonzero on any byte mismatch, failed request, or a speedup
-   below the 5x bar.
-
-   LOADGEN_MODE=zipf instead runs the profile-guided experiment: a
-   Zipf-skewed stream over a synthetic working set larger than the
-   default per-worker unit cache, served three times — once to record
-   a workload profile, once with the default config (the tail thrashes
-   the cache), once with the recorded profile feeding startup
-   auto-sizing.  The profiled run must beat the default run. *)
+   below the 5x bar. *)
 
 open Fg_server
 
@@ -74,213 +67,7 @@ let one_shot_json path =
   Sys.remove out_file;
   out
 
-(* ------------------------------------------------------------------ *)
-(* Zipf mode: profile-guided serve vs. the default configuration.     *)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> default)
-  | None -> default
-
-let zipf_distinct = env_int "LOADGEN_ZIPF_DISTINCT" 640
-let zipf_requests = env_int "LOADGEN_ZIPF_REQUESTS" 4000
-let zipf_workers = env_int "LOADGEN_ZIPF_WORKERS" 2
-let zipf_depth = env_int "LOADGEN_ZIPF_DEPTH" 20
-
-(* Shared concept/model units (identical across every variant, so the
-   cache holds them once) plus a variant-unique declaration that
-   resolves equality at [list^depth int] through the parameterized
-   model: checking that declaration builds a [depth]-deep dictionary
-   chain, unifying types of size O(depth) at every level — an O(n²)
-   type-level cost against an O(n) source.  A unit-cache miss re-pays
-   the whole resolution; a hit skips it.  Distinct [i] means a distinct
-   declaration name, hence a distinct compilation unit. *)
-let zipf_source i =
-  let rec ty k = if k = 0 then "int" else "list (" ^ ty (k - 1) ^ ")" in
-  let nil k =
-    if k = 1 then "nil[int]" else Printf.sprintf "nil[%s]" (ty (k - 1))
-  in
-  let t = ty zipf_depth and n = nil zipf_depth in
-  Printf.sprintf
-    "concept Eq2<t> { eq : fn(t, t) -> bool; } in\n\
-     model Eq2<int> { eq = ieq; } in\n\
-     model <t> where Eq2<t> => Eq2<list t> {\n\
-    \  eq = fix (go : fn(list t, list t) -> bool) =>\n\
-    \    fun (a : list t, b : list t) =>\n\
-    \      if null[t](a) then null[t](b)\n\
-    \      else if null[t](b) then false\n\
-    \      else Eq2<t>.eq(car[t](a), car[t](b)) && go(cdr[t](a), cdr[t](b));\n\
-     } in\n\
-     let veq_%d = fun (a : %s, b : %s) => Eq2<%s>.eq(a, b) in\n\
-     veq_%d(%s, %s)"
-    i t t t i n n
-
-(* A deterministic Zipf-skewed request stream with a scan underneath:
-   60%% of requests draw from Zipf(s=1) over the working set (the hot
-   head an LRU keeps resident on its own), the other 40%% sweep the
-   whole set cyclically — the batch-traffic component that cycles cold
-   units through a too-small cache and is exactly what profiled
-   eviction pressure detects.  Seeded PRNG so every phase (and every
-   CI run) serves the byte-identical stream. *)
-let zipf_stream () =
-  let n = zipf_distinct in
-  let sources = Array.init n zipf_source in
-  let cdf = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for r = 0 to n - 1 do
-    acc := !acc +. (1.0 /. float_of_int (r + 1));
-    cdf.(r) <- !acc
-  done;
-  let st = Random.State.make [| 0x5eed; zipf_distinct; zipf_requests |] in
-  let pick_zipf () =
-    let u = Random.State.float st !acc in
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if cdf.(mid) < u then go (mid + 1) hi else go lo mid
-    in
-    go 0 (n - 1)
-  in
-  let sweep = ref 0 in
-  let pick () =
-    if Random.State.float st 1.0 < 0.6 then pick_zipf ()
-    else begin
-      let r = !sweep in
-      sweep := (r + 1) mod n;
-      r
-    end
-  in
-  List.init zipf_requests (fun i ->
-      let r = pick () in
-      Protocol.request ~id:(i + 1)
-        ~file:(Printf.sprintf "zipf_%d.fg" r)
-        ~source:sources.(r) ~prelude:false Protocol.Run)
-
-(* Serve the stream through a fresh in-process daemon; returns the
-   batch wall time and the number of non-Ok responses. *)
-let zipf_serve ~label ?profile ?profile_out reqs =
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fgc_loadgen_%s_%d.sock" label (Unix.getpid ()))
-  in
-  let cfg =
-    {
-      (Server.default_config (`Unix socket)) with
-      Server.workers = zipf_workers;
-      profile;
-      profile_out;
-    }
-  in
-  let srv = Server.create cfg in
-  let th = Thread.create Server.run srv in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.request_shutdown srv;
-      Thread.join th;
-      Fg_util.Profile.set_collecting false;
-      if Sys.file_exists socket then Sys.remove socket)
-    (fun () ->
-      let c = Client.connect (`Unix socket) in
-      let t0 = Unix.gettimeofday () in
-      let resps = Client.batch c reqs in
-      let dt = Unix.gettimeofday () -. t0 in
-      (match
-         Fg_util.Json.of_string (Client.stats c).Protocol.r_payload
-       with
-      | Ok j -> (
-          match Fg_util.Json.mem "unit_cache" j with
-          | Some uc ->
-              let f k =
-                match
-                  Option.bind (Fg_util.Json.mem "totals" uc)
-                    (Fg_util.Json.int_field k)
-                with
-                | Some n -> n
-                | None -> -1
-              in
-              let capacity =
-                match Fg_util.Json.mem "workers" uc with
-                | Some (Fg_util.Json.List (w :: _)) -> (
-                    match Fg_util.Json.int_field "capacity" w with
-                    | Some n -> n
-                    | None -> -1)
-                | _ -> -1
-              in
-              Printf.printf
-                "%-8s: unit cache hits=%d misses=%d evictions=%d capacity=%d\n%!"
-                label (f "hits") (f "misses") (f "evictions") capacity
-          | None -> ())
-      | Error _ -> ());
-      Client.close c;
-      let bad =
-        List.length (List.filter (fun r -> r.Protocol.r_status <> Protocol.Ok_) resps)
-        + (List.length reqs - List.length resps)
-      in
-      Printf.printf "%-8s: %.2fs, %.0f req/s%s\n%!" label dt
-        (float_of_int (List.length reqs) /. dt)
-        (if bad = 0 then "" else Printf.sprintf ", %d BAD responses" bad);
-      (dt, bad))
-
-let zipf_main () =
-  let module Profile = Fg_util.Profile in
-  Printf.printf
-    "loadgen(zipf): %d requests over %d distinct programs, %d workers, \
-     unit-cache default %d\n%!"
-    zipf_requests zipf_distinct zipf_workers Fg_core.Unit.default_capacity;
-  let reqs = zipf_stream () in
-  let failures = ref 0 in
-  let profile_path = Filename.temp_file "fgc_loadgen_profile" ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists profile_path then Sys.remove profile_path)
-    (fun () ->
-      (* Phase 1 (untimed): record the workload profile. *)
-      let _, bad1 = zipf_serve ~label:"record" ~profile_out:profile_path reqs in
-      failures := !failures + bad1;
-      let p = Profile.load profile_path in
-      let sizing =
-        Profile.auto_size p
-          ~default_capacity:Fg_core.Unit.default_capacity
-          ~workers:zipf_workers
-      in
-      Printf.printf
-        "profile : %d programs, %d distinct instantiations, cache \
-         evictions=%d -> capacity %s\n%!"
-        p.Profile.p_programs
-        (List.length p.Profile.p_instantiations)
-        p.Profile.p_unit_cache.Profile.c_evictions
-        (match sizing.Profile.sz_unit_cache_capacity with
-        | Some c -> string_of_int c
-        | None -> "unchanged");
-      if p.Profile.p_unit_cache.Profile.c_evictions = 0 then begin
-        incr failures;
-        Printf.eprintf
-          "loadgen(zipf): the working set never thrashed the default \
-           cache — the experiment is vacuous\n%!"
-      end;
-      (* Phase 2: the default configuration pays the tail thrash. *)
-      let t_default, bad2 = zipf_serve ~label:"default" reqs in
-      failures := !failures + bad2;
-      (* Phase 3: the profile feeds startup auto-sizing. *)
-      let t_guided, bad3 = zipf_serve ~label:"profiled" ~profile:p reqs in
-      failures := !failures + bad3;
-      let speedup = t_default /. t_guided in
-      Printf.printf "speedup : %.2fx (profiled over default)\n%!" speedup;
-      if speedup <= 1.0 then begin
-        incr failures;
-        Printf.eprintf
-          "loadgen(zipf): profile-guided serve (%.2fs) did not beat the \
-           default config (%.2fs)\n%!"
-          t_guided t_default
-      end);
-  if !failures > 0 then begin
-    Printf.eprintf "loadgen(zipf): FAILED (%d problem(s))\n%!" !failures;
-    exit 1
-  end;
-  print_endline "loadgen(zipf): profile-guided serve beat the default config"
-
-let corpus_main () =
+let () =
   if corpus = [] then failwith "loadgen: empty corpus";
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -380,8 +167,3 @@ let corpus_main () =
     exit 1
   end;
   print_endline "loadgen: all responses byte-identical, speedup bar met"
-
-let () =
-  match Sys.getenv_opt "LOADGEN_MODE" with
-  | Some "zipf" -> zipf_main ()
-  | _ -> corpus_main ()

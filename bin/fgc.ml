@@ -22,7 +22,6 @@ module F = Fg_systemf
 module Diag = Fg_util.Diag
 module Telemetry = Fg_util.Telemetry
 module Json = Fg_util.Json
-module Profile = Fg_util.Profile
 
 let read_input = function
   | "-" ->
@@ -128,62 +127,12 @@ let cache_max_bytes_arg =
 let backend_arg =
   let doc =
     "Translation backend: $(b,dict) (the paper's dictionary passing), \
-     $(b,stencil) (specialize every ground instantiation), \
+     $(b,stencil) (specialize every ground instantiation), or \
      $(b,hybrid) (share stencils between same-shape instantiations, \
-     gcshape-style), or $(b,guided) (specialize only the \
-     instantiations a $(b,--profile) marks hot).  The specializing \
-     backends are re-checked in System F and evaluated against the \
-     dictionary semantics."
+     gcshape-style).  The specializing backends are re-checked in \
+     System F and evaluated against the dictionary semantics."
   in
   Arg.(value & opt string "dict" & info [ "backend" ] ~docv:"NAME" ~doc)
-
-(* -------------------------------------------------------------- *)
-(* Profiles: --profile feeds a recorded workload back in (the guided
-   backend and the server's auto-sizing consult it); --profile-out
-   turns collection on and writes the canonical profile when the
-   command finishes. *)
-
-let profile_arg =
-  let doc =
-    "Feed a recorded workload profile back in: the $(b,guided) backend \
-     stencils only the instantiations the profile marks hot, \
-     everything cold keeps dictionary passing (see docs/DESIGN.md \
-     S23).  Unreadable or malformed files raise FG1003."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "profile" ] ~docv:"FILE" ~doc)
-
-let profile_out_arg =
-  let doc =
-    "Record a workload profile (hot instantiations, concept \
-     resolutions, unit-cache pressure) over this command and write it \
-     to $(docv) as canonical sorted-key JSON — byte-stable for CI \
-     diffing, mergeable with $(b,fgc profile merge)."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "profile-out" ] ~docv:"FILE" ~doc)
-
-(* Assemble and write the one-shot profile for a finished command:
-   instantiation/resolution counts from the global collection
-   registries, cache pressure from the driving session (batch domains
-   keep their own caches; only the calling session's counters are
-   summarized), the backend mix from what this command asked for. *)
-let write_profile_out path ~programs s =
-  let st = C.Session.cache_stats s in
-  let unit_cache =
-    {
-      Profile.c_hits = st.C.Unit.s_hits;
-      c_misses = st.C.Unit.s_misses;
-      c_evictions = st.C.Unit.s_evictions;
-      c_invalidations = st.C.Unit.s_invalidations;
-      c_size = st.C.Unit.s_size;
-      c_capacity = st.C.Unit.s_capacity;
-    }
-  in
-  Profile.save path
-    (Profile.collected ~programs ~unit_cache
-       ~backends:[ (C.Backend.to_string (C.Session.backend s), programs) ]
-       ~requests:[] ())
 
 let format_arg =
   let doc = "Output format: $(b,text) (default) or $(b,json)." in
@@ -192,10 +141,10 @@ let format_arg =
 
 (* The session every subcommand drives: prelude cached at creation when
    requested, so per-program work excludes it. *)
-let make_session ?(backend = "dict") ?cache_dir ?cache_max_bytes ?profile
-    ~global ~prelude () =
+let make_session ?(backend = "dict") ?cache_dir ?cache_max_bytes ~global
+    ~prelude () =
   C.Session.of_config
-    (C.Session.Config.of_flags ?cache_dir ?cache_max_bytes ?profile ~prelude
+    (C.Session.Config.of_flags ?cache_dir ?cache_max_bytes ~prelude
        ~global_models:global ~backend:(C.Backend.of_string_exn backend) ())
 
 let get_source file expr =
@@ -268,13 +217,11 @@ let translate_cmd =
 
 let run_cmd =
   let run file expr global prelude backend cache_dir cache_max_bytes
-      profile profile_out verbose format stats =
+      verbose format stats =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let name, src = get_source file expr in
-        let profile = Option.map Profile.load profile in
-        if profile_out <> None then Profile.set_collecting true;
         let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ?profile ~global
+          make_session ~backend ?cache_dir ?cache_max_bytes ~global
             ~prelude ()
         in
         (* The recovering pipeline: every independent error in the
@@ -307,9 +254,6 @@ let run_cmd =
                     (if out.theorem_holds then "holds" else "VIOLATED")
                 end
                 else Fmt.pr "%a@." C.Interp.pp_flat out.value));
-        Option.iter
-          (fun path -> write_profile_out path ~programs:1 s)
-          profile_out;
         match report.C.Session.outcome with Some _ -> 0 | None -> 1)
   in
   let verbose =
@@ -325,8 +269,8 @@ let run_cmd =
           (agreeing) value")
     Term.(
       const run $ file_pos_arg $ expr_arg $ global_flag $ prelude_flag
-      $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ profile_arg
-      $ profile_out_arg $ verbose $ format_arg $ stats_flag)
+      $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ verbose
+      $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* elaborate                                                         *)
@@ -393,21 +337,15 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 let batch_cmd =
-  let run files global prelude backend cache_dir cache_max_bytes
-      profile profile_out domains format stats =
+  let run files global prelude backend cache_dir cache_max_bytes domains
+      format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let jobs = List.map read_input files in
-        let profile = Option.map Profile.load profile in
-        if profile_out <> None then Profile.set_collecting true;
         let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ?profile ~global
+          make_session ~backend ?cache_dir ?cache_max_bytes ~global
             ~prelude ()
         in
         let results = C.Session.run_batch ?domains s jobs in
-        Option.iter
-          (fun path ->
-            write_profile_out path ~programs:(List.length jobs) s)
-          profile_out;
         let failed = ref 0 in
         (match format with
         | `Json ->
@@ -449,18 +387,16 @@ let batch_cmd =
           OCaml domains with a shared session configuration; output order \
           matches the argument order regardless of the domain count")
     Term.(const run $ files $ global_flag $ prelude_flag $ backend_arg
-          $ cache_dir_arg $ cache_max_bytes_arg $ profile_arg
-          $ profile_out_arg $ domains_arg $ format_arg $ stats_flag)
+          $ cache_dir_arg $ cache_max_bytes_arg $ domains_arg $ format_arg
+          $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* corpus                                                            *)
 
 let corpus_cmd =
-  let run name_opt all backend cache_dir cache_max_bytes profile profile_out
-      domains format stats =
+  let run name_opt all backend cache_dir cache_max_bytes domains format
+      stats =
     handle ~json:(format = `Json) ~stats (fun () ->
-        let profile = Option.map Profile.load profile in
-        if profile_out <> None then Profile.set_collecting true;
         match (name_opt, all) with
         | None, false ->
             List.iter
@@ -471,7 +407,7 @@ let corpus_cmd =
             (* Run every entry, in parallel; an entry passes when its
                outcome matches its stated expectation. *)
             let s =
-              make_session ~backend ?cache_dir ?cache_max_bytes ?profile
+              make_session ~backend ?cache_dir ?cache_max_bytes
                 ~global:false ~prelude:false ()
             in
             let jobs =
@@ -479,10 +415,6 @@ let corpus_cmd =
                 C.Corpus.all
             in
             let results = C.Session.run_batch ?domains s jobs in
-            Option.iter
-              (fun path ->
-                write_profile_out path ~programs:(List.length jobs) s)
-              profile_out;
             let failed = ref 0 in
             let verdicts =
               List.map2
@@ -544,27 +476,20 @@ let corpus_cmd =
             let e = C.Corpus.find name in
             Fmt.pr "// %s (%s)@.%s@.@." e.description e.paper e.source;
             let s =
-              make_session ~backend ?cache_dir ?cache_max_bytes ?profile
+              make_session ~backend ?cache_dir ?cache_max_bytes
                 ~global:false ~prelude:false ()
-            in
-            let finish () =
-              Option.iter
-                (fun path -> write_profile_out path ~programs:1 s)
-                profile_out
             in
             match e.expected with
             | C.Corpus.Value expect ->
                 let out = C.Session.run ~file:e.name s e.source in
                 Fmt.pr "value: %a (expected %a)@." C.Interp.pp_flat out.value
-                  C.Interp.pp_flat expect;
-                finish ()
+                  C.Interp.pp_flat expect
             | C.Corpus.Fails phase -> (
                 match C.Session.run_result ~file:e.name s e.source with
                 | Error d ->
                     Fmt.pr "rejected as expected (%s): %s@."
                       (Diag.phase_name phase)
-                      (Diag.to_string d);
-                    finish ()
+                      (Diag.to_string d)
                 | Ok _ -> failwith "expected failure but program succeeded")))
   in
   let entry_arg =
@@ -582,8 +507,7 @@ let corpus_cmd =
     (Cmd.info "corpus"
        ~doc:"List or run the built-in corpus of paper example programs")
     Term.(const run $ entry_arg $ all_flag $ backend_arg $ cache_dir_arg
-          $ cache_max_bytes_arg $ profile_arg $ profile_out_arg
-          $ domains_arg $ format_arg $ stats_flag)
+          $ cache_max_bytes_arg $ domains_arg $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* eq: same-type queries                                             *)
@@ -628,27 +552,14 @@ let eq_cmd =
 
 let fuzz_cmd =
   let run seed count size mutants backend domains format save_dir stats guided
-      corpus_dir profile profile_out =
+      corpus_dir =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let cfg =
           { C.Fuzz.seed; count; size; mutants;
             backend = C.Backend.of_string_exn backend;
-            profile = Option.map Profile.load profile;
             guided = guided || corpus_dir <> None; corpus_dir }
         in
-        if profile_out <> None then Profile.set_collecting true;
         let report = C.Fuzz.run ?domains cfg in
-        Option.iter
-          (fun path ->
-            Profile.set_collecting false;
-            Profile.save path
-              (Profile.collected ~programs:report.C.Fuzz.r_generated
-                 ~unit_cache:Profile.cache_zero
-                 ~backends:
-                   [ (C.Backend.to_string cfg.C.Fuzz.backend,
-                      report.C.Fuzz.r_generated) ]
-                 ~requests:[] ()))
-          profile_out;
         let saved =
           match save_dir with
           | Some dir when report.C.Fuzz.r_failures <> [] ->
@@ -735,7 +646,7 @@ let fuzz_cmd =
           variants; failures are shrunk before reporting")
     Term.(const run $ seed_arg $ count_arg $ size_arg $ mutants_arg
           $ backend_arg $ domains_arg $ format_arg $ save_arg $ stats_flag
-          $ guided_flag $ corpus_arg $ profile_arg $ profile_out_arg)
+          $ guided_flag $ corpus_arg)
 
 (* ---------------------------------------------------------------- *)
 (* serve: the compiler-service daemon                                 *)
@@ -763,7 +674,7 @@ let address_of ~socket ~port ~host =
 
 let serve_cmd =
   let run socket port host workers max_queue timeout_ms max_frame fuel
-      cache_dir cache_max_bytes profile profile_out verbose =
+      cache_dir cache_max_bytes verbose =
     handle_code (fun () ->
         let address = address_of ~socket ~port ~host in
         let base = Server.default_config address in
@@ -778,8 +689,6 @@ let serve_cmd =
             fuel = (if fuel = 0 then None else Some fuel);
             cache_dir;
             cache_max_bytes;
-            profile = Option.map Profile.load profile;
-            profile_out;
             log = verbose;
           }
         in
@@ -843,7 +752,7 @@ let serve_cmd =
           graceful drain (see docs/SERVER.md)")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ max_queue
           $ timeout_ms $ max_frame $ fuel $ cache_dir_arg
-          $ cache_max_bytes_arg $ profile_arg $ profile_out_arg $ verbose)
+          $ cache_max_bytes_arg $ verbose)
 
 (* ---------------------------------------------------------------- *)
 (* client                                                            *)
@@ -959,13 +868,12 @@ let print_stats_pretty payload =
   | Ok _ -> print_endline payload
 
 let client_cmd =
-  let run action files expr socket port host prelude global backend profile
+  let run action files expr socket port host prelude global backend
       timeout_ms window seed count size mutants corpus_dir doc_version
       offset at del insert pretty =
     handle_code (fun () ->
         let address = address_of ~socket ~port ~host in
         let backend = C.Backend.of_string_exn backend in
-        let profile = Option.map Profile.load profile in
         let kind_of = function
           | "run" -> Protocol.Run
           | "check" -> Protocol.Check
@@ -1031,8 +939,8 @@ let client_cmd =
               | None -> failwith "fuzz-worker: --corpus-dir is required"
             in
             let cfg =
-              { C.Fuzz.seed; count; size; mutants; backend;
-                profile = None; guided = true; corpus_dir = Some dir }
+              { C.Fuzz.seed; count; size; mutants; backend; guided = true;
+                corpus_dir = Some dir }
             in
             let report = C.Fuzz.run cfg in
             let have = List.map fst (C.Fuzz.corpus_load ~dir) in
@@ -1069,8 +977,7 @@ let client_cmd =
                 (fun i f ->
                   let name, source = read_input f in
                   Protocol.request ~id:(i + 1) ~file:name ~source ~prelude
-                    ~global_models:global ~backend ?timeout_ms ?profile
-                    Protocol.Run)
+                    ~global_models:global ~backend ?timeout_ms Protocol.Run)
                 files
             in
             let c = Client.connect address in
@@ -1097,8 +1004,7 @@ let client_cmd =
                 let r =
                   Client.request c
                     (Protocol.request ~id:1 ~file:name ~source ~prelude
-                       ~global_models:global ~backend ?timeout_ms ?profile
-                       kind)
+                       ~global_models:global ~backend ?timeout_ms kind)
                 in
                 print_endline r.Protocol.r_payload;
                 exit_of_status r.Protocol.r_status))
@@ -1200,62 +1106,9 @@ let client_cmd =
           fleet.  Payloads printed for $(b,run) are byte-identical to \
           one-shot $(b,fgc run --format=json) output")
     Term.(const run $ action $ files $ expr_arg $ socket_arg $ port_arg
-          $ host_arg $ prelude_flag $ global_flag $ backend_arg
-          $ profile_arg $ timeout_ms $ window $ w_seed $ w_count $ w_size
-          $ w_mutants $ w_corpus $ doc_version $ offset $ at $ del $ insert
-          $ pretty)
-
-(* ---------------------------------------------------------------- *)
-(* profile: inspect and combine recorded workload profiles            *)
-
-let profile_cmd =
-  let run action files out =
-    handle_code (fun () ->
-        match action with
-        | "merge" ->
-            (* Fleet merge: counts sum pointwise, capacity by max; the
-               output is canonical, so merging in any order produces
-               the same bytes. *)
-            let merged =
-              List.fold_left
-                (fun acc f -> Profile.merge acc (Profile.load f))
-                Profile.empty files
-            in
-            (match out with
-            | Some path -> Profile.save path merged
-            | None -> print_string (Profile.to_string merged));
-            0
-        | "show" ->
-            (* Round-trip through the codec: a canonical re-rendering
-               of each file, and an FG1003 diagnostic for bad ones. *)
-            List.iter
-              (fun f -> print_string (Profile.to_string (Profile.load f)))
-              files;
-            0
-        | a -> failwith ("unknown profile action: " ^ a))
-  in
-  let action =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"ACTION"
-             ~doc:"$(b,merge) (sum many profiles into one) or $(b,show) \
-                   (re-render canonically).")
-  in
-  let files =
-    Arg.(value & pos_right 0 string []
-         & info [] ~docv:"FILE" ~doc:"Profile files (canonical JSON).")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Write the result here instead of stdout.")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Work with recorded workload profiles: merge per-worker or \
-          per-fleet profiles into one (counts sum, byte-stable output) \
-          or re-render one canonically")
-    Term.(const run $ action $ files $ out)
+          $ host_arg $ prelude_flag $ global_flag $ backend_arg $ timeout_ms
+          $ window $ w_seed $ w_count $ w_size $ w_mutants $ w_corpus
+          $ doc_version $ offset $ at $ del $ insert $ pretty)
 
 (* ---------------------------------------------------------------- *)
 (* repl                                                              *)
@@ -1284,5 +1137,5 @@ let () =
           [
             check_cmd; translate_cmd; run_cmd; verify_cmd; elaborate_cmd;
             batch_cmd; corpus_cmd; fuzz_cmd; eq_cmd; serve_cmd; client_cmd;
-            profile_cmd; repl_cmd;
+            repl_cmd;
           ]))

@@ -3,21 +3,19 @@
 open Fg_util
 module F = Fg_systemf
 
-type t = Dict | Stencil | Hybrid | Guided
+type t = Dict | Stencil | Hybrid
 
-let all = [ Dict; Stencil; Hybrid; Guided ]
+let all = [ Dict; Stencil; Hybrid ]
 
 let to_string = function
   | Dict -> "dict"
   | Stencil -> "stencil"
   | Hybrid -> "hybrid"
-  | Guided -> "guided"
 
 let of_string = function
   | "dict" -> Some Dict
   | "stencil" -> Some Stencil
   | "hybrid" -> Some Hybrid
-  | "guided" -> Some Guided
   | _ -> None
 
 let of_string_exn ?loc s =
@@ -36,4 +34,3 @@ let specialize_mode = function
   | Dict -> None
   | Stencil -> Some F.Specialize.Stencil
   | Hybrid -> Some F.Specialize.Hybrid
-  | Guided -> Some F.Specialize.Guided

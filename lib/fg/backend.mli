@@ -13,21 +13,16 @@
       layouts agree share one stencil class; the first member of each
       class is cloned, later members keep dictionary passing with
       their dictionaries hoisted and built once.
-    - {!Guided} — profile-guided stenciling: only instantiations a
-      workload profile ({!Fg_util.Profile}) marks hot are cloned;
-      everything cold keeps dictionary passing.  Without a profile it
-      degenerates to {!Dict} output.
 
     All backends are observationally equivalent; the specializing
     backends are re-checked in System F and evaluated against the
     dictionary semantics by the session oracle. *)
 
-type t = Dict | Stencil | Hybrid | Guided
+type t = Dict | Stencil | Hybrid
 
 val all : t list
 
-(** ["dict"], ["stencil"], ["hybrid"], ["guided"] — the CLI / wire
-    spelling. *)
+(** ["dict"], ["stencil"], ["hybrid"] — the CLI / wire spelling. *)
 val to_string : t -> string
 
 val of_string : string -> t option

@@ -233,12 +233,6 @@ and lookup_model ?loc ?(depth = 0) env c args : found_model option =
           Coverage.hit probe_resolve_ground
       | Some _ -> Coverage.hit probe_resolve_param
       | None -> Coverage.hit probe_resolve_none);
-      (* Workload profiles count successful resolutions at the same
-         miss-only site, so the hot list ranks fresh decisions, not
-         cache replays. *)
-      (if r <> None && Profile.collecting () then
-         Profile.record_resolution
-           (Pretty.constr_to_string (CModel (c, args))));
       Hashtbl.replace env.resolve_cache key r;
       r
 

@@ -17,7 +17,6 @@ type config = {
   size : int;
   mutants : int;
   backend : Backend.t;
-  profile : Fg_util.Profile.t option;
   guided : bool;
   corpus_dir : string option;
 }
@@ -29,7 +28,6 @@ let default_config =
     size = 30;
     mutants = 2;
     backend = Backend.Dict;
-    profile = None;
     guided = false;
     corpus_dir = None;
   }
@@ -1472,10 +1470,7 @@ let recovery_failures cfg sess mutants_run (p : program) : failure list =
 let run_blind ?domains (cfg : config) =
   let before = Coverage.snapshot () in
   let programs = List.init cfg.count (fun i -> generate cfg ~index:i) in
-  let scfg =
-    { Session.Config.default with
-      backend = cfg.backend; profile = cfg.profile }
-  in
+  let scfg = { Session.Config.default with backend = cfg.backend } in
   let sess = Session.of_config scfg in
   let jobs =
     List.map
@@ -1856,10 +1851,7 @@ let guided_failure scfg (p : program) msg =
 let corpus_shrink_fuel = 96
 
 let run_guided ?domains (cfg : config) =
-  let scfg =
-    { Session.Config.default with
-      backend = cfg.backend; profile = cfg.profile }
-  in
+  let scfg = { Session.Config.default with backend = cfg.backend } in
   (* In-memory corpus: only entries that re-parse can seed mutations;
      everything is tracked by digest so fleet merges are idempotent. *)
   let initial =

@@ -52,11 +52,6 @@ type config = {
           {!Backend.Dict}, every generated program additionally runs
           the specializer and its typecheck/byte-identity oracle, so a
           fuzz batch doubles as a differential test of stenciling *)
-  profile : Fg_util.Profile.t option;
-      (** workload profile for the sessions — the [guided] backend
-          stencils only the instantiations it marks hot, so a fuzz
-          batch under a recorded profile differentially tests exactly
-          the hot/cold split production would use *)
   guided : bool;  (** coverage-guided mutation instead of blind generation *)
   corpus_dir : string option;
       (** on-disk corpus of minimized coverage-adding inputs (entries

@@ -29,7 +29,6 @@ module Config = struct
     prelude : string option;
     cache_dir : string option;
     cache_max_bytes : int option;
-    profile : Profile.t option;
   }
 
   let default =
@@ -40,13 +39,12 @@ module Config = struct
       prelude = None;
       cache_dir = None;
       cache_max_bytes = None;
-      profile = None;
     }
 
   let with_standard_prelude c = { c with prelude = Some Prelude.full }
 
-  let of_flags ?cache_dir ?cache_max_bytes ?profile ~prelude ~global_models
-      ~backend () =
+  let of_flags ?cache_dir ?cache_max_bytes ~prelude ~global_models ~backend ()
+      =
     {
       default with
       backend;
@@ -55,10 +53,6 @@ module Config = struct
       prelude = (if prelude then Some Prelude.full else None);
       cache_dir;
       cache_max_bytes;
-      (* Only guided sessions are keyed on the profile: other backends
-         ignore it, and folding it into their keys would split otherwise
-         identical warm sessions for nothing. *)
-      profile = (if backend = Backend.Guided then profile else None);
     }
 end
 
@@ -288,21 +282,13 @@ module Table = struct
 
   let create cache = { cache; sessions = [] }
 
-  (* Building a session never reads the profile (only [complete]
-     does), so the table keys sessions on the config without it and
-     hands the warm session back carrying the caller's profile: a
-     client choosing a new profile does not re-check the prelude. *)
   let find tbl cfg =
-    let key = { cfg with Config.profile = None } in
-    let s =
-      match List.assoc_opt key tbl.sessions with
-      | Some s -> s
-      | None ->
-          let s = of_config ~cache:tbl.cache key in
-          tbl.sessions <- (key, s) :: tbl.sessions;
-          s
-    in
-    match cfg.Config.profile with None -> s | Some _ -> { s with cfg }
+    match List.assoc_opt cfg tbl.sessions with
+    | Some s -> s
+    | None ->
+        let s = of_config ~cache:tbl.cache cfg in
+        tbl.sessions <- (cfg, s) :: tbl.sessions;
+        s
 end
 
 let extend t decls =
@@ -417,20 +403,14 @@ let verify ?file t source =
    System F at a type alpha-equal to the translation's and evaluate to
    the same flat value as the direct interpreter.  Either failure is a
    stable diagnostic (FG0502 / FG0503), not a silent divergence. *)
-let specialized ?fuel ?profile ~backend ~direct ~translated_steps
+let specialized ?fuel ~backend ~direct ~translated_steps
     (report : Theorems.report) : spec option =
   match Backend.specialize_mode backend with
   | None -> None
   | Some mode ->
-      (* Guided mode stencils only the instantiations the profile
-         marks hot; with no profile nothing is hot and the translation
-         passes through unchanged. *)
-      let hot =
-        match profile with Some p -> Profile.hot p | None -> fun _ -> false
-      in
       let f_spec, stats =
         Telemetry.time Telemetry.Specialize (fun () ->
-            F.Specialize.specialize ~mode ~hot report.Theorems.f_exp)
+            F.Specialize.specialize ~mode report.Theorems.f_exp)
       in
       Telemetry.record_stencils_created stats.F.Specialize.st_stencils;
       Telemetry.record_stencils_shared stats.F.Specialize.st_shared;
@@ -472,16 +452,11 @@ let specialized ?fuel ?profile ~backend ~direct ~translated_steps
    evaluations, agreement, and — off the Dict backend — specialization
    plus its oracle. *)
 let complete ?fuel t ~source ~ast triple : outcome =
-  let backend = t.cfg.Config.backend and profile = t.cfg.Config.profile in
+  let backend = t.cfg.Config.backend in
   let report =
     Telemetry.time Telemetry.Verify (fun () ->
         Theorems.report_of_elaboration ?prefix:t.prefix triple)
   in
-  (* Workload profiling: census the translation's ground instantiation
-     sites (any backend, dict included — profiles recorded on the
-     cheap backend guide the expensive one). *)
-  if Profile.collecting () then
-    Profile.record_instantiations (F.Specialize.observe report.Theorems.f_exp);
   let (v_direct, direct_steps), (v_translated, translated_steps) =
     Telemetry.time Telemetry.Eval (fun () ->
         ( Interp.run_program ?fuel report.Theorems.elaborated,
@@ -494,9 +469,7 @@ let complete ?fuel t ~source ~ast triple : outcome =
       "direct interpreter computed %s but the translation computed %s"
       (Interp.flat_to_string direct)
       (Interp.flat_to_string translated);
-  let spec =
-    specialized ?fuel ?profile ~backend ~direct ~translated_steps report
-  in
+  let spec = specialized ?fuel ~backend ~direct ~translated_steps report in
   {
     source;
     ast;

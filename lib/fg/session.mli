@@ -56,13 +56,6 @@ module Config : sig
     cache_max_bytes : int option;
         (** size bound for the disk store; oldest-accessed entries are
             evicted past it.  [None] = unbounded. *)
-    profile : Profile.t option;
-        (** the workload profile consulted by the {!Backend.Guided}
-            backend (hot instantiations get stenciled, everything else
-            keeps dictionary passing).  Ignored by other backends,
-            and read only when a program runs, never while a session
-            is built, so {!Table} leaves it out of its key.  Plain
-            data, so configs stay structurally comparable. *)
   }
 
   val default : t
@@ -73,13 +66,10 @@ module Config : sig
   (** The configuration a driver's flags denote: the one mapping from
       [fgc]'s flags, a served request's fields and a workspace
       document's open parameters to a {!t}.  [prelude] selects
-      {!Prelude.full} and [global_models] {!Resolution.Global}.  Only
-      {!Backend.Guided} reads a profile, so every other backend drops
-      [profile]: configs that differ only in a profile nothing reads
-      compare equal. *)
+      {!Prelude.full} and [global_models] {!Resolution.Global}. *)
   val of_flags :
-    ?cache_dir:string -> ?cache_max_bytes:int -> ?profile:Profile.t ->
-    prelude:bool -> global_models:bool -> backend:Backend.t -> unit -> t
+    ?cache_dir:string -> ?cache_max_bytes:int -> prelude:bool ->
+    global_models:bool -> backend:Backend.t -> unit -> t
 end
 
 (** What the specializing backends add to an outcome: the partially
@@ -163,9 +153,7 @@ val backend : t -> Backend.t
 (** Warm sessions keyed by configuration, each built by {!of_config}
     on first use over the table's one shared unit cache.  A server
     worker and the workspace service each keep one, so a prelude is
-    checked once per distinct {!Config.t}, not once per request.  The
-    key leaves out [profile], which building a session never reads:
-    configs that differ only in their profile share one warm session.
+    checked once per distinct {!Config.t}, not once per request.
     Not thread-safe: the owner serializes access. *)
 module Table : sig
   type session := t
@@ -173,8 +161,7 @@ module Table : sig
 
   val create : Unit.cache -> t
 
-  (** The table's session for a configuration, created on first use;
-      its {!config} is the one asked for, profile included. *)
+  (** The table's session for a configuration, created on first use. *)
   val find : t -> Config.t -> session
 end
 

@@ -49,8 +49,7 @@ type checked = {
     O(1). *)
 type cache
 
-val default_capacity : int
-
+(** [capacity] defaults to 512 units. *)
 val create_cache : ?capacity:int -> unit -> cache
 
 (** A persistent tier behind the memory map.  Keys are portable unit

@@ -13,9 +13,6 @@ module C = Fg_core
 
 type t = {
   fuel : int option;
-  profile : Fg_util.Profile.t option;
-      (** the server's default workload profile, attached to guided
-          sessions when a request ships none of its own *)
   cache : C.Unit.cache;
       (** one compilation-unit cache shared by every session this
           worker owns: bounded memory and unified counters across all
@@ -23,10 +20,10 @@ type t = {
   sessions : C.Session.Table.t;
 }
 
-let create ?fuel ?disk ?unit_cache_capacity ?profile () =
-  let cache = C.Unit.create_cache ?capacity:unit_cache_capacity () in
+let create ?fuel ?disk () =
+  let cache = C.Unit.create_cache () in
   Option.iter (fun d -> C.Unit.set_stores cache [ C.Unit.disk_store d ]) disk;
-  { fuel; profile; cache; sessions = C.Session.Table.create cache }
+  { fuel; cache; sessions = C.Session.Table.create cache }
 
 let cache_stats t = C.Unit.stats t.cache
 
@@ -74,7 +71,7 @@ let handle t (req : Protocol.request) : Protocol.status * string =
       let cfg =
         { C.Fuzz.seed = req.seed; count = 1; size = max 1 req.size;
           mutants = max 0 req.mutants; backend = req.backend;
-          profile = None; guided = false; corpus_dir = None }
+          guided = false; corpus_dir = None }
       in
       let report = C.Fuzz.run ~domains:1 cfg in
       let status =
@@ -83,15 +80,9 @@ let handle t (req : Protocol.request) : Protocol.status * string =
       in
       (status, Json.to_string (C.Fuzz.report_to_json report))
   | Protocol.Check | Protocol.Run | Protocol.Translate -> (
-      let profile =
-        (* A request's own profile wins over the server default. *)
-        match req.Protocol.profile with
-        | Some _ as p -> p
-        | None -> t.profile
-      in
       let s =
         C.Session.Table.find t.sessions
-          (C.Session.Config.of_flags ?profile ~prelude:req.prelude
+          (C.Session.Config.of_flags ~prelude:req.prelude
              ~global_models:req.global_models ~backend:req.backend ())
       in
       match req.kind with

@@ -15,17 +15,8 @@ type t
     FG0601 fuel diagnostic instead).
 
     [disk] attaches the daemon's shared on-disk unit store behind this
-    worker's memory cache.
-
-    [unit_cache_capacity] bounds this worker's compilation-unit cache
-    (absent = {!Fg_core.Unit.default_capacity}); the server supplies
-    it when profile-driven auto-sizing picked a different bound.
-    [profile] is the server's default workload profile, consulted by
-    [guided]-backend sessions whose request ships no profile of its
-    own. *)
-val create :
-  ?fuel:int -> ?disk:Fg_core.Diskcache.t -> ?unit_cache_capacity:int ->
-  ?profile:Fg_util.Profile.t -> unit -> t
+    worker's memory cache. *)
+val create : ?fuel:int -> ?disk:Fg_core.Diskcache.t -> unit -> t
 
 (** Eagerly build the standard-prelude session (workers call this at
     startup so the first request doesn't pay the prelude check). *)

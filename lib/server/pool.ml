@@ -131,9 +131,6 @@ type t = {
   fuel : int option;
   disk : Fg_core.Diskcache.t option;
       (** the daemon's shared on-disk unit store, one per server *)
-  unit_cache_capacity : int option;
-      (** per-worker unit-cache bound (auto-sized by the server) *)
-  profile : Profile.t option;  (** the daemon's default workload profile *)
   m : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
@@ -148,15 +145,12 @@ type t = {
       (** the [stats] payload; the server closes over its own config *)
 }
 
-let create ?fuel ?disk ?unit_cache_capacity ?profile ~capacity
-    ~stats_json () =
+let create ?fuel ?disk ~capacity ~stats_json () =
   let metrics = metrics () in
   {
     capacity = max 1 capacity;
     fuel;
     disk;
-    unit_cache_capacity;
-    profile;
     m = Mutex.create ();
     not_empty = Condition.create ();
     not_full = Condition.create ();
@@ -217,60 +211,6 @@ let stats_payload t =
   (* sort_keys: the stats payload is byte-stable modulo counter values,
      so two fleets serving the same workload diff cleanly *)
   Json.to_string (Json.sort_keys json)
-
-(* ---------------------------------------------------------------- *)
-(* Profile material: the positive-count maps and summed cache
-   counters the server folds into a workload profile at drain. *)
-
-let backend_mix t =
-  List.filter_map
-    (fun b ->
-      let n = Shardcounter.read t.metrics.by_backend.(backend_index b) in
-      if n > 0 then Some (Fg_core.Backend.to_string b, n) else None)
-    Fg_core.Backend.all
-
-let request_mix t =
-  List.filter_map
-    (fun k ->
-      let n =
-        List.fold_left
-          (fun acc s ->
-            acc
-            + Shardcounter.read
-                t.metrics.by_kind_status.((kind_index k * n_statuses)
-                                          + status_index s))
-          0 all_statuses
-      in
-      if n > 0 then Some (Protocol.kind_name k, n) else None)
-    Protocol.all_kinds
-
-let unit_cache_totals t =
-  Mutex.lock t.m;
-  let handlers = t.handlers in
-  Mutex.unlock t.m;
-  let stats = List.map Handler.cache_stats handlers in
-  List.fold_left
-    (fun (acc : Fg_core.Unit.stats) (s : Fg_core.Unit.stats) ->
-      {
-        Fg_core.Unit.s_hits = acc.Fg_core.Unit.s_hits + s.Fg_core.Unit.s_hits;
-        s_misses = acc.Fg_core.Unit.s_misses + s.Fg_core.Unit.s_misses;
-        s_evictions =
-          acc.Fg_core.Unit.s_evictions + s.Fg_core.Unit.s_evictions;
-        s_invalidations =
-          acc.Fg_core.Unit.s_invalidations + s.Fg_core.Unit.s_invalidations;
-        s_size = acc.Fg_core.Unit.s_size + s.Fg_core.Unit.s_size;
-        s_capacity =
-          max acc.Fg_core.Unit.s_capacity s.Fg_core.Unit.s_capacity;
-      })
-    {
-      Fg_core.Unit.s_hits = 0;
-      s_misses = 0;
-      s_evictions = 0;
-      s_invalidations = 0;
-      s_size = 0;
-      s_capacity = 0;
-    }
-    stats
 
 let stopping t =
   Mutex.lock t.m;
@@ -352,10 +292,7 @@ let process t handler (job : job) =
   job.respond resp
 
 let worker_loop t =
-  let handler =
-    Handler.create ?fuel:t.fuel ?disk:t.disk
-      ?unit_cache_capacity:t.unit_cache_capacity ?profile:t.profile ()
-  in
+  let handler = Handler.create ?fuel:t.fuel ?disk:t.disk () in
   Mutex.lock t.m;
   t.handlers <- handler :: t.handlers;
   Mutex.unlock t.m;

@@ -46,36 +46,15 @@ type job = {
 type t
 
 (** [stats_json] renders the [stats] payload from the live metrics
-    (the server adds its own config fields via [?extra]).  [disk],
-    [unit_cache_capacity] and [profile] are handed to every worker's
-    {!Handler.create}: one shared on-disk unit store, one (possibly
-    auto-sized) unit-cache bound, and one default workload profile per
-    daemon. *)
+    (the server adds its own config fields via [?extra]).  [disk] is
+    handed to every worker's {!Handler.create}: one shared on-disk
+    unit store per daemon. *)
 val create :
-  ?fuel:int -> ?disk:Fg_core.Diskcache.t -> ?unit_cache_capacity:int ->
-  ?profile:Profile.t -> capacity:int -> stats_json:(metrics -> Json.t) ->
-  unit -> t
+  ?fuel:int -> ?disk:Fg_core.Diskcache.t -> capacity:int ->
+  stats_json:(metrics -> Json.t) -> unit -> t
 
 val metrics : t -> metrics
 val stats_payload : t -> string
-
-(** {1 Profile material}
-
-    What the server needs to assemble a workload profile at drain:
-    positive-count maps in {!Shardcounter.map} shape and the summed
-    unit-cache counters across every worker.  All safe to read while
-    workers run. *)
-
-(** Requests that ran a translation backend, by backend name. *)
-val backend_mix : t -> Shardcounter.map
-
-(** Requests admitted per wire kind (all statuses summed), by kind
-    name. *)
-val request_mix : t -> Shardcounter.map
-
-(** Unit-cache counters summed across every worker's handler; capacity
-    is the per-worker bound (they all share one configuration). *)
-val unit_cache_totals : t -> Fg_core.Unit.stats
 
 (** Spawn the worker domains. *)
 val start : workers:int -> t -> unit

@@ -17,11 +17,12 @@ open Fg_util
    workspace language-service kinds — [doc_open] / [doc_change] /
    [doc_close] / [doc_diagnostics] / [hover] / [definition] /
    [completion] — with their ["doc_version"] / ["edits"] / ["offset"]
-   fields ([file] doubles as the document name).  Version 6 added the
-   optional request field ["profile"] (a workload profile consulted by
-   the guided backend; absent means the server's default profile, if
-   any).  The only client is {!Client}, which always sends [version],
-   so a frame with any other version is refused. *)
+   fields ([file] doubles as the document name).  Version 6 added an
+   optional request field that is no longer read; the decoder ignores
+   every field it does not read, so a frame that still carries it
+   decodes as if it were absent.  The only client is {!Client}, which
+   always sends [version], so a frame with any other version is
+   refused. *)
 let version = 6
 let default_max_frame = 4 * 1024 * 1024
 
@@ -191,19 +192,16 @@ type request = {
   edits : (int * int * string) list;
       (** doc_change: [(start, len, text)] byte-range splices applied
           in order; an explicit [source] wins over edits (v5) *)
-  profile : Profile.t option;
-      (** a workload profile shipped with the request, consulted by the
-          guided backend; absent means the server's default (v6) *)
 }
 
 let request ?(file = "<request>") ?(source = "") ?(prelude = false)
     ?(global_models = false) ?(backend = Fg_core.Backend.Dict) ?timeout_ms
     ?(seed = 0) ?(size = 30) ?(mutants = 0) ?(coverage = [])
     ?(corpus_entries = []) ?(have = []) ?(doc_version = 0) ?(offset = 0)
-    ?(edits = []) ?profile ~id kind =
+    ?(edits = []) ~id kind =
   { id; kind; file; source; prelude; global_models; backend; timeout_ms;
     seed; size; mutants; coverage; corpus_entries; have; doc_version;
-    offset; edits; profile }
+    offset; edits }
 
 let request_to_json r =
   Json.Obj
@@ -220,9 +218,6 @@ let request_to_json r =
           [ ("backend", Json.Str (Fg_core.Backend.to_string b)) ])
     @ (match r.timeout_ms with
       | Some t -> [ ("timeout_ms", Json.Int t) ]
-      | None -> [])
-    @ (match r.profile with
-      | Some p -> [ ("profile", Profile.to_json p) ]
       | None -> [])
     @ (if r.kind = FuzzOne then
          [ ("seed", Json.Int r.seed); ("size", Json.Int r.size);
@@ -312,20 +307,9 @@ let request_of_json j =
                           (Bad_request
                              (Printf.sprintf "unknown backend %S" s)))
               in
-              let profile =
-                match Json.mem "profile" j with
-                | None -> Ok None
-                | Some pj -> (
-                    match Profile.of_json pj with
-                    | Ok p -> Ok (Some p)
-                    | Error msg ->
-                        Error
-                          (Bad_request
-                             (Printf.sprintf "malformed profile: %s" msg)))
-              in
-              match (backend, profile) with
-              | Error e, _ | _, Error e -> Error e
-              | Ok backend, Ok profile ->
+              match backend with
+              | Error e -> Error e
+              | Ok backend ->
               if needs_source && Json.str_field "source" j = None then
                 Error
                   (Bad_request
@@ -387,7 +371,6 @@ let request_of_json j =
                     offset =
                       Option.value ~default:0 (Json.int_field "offset" j);
                     edits;
-                    profile;
                   })))
 
 (* ---------------------------------------------------------------- *)

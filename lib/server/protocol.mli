@@ -12,7 +12,7 @@
     [check | run | translate | fuzz_one | stats | shutdown |
     fuzz_batch]; program kinds carry ["file"], ["source"] and the
     one-shot driver's flags (["prelude"], ["global_models"], and an
-    optional ["backend"] of [dict | stencil | hybrid | guided], absent
+    optional ["backend"] of [dict | stencil | hybrid], absent
     meaning [dict]); [fuzz_batch] carries a ["coverage"] map
     (key → hit-count object), a ["corpus"] object (digest → source)
     of entries the worker offers, and a ["have"] digest list — the
@@ -21,12 +21,9 @@
     definition | completion]) use ["file"] as the document name and
     carry ["doc_version"] (open/change), ["source"] or an ["edits"]
     splice array (change), and a byte ["offset"]
-    (hover/definition/completion); any program kind may carry a
-    ["profile"] object (a canonical {!Fg_util.Profile} document)
-    consulted by the [guided] backend, absent meaning the server's
-    default profile; any request may set ["timeout_ms"] to override
-    the server's default deadline.  Exactly one version is accepted:
-    {!version}.
+    (hover/definition/completion); any request may set ["timeout_ms"]
+    to override the server's default deadline.  Fields a request does
+    not use are ignored.  Exactly one version is accepted: {!version}.
 
     {b Responses} are
     [{"v": 6, "id": N, "status": S, "payload": P}] where [S] is one of
@@ -123,9 +120,6 @@ type request = {
   edits : (int * int * string) list;
       (** doc_change: [(start, len, text)] byte-range splices applied
           in order; an explicit [source] wins over edits (v5) *)
-  profile : Profile.t option;
-      (** a workload profile shipped with the request, consulted by the
-          guided backend; absent means the server's default (v6) *)
 }
 
 (** Build a request with the wire defaults filled in. *)
@@ -135,7 +129,7 @@ val request :
   ?mutants:int -> ?coverage:Coverage.map ->
   ?corpus_entries:(string * string) list -> ?have:string list ->
   ?doc_version:int -> ?offset:int -> ?edits:(int * int * string) list ->
-  ?profile:Profile.t -> id:int -> kind -> request
+  id:int -> kind -> request
 
 val request_to_json : request -> Json.t
 

@@ -25,13 +25,6 @@ type config = {
       (** root of the daemon's shared on-disk unit store; [None] (the
           default) runs memory-only *)
   cache_max_bytes : int option;
-  profile : Fg_util.Profile.t option;
-      (** the daemon's default workload profile: consulted by guided
-          sessions whose request ships none, and by startup
-          auto-sizing (unit-cache capacity, worker count) *)
-  profile_out : string option;
-      (** where to write the profile collected over this daemon's
-          lifetime, at drain; also flips profile collection on *)
   log : bool;
 }
 
@@ -45,8 +38,6 @@ let default_config address =
     fuel = Some 10_000_000;
     cache_dir = None;
     cache_max_bytes = None;
-    profile = None;
-    profile_out = None;
     log = false;
   }
 
@@ -172,7 +163,7 @@ let request_shutdown t =
 (* The stats payload: live pool metrics plus the static config, plus
    the process-wide specializer counters (covering every worker's
    stencil/hybrid requests, since telemetry is process-global). *)
-let stats_json cfg sizing disk fuzz ws metrics =
+let stats_json cfg disk fuzz ws metrics =
   let t = Telemetry.snapshot () in
   let fz_batches, fz_corpus, fz_distinct, fz_total =
     Mutex.lock fuzz.fm;
@@ -192,20 +183,6 @@ let stats_json cfg sizing disk fuzz ws metrics =
           (match cfg.request_timeout_ms with
           | Some t -> Json.Int t
           | None -> Json.Null) );
-        ( "auto_sizing",
-          (* what profile-driven startup sizing changed; null fields
-             mean "kept the configured value" *)
-          Json.Obj
-            [
-              ( "unit_cache_capacity",
-                match sizing.Profile.sz_unit_cache_capacity with
-                | Some n -> Json.Int n
-                | None -> Json.Null );
-              ( "workers",
-                match sizing.Profile.sz_workers with
-                | Some n -> Json.Int n
-                | None -> Json.Null );
-            ] );
         ( "specializer",
           Json.Obj
             [
@@ -264,23 +241,6 @@ let listen_on = function
 
 let create cfg =
   let cfg = { cfg with workers = max 1 cfg.workers } in
-  (* Profile-driven auto-sizing happens once, at startup: the profiled
-     cache pressure picks the per-worker unit-cache bound, the profiled
-     request volume shrinks an over-provisioned worker pool.  The
-     [stats] payload reports what changed under "auto_sizing". *)
-  let sizing =
-    match cfg.profile with
-    | Some p ->
-        Profile.auto_size p ~default_capacity:Fg_core.Unit.default_capacity
-          ~workers:cfg.workers
-    | None -> { Profile.sz_unit_cache_capacity = None; sz_workers = None }
-  in
-  let cfg =
-    match sizing.Profile.sz_workers with
-    | Some w -> { cfg with workers = w }
-    | None -> cfg
-  in
-  if cfg.profile_out <> None then Profile.set_collecting true;
   let disk =
     Option.map
       (Fg_core.Diskcache.open_store ?max_bytes:cfg.cache_max_bytes)
@@ -289,10 +249,8 @@ let create cfg =
   let fuzz = mk_fuzz_state () in
   let ws = Fg_workspace.Workspace.create ?fuel:cfg.fuel () in
   let pool =
-    Pool.create ?fuel:cfg.fuel ?disk
-      ?unit_cache_capacity:sizing.Profile.sz_unit_cache_capacity
-      ?profile:cfg.profile ~capacity:cfg.max_queue
-      ~stats_json:(stats_json cfg sizing disk fuzz ws) ()
+    Pool.create ?fuel:cfg.fuel ?disk ~capacity:cfg.max_queue
+      ~stats_json:(stats_json cfg disk fuzz ws) ()
   in
   let listen_fd, bound = listen_on cfg.address in
   Pool.start ~workers:cfg.workers pool;
@@ -599,40 +557,6 @@ let accept_one t =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-(* Assemble and persist the workload profile at drain: instantiation
-   and resolution counts come from the process-global collection
-   registries (every worker domain recorded into them), the request
-   and backend mixes from the pool metrics, cache pressure from the
-   summed per-worker unit-cache counters. *)
-let write_profile t =
-  match t.cfg.profile_out with
-  | None -> ()
-  | Some path ->
-      let requests = Pool.request_mix t.pool in
-      let programs =
-        List.fold_left
-          (fun acc (k, n) ->
-            match k with
-            | "run" | "check" | "translate" -> acc + n
-            | _ -> acc)
-          0 requests
-      in
-      let s = Pool.unit_cache_totals t.pool in
-      let unit_cache =
-        {
-          Profile.c_hits = s.Fg_core.Unit.s_hits;
-          c_misses = s.Fg_core.Unit.s_misses;
-          c_evictions = s.Fg_core.Unit.s_evictions;
-          c_invalidations = s.Fg_core.Unit.s_invalidations;
-          c_size = s.Fg_core.Unit.s_size;
-          c_capacity = s.Fg_core.Unit.s_capacity;
-        }
-      in
-      Profile.save path
-        (Profile.collected ~programs ~unit_cache
-           ~backends:(Pool.backend_mix t.pool) ~requests ());
-      logf t "profile written to %s" path
-
 let run t =
   (* A SIGPIPE from a vanished client must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -657,7 +581,6 @@ let run t =
   Mutex.unlock t.reg_m;
   List.iter force_shutdown conns;
   List.iter Thread.join readers;
-  write_profile t;
   logf t "drained; bye"
 
 let serve cfg = run (create cfg)

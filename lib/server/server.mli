@@ -32,20 +32,6 @@ type config = {
           ({!Fg_core.Diskcache}), consulted by every worker behind its
           memory cache; [None] (the default) runs memory-only *)
   cache_max_bytes : int option;  (** disk-store size bound *)
-  profile : Fg_util.Profile.t option;
-      (** the daemon's default workload profile ([fgc serve
-          --profile]): consulted by [guided]-backend sessions whose
-          request ships no profile of its own, and by startup
-          auto-sizing — profiled cache pressure picks the per-worker
-          unit-cache capacity, profiled request volume shrinks an
-          over-provisioned worker pool
-          ({!Fg_util.Profile.auto_size}).  What changed is reported
-          under ["auto_sizing"] in the [stats] payload. *)
-  profile_out : string option;
-      (** write the profile collected over this daemon's lifetime
-          (instantiation/resolution counts, request and backend mixes,
-          unit-cache pressure) here at drain, in canonical JSON;
-          setting it turns collection on *)
   log : bool;  (** chatty lifecycle lines on stderr *)
 }
 

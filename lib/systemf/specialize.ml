@@ -34,7 +34,7 @@ module A = Ast
 module Smap = Names.Smap
 module Sset = Names.Sset
 
-type mode = Stencil | Hybrid | Guided
+type mode = Stencil | Hybrid
 
 type stats = {
   st_stencils : int;
@@ -112,7 +112,6 @@ let peel (rhs : A.exp) : peeled option =
 
 type st = {
   mode : mode;
-  hot : string -> bool;  (* Guided only: is this instantiation key hot? *)
   senv : (string, def) Hashtbl.t;  (* uniquely-named spine defs *)
   gen_bodies : (string, A.exp) Hashtbl.t;  (* generated name -> rhs *)
   memo : (string, string) Hashtbl.t;  (* stencil key -> stencil name *)
@@ -175,8 +174,7 @@ let static_at st ~pos ~bound e =
 let ty_key t = Pretty.ty_to_string t
 let exp_key e = Pretty.exp_to_string e
 
-(* The profile key of an instantiation site — shared by the observer
-   census, the guided hot check, and the type-only stencil memo. *)
+(* The type-only stencil memo's key for an instantiation site. *)
 let instantiation_key f tys =
   Printf.sprintf "%s[%s]" f (String.concat "," (List.map ty_key tys))
 
@@ -277,15 +275,7 @@ and try_call st ~pos ~bound ~loc fh tys dargs : A.exp option =
       | Some d when d.d_index < pos -> (
           match peel d.d_rhs with
           | Some p when List.length p.p_tvs = List.length tys && ground tys ->
-              if st.mode = Guided && not (st.hot (instantiation_key f tys))
-              then begin
-                (* cold under the profile: leave the dictionary call
-                   untouched (checked before atomize, so cold calls
-                   hoist nothing either) *)
-                st.fallbacks <- st.fallbacks + 1;
-                None
-              end
-              else specialize_call st ~pos ~bound ~loc f p tys dargs
+              specialize_call st ~pos ~bound ~loc f p tys dargs
           | _ -> None)
       | _ -> None)
   | _ -> None
@@ -490,14 +480,13 @@ let spine_env entries =
     entries;
   senv
 
-let specialize ~mode ?(hot = fun _ -> false) (prog : A.exp) : A.exp * stats =
+let specialize ~mode (prog : A.exp) : A.exp * stats =
   let entries, body = spine [] prog in
   if entries = [] then (prog, zero_stats)
   else begin
     let st =
       {
         mode;
-        hot;
         senv = spine_env entries;
         gen_bodies = Hashtbl.create 64;
         memo = Hashtbl.create 64;
@@ -546,67 +535,4 @@ let specialize ~mode ?(hot = fun _ -> false) (prog : A.exp) : A.exp * stats =
         st_hoisted = st.hoisted;
         st_rewritten = st.rewritten;
       } )
-  end
-
-(* ---------------------------------------------------------------- *)
-(* Instantiation census                                               *)
-
-(* Count every call position [specialize] would consider a stencil
-   candidate, without rewriting anything.  Spine registration and the
-   candidacy conditions are shared with [try_call], so the keys a
-   profile accumulates are exactly the keys the guided hot check will
-   be asked about. *)
-let observe (prog : A.exp) : (string * int) list =
-  let entries, body = spine [] prog in
-  if entries = [] then []
-  else begin
-    let senv = spine_env entries in
-    let counts = Hashtbl.create 64 in
-    let candidate ~pos ~bound (fh : A.exp) tys =
-      match fh.desc with
-      | A.Var f when not (Sset.mem f bound) -> (
-          match Hashtbl.find_opt senv f with
-          | Some d when d.d_index < pos -> (
-              match peel d.d_rhs with
-              | Some p
-                when List.length p.p_tvs = List.length tys && ground tys ->
-                  Some f
-              | _ -> None)
-          | _ -> None)
-      | _ -> None
-    in
-    let rec walk ~pos ~bound (e : A.exp) =
-      match e.desc with
-      | A.Var _ | A.Lit _ | A.Prim _ -> ()
-      | A.TyApp (fh, tys) -> (
-          match candidate ~pos ~bound fh tys with
-          | Some f ->
-              let key = instantiation_key f tys in
-              Hashtbl.replace counts key
-                (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-          | None -> walk ~pos ~bound fh)
-      | A.App (f, args) ->
-          walk ~pos ~bound f;
-          List.iter (walk ~pos ~bound) args
-      | A.Abs (ps, b) ->
-          let bound' =
-            List.fold_left (fun a (x, _) -> Sset.add x a) bound ps
-          in
-          walk ~pos ~bound:bound' b
-      | A.TyAbs (_, b) -> walk ~pos ~bound b
-      | A.Let (x, r, b) ->
-          walk ~pos ~bound r;
-          walk ~pos ~bound:(Sset.add x bound) b
-      | A.Tuple es -> List.iter (walk ~pos ~bound) es
-      | A.Nth (e0, _) -> walk ~pos ~bound e0
-      | A.Fix (x, _, b) -> walk ~pos ~bound:(Sset.add x bound) b
-      | A.If (c, t, f) ->
-          walk ~pos ~bound c;
-          walk ~pos ~bound t;
-          walk ~pos ~bound f
-    in
-    List.iteri (fun i (_, r, _) -> walk ~pos:i ~bound:Sset.empty r) entries;
-    walk ~pos:(List.length entries) ~bound:Sset.empty body;
-    Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   end

@@ -26,17 +26,9 @@
     The output is observationally equivalent to the input: same System
     F type (checked by the session oracle), same value, never more
     beta steps on any executed path modulo the constant cost of
-    hoisted dictionary construction.
+    hoisted dictionary construction. *)
 
-    [Guided] mode is profile-guided stenciling: it behaves like
-    [Stencil] but consults a hotness predicate (derived from a
-    {!Fg_util.Profile}) keyed by {!instantiation_key}, and only
-    stencils instantiations the predicate approves; cold
-    instantiations keep dictionary passing untouched (counted as
-    fallbacks).  With an empty profile it is a no-op and the output is
-    the dictionary program verbatim. *)
-
-type mode = Stencil | Hybrid | Guided
+type mode = Stencil | Hybrid
 
 type stats = {
   st_stencils : int;  (** specialized clones created *)
@@ -46,8 +38,7 @@ type stats = {
   st_fallbacks : int;
       (** ground generic calls left on dictionary passing for other
           reasons (budget, non-static dictionary arguments, shape the
-          specializer does not recognize, cold under a guided
-          profile) *)
+          specializer does not recognize) *)
   st_hoisted : int;  (** dictionary expressions hoisted to the spine *)
   st_rewritten : int;  (** call sites redirected to stencils *)
 }
@@ -58,24 +49,7 @@ val zero_stats : stats
     can reuse the dictionary backend's evaluation verbatim.) *)
 val changed : stats -> bool
 
-(** [specialize ~mode ?hot e] — returns the specialized program and
+(** [specialize ~mode e] — returns the specialized program and
     counters.  Total: never raises on well-typed input; any
-    unrecognized shape falls back to the dictionary-passing original.
-    [hot] is only consulted in [Guided] mode (default: nothing is
-    hot). *)
-val specialize : mode:mode -> ?hot:(string -> bool) -> Ast.exp -> Ast.exp * stats
-
-(** [instantiation_key f tys] — the profile key of a ground
-    instantiation site, ["f[ty,...]"] with the types rendered by the
-    System F pretty-printer.  {!observe} emits these keys and [Guided]
-    mode queries its [hot] predicate with them, so profiles recorded
-    on any backend transfer to guided specialization. *)
-val instantiation_key : string -> Ast.ty list -> string
-
-(** Census of ground instantiation sites: every call position that
-    {!specialize} would consider a stencil candidate (unshadowed
-    spine generic defined earlier, matching type-abstraction arity,
-    ground type arguments), counted per {!instantiation_key} — a pure
-    walk, no rewriting.  The driver records this per program when
-    profile collection is on, on every backend including [dict]. *)
-val observe : Ast.exp -> (string * int) list
+    unrecognized shape falls back to the dictionary-passing original. *)
+val specialize : mode:mode -> Ast.exp -> Ast.exp * stats

@@ -20,10 +20,10 @@ type t =
 val to_string : t -> string
 
 (** Recursively sort every object's fields by key (stable, so
-    duplicate keys keep their relative order).  Applied to stats and
-    profile output so equal payloads render byte-identically for CI
-    diffing; deliberately {e not} applied to run reports, whose field
-    order is pinned by goldens. *)
+    duplicate keys keep their relative order).  Applied to the stats
+    payload so equal payloads render byte-identically for CI diffing;
+    deliberately {e not} applied to run reports, whose field order is
+    pinned by goldens. *)
 val sort_keys : t -> t
 
 (** Parse one JSON document; the whole input must be consumed (trailing

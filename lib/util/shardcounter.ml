@@ -14,7 +14,6 @@ let add (c : t) n =
   if n <> 0 then ignore (Atomic.fetch_and_add c.(shard ()) n)
 
 let read (c : t) = Array.fold_left (fun acc s -> acc + Atomic.get s) 0 c
-let reset (c : t) = Array.iter (fun s -> Atomic.set s 0) c
 
 type map = (string * int) list
 
@@ -67,7 +66,6 @@ module Registry = struct
         else find r key (* lost the race: someone else may have added it *)
 
   let hit r key = incr (find r key)
-  let add r key n = add (find r key) n
 
   let snapshot (r : t) =
     Smap.fold
@@ -76,6 +74,4 @@ module Registry = struct
         if n > 0 then (key, n) :: acc else acc)
       (Atomic.get r) []
     |> List.rev (* Smap folds ascending; the reversed accumulator is sorted *)
-
-  let reset (r : t) = Smap.iter (fun _ c -> reset c) (Atomic.get r)
 end

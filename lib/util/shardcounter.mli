@@ -11,8 +11,8 @@
     This is the single implementation of the sharding trick: both the
     {!Coverage} probe registry and the {!Telemetry} counters (and the
     server pool's metrics grid) are built on it.  The sorted
-    association-list "map" type and its merge algebra live here too,
-    shared by coverage maps and workload profiles. *)
+    association-list "map" type and its merge algebra live here too:
+    coverage maps are counter maps. *)
 
 val n_shards : int
 (** Number of shards per counter (a power of two; the shard pick is a
@@ -37,10 +37,6 @@ val add : t -> int -> unit
 val read : t -> int
 (** Merge the shards into the logical value.  Racy snapshot. *)
 
-val reset : t -> unit
-(** Zero every shard.  Concurrent increments during a reset may land
-    on either side. *)
-
 type map = (string * int) list
 (** A counter map: association list sorted by key, every count
     positive.  All functions below maintain that invariant. *)
@@ -64,8 +60,7 @@ module Registry : sig
   (** A named set of sharded counters keyed by string.  Registration
       swaps an immutable map in with a CAS loop — rare; hits never
       touch the registry.  {!Coverage} wraps the process-wide instance
-      of this; workload profiles keep their own private instances so
-      instantiation-frequency keys never pollute fuzz coverage. *)
+      of this. *)
 
   type counter = t
 
@@ -80,12 +75,7 @@ module Registry : sig
   val hit : t -> string -> unit
   (** [hit r key] is [incr (find r key)]. *)
 
-  val add : t -> string -> int -> unit
-
   val snapshot : t -> map
   (** Merge every counter into a sorted map; zero-count entries are
       dropped, so an untouched registry snapshots to []. *)
-
-  val reset : t -> unit
-  (** Zero every counter (registration survives). *)
 end

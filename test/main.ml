@@ -8,7 +8,6 @@ let () =
       ("json", Test_json.suite);
       ("telemetry", Test_telemetry.suite);
       ("coverage", Test_coverage.suite);
-      ("profile", Test_profile.suite);
       ("syntax", Test_syntax.suite);
       ("unionfind", Test_unionfind.suite);
       ("congruence", Test_congruence.suite);

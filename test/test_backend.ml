@@ -11,13 +11,15 @@
 open Fg_core
 module F = Fg_systemf
 
-let all_backends =
-  [ Backend.Dict; Backend.Stencil; Backend.Hybrid; Backend.Guided ]
+let all_backends = [ Backend.Dict; Backend.Stencil; Backend.Hybrid ]
 
 (* ------------------------------------------------------------------ *)
 (* Backend naming *)
 
 let test_backend_names () =
+  Alcotest.(check (list string)) "the three backends, in order"
+    [ "dict"; "stencil"; "hybrid" ]
+    (List.map Backend.to_string Backend.all);
   List.iter
     (fun b ->
       Alcotest.(check bool) "of_string inverts to_string" true
@@ -57,16 +59,6 @@ let test_config_api () =
       Cfg.backend = Backend.Hybrid; resolution = Resolution.Global }
   in
   Alcotest.(check bool) "configs compare structurally" true (cfg = again);
-  (* Only the guided backend reads a profile, so no other config
-     carries one (and none splits a warm session over it). *)
-  let flags ?profile backend =
-    Cfg.of_flags ?profile ~prelude:false ~global_models:false ~backend ()
-  in
-  Alcotest.(check bool) "dict drops the profile" true
-    (flags ~profile:Fg_util.Profile.empty Backend.Dict = flags Backend.Dict);
-  Alcotest.(check bool) "guided keeps the profile" true
-    ((flags ~profile:Fg_util.Profile.empty Backend.Guided).Cfg.profile
-    = Some Fg_util.Profile.empty);
   let s = Session.of_config cfg in
   Alcotest.(check bool) "session keeps its config" true
     (Session.config s = cfg);

@@ -373,7 +373,19 @@ let test_backend_flag () =
   let code, out = run_cmd "fuzz --count 1 --backend=jit" ~stdin_text:"" in
   Alcotest.(check bool) "fuzz rejects" true (code <> 0);
   Alcotest.(check bool) "fuzz names FG1001" true
-    (Astring_contains.contains ~needle:"FG1001" out)
+    (Astring_contains.contains ~needle:"FG1001" out);
+  (* the retired guided backend is an unknown name like any other, and
+     the note lists the three that remain *)
+  let code, out = run_cmd "run --backend=guided -e 1" ~stdin_text:"" in
+  Alcotest.(check int) "guided exit" 1 code;
+  Alcotest.(check bool) "guided names FG1001" true
+    (Astring_contains.contains ~needle:"FG1001" out);
+  Alcotest.(check bool) "guided note lists the backends" true
+    (Astring_contains.contains ~needle:"known backends: dict, stencil, hybrid"
+       out);
+  (* --profile is no flag at all: a cmdliner usage error *)
+  let code, _ = run_cmd "run --profile f -e 1" ~stdin_text:"" in
+  Alcotest.(check int) "--profile is a usage error" 124 code
 
 (* FG1002: a --cache-dir that cannot be used as a store directory is a
    configuration error, reported before anything runs. *)

@@ -227,13 +227,17 @@ let test_stats () =
           match Fg_util.Json.of_string r.Protocol.r_payload with
           | Error e -> Alcotest.failf "stats payload not JSON: %s" e
           | Ok j ->
-              List.iter
-                (fun k ->
-                  Alcotest.(check bool) (k ^ " present") true
-                    (Fg_util.Json.mem k j <> None))
-                [ "uptime_ms"; "enqueued"; "queue_depth"; "protocol_errors";
-                  "connections_opened"; "requests"; "latency"; "queue_wait";
-                  "workspace" ];
+              (* the exact top-level schema, so no key appears or
+                 vanishes unnoticed *)
+              Alcotest.(check (list string)) "top-level keys"
+                [ "backends"; "connections_opened"; "disk_cache"; "enqueued";
+                  "fuzz_soak"; "latency"; "max_queue"; "protocol_errors";
+                  "queue_depth"; "queue_wait"; "request_timeout_ms";
+                  "requests"; "specializer"; "unit_cache"; "uptime_ms";
+                  "workers"; "workspace" ]
+                (match j with
+                | Fg_util.Json.Obj kvs -> List.map fst kvs
+                | _ -> Alcotest.fail "stats payload is not an object");
               (* the run we just did is visible in the counters *)
               let enqueued =
                 match Fg_util.Json.int_field "enqueued" j with
@@ -405,45 +409,49 @@ let test_backoff () =
   (* distinct seeds diverge (the jitter is real) *)
   Alcotest.(check bool) "different seeds differ" true (collect 1 12 <> a)
 
-(* A request's own profile only steers the guided backend's stencils;
-   it must not key a new warm session.  Twenty guided requests, each
-   with its own profile, build the prelude at most once on one handler,
-   and each answer is the bytes a fresh handler gives the same request
-   (the profiles alternate between marking the program's instantiation
-   hot and not, so a handler that ignored a request's profile would
-   answer differently). *)
-let test_profiles_share_session () =
+(* A warm handler keys sessions on the request's config alone: twenty
+   requests of one config (prelude on) through one handler build the
+   prelude at most once, and each answer is the bytes a fresh handler
+   gives the same request — for the dictionary backend and for a
+   specializing one. *)
+let test_one_session_per_config () =
   let open Fg_util in
-  let source = "accumulate[int](cons[int](1, cons[int](2, nil[int])))" in
-  let request i =
-    let hot = if i mod 2 = 0 then "accumulate[int]" else "count[int]" in
-    let profile =
-      { Profile.empty with p_programs = i; p_instantiations = [ (hot, 5) ] }
-    in
-    Protocol.request ~id:i ~file:"t.fg" ~source ~prelude:true
-      ~backend:Fg_core.Backend.Guided ~profile Protocol.Run
-  in
-  let fresh =
-    List.init 20 (fun i -> Handler.handle_safe (Handler.create ()) (request i))
-  in
-  let handler = Handler.create () in
-  let before = Telemetry.snapshot () in
-  let served = List.init 20 (fun i -> Handler.handle_safe handler (request i)) in
-  let builds = (Telemetry.diff (Telemetry.snapshot ()) before).prelude_builds in
-  Alcotest.(check bool)
-    (Printf.sprintf "at most one prelude build (got %d)" builds)
-    true (builds <= 1);
-  List.iteri
-    (fun i ((st, payload), (st', payload')) ->
-      Alcotest.(check string)
-        (Printf.sprintf "request %d status" i)
-        (Protocol.status_name st) (Protocol.status_name st');
-      Alcotest.(check string)
-        (Printf.sprintf "request %d payload" i)
-        payload payload')
-    (List.combine fresh served);
-  Alcotest.(check bool) "the profiles steer the answers" true
-    (snd (List.nth served 0) <> snd (List.nth served 1))
+  List.iter
+    (fun backend ->
+      let name = Fg_core.Backend.to_string backend in
+      let request i =
+        let source =
+          Printf.sprintf
+            "accumulate[int](cons[int](%d, cons[int](2, nil[int])))" i
+        in
+        Protocol.request ~id:i ~file:"t.fg" ~source ~prelude:true ~backend
+          Protocol.Run
+      in
+      let fresh =
+        List.init 20 (fun i ->
+            Handler.handle_safe (Handler.create ()) (request i))
+      in
+      let handler = Handler.create () in
+      let before = Telemetry.snapshot () in
+      let served =
+        List.init 20 (fun i -> Handler.handle_safe handler (request i))
+      in
+      let builds =
+        (Telemetry.diff (Telemetry.snapshot ()) before).prelude_builds
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: at most one prelude build (got %d)" name builds)
+        true (builds <= 1);
+      List.iteri
+        (fun i ((st, payload), (st', payload')) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s request %d status" name i)
+            (Protocol.status_name st) (Protocol.status_name st');
+          Alcotest.(check string)
+            (Printf.sprintf "%s request %d payload" name i)
+            payload payload')
+        (List.combine fresh served))
+    [ Fg_core.Backend.Dict; Fg_core.Backend.Stencil ]
 
 let suite =
   [
@@ -457,8 +465,8 @@ let suite =
     Alcotest.test_case "workspace document kinds" `Quick
       test_workspace_kinds;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_drain;
-    Alcotest.test_case "profiles share a warm session" `Quick
-      test_profiles_share_session;
+    Alcotest.test_case "one warm session per config" `Quick
+      test_one_session_per_config;
     Alcotest.test_case "batch byte-identical to one-shot" `Slow
       test_batch_byte_identical;
     Alcotest.test_case "sustained 1000-request batch" `Slow

@@ -312,34 +312,3 @@ EDITGEN_EDITS=6 EDITGEN_P95_MS=200 dune exec bench/editgen.exe
 
 echo "== loadgen smoke (300 requests, byte-identity + 5x bar)"
 LOADGEN_REQUESTS=300 LOADGEN_ONESHOT_SAMPLE=10 dune exec bench/loadgen.exe
-
-echo "== pgo smoke (profile record/replay: guided byte-identity + zipf bar)"
-# Record a workload profile over the whole corpus — twice, because the
-# canonical sorted-key encoding promises byte-identical recordings.
-# Replaying the corpus on the guided backend under that profile must
-# print exactly the dictionary backend's bytes (the session's internal
-# oracle additionally re-checks every stencil in System F).  Then the
-# same differential over 1k seeded fuzz programs with a profile
-# recorded from the same generator, and finally the Zipf bar: a daemon
-# auto-sized from a recorded profile must beat the default
-# configuration on the same skewed request stream.
-prof=$(mktemp /tmp/fgc_pgo_XXXXXX.json)
-prof2=$(mktemp /tmp/fgc_pgo2_XXXXXX.json)
-merged=$(mktemp /tmp/fgc_pgo_merged_XXXXXX.json)
-fuzzprof=$(mktemp /tmp/fgc_pgo_fuzz_XXXXXX.json)
-dict_out=$(mktemp) && guided_out=$(mktemp)
-track "$prof" "$prof2" "$merged" "$fuzzprof" "$dict_out" "$guided_out"
-"$fgc" corpus --all --profile-out "$prof" > /dev/null
-"$fgc" corpus --all --profile-out "$prof2" > /dev/null
-cmp -s "$prof" "$prof2" \
-  || { echo "pgo smoke: profile recording is not deterministic"; exit 1; }
-"$fgc" profile merge "$prof" "$prof2" -o "$merged"
-"$fgc" profile show "$merged" > /dev/null
-"$fgc" corpus --all > "$dict_out"
-"$fgc" corpus --all --backend=guided --profile "$prof" > "$guided_out"
-cmp -s "$dict_out" "$guided_out" \
-  || { echo "pgo smoke: guided diverges from dict over the corpus"; exit 1; }
-"$fgc" fuzz --seed 7 --count 1000 --profile-out "$fuzzprof" > /dev/null
-"$fgc" fuzz --seed 7 --count 1000 --backend=guided --profile "$fuzzprof"
-echo "-- zipf loadgen: profile-guided serve must beat the default config"
-LOADGEN_MODE=zipf LOADGEN_ZIPF_REQUESTS=2400 dune exec bench/loadgen.exe
