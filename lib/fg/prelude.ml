@@ -354,9 +354,6 @@ let full =
     prelude. *)
 let wrap body = full ^ body
 
-(** [wrap_concepts body] — concepts only, no models or algorithms. *)
-let wrap_concepts body = concepts ^ body
-
 (** A literal [list int] in concrete syntax. *)
 let int_list ns =
   List.fold_right

@@ -18,8 +18,5 @@ val full : string
 (** [wrap body] is a complete program evaluating [body] under {!full}. *)
 val wrap : string -> string
 
-(** Concepts only. *)
-val wrap_concepts : string -> string
-
 (** A literal [list int] in concrete syntax. *)
 val int_list : int list -> string

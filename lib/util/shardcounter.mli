@@ -14,10 +14,6 @@
     association-list "map" type and its merge algebra live here too:
     coverage maps are counter maps. *)
 
-val n_shards : int
-(** Number of shards per counter (a power of two; the shard pick is a
-    mask over the domain id). *)
-
 type t
 (** One sharded counter.  Cheap to bump from any domain. *)
 
@@ -40,11 +36,6 @@ val read : t -> int
 type map = (string * int) list
 (** A counter map: association list sorted by key, every count
     positive.  All functions below maintain that invariant. *)
-
-val combine : (int -> int -> int) -> map -> map -> map
-(** Merge two sorted maps with a combining function; entries that
-    combine to [<= 0] are dropped, preserving the invariant.  Missing
-    keys combine against 0. *)
 
 val merge : map -> map -> map
 (** Pointwise sum; the fleet-merge operation. *)

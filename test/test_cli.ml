@@ -3,6 +3,14 @@
 
 let fgc = "../bin/fgc.exe"
 
+(* Read a temporary file and remove it. *)
+let slurp path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  s
+
 let run_cmd args ~stdin_text =
   let out_file = Filename.temp_file "fgc_out" ".txt" in
   let in_file = Filename.temp_file "fgc_in" ".txt" in
@@ -14,11 +22,7 @@ let run_cmd args ~stdin_text =
       (Filename.quote in_file) (Filename.quote out_file)
   in
   let code = Sys.command cmd in
-  let ic = open_in out_file in
-  let n = in_channel_length ic in
-  let out = really_input_string ic n in
-  close_in ic;
-  Sys.remove out_file;
+  let out = slurp out_file in
   Sys.remove in_file;
   (code, String.trim out)
 
@@ -403,6 +407,61 @@ let test_bad_cache_dir () =
       Alcotest.(check bool) "FG1002 configuration error" true
         (Astring_contains.contains ~needle:"configuration error[FG1002]" out))
 
+(* Runs fgc with OCAMLRUNPARAM and CAMLRUNPARAM unset and then [env]
+   (a list of VAR=value words) added, stdin empty; returns the exit
+   code, stdout and stderr. *)
+let run_env env args =
+  let out_file = Filename.temp_file "fgc_out" ".txt" in
+  let err_file = Filename.temp_file "fgc_err" ".txt" in
+  let cmd =
+    Printf.sprintf
+      "env -u OCAMLRUNPARAM -u CAMLRUNPARAM %s %s %s < /dev/null > %s 2> %s"
+      env (Filename.quote fgc) args (Filename.quote out_file)
+      (Filename.quote err_file)
+  in
+  let code = Sys.command cmd in
+  let out = slurp out_file in
+  (code, out, slurp err_file)
+
+(* One-shot runs collect nothing: fgc starts its one-shot subcommands
+   with a minor heap large enough that loading the prelude image
+   requests no major slice (bin/oneshot_heap.c).  [v=0x400] makes the
+   runtime print its GC counters on stderr at exit.  A user's own [s=]
+   still wins: a 32k-word heap is exhausted by the run's own minor
+   allocation (over 100k words), so it collects however small the
+   image gets.  Stdout is the same bytes with or without either
+   variable. *)
+let test_oneshot_gc () =
+  let count err key =
+    let prefix = key ^ ": " in
+    match
+      List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' err)
+    with
+    | Some l ->
+        let n = String.length prefix in
+        int_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "no %s line on stderr:\n%s" key err
+  in
+  List.iter
+    (fun cmd ->
+      let args = cmd ^ " ../programs/merge_example.fg" in
+      let code, plain, _ = run_env "" args in
+      Alcotest.(check int) (args ^ " exit") 0 code;
+      let run env =
+        let code, out, err = run_env env args in
+        Alcotest.(check int) (env ^ " " ^ args ^ " exit") 0 code;
+        Alcotest.(check string) (env ^ " " ^ args ^ " stdout") plain out;
+        (count err "minor_collections", count err "major_collections")
+      in
+      List.iter
+        (fun env ->
+          Alcotest.(check (pair int int))
+            (env ^ " " ^ args ^ " collections") (0, 0) (run env))
+        [ "OCAMLRUNPARAM=v=0x400"; "CAMLRUNPARAM=v=0x400" ];
+      let minor, _ = run "OCAMLRUNPARAM=s=32k,v=0x400" in
+      Alcotest.(check bool) (args ^ ": the user's s= wins") true (minor > 0))
+    [ "run --format=json -p"; "check -p"; "verify -p" ]
+
 let suite =
   [
     Alcotest.test_case "run" `Quick test_run;
@@ -434,4 +493,5 @@ let suite =
     Alcotest.test_case "--backend flag" `Quick test_backend_flag;
     Alcotest.test_case "--cache-dir not a directory" `Quick
       test_bad_cache_dir;
+    Alcotest.test_case "one-shot runs collect nothing" `Quick test_oneshot_gc;
   ]

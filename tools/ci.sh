@@ -45,6 +45,22 @@ for f in programs/errors/*.fg; do
 done
 diff -u programs/errors/expected_codes.txt "$actual"
 
+echo "== one-shot GC: a -p run collects nothing"
+# fgc starts its one-shot subcommands with a 512k-word minor heap
+# (bin/oneshot_heap.c), so loading the prelude image requests no major
+# slice.  v=0x400 makes the runtime print its GC counters at exit; they
+# are deterministic for a given binary, so a heavier image or corpus
+# file fails here instead of quietly slowing the benchmark.
+gc_err=$(mktemp)
+track "$gc_err"
+for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
+  OCAMLRUNPARAM=v=0x400 ./_build/default/bin/fgc.exe run --format=json -p "$f" \
+    > /dev/null 2> "$gc_err" || true
+  zeros=$(grep -c -E '^(minor|major)_collections: 0$' "$gc_err" || true)
+  [ "$zeros" = 2 ] \
+    || { echo "one-shot GC: $f collected"; grep _collections "$gc_err"; exit 1; }
+done
+
 echo "== fuzz smoke (seed 42, 200 programs)"
 # Deterministic: the same seed generates the same programs on every
 # machine, so a clean run here means a clean run everywhere.
