@@ -748,8 +748,12 @@ let serve_cmd =
          "Run the compiler as a persistent daemon: a bounded request \
           queue fans out to worker domains with cached preludes; the \
           length-prefixed JSON protocol serves check/run/translate/\
-          fuzz_one/stats/shutdown with deadlines, backpressure and \
-          graceful drain (see docs/SERVER.md)")
+          stats/shutdown and the workspace kinds with deadlines, \
+          backpressure and graceful drain (see docs/SERVER.md).  A \
+          $(b,--socket) path is replaced only when it holds a stale \
+          socket; a live daemon's socket, any other file, or an \
+          address that cannot be bound is the FG1004 configuration \
+          error")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ max_queue
           $ timeout_ms $ max_frame $ fuel $ cache_dir_arg
           $ cache_max_bytes_arg $ verbose)
@@ -869,155 +873,115 @@ let print_stats_pretty payload =
 
 let client_cmd =
   let run action files expr socket port host prelude global backend
-      timeout_ms window seed count size mutants corpus_dir doc_version
-      offset at del insert pretty =
+      timeout_ms window doc_version offset at del insert pretty =
     handle_code (fun () ->
         let address = address_of ~socket ~port ~host in
         let backend = C.Backend.of_string_exn backend in
-        let kind_of = function
-          | "run" -> Protocol.Run
-          | "check" -> Protocol.Check
-          | "translate" -> Protocol.Translate
-          | a -> failwith ("unknown client action: " ^ a)
-        in
-        match action with
-        | "stats" | "shutdown" ->
-            let c = Client.connect address in
-            Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                let r =
-                  if action = "stats" then Client.stats c
-                  else Client.shutdown c
-                in
-                if action = "stats" && pretty then
-                  print_stats_pretty r.Protocol.r_payload
-                else print_endline r.Protocol.r_payload;
-                exit_of_status r.Protocol.r_status)
-        | "open" | "edit" | "close" | "diag" | "hover" | "def" | "complete"
-          ->
-            let file =
-              match files with
-              | [ f ] -> f
-              | _ -> failwith (action ^ ": give exactly one FILE")
-            in
-            let c = Client.connect address in
-            Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                let r =
-                  match action with
-                  | "open" ->
-                      let name, source = read_input file in
-                      Client.doc_open c ~version:doc_version ~prelude
-                        ~global_models:global ~backend ~name source
-                  | "edit" -> (
-                      match at with
-                      | Some off ->
-                          Client.doc_change c ~version:doc_version
-                            ~name:file
-                            (`Edits [ (off, del, insert) ])
-                      | None ->
-                          let name, source = read_input file in
-                          Client.doc_change c ~version:doc_version ~name
-                            (`Text source))
-                  | "close" -> Client.doc_close c ~name:file
-                  | "diag" -> Client.doc_diagnostics c ~name:file
-                  | "hover" -> Client.hover c ~name:file ~offset
-                  | "def" -> Client.definition c ~name:file ~offset
-                  | _ -> Client.completion c ~name:file ~offset
-                in
-                print_endline r.Protocol.r_payload;
-                exit_of_status r.Protocol.r_status)
-        | "probe" ->
-            run_probe address;
-            0
-        | "fuzz-worker" ->
-            (* One round of a distributed guided soak: fuzz locally
-               against the corpus dir, then merge coverage and corpus
-               with the daemon and adopt whatever the fleet has that
-               this worker lacks. *)
-            let dir =
-              match corpus_dir with
-              | Some d -> d
-              | None -> failwith "fuzz-worker: --corpus-dir is required"
-            in
-            let cfg =
-              { C.Fuzz.seed; count; size; mutants; backend; guided = true;
-                corpus_dir = Some dir }
-            in
-            let report = C.Fuzz.run cfg in
-            let have = List.map fst (C.Fuzz.corpus_load ~dir) in
-            let c = Client.connect address in
-            Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                match
-                  Client.fuzz_batch c ~coverage:report.C.Fuzz.r_coverage
-                    ~corpus_entries:report.C.Fuzz.r_corpus_entries ~have
-                with
-                | None ->
-                    failwith
-                      "fuzz-worker: daemon rejected the fuzz_batch \
-                       (pre-v4 server?)"
-                | Some sync ->
-                    List.iter
-                      (fun (d, s) ->
-                        C.Fuzz.corpus_write ~dir ~digest:d s)
-                      sync.Client.fs_corpus;
-                    Fmt.pr
-                      "fuzz-worker: %d decision points local, %d fleet; \
-                       offered %d corpus entries, adopted %d (fleet \
-                       corpus %d over %d batches)@."
-                      (Fg_util.Coverage.distinct report.C.Fuzz.r_coverage)
-                      (Fg_util.Coverage.distinct sync.Client.fs_coverage)
-                      (List.length report.C.Fuzz.r_corpus_entries)
-                      (List.length sync.Client.fs_corpus)
-                      sync.Client.fs_corpus_size sync.Client.fs_batches;
-                    if report.C.Fuzz.r_failures = [] then 0 else 1)
-        | "batch" ->
-            let files = expand_paths files in
-            if files = [] then failwith "batch: no .fg files to run";
-            let reqs =
-              List.mapi
-                (fun i f ->
-                  let name, source = read_input f in
-                  Protocol.request ~id:(i + 1) ~file:name ~source ~prelude
-                    ~global_models:global ~backend ?timeout_ms Protocol.Run)
-                files
-            in
-            let c = Client.connect address in
-            Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                let resps = Client.batch ~window c reqs in
-                let worst = ref 0 in
-                List.iter
-                  (fun (r : Protocol.response) ->
-                    print_endline r.Protocol.r_payload;
-                    worst := max !worst (exit_of_status r.Protocol.r_status))
-                  resps;
-                !worst)
-        | action ->
-            let kind = kind_of action in
-            let name, source =
-              match (expr, files) with
-              | Some s, _ -> ("<expr>", s)
-              | None, [ f ] -> read_input f
-              | None, [] -> read_input "-"
-              | None, _ -> failwith (action ^ ": give exactly one FILE")
-            in
-            let c = Client.connect address in
-            Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                let r =
-                  Client.request c
-                    (Protocol.request ~id:1 ~file:name ~source ~prelude
-                       ~global_models:global ~backend ?timeout_ms kind)
-                in
-                print_endline r.Protocol.r_payload;
-                exit_of_status r.Protocol.r_status))
+        try
+          match action with
+          | "stats" | "shutdown" ->
+              let c = Client.connect address in
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  let r =
+                    if action = "stats" then Client.stats c
+                    else Client.shutdown c
+                  in
+                  if action = "stats" && pretty then
+                    print_stats_pretty r.Protocol.r_payload
+                  else print_endline r.Protocol.r_payload;
+                  exit_of_status r.Protocol.r_status)
+          | "open" | "edit" | "close" | "diag" | "hover" | "def" | "complete"
+            ->
+              let file =
+                match files with
+                | [ f ] -> f
+                | _ -> failwith (action ^ ": give exactly one FILE")
+              in
+              let c = Client.connect address in
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  let r =
+                    match action with
+                    | "open" ->
+                        let name, source = read_input file in
+                        Client.doc_open c ~version:doc_version ~prelude
+                          ~global_models:global ~backend ~name source
+                    | "edit" -> (
+                        match at with
+                        | Some off ->
+                            Client.doc_change c ~version:doc_version
+                              ~name:file
+                              (`Edits [ (off, del, insert) ])
+                        | None ->
+                            let name, source = read_input file in
+                            Client.doc_change c ~version:doc_version ~name
+                              (`Text source))
+                    | "close" -> Client.doc_close c ~name:file
+                    | "diag" -> Client.doc_diagnostics c ~name:file
+                    | "hover" -> Client.hover c ~name:file ~offset
+                    | "def" -> Client.definition c ~name:file ~offset
+                    | _ -> Client.completion c ~name:file ~offset
+                  in
+                  print_endline r.Protocol.r_payload;
+                  exit_of_status r.Protocol.r_status)
+          | "probe" ->
+              run_probe address;
+              0
+          | "batch" ->
+              let files = expand_paths files in
+              if files = [] then failwith "batch: no .fg files to run";
+              let reqs =
+                List.mapi
+                  (fun i f ->
+                    let name, source = read_input f in
+                    Protocol.request ~id:(i + 1) ~file:name ~source ~prelude
+                      ~global_models:global ~backend ?timeout_ms Protocol.Run)
+                  files
+              in
+              let c = Client.connect address in
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  let resps = Client.batch ~window c reqs in
+                  let worst = ref 0 in
+                  List.iter
+                    (fun (r : Protocol.response) ->
+                      print_endline r.Protocol.r_payload;
+                      worst := max !worst (exit_of_status r.Protocol.r_status))
+                    resps;
+                  !worst)
+          | action ->
+              (* run, check or translate: named after their wire kinds *)
+              let kind = Option.get (Protocol.kind_of_name action) in
+              let name, source =
+                match (expr, files) with
+                | Some s, _ -> ("<expr>", s)
+                | None, [ f ] -> read_input f
+                | None, [] -> read_input "-"
+                | None, _ -> failwith (action ^ ": give exactly one FILE")
+              in
+              let c = Client.connect address in
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  let r =
+                    Client.request c
+                      (Protocol.request ~id:1 ~file:name ~source ~prelude
+                         ~global_models:global ~backend ?timeout_ms kind)
+                  in
+                  print_endline r.Protocol.r_payload;
+                  exit_of_status r.Protocol.r_status)
+        with Client.Client_error msg ->
+          (* no response to map: exits 1-6 mirror response statuses *)
+          Fmt.epr "fgc client: %s@." msg;
+          7)
   in
   let action =
-    Arg.(required & pos 0 (some string) None
+    let actions =
+      [ "run"; "check"; "translate"; "batch"; "stats"; "shutdown"; "probe";
+        "open"; "edit"; "close"; "diag"; "hover"; "def"; "complete" ]
+      |> List.map (fun a -> (a, a))
+    in
+    Arg.(required & pos 0 (some (enum actions)) None
          & info [] ~docv:"ACTION"
-             ~doc:"One of $(b,run), $(b,check), $(b,translate), \
-                   $(b,batch), $(b,stats), $(b,shutdown), $(b,probe), \
-                   $(b,fuzz-worker), or the workspace actions \
-                   $(b,open), $(b,edit), $(b,close), $(b,diag), \
-                   $(b,hover), $(b,def), $(b,complete) (FILE doubles \
-                   as the document name).")
+             ~doc:("The action, " ^ Arg.doc_alts_enum actions
+                   ^ "; the last seven are the workspace actions, where \
+                      FILE doubles as the document name."))
   in
   let files =
     Arg.(value & pos_right 0 string []
@@ -1034,32 +998,6 @@ let client_cmd =
     Arg.(value & opt int Client.default_window
          & info [ "window" ] ~docv:"N"
              ~doc:"Batch pipelining window (requests in flight at once).")
-  in
-  let w_seed =
-    Arg.(value & opt int 0
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"$(b,fuzz-worker): master seed of the local run.")
-  in
-  let w_count =
-    Arg.(value & opt int 100
-         & info [ "count" ] ~docv:"N"
-             ~doc:"$(b,fuzz-worker): programs per round.")
-  in
-  let w_size =
-    Arg.(value & opt int 30
-         & info [ "size" ] ~docv:"N"
-             ~doc:"$(b,fuzz-worker): size budget per program.")
-  in
-  let w_mutants =
-    Arg.(value & opt int 0
-         & info [ "mutants" ] ~docv:"N"
-             ~doc:"$(b,fuzz-worker): recovery-oracle mutants per program.")
-  in
-  let w_corpus =
-    Arg.(value & opt (some string) None
-         & info [ "corpus-dir" ] ~docv:"DIR"
-             ~doc:"$(b,fuzz-worker): this worker's on-disk corpus, \
-                   synced with the fleet through the daemon.")
   in
   let doc_version =
     Arg.(value & opt int 1
@@ -1101,14 +1039,15 @@ let client_cmd =
        ~doc:
          "Talk to a running $(b,fgc serve) daemon: single requests, \
           streamed batches over one connection, live stats, graceful \
-          shutdown, a protocol-violation probe, and a $(b,fuzz-worker) \
-          round that merges guided-fuzzing coverage and corpus with the \
-          fleet.  Payloads printed for $(b,run) are byte-identical to \
-          one-shot $(b,fgc run --format=json) output")
+          shutdown, a protocol-violation probe, and the workspace \
+          actions.  Payloads printed for $(b,run) are byte-identical to \
+          one-shot $(b,fgc run --format=json) output.  The exit code \
+          follows the response status (see docs/SERVER.md); a client \
+          that cannot reach the daemon or read its reply prints one \
+          line on stderr and exits 7")
     Term.(const run $ action $ files $ expr_arg $ socket_arg $ port_arg
           $ host_arg $ prelude_flag $ global_flag $ backend_arg $ timeout_ms
-          $ window $ w_seed $ w_count $ w_size $ w_mutants $ w_corpus
-          $ doc_version $ offset $ at $ del $ insert $ pretty)
+          $ window $ doc_version $ offset $ at $ del $ insert $ pretty)
 
 (* ---------------------------------------------------------------- *)
 (* repl                                                              *)

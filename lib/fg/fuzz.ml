@@ -1300,9 +1300,6 @@ type report = {
   r_corpus_size : int;
   r_corpus_added : int;
   r_from_corpus : int;  (** candidates mutated from corpus entries *)
-  r_corpus_entries : (string * string) list;
-      (** (digest, source) of entries this run admitted — what a fuzz
-          worker offers the fleet *)
 }
 
 let shrink_fuel = 300_000
@@ -1500,7 +1497,6 @@ let run_blind ?domains (cfg : config) =
     r_corpus_size = 0;
     r_corpus_added = 0;
     r_from_corpus = 0;
-    r_corpus_entries = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1853,7 +1849,7 @@ let corpus_shrink_fuel = 96
 let run_guided ?domains (cfg : config) =
   let scfg = { Session.Config.default with backend = cfg.backend } in
   (* In-memory corpus: only entries that re-parse can seed mutations;
-     everything is tracked by digest so fleet merges are idempotent. *)
+     everything is tracked by digest so an entry is admitted once. *)
   let initial =
     match cfg.corpus_dir with Some d -> corpus_load ~dir:d | None -> []
   in
@@ -1869,7 +1865,7 @@ let run_guided ?domains (cfg : config) =
       end)
     initial;
   corpus := List.rev !corpus;
-  let fresh = ref [] in
+  let added = ref 0 in
   let acc = ref [] in
   let from_corpus = ref 0 in
   let candidates = ref [] in
@@ -1923,7 +1919,7 @@ let run_guided ?domains (cfg : config) =
         (match Parser.exp_of_string src with
         | exception _ -> ()
         | ast -> corpus := !corpus @ [ (digest, src, ast) ]);
-        fresh := (digest, src) :: !fresh;
+        incr added;
         match cfg.corpus_dir with
         | Some d -> corpus_write ~dir:d ~digest src
         | None -> ()
@@ -1983,9 +1979,8 @@ let run_guided ?domains (cfg : config) =
     r_failures = failures;
     r_coverage = !acc;
     r_corpus_size = Hashtbl.length known;
-    r_corpus_added = List.length !fresh;
+    r_corpus_added = !added;
     r_from_corpus = !from_corpus;
-    r_corpus_entries = List.rev !fresh;
   }
 
 let run ?domains cfg =

@@ -103,9 +103,6 @@ type report = {
   r_corpus_size : int;  (** distinct corpus entries after the run *)
   r_corpus_added : int;  (** entries this run admitted *)
   r_from_corpus : int;  (** candidates that were corpus mutations *)
-  r_corpus_entries : (string * string) list;
-      (** [(digest, source)] of the entries this run admitted — what a
-          fuzz worker offers the fleet via [fuzz_batch] *)
 }
 
 (** Run the whole harness: generate (or, guided, mutate) [config.count]
@@ -127,13 +124,6 @@ val shrink : ?fuel:int -> still_fails:(Ast.exp -> bool) -> Ast.exp -> Ast.exp
 (** Load an on-disk corpus: the [(digest, source)] of every [*.fg]
     entry under [dir], sorted by digest ([] if [dir] is missing). *)
 val corpus_load : dir:string -> (string * string) list
-
-(** Write one corpus entry (atomic temp-file + rename; a no-op when
-    the digest is already present).  Creates [dir] if missing. *)
-val corpus_write : dir:string -> digest:string -> string -> unit
-
-(** The digest naming corpus entries: MD5 hex of the source bytes. *)
-val corpus_digest : string -> string
 
 (** The stable machine-readable shape of a run (see docs/LANGUAGE.md):
     [{"fuzz": {"seed", "count", "size", "mutants"}, "generated",

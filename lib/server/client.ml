@@ -201,53 +201,6 @@ let run_file c ?timeout_ms ?(prelude = false) ?(global_models = false)
        ?timeout_ms Protocol.Run)
 
 (* ---------------------------------------------------------------- *)
-(* Fleet fuzzing (v4)                                                *)
-
-type fuzz_sync = {
-  fs_coverage : Coverage.map;
-  fs_corpus : (string * string) list;
-  fs_batches : int;
-  fs_corpus_size : int;
-}
-
-let fuzz_batch c ~coverage ~corpus_entries ~have =
-  let r =
-    request c
-      (Protocol.request ~id:1 ~coverage ~corpus_entries ~have
-         Protocol.FuzzBatch)
-  in
-  if r.Protocol.r_status <> Protocol.Ok_ then None
-  else
-    match Json.of_string r.Protocol.r_payload with
-    | Error _ -> None
-    | Ok j ->
-        let fs_coverage =
-          match Json.mem "coverage" j with
-          | Some cj -> Coverage.of_json cj
-          | None -> []
-        in
-        let fs_corpus =
-          match Json.mem "corpus" j with
-          | Some (Json.Obj kvs) ->
-              List.filter_map
-                (function d, Json.Str s -> Some (d, s) | _ -> None)
-                kvs
-          | _ -> []
-        in
-        let fleet k =
-          match Json.mem "fleet" j with
-          | Some fj -> Option.value ~default:0 (Json.int_field k fj)
-          | None -> 0
-        in
-        Some
-          {
-            fs_coverage;
-            fs_corpus;
-            fs_batches = fleet "batches";
-            fs_corpus_size = fleet "corpus_size";
-          }
-
-(* ---------------------------------------------------------------- *)
 (* Workspace language service (v5)                                   *)
 
 let doc_open c ?(version = 1) ?(prelude = false) ?(global_models = false)

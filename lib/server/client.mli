@@ -61,27 +61,6 @@ val run_file :
   conn -> ?timeout_ms:int -> ?prelude:bool -> ?global_models:bool ->
   file:string -> string -> Protocol.response
 
-(** {1 Fleet fuzzing (protocol v4)} *)
-
-(** What one [fuzz_batch] round-trip brings back: the fleet-merged
-    coverage map, the corpus entries this worker lacks, and the fleet
-    counters. *)
-type fuzz_sync = {
-  fs_coverage : Fg_util.Coverage.map;
-  fs_corpus : (string * string) list;  (** [(digest, source)] to adopt *)
-  fs_batches : int;
-  fs_corpus_size : int;
-}
-
-(** Merge this worker's coverage map and corpus offers into the
-    daemon's fleet state; [have] lists digests already held so the
-    reply only carries what is missing.  [None] on a non-[ok] status
-    or an unreadable payload (e.g. a pre-v4 daemon). *)
-val fuzz_batch :
-  conn -> coverage:Fg_util.Coverage.map ->
-  corpus_entries:(string * string) list -> have:string list ->
-  fuzz_sync option
-
 (** {1 Workspace language service (protocol v5)}
 
     All calls return the raw response; payloads are the service's

@@ -56,29 +56,16 @@ let translate_payload s ~file source =
   | Error d -> C.Jsonview.json_of_failure ~file d
 
 (* Execute one program-shaped request; Stats/Shutdown (answered by the
-   pool) and FuzzBatch plus the workspace kinds (answered directly by
-   the server's reader thread) must not reach here. *)
+   pool) and the workspace kinds (answered directly by the server's
+   reader thread) must not reach here. *)
 let handle t (req : Protocol.request) : Protocol.status * string =
   let file = req.file in
   match req.kind with
-  | Protocol.Stats | Protocol.Shutdown | Protocol.FuzzBatch
-  | Protocol.DocOpen | Protocol.DocChange | Protocol.DocClose
-  | Protocol.DocDiagnostics | Protocol.Hover | Protocol.Definition
-  | Protocol.Completion ->
+  | Protocol.Stats | Protocol.Shutdown | Protocol.DocOpen
+  | Protocol.DocChange | Protocol.DocClose | Protocol.DocDiagnostics
+  | Protocol.Hover | Protocol.Definition | Protocol.Completion ->
       Diag.ice "control request %s reached a worker handler"
         (Protocol.kind_name req.kind)
-  | Protocol.FuzzOne ->
-      let cfg =
-        { C.Fuzz.seed = req.seed; count = 1; size = max 1 req.size;
-          mutants = max 0 req.mutants; backend = req.backend;
-          guided = false; corpus_dir = None }
-      in
-      let report = C.Fuzz.run ~domains:1 cfg in
-      let status =
-        if report.C.Fuzz.r_failures = [] then Protocol.Ok_
-        else Protocol.Failed
-      in
-      (status, Json.to_string (C.Fuzz.report_to_json report))
   | Protocol.Check | Protocol.Run | Protocol.Translate -> (
       let s =
         C.Session.Table.find t.sessions

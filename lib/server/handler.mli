@@ -26,9 +26,9 @@ val warm : t -> unit
     its sessions); safe to read from any domain. *)
 val cache_stats : t -> Fg_core.Unit.stats
 
-(** Execute one program-shaped request ([check | run | translate |
-    fuzz_one]); control requests ([stats | shutdown]) are answered by
-    the pool and must not reach a handler.  Never raises: diagnostics
+(** Execute one program-shaped request ([check | run | translate]);
+    control requests ([stats | shutdown]) are answered by the pool and
+    must not reach a handler.  Never raises: diagnostics
     and unexpected exceptions come back as [Failed] with a
     diagnostics-shaped payload. *)
 val handle_safe : t -> Protocol.request -> Protocol.status * string

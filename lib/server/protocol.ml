@@ -11,18 +11,17 @@
 open Fg_util
 
 (* Version 2 added the optional request field ["backend"] (absent means
-   the dictionary backend).  Version 4 added the [fuzz_batch] kind with
-   its ["coverage"]/["corpus"]/["have"] fields (fleet-wide merge of
-   guided-fuzzing coverage maps and corpora).  Version 5 added the
-   workspace language-service kinds — [doc_open] / [doc_change] /
-   [doc_close] / [doc_diagnostics] / [hover] / [definition] /
-   [completion] — with their ["doc_version"] / ["edits"] / ["offset"]
-   fields ([file] doubles as the document name).  Version 6 added an
-   optional request field that is no longer read; the decoder ignores
-   every field it does not read, so a frame that still carries it
-   decodes as if it were absent.  The only client is {!Client}, which
-   always sends [version], so a frame with any other version is
-   refused. *)
+   the dictionary backend).  Version 5 added the workspace
+   language-service kinds — [doc_open] / [doc_change] / [doc_close] /
+   [doc_diagnostics] / [hover] / [definition] / [completion] — with
+   their ["doc_version"] / ["edits"] / ["offset"] fields ([file]
+   doubles as the document name).  Version 6 added an optional request
+   field that is no longer read; the decoder ignores every field it
+   does not read, so a frame that still carries it decodes as if it
+   were absent.  The two fuzzing kinds of earlier versions are gone: a
+   v6 frame naming either is an unknown kind.  The only client is
+   {!Client}, which always sends [version], so a frame with any other
+   version is refused. *)
 let version = 6
 let default_max_frame = 4 * 1024 * 1024
 
@@ -47,10 +46,13 @@ type decoder = {
   max_frame : int;
   pending : Buffer.t;  (** raw bytes not yet consumed by a frame *)
   mutable dead : string option;  (** sticky framing error *)
+  mutable chunk : Bytes.t;
+      (** [read_chunk]'s buffer; empty until the first read, so a
+          decoder fed only from memory never allocates it *)
 }
 
 let decoder ?(max_frame = default_max_frame) () =
-  { max_frame; pending = Buffer.create 4096; dead = None }
+  { max_frame; pending = Buffer.create 4096; dead = None; chunk = Bytes.empty }
 
 let feed d s off len =
   if d.dead = None then Buffer.add_subbytes d.pending s off len
@@ -102,12 +104,15 @@ let really_write fd b =
 
 let write_frame fd payload = really_write fd (frame_of_string payload)
 
+(* One buffer per decoder, reused by every read: a 64 KiB block is too
+   large for the minor heap, so each fresh one would be a major-heap
+   allocation. *)
 let read_chunk d fd =
-  let buf = Bytes.create 65536 in
-  match Unix.read fd buf 0 (Bytes.length buf) with
+  if Bytes.length d.chunk = 0 then d.chunk <- Bytes.create 65536;
+  match Unix.read fd d.chunk 0 (Bytes.length d.chunk) with
   | 0 -> false
   | n ->
-      feed d buf 0 n;
+      feed d d.chunk 0 n;
       true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
 
@@ -118,10 +123,8 @@ type kind =
   | Check
   | Run
   | Translate
-  | FuzzOne
   | Stats
   | Shutdown
-  | FuzzBatch
   | DocOpen
   | DocChange
   | DocClose
@@ -134,10 +137,8 @@ let kind_name = function
   | Check -> "check"
   | Run -> "run"
   | Translate -> "translate"
-  | FuzzOne -> "fuzz_one"
   | Stats -> "stats"
   | Shutdown -> "shutdown"
-  | FuzzBatch -> "fuzz_batch"
   | DocOpen -> "doc_open"
   | DocChange -> "doc_change"
   | DocClose -> "doc_close"
@@ -150,10 +151,8 @@ let kind_of_name = function
   | "check" -> Some Check
   | "run" -> Some Run
   | "translate" -> Some Translate
-  | "fuzz_one" -> Some FuzzOne
   | "stats" -> Some Stats
   | "shutdown" -> Some Shutdown
-  | "fuzz_batch" -> Some FuzzBatch
   | "doc_open" -> Some DocOpen
   | "doc_change" -> Some DocChange
   | "doc_close" -> Some DocClose
@@ -164,8 +163,8 @@ let kind_of_name = function
   | _ -> None
 
 let all_kinds =
-  [ Check; Run; Translate; FuzzOne; Stats; Shutdown; FuzzBatch; DocOpen;
-    DocChange; DocClose; DocDiagnostics; Hover; Definition; Completion ]
+  [ Check; Run; Translate; Stats; Shutdown; DocOpen; DocChange; DocClose;
+    DocDiagnostics; Hover; Definition; Completion ]
 
 type request = {
   id : int;
@@ -176,15 +175,6 @@ type request = {
   global_models : bool;
   backend : Fg_core.Backend.t;  (** v2; absent on the wire means Dict *)
   timeout_ms : int option;  (** overrides the server default deadline *)
-  seed : int;  (** fuzz_one *)
-  size : int;  (** fuzz_one *)
-  mutants : int;  (** fuzz_one *)
-  coverage : Coverage.map;  (** fuzz_batch: the worker's coverage map (v4) *)
-  corpus_entries : (string * string) list;
-      (** fuzz_batch: [(digest, source)] corpus entries offered (v4) *)
-  have : string list;
-      (** fuzz_batch: digests the worker already holds, so the server
-          sends back only what is missing (v4) *)
   doc_version : int;
       (** doc_open/doc_change: the editor's version of the document
           named by [file] (v5) *)
@@ -196,12 +186,9 @@ type request = {
 
 let request ?(file = "<request>") ?(source = "") ?(prelude = false)
     ?(global_models = false) ?(backend = Fg_core.Backend.Dict) ?timeout_ms
-    ?(seed = 0) ?(size = 30) ?(mutants = 0) ?(coverage = [])
-    ?(corpus_entries = []) ?(have = []) ?(doc_version = 0) ?(offset = 0)
-    ?(edits = []) ~id kind =
+    ?(doc_version = 0) ?(offset = 0) ?(edits = []) ~id kind =
   { id; kind; file; source; prelude; global_models; backend; timeout_ms;
-    seed; size; mutants; coverage; corpus_entries; have; doc_version;
-    offset; edits }
+    doc_version; offset; edits }
 
 let request_to_json r =
   Json.Obj
@@ -219,17 +206,8 @@ let request_to_json r =
     @ (match r.timeout_ms with
       | Some t -> [ ("timeout_ms", Json.Int t) ]
       | None -> [])
-    @ (if r.kind = FuzzOne then
-         [ ("seed", Json.Int r.seed); ("size", Json.Int r.size);
-           ("mutants", Json.Int r.mutants) ]
-       else [])
     @
     match r.kind with
-    | FuzzBatch ->
-        [ ("coverage", Coverage.to_json r.coverage);
-          ("corpus",
-           Json.Obj (List.map (fun (d, s) -> (d, Json.Str s)) r.corpus_entries));
-          ("have", Json.List (List.map (fun d -> Json.Str d) r.have)) ]
     | DocOpen | DocChange ->
         [ ("doc_version", Json.Int r.doc_version) ]
         @ (match r.edits with
@@ -271,9 +249,8 @@ let request_of_json j =
               let needs_source =
                 match kind with
                 | Check | Run | Translate | DocOpen -> true
-                | FuzzOne | Stats | Shutdown | FuzzBatch | DocChange
-                | DocClose | DocDiagnostics | Hover | Definition
-                | Completion ->
+                | Stats | Shutdown | DocChange | DocClose
+                | DocDiagnostics | Hover | Definition | Completion ->
                     false
               in
               let needs_offset =
@@ -340,31 +317,6 @@ let request_of_json j =
                     global_models = bool "global_models";
                     backend;
                     timeout_ms = Json.int_field "timeout_ms" j;
-                    seed =
-                      Option.value ~default:0 (Json.int_field "seed" j);
-                    size =
-                      Option.value ~default:30 (Json.int_field "size" j);
-                    mutants =
-                      Option.value ~default:0 (Json.int_field "mutants" j);
-                    coverage =
-                      (match Json.mem "coverage" j with
-                      | Some cj -> Coverage.of_json cj
-                      | None -> []);
-                    corpus_entries =
-                      (match Json.mem "corpus" j with
-                      | Some (Json.Obj kvs) ->
-                          List.filter_map
-                            (function
-                              | d, Json.Str s -> Some (d, s) | _ -> None)
-                            kvs
-                      | _ -> []);
-                    have =
-                      (match Json.mem "have" j with
-                      | Some (Json.List l) ->
-                          List.filter_map
-                            (function Json.Str s -> Some s | _ -> None)
-                            l
-                      | _ -> []);
                     doc_version =
                       Option.value ~default:0
                         (Json.int_field "doc_version" j);

@@ -9,18 +9,14 @@
 
     {b Requests} are JSON objects
     [{"v": 6, "id": N, "kind": K, ...}] where [K] is one of
-    [check | run | translate | fuzz_one | stats | shutdown |
-    fuzz_batch]; program kinds carry ["file"], ["source"] and the
-    one-shot driver's flags (["prelude"], ["global_models"], and an
-    optional ["backend"] of [dict | stencil | hybrid], absent
-    meaning [dict]); [fuzz_batch] carries a ["coverage"] map
-    (key → hit-count object), a ["corpus"] object (digest → source)
-    of entries the worker offers, and a ["have"] digest list — the
-    fleet-wide merge point of guided fuzzing; the workspace kinds
-    ([doc_open | doc_change | doc_close | doc_diagnostics | hover |
-    definition | completion]) use ["file"] as the document name and
-    carry ["doc_version"] (open/change), ["source"] or an ["edits"]
-    splice array (change), and a byte ["offset"]
+    [check | run | translate | stats | shutdown]; program kinds carry
+    ["file"], ["source"] and the one-shot driver's flags
+    (["prelude"], ["global_models"], and an optional ["backend"] of
+    [dict | stencil | hybrid], absent meaning [dict]); the workspace
+    kinds ([doc_open | doc_change | doc_close | doc_diagnostics |
+    hover | definition | completion]) use ["file"] as the document
+    name and carry ["doc_version"] (open/change), ["source"] or an
+    ["edits"] splice array (change), and a byte ["offset"]
     (hover/definition/completion); any request may set ["timeout_ms"]
     to override the server's default deadline.  Fields a request does
     not use are ignored.  Exactly one version is accepted: {!version}.
@@ -49,7 +45,8 @@ type address = [ `Unix of string | `Tcp of string * int ]
 val frame_of_string : string -> bytes
 
 (** An incremental frame decoder.  Feed it arbitrary chunks, pull
-    complete frames; it buffers at most [max_frame + chunk] bytes. *)
+    complete frames; it buffers at most [max_frame + chunk] bytes.
+    One thread at a time may use a decoder. *)
 type decoder
 
 val decoder : ?max_frame:int -> unit -> decoder
@@ -66,7 +63,8 @@ val next_frame : decoder -> [ `Frame of string | `Await | `Error of string ]
 val write_frame : Unix.file_descr -> string -> unit
 
 (** Read one chunk from [fd] into the decoder; [false] on end of
-    stream (EOF or connection reset). *)
+    stream (EOF or connection reset).  The decoder reads through one
+    64 KiB buffer of its own, allocated by its first [read_chunk]. *)
 val read_chunk : decoder -> Unix.file_descr -> bool
 
 (** {1 Requests} *)
@@ -75,13 +73,8 @@ type kind =
   | Check
   | Run
   | Translate
-  | FuzzOne
   | Stats
   | Shutdown
-  | FuzzBatch
-      (** v4: merge a fuzz worker's coverage map and corpus offers into
-          the fleet state; the reply carries the merged map and the
-          corpus entries the worker lacks *)
   | DocOpen  (** v5: open (and check) a versioned workspace document *)
   | DocChange
       (** v5: a new version of an open document, by full text or edits *)
@@ -105,14 +98,6 @@ type request = {
   backend : Fg_core.Backend.t;
       (** added in version 2; absent on the wire means {!Fg_core.Backend.Dict} *)
   timeout_ms : int option;
-  seed : int;
-  size : int;
-  mutants : int;
-  coverage : Coverage.map;  (** fuzz_batch: the worker's coverage map (v4) *)
-  corpus_entries : (string * string) list;
-      (** fuzz_batch: [(digest, source)] corpus entries offered (v4) *)
-  have : string list;
-      (** fuzz_batch: digests the worker already holds (v4) *)
   doc_version : int;
       (** doc_open/doc_change: the editor's version of the document
           named by [file] (v5) *)
@@ -125,10 +110,8 @@ type request = {
 (** Build a request with the wire defaults filled in. *)
 val request :
   ?file:string -> ?source:string -> ?prelude:bool -> ?global_models:bool ->
-  ?backend:Fg_core.Backend.t -> ?timeout_ms:int -> ?seed:int -> ?size:int ->
-  ?mutants:int -> ?coverage:Coverage.map ->
-  ?corpus_entries:(string * string) list -> ?have:string list ->
-  ?doc_version:int -> ?offset:int -> ?edits:(int * int * string) list ->
+  ?backend:Fg_core.Backend.t -> ?timeout_ms:int -> ?doc_version:int ->
+  ?offset:int -> ?edits:(int * int * string) list ->
   id:int -> kind -> request
 
 val request_to_json : request -> Json.t

@@ -109,31 +109,11 @@ let force_shutdown conn =
   Mutex.unlock conn.wm
 
 (* ---------------------------------------------------------------- *)
-(* Fleet fuzzing state                                               *)
-
-(* The daemon is the merge point of a distributed guided-fuzzing soak:
-   each [fuzz_batch] folds a worker's coverage map and corpus offers in
-   here and gets back the fleet-wide map plus the entries it lacks.
-   Guarded by a plain mutex — batches are rare (one per worker run)
-   and the merge is cheap, so contention is a non-issue. *)
-type fuzz_state = {
-  fm : Mutex.t;
-  mutable fz_coverage : Coverage.map;  (** merged across all workers *)
-  fz_corpus : (string, string) Hashtbl.t;  (** digest -> source *)
-  mutable fz_batches : int;  (** fuzz_batch requests merged *)
-}
-
-let mk_fuzz_state () =
-  { fm = Mutex.create (); fz_coverage = []; fz_corpus = Hashtbl.create 64;
-    fz_batches = 0 }
-
-(* ---------------------------------------------------------------- *)
 (* The server                                                        *)
 
 type t = {
   cfg : config;
   pool : Pool.t;
-  fuzz : fuzz_state;
   ws : Fg_workspace.Workspace.t;
       (** the workspace language service: open-document state served
           by the v5 doc/hover/definition/completion kinds *)
@@ -163,17 +143,8 @@ let request_shutdown t =
 (* The stats payload: live pool metrics plus the static config, plus
    the process-wide specializer counters (covering every worker's
    stencil/hybrid requests, since telemetry is process-global). *)
-let stats_json cfg disk fuzz ws metrics =
+let stats_json cfg disk ws metrics =
   let t = Telemetry.snapshot () in
-  let fz_batches, fz_corpus, fz_distinct, fz_total =
-    Mutex.lock fuzz.fm;
-    let r =
-      ( fuzz.fz_batches, Hashtbl.length fuzz.fz_corpus,
-        Coverage.distinct fuzz.fz_coverage, Coverage.total fuzz.fz_coverage )
-    in
-    Mutex.unlock fuzz.fm;
-    r
-  in
   Pool.metrics_to_json metrics
     ~extra:
       [
@@ -205,39 +176,76 @@ let stats_json cfg disk fuzz ws metrics =
                   ("entries", Json.Int s.Fg_core.Diskcache.d_entries);
                   ("bytes", Json.Int s.Fg_core.Diskcache.d_bytes);
                 ] );
-        ( "fuzz_soak",
-          Json.Obj
-            [
-              ("batches", Json.Int fz_batches);
-              ("corpus_size", Json.Int fz_corpus);
-              ("coverage_distinct", Json.Int fz_distinct);
-              ("coverage_total", Json.Int fz_total);
-            ] );
         ("workspace", Fg_workspace.Workspace.stats_json ws);
       ]
 
-let listen_on = function
-  | `Unix path ->
-      if Sys.file_exists path then Unix.unlink path;
+(* Every failure to listen is the configuration error FG1004, raised
+   before any worker starts. *)
+let cannot_listen where fmt =
+  Diag.config_error ~code:"FG1004" ("cannot listen on %s: " ^^ fmt) where
+
+(* A daemon replaces only a stale socket at its path, one whose daemon
+   is gone so that connecting is refused.  A live daemon's socket and
+   any other file are left alone. *)
+let claim_socket_path path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, `Unix path)
-  | `Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+      let live =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            match Unix.connect fd (Unix.ADDR_UNIX path) with
+            | () -> true
+            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false)
       in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 64;
-      let bound_port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      (fd, `Tcp (host, bound_port))
+      if live then cannot_listen path "another daemon is listening there"
+      else Unix.unlink path
+  | _ -> cannot_listen path "the path exists and is not a socket"
+
+let bind_and_listen domain sockaddr =
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  match
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd sockaddr;
+    Unix.listen fd 64
+  with
+  | () -> fd
+  | exception e ->
+      Unix.close fd;
+      raise e
+
+let listen_on address =
+  let where =
+    match address with
+    | `Unix path -> path
+    | `Tcp (host, port) -> Printf.sprintf "%s:%d" host port
+  in
+  try
+    match address with
+    | `Unix path ->
+        claim_socket_path path;
+        (bind_and_listen Unix.PF_UNIX (Unix.ADDR_UNIX path), address)
+    | `Tcp (host, port) ->
+        (* the socket layer would bind [port] modulo 65536 *)
+        if port < 0 || port > 65535 then
+          cannot_listen where "port %d is outside 0-65535" port;
+        let addr =
+          try Unix.inet_addr_of_string host
+          with Failure _ -> (
+            try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+            with Not_found -> cannot_listen where "unknown host %s" host)
+        in
+        let fd = bind_and_listen Unix.PF_INET (Unix.ADDR_INET (addr, port)) in
+        let bound_port =
+          match Unix.getsockname fd with
+          | Unix.ADDR_INET (_, p) -> p
+          | _ -> port
+        in
+        (fd, `Tcp (host, bound_port))
+  with Unix.Unix_error (e, _, _) ->
+    cannot_listen where "%s" (Unix.error_message e)
 
 let create cfg =
   let cfg = { cfg with workers = max 1 cfg.workers } in
@@ -246,18 +254,16 @@ let create cfg =
       (Fg_core.Diskcache.open_store ?max_bytes:cfg.cache_max_bytes)
       cfg.cache_dir
   in
-  let fuzz = mk_fuzz_state () in
   let ws = Fg_workspace.Workspace.create ?fuel:cfg.fuel () in
   let pool =
     Pool.create ?fuel:cfg.fuel ?disk ~capacity:cfg.max_queue
-      ~stats_json:(stats_json cfg disk fuzz ws) ()
+      ~stats_json:(stats_json cfg disk ws) ()
   in
   let listen_fd, bound = listen_on cfg.address in
   Pool.start ~workers:cfg.workers pool;
   {
     cfg;
     pool;
-    fuzz;
     ws;
     listen_fd;
     bound;
@@ -279,63 +285,12 @@ let deadline_of t (req : Protocol.request) ~enqueued_ns =
   | Some ms -> Some (enqueued_ns + (ms * 1_000_000))
   | None -> None
 
-(* Serve one fuzz_batch: fold the worker's coverage map and corpus
-   offers into the fleet state, reply with the merged map and the
-   entries the worker lacks.  This runs in the reader thread, never in
-   the pool — a merge is a few list operations and must not wait behind
-   compilation.  The reply's corpus is sorted by digest so a worker
-   fleet converges on identical on-disk corpora regardless of merge
-   order. *)
-let fuzz_response t (req : Protocol.request) =
-  let fs = t.fuzz in
-  Mutex.lock fs.fm;
-  fs.fz_coverage <- Coverage.merge fs.fz_coverage req.Protocol.coverage;
-  List.iter
-    (fun (d, s) ->
-      if not (Hashtbl.mem fs.fz_corpus d) then Hashtbl.add fs.fz_corpus d s)
-    req.Protocol.corpus_entries;
-  fs.fz_batches <- fs.fz_batches + 1;
-  let merged = fs.fz_coverage in
-  let batches = fs.fz_batches in
-  let corpus_size = Hashtbl.length fs.fz_corpus in
-  let missing =
-    Hashtbl.fold
-      (fun d s acc ->
-        if
-          List.mem d req.Protocol.have
-          || List.mem_assoc d req.Protocol.corpus_entries
-        then acc
-        else (d, s) :: acc)
-      fs.fz_corpus []
-  in
-  Mutex.unlock fs.fm;
-  let missing = List.sort (fun (a, _) (b, _) -> compare a b) missing in
-  {
-    Protocol.r_id = req.Protocol.id;
-    r_status = Protocol.Ok_;
-    r_payload =
-      Json.to_string
-        (Json.Obj
-           [
-             ("coverage", Coverage.to_json merged);
-             ( "corpus",
-               Json.Obj (List.map (fun (d, s) -> (d, Json.Str s)) missing) );
-             ( "fleet",
-               Json.Obj
-                 [
-                   ("batches", Json.Int batches);
-                   ("corpus_size", Json.Int corpus_size);
-                   ("coverage_distinct", Json.Int (Coverage.distinct merged));
-                 ] );
-           ]);
-  }
-
 (* Serve one workspace request against the daemon's language service.
-   Like the fuzz kind these run in the reader thread, never in the
-   pool: an editor's hover must not wait behind a queued batch
-   compilation, and the service serializes itself on one internal
-   mutex anyway (a document re-check holds it, but re-checks touch
-   only the dirty declarations, so the hold is short).  Service-level
+   These run in the reader thread, never in the pool: an editor's
+   hover must not wait behind a queued batch compilation, and the
+   service serializes itself on one internal mutex anyway (a document
+   re-check holds it, but re-checks touch only the dirty declarations,
+   so the hold is short).  Service-level
    failures (FG0807 unknown document, FG0808 stale version) come back
    as [Failed] with the standard diagnostics envelope. *)
 let workspace_response t (req : Protocol.request) =
@@ -452,11 +407,6 @@ let handle_frame t conn payload =
             }
       | Ok req -> (
           match req.Protocol.kind with
-          | Protocol.FuzzBatch ->
-              let resp = fuzz_response t req in
-              Pool.record_outcome metrics req.Protocol.kind
-                resp.Protocol.r_status;
-              respond_direct conn resp
           | Protocol.DocOpen | Protocol.DocChange | Protocol.DocClose
           | Protocol.DocDiagnostics | Protocol.Hover | Protocol.Definition
           | Protocol.Completion ->

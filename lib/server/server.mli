@@ -43,7 +43,10 @@ val default_config : address -> config
 type t
 
 (** Bind the listener and spawn the worker domains (does not accept
-    yet).  Raises [Unix.Unix_error] if the address is unusable. *)
+    yet).  A Unix socket path is taken over only when it holds a stale
+    socket (connecting is refused); when the path holds anything else,
+    or the address cannot be resolved or bound, raises the FG1004
+    configuration diagnostic. *)
 val create : config -> t
 
 (** The bound address — for TCP with port 0, the OS-chosen port. *)

@@ -9,10 +9,9 @@
     atomic increment with no locks and no allocation.
 
     Probe keys are stable strings ("check.app.implicit",
-    "resolve.found.ground", "diag.FG0402", ...) so coverage maps are
-    comparable across processes and serializable onto the wire — the
-    fleet-merge protocol and the on-disk corpus both depend on two
-    builds agreeing about what a key means.
+    "resolve.found.ground", "diag.FG0402", ...), so coverage maps from
+    different runs are comparable and the guided fuzzer's JSON report
+    names the same decision point the same way in every build.
 
     Reads ([snapshot]) are racy with respect to concurrent increments,
     which is fine for monitoring; the fuzzer's determinism comes from
@@ -47,7 +46,7 @@ val diff : map -> map -> map
     keys whose count grew, with the growth as the count. *)
 
 val merge : map -> map -> map
-(** Pointwise sum; the fleet-merge operation. *)
+(** Pointwise sum. *)
 
 val distinct : map -> int
 (** Number of distinct decision points hit (the guided fuzzer's
@@ -59,17 +58,5 @@ val total : map -> int
 val keys : map -> string list
 (** The sorted key set. *)
 
-val to_text : map -> string
-(** Stable serialization: one ["key\tcount\n"] line per entry, sorted
-    by key.  Byte-identical for equal maps; round-trips with
-    {!of_text}. *)
-
-val of_text : string -> map
-(** Inverse of {!to_text}.  Unparseable lines are ignored; the result
-    is re-sorted and re-merged, so any text input yields a valid map. *)
-
 val to_json : map -> Json.t
 (** [{"key": count, ...}] with keys in sorted order. *)
-
-val of_json : Json.t -> map
-(** Inverse of {!to_json}; non-object / non-int fields are ignored. *)

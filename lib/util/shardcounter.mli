@@ -38,7 +38,7 @@ type map = (string * int) list
     positive.  All functions below maintain that invariant. *)
 
 val merge : map -> map -> map
-(** Pointwise sum; the fleet-merge operation. *)
+(** Pointwise sum. *)
 
 val diff : map -> map -> map
 (** [diff later earlier]: keys whose count grew, with the growth. *)

@@ -462,6 +462,56 @@ let test_oneshot_gc () =
       Alcotest.(check bool) (args ^ ": the user's s= wins") true (minor > 0))
     [ "run --format=json -p"; "check -p"; "verify -p" ]
 
+(* Start-up faults of fgc serve are the FG1004 configuration error,
+   exit 1.  The host name's first label is longer than DNS allows (63
+   bytes), so the lookup fails without sending a query.  A port past
+   65535 is refused, not bound modulo 65536. *)
+let test_serve_startup_faults () =
+  List.iter
+    (fun args ->
+      let code, out, err = run_env "" args in
+      Alcotest.(check int) (args ^ " exit") 1 code;
+      Alcotest.(check string) (args ^ " stdout") "" out;
+      Alcotest.(check bool) (args ^ ": FG1004") true
+        (Astring_contains.contains ~needle:"configuration error[FG1004]" err))
+    [ "serve --socket /no/such/dir/x.sock";
+      Printf.sprintf "serve --port 1 --host %s.invalid" (String.make 64 'x');
+      "serve --port 70000" ]
+
+(* Every client action with no daemon listening prints one line on
+   stderr and exits 7; an unknown action is a usage error (exit 124)
+   that lists the valid ones. *)
+let test_client_faults () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fgc_no_daemon_%d.sock" (Unix.getpid ()))
+  in
+  let file = "../programs/merge_example.fg" in
+  List.iter
+    (fun action ->
+      let args = Printf.sprintf "client %s --socket %s" action sock in
+      let code, out, err = run_env "" args in
+      Alcotest.(check int) (args ^ " exit") 7 code;
+      Alcotest.(check string) (args ^ " stdout") "" out;
+      Alcotest.(check (list string)) (args ^ " stderr")
+        [ Printf.sprintf
+            "fgc client: cannot connect to %s: No such file or directory" sock;
+          "" ]
+        (String.split_on_char '\n' err))
+    ([ "run -e 1"; "check -e 1"; "translate -e 1"; "batch ../programs";
+       "stats"; "shutdown"; "probe" ]
+    @ List.map
+        (fun a -> a ^ " " ^ file)
+        [ "open"; "edit"; "close"; "diag"; "hover"; "def"; "complete" ]);
+  let code, out, err = run_env "" "client bogus" in
+  Alcotest.(check int) "unknown action exit" 124 code;
+  Alcotest.(check string) "unknown action stdout" "" out;
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("usage error names " ^ needle) true
+        (Astring_contains.contains ~needle err))
+    [ "invalid value 'bogus'"; "'run'"; "'probe'"; "'complete'" ]
+
 let suite =
   [
     Alcotest.test_case "run" `Quick test_run;
@@ -494,4 +544,7 @@ let suite =
     Alcotest.test_case "--cache-dir not a directory" `Quick
       test_bad_cache_dir;
     Alcotest.test_case "one-shot runs collect nothing" `Quick test_oneshot_gc;
+    Alcotest.test_case "serve start-up faults" `Quick
+      test_serve_startup_faults;
+    Alcotest.test_case "client faults" `Quick test_client_faults;
   ]

@@ -128,32 +128,6 @@ let parse_request s =
   | Ok j -> Protocol.request_of_json j
   | Error e -> Alcotest.failf "test payload is invalid JSON: %s" e
 
-(* The fuzz_batch kind: coverage map, corpus offers and the have list
-   all survive the wire, and all three default empty. *)
-let test_fuzz_batch_roundtrip () =
-  let coverage = [ ("check.app.ground", 41); ("diag.FG0302", 2) ] in
-  let corpus_entries = [ ("d41d8cd9", "iadd(1, 2)"); ("ffee", "1") ] in
-  let have = [ "aabb"; "ccdd" ] in
-  let r =
-    roundtrip_request
-      (Protocol.request ~id:5 ~coverage ~corpus_entries ~have
-         Protocol.FuzzBatch)
-  in
-  Alcotest.(check string) "kind" "fuzz_batch"
-    (Protocol.kind_name r.Protocol.kind);
-  Alcotest.(check (list (pair string int))) "coverage" coverage
-    r.Protocol.coverage;
-  Alcotest.(check (list (pair string string))) "corpus entries"
-    corpus_entries r.Protocol.corpus_entries;
-  Alcotest.(check (list string)) "have" have r.Protocol.have;
-  match parse_request "{\"v\":6,\"id\":1,\"kind\":\"fuzz_batch\"}" with
-  | Ok r ->
-      Alcotest.(check (list (pair string int))) "coverage defaults empty" []
-        r.Protocol.coverage;
-      Alcotest.(check (list string)) "have defaults empty" []
-        r.Protocol.have
-  | Error _ -> Alcotest.fail "fuzz_batch needs no source"
-
 (* The daemon speaks exactly one version: any other, on either side of
    it, and a missing one are refused before any shape validation. *)
 let test_request_version_mismatch () =
@@ -262,11 +236,51 @@ let test_request_bad_shapes () =
   (* program kinds need a source *)
   bad "{\"v\":6,\"id\":1,\"kind\":\"run\"}";
   bad "{\"v\":6,\"id\":1,\"kind\":\"check\",\"file\":\"x.fg\"}";
-  (* the unit-cache frames are not kinds of this version *)
-  bad "{\"v\":6,\"id\":1,\"kind\":\"cache_get\",\"key\":\"aa\"}";
-  bad
-    "{\"v\":6,\"id\":1,\"kind\":\"cache_put\",\"key\":\"aa\",\
-     \"data\":\"bb\"}"
+  (* the unit-cache and fuzz fleet frames are not kinds of this
+     version: each is refused as an unknown kind *)
+  List.iter
+    (fun (kind, fields) ->
+      match
+        parse_request
+          (Printf.sprintf "{\"v\":6,\"id\":1,\"kind\":\"%s\"%s}" kind fields)
+      with
+      | Error (Protocol.Bad_request msg) ->
+          Alcotest.(check string) (kind ^ " is an unknown kind")
+            (Printf.sprintf "unknown kind %S" kind) msg
+      | _ -> Alcotest.failf "kind %s must be Bad_request" kind)
+    [ ("cache_get", ",\"key\":\"aa\"");
+      ("cache_put", ",\"key\":\"aa\",\"data\":\"bb\"");
+      ("fuzz_one", ",\"seed\":1,\"size\":30,\"mutants\":0");
+      ("fuzz_batch", ",\"coverage\":{\"a\":1},\"corpus\":{},\"have\":[]") ]
+
+(* A decoder reads a connection through one buffer of its own: reading
+   100 small frames allocates far less than one 64 KiB block per read
+   would. *)
+let test_read_buffer_reused () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let dec = Protocol.decoder () in
+      let n = 100 in
+      let frames = Array.make n "" in
+      let before = Gc.allocated_bytes () in
+      for i = 0 to n - 1 do
+        Protocol.write_frame a "{}";
+        if Protocol.read_chunk dec b then
+          match Protocol.next_frame dec with
+          | `Frame p -> frames.(i) <- p
+          | _ -> ()
+      done;
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool) "every frame read" true
+        (Array.for_all (String.equal "{}") frames);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f bytes allocated for %d reads" allocated n)
+        true
+        (allocated < float_of_int (n * 65536 / 10)))
 
 let test_response_roundtrip () =
   List.iter
@@ -315,12 +329,12 @@ let suite =
       test_oversized_exact_boundary;
     Alcotest.test_case "decoder: garbage bytes" `Quick test_garbage_bytes;
     Alcotest.test_case "decoder: empty frame" `Quick test_empty_frame;
+    Alcotest.test_case "decoder: one read buffer" `Quick
+      test_read_buffer_reused;
     Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
     Alcotest.test_case "request version mismatch" `Quick
       test_request_version_mismatch;
     Alcotest.test_case "request bad shapes" `Quick test_request_bad_shapes;
-    Alcotest.test_case "fuzz_batch request round-trip" `Quick
-      test_fuzz_batch_roundtrip;
     Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
     Alcotest.test_case "error payload shape" `Quick test_error_payload_shape;
     Alcotest.test_case "no backend field means dict" `Quick

@@ -20,8 +20,8 @@ let next_sock =
 (* Start a daemon, run [f] against it, then drain it and join the
    accept thread — every test path tears the server down fully, so a
    hung drain shows up as a hung test. *)
-let with_server ?(workers = 2) ?(max_queue = 64) ?request_timeout_ms f =
-  let path = next_sock () in
+let with_server ?(workers = 2) ?(max_queue = 64) ?request_timeout_ms
+    ?(path = next_sock ()) f =
   let cfg =
     {
       (Server.default_config (`Unix path)) with
@@ -157,6 +157,18 @@ let test_protocol_violations () =
         (Protocol.status_name r.Protocol.r_status);
       Alcotest.(check bool) "FG0804" true
         (contains ~needle:"FG0804" r.Protocol.r_payload);
+      (* The retired fuzz fleet kinds are unknown kinds: FG0803. *)
+      List.iter
+        (fun kind ->
+          Client.send_raw_frame c
+            (Printf.sprintf "{\"v\": 6, \"id\": 6, \"kind\": \"%s\"}" kind);
+          let r = Client.read_response c in
+          Alcotest.(check string) (kind ^ " status") "protocol_error"
+            (Protocol.status_name r.Protocol.r_status);
+          Alcotest.(check bool) (kind ^ " is FG0803, unknown kind") true
+            (contains ~needle:"FG0803" r.Protocol.r_payload
+            && contains ~needle:"unknown kind" r.Protocol.r_payload))
+        [ "fuzz_one"; "fuzz_batch" ];
       Client.close c;
       (* Oversized length prefix: FG0806 and the server drops the
          connection (framing is unrecoverable). *)
@@ -229,15 +241,23 @@ let test_stats () =
           | Ok j ->
               (* the exact top-level schema, so no key appears or
                  vanishes unnoticed *)
+              let keys = function
+                | Some (Fg_util.Json.Obj kvs) -> List.map fst kvs
+                | _ -> Alcotest.fail "stats object missing"
+              in
               Alcotest.(check (list string)) "top-level keys"
                 [ "backends"; "connections_opened"; "disk_cache"; "enqueued";
-                  "fuzz_soak"; "latency"; "max_queue"; "protocol_errors";
-                  "queue_depth"; "queue_wait"; "request_timeout_ms";
-                  "requests"; "specializer"; "unit_cache"; "uptime_ms";
-                  "workers"; "workspace" ]
-                (match j with
-                | Fg_util.Json.Obj kvs -> List.map fst kvs
-                | _ -> Alcotest.fail "stats payload is not an object");
+                  "latency"; "max_queue"; "protocol_errors"; "queue_depth";
+                  "queue_wait"; "request_timeout_ms"; "requests";
+                  "specializer"; "unit_cache"; "uptime_ms"; "workers";
+                  "workspace" ]
+                (keys (Some j));
+              (* one requests entry per wire kind *)
+              Alcotest.(check (list string)) "request kinds"
+                [ "check"; "completion"; "definition"; "doc_change";
+                  "doc_close"; "doc_diagnostics"; "doc_open"; "hover"; "run";
+                  "shutdown"; "stats"; "translate" ]
+                (keys (Fg_util.Json.mem "requests" j));
               (* the run we just did is visible in the counters *)
               let enqueued =
                 match Fg_util.Json.int_field "enqueued" j with
@@ -350,6 +370,48 @@ let test_shutdown_drain () =
   (* run returns: the drain completed and every worker was joined *)
   Thread.join th;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
+
+(* A daemon takes over its socket path only when it holds a stale
+   socket.  A regular file survives byte for byte, and a live daemon
+   keeps its socket and its clients: both are the FG1004 configuration
+   error, raised before any worker starts. *)
+let test_socket_path () =
+  let refused path =
+    match Server.create (Server.default_config (`Unix path)) with
+    | exception Fg_util.Diag.Error d ->
+        Alcotest.(check string) "refused with FG1004" "FG1004"
+          d.Fg_util.Diag.code
+    | srv ->
+        Server.request_shutdown srv;
+        Server.run srv;
+        Alcotest.failf "Server.create took over %s" path
+  in
+  let path = next_sock () in
+  let contents = "not a socket\n" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      refused path;
+      Alcotest.(check string) "regular file untouched" contents
+        (read_file path));
+  let path = next_sock () in
+  with_server ~path (fun addr _srv ->
+      refused path;
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          Alcotest.(check string) "first daemon still answers" "ok"
+            (Protocol.status_name (Client.stats c).Protocol.r_status)));
+  (* a socket file whose listener is gone: connecting is refused *)
+  let path = next_sock () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  with_server ~path (fun addr _srv ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          Alcotest.(check string) "stale socket replaced" "ok"
+            (Protocol.status_name (Client.stats c).Protocol.r_status)))
 
 let test_sustained_batch () =
   (* ~1000 requests through one connection: exercises pipelining,
@@ -465,6 +527,8 @@ let suite =
     Alcotest.test_case "workspace document kinds" `Quick
       test_workspace_kinds;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_drain;
+    Alcotest.test_case "socket path: only a stale socket is replaced" `Quick
+      test_socket_path;
     Alcotest.test_case "one warm session per config" `Quick
       test_one_session_per_config;
     Alcotest.test_case "batch byte-identical to one-shot" `Slow

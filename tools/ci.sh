@@ -113,8 +113,9 @@ echo "== server smoke"
 # connection, the protocol-violation probe (garbage JSON frame, a
 # version above and one below the one spoken, oversized length
 # prefix), a deliberate deadline
-# miss, live stats, then SIGTERM and a clean drain.  Any unexpected
-# status exits nonzero (the client maps statuses to exit codes).
+# miss, a second daemon refused on the live socket, live stats, then
+# SIGTERM and a clean drain.  Any unexpected status exits nonzero (the
+# client maps statuses to exit codes).
 fgc=./_build/default/bin/fgc.exe
 sock=$(mktemp -u /tmp/fgc_ci_XXXXXX.sock)
 track "$sock"
@@ -136,6 +137,15 @@ echo "-- deliberate timeout (exit 4 expected)"
 rc=0
 "$fgc" client run -e '1 + 1' --timeout-ms 0 --socket "$sock" > /dev/null || rc=$?
 [ "$rc" -eq 4 ] || { echo "server smoke: timeout exit was $rc, want 4"; exit 1; }
+
+echo "-- second daemon on the live socket (exit 1, FG1004 expected)"
+rc=0
+second=$(timeout 10 "$fgc" serve --socket "$sock" 2>&1) || rc=$?
+[ "$rc" -eq 1 ] || { echo "server smoke: second serve exit was $rc, want 1"; exit 1; }
+echo "$second" | grep -q 'FG1004' \
+  || { echo "server smoke: second serve did not report FG1004: $second"; exit 1; }
+"$fgc" client stats --socket "$sock" > /dev/null \
+  || { echo "server smoke: first daemon stopped answering stats"; exit 1; }
 
 echo "-- stats"
 "$fgc" client stats --socket "$sock" | grep -q '"latency"' \
@@ -256,32 +266,6 @@ echo "-- blind: $blind_cov decision points, guided: $guided_cov"
   || { echo "fuzz-coverage: guided ($guided_cov) not above blind ($blind_cov)"; exit 1; }
 [ -n "$(ls "$fuzz_corpus")" ] \
   || { echo "fuzz-coverage: guided run admitted no corpus entries"; exit 1; }
-
-echo "-- corpus merge: two workers converge through one daemon"
-# Two fuzz workers with disjoint seeds and separate corpus dirs sync
-# through a shared daemon (fuzz_batch); after a second round each
-# holds the union corpus, and the daemon's stats expose the soak.
-w1=$(mktemp -d /tmp/fgc_fuzzw1_XXXXXX)
-w2=$(mktemp -d /tmp/fgc_fuzzw2_XXXXXX)
-sock=$(mktemp -u /tmp/fgc_fuzz_XXXXXX.sock)
-track "$w1" "$w2" "$sock"
-"$fgc" serve --socket "$sock" --workers 1 2>/dev/null &
-serve_pid=$!
-track_pid "$serve_pid"
-for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
-[ -S "$sock" ] || { echo "fuzz-coverage: daemon never bound $sock"; exit 1; }
-"$fgc" client fuzz-worker --socket "$sock" --seed 11 --count 150 --corpus-dir "$w1"
-"$fgc" client fuzz-worker --socket "$sock" --seed 99 --count 150 --corpus-dir "$w2"
-# second round: both adopt whatever the other contributed
-"$fgc" client fuzz-worker --socket "$sock" --seed 12 --count 50 --corpus-dir "$w1"
-"$fgc" client fuzz-worker --socket "$sock" --seed 98 --count 50 --corpus-dir "$w2"
-"$fgc" client stats --socket "$sock" | grep -q '"fuzz_soak"' \
-  || { echo "fuzz-coverage: stats payload missing fuzz_soak"; exit 1; }
-common=$({ ls "$w1"; ls "$w2"; } | sort | uniq -d | wc -l)
-[ "$common" -gt 0 ] \
-  || { echo "fuzz-coverage: workers share no corpus entries after sync"; exit 1; }
-"$fgc" client shutdown --socket "$sock" > /dev/null
-reap "$serve_pid" || { echo "fuzz-coverage: daemon exited nonzero"; exit 1; }
 
 echo "== workspace smoke (v5 document lifecycle, edit/revert byte-identity)"
 # Open every corpus program as a workspace document over the wire, run
