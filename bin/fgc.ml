@@ -111,14 +111,6 @@ let cache_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let cache_max_bytes_arg =
-  let doc =
-    "Size bound for $(b,--cache-dir); past it the oldest-accessed \
-     entries are evicted (default: unbounded)."
-  in
-  Arg.(value & opt (some int) None
-       & info [ "cache-max-bytes" ] ~docv:"BYTES" ~doc)
-
 (* Kept a raw string at the cmdliner layer: unknown names become the
    stable FG1001 configuration diagnostic (through
    [Backend.of_string_exn] inside the command body), not a cmdliner
@@ -141,11 +133,10 @@ let format_arg =
 
 (* The session every subcommand drives: prelude cached at creation when
    requested, so per-program work excludes it. *)
-let make_session ?(backend = "dict") ?cache_dir ?cache_max_bytes ~global
-    ~prelude () =
+let make_session ?(backend = "dict") ?cache_dir ~global ~prelude () =
   C.Session.of_config
-    (C.Session.Config.of_flags ?cache_dir ?cache_max_bytes ~prelude
-       ~global_models:global ~backend:(C.Backend.of_string_exn backend) ())
+    (C.Session.Config.of_flags ?cache_dir ~prelude ~global_models:global
+       ~backend:(C.Backend.of_string_exn backend) ())
 
 let get_source file expr =
   match expr with Some s -> ("<expr>", s) | None -> read_input file
@@ -158,34 +149,25 @@ let file_pos_arg =
 (* check                                                             *)
 
 let check_cmd =
-  let run file expr global prelude backend cache_dir cache_max_bytes
-      stats =
+  let run file expr global prelude backend cache_dir stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~prelude ()
-        in
+        let s = make_session ~backend ?cache_dir ~global ~prelude () in
         Fmt.pr "%a@." C.Pretty.pp_ty (C.Session.typecheck ~file:name s src))
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Type check an FG program and print its type")
     Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ prelude_flag $ backend_arg $ cache_dir_arg
-          $ cache_max_bytes_arg $ stats_flag)
+          $ prelude_flag $ backend_arg $ cache_dir_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* translate                                                         *)
 
 let translate_cmd =
-  let run file expr global prelude backend cache_dir cache_max_bytes
-      show_type stats =
+  let run file expr global prelude backend cache_dir show_type stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~prelude ()
-        in
+        let s = make_session ~backend ?cache_dir ~global ~prelude () in
         let f = C.Session.translate ~file:name s src in
         (* Off the Dict backend, print the partially evaluated program
            (stencils and hoisted dictionaries on the spine). *)
@@ -209,21 +191,16 @@ let translate_cmd =
           specialized backend with $(b,--backend))")
     Term.(
       const run $ file_pos_arg $ expr_arg $ global_flag $ prelude_flag
-      $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ show_type
-      $ stats_flag)
+      $ backend_arg $ cache_dir_arg $ show_type $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* run                                                               *)
 
 let run_cmd =
-  let run file expr global prelude backend cache_dir cache_max_bytes
-      verbose format stats =
+  let run file expr global prelude backend cache_dir verbose format stats =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let name, src = get_source file expr in
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~prelude ()
-        in
+        let s = make_session ~backend ?cache_dir ~global ~prelude () in
         (* The recovering pipeline: every independent error in the
            program comes back in one invocation, plus any warnings. *)
         let report = C.Session.run_full ~file:name s src in
@@ -269,8 +246,7 @@ let run_cmd =
           (agreeing) value")
     Term.(
       const run $ file_pos_arg $ expr_arg $ global_flag $ prelude_flag
-      $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ verbose
-      $ format_arg $ stats_flag)
+      $ backend_arg $ cache_dir_arg $ verbose $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* elaborate                                                         *)
@@ -337,14 +313,10 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 let batch_cmd =
-  let run files global prelude backend cache_dir cache_max_bytes domains
-      format stats =
+  let run files global prelude backend cache_dir domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let jobs = List.map read_input files in
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~prelude ()
-        in
+        let s = make_session ~backend ?cache_dir ~global ~prelude () in
         let results = C.Session.run_batch ?domains s jobs in
         let failed = ref 0 in
         (match format with
@@ -387,17 +359,18 @@ let batch_cmd =
           OCaml domains with a shared session configuration; output order \
           matches the argument order regardless of the domain count")
     Term.(const run $ files $ global_flag $ prelude_flag $ backend_arg
-          $ cache_dir_arg $ cache_max_bytes_arg $ domains_arg $ format_arg
-          $ stats_flag)
+          $ cache_dir_arg $ domains_arg $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* corpus                                                            *)
 
 let corpus_cmd =
-  let run name_opt all backend cache_dir cache_max_bytes domains format
-      stats =
+  let run entry all backend cache_dir domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
-        match (name_opt, all) with
+        let session () =
+          make_session ~backend ?cache_dir ~global:false ~prelude:false ()
+        in
+        match (entry, all) with
         | None, false ->
             List.iter
               (fun (e : C.Corpus.entry) ->
@@ -406,10 +379,7 @@ let corpus_cmd =
         | None, true ->
             (* Run every entry, in parallel; an entry passes when its
                outcome matches its stated expectation. *)
-            let s =
-              make_session ~backend ?cache_dir ?cache_max_bytes
-                ~global:false ~prelude:false ()
-            in
+            let s = session () in
             let jobs =
               List.map (fun (e : C.Corpus.entry) -> (e.name, e.source))
                 C.Corpus.all
@@ -472,28 +442,43 @@ let corpus_cmd =
             if !failed > 0 then
               Diag.error Diag.Eval "%d corpus entries off expectation"
                 !failed
-        | Some name, _ -> (
-            let e = C.Corpus.find name in
+        | Some (e : C.Corpus.entry), _ -> (
             Fmt.pr "// %s (%s)@.%s@.@." e.description e.paper e.source;
-            let s =
-              make_session ~backend ?cache_dir ?cache_max_bytes
-                ~global:false ~prelude:false ()
-            in
-            match e.expected with
-            | C.Corpus.Value expect ->
-                let out = C.Session.run ~file:e.name s e.source in
-                Fmt.pr "value: %a (expected %a)@." C.Interp.pp_flat out.value
+            (* Off its expectation, an entry ends in a diagnostic: the
+               program's own when it fails, ours when it runs. *)
+            let r = C.Session.run_result ~file:e.name (session ()) e.source in
+            match (e.expected, r) with
+            | C.Corpus.Value expect, Ok (o : C.Session.outcome)
+              when C.Interp.flat_equal o.value expect ->
+                Fmt.pr "value: %a (expected %a)@." C.Interp.pp_flat o.value
                   C.Interp.pp_flat expect
-            | C.Corpus.Fails phase -> (
-                match C.Session.run_result ~file:e.name s e.source with
-                | Error d ->
-                    Fmt.pr "rejected as expected (%s): %s@."
-                      (Diag.phase_name phase)
-                      (Diag.to_string d)
-                | Ok _ -> failwith "expected failure but program succeeded")))
+            | C.Corpus.Fails phase, Error (d : Diag.diagnostic)
+              when d.phase = phase ->
+                Fmt.pr "rejected as expected (%s): %s@."
+                  (Diag.phase_name phase) (Diag.to_string d)
+            | _, Error d -> raise (Diag.Error d)
+            | _, Ok o ->
+                Diag.error Diag.Eval
+                  "corpus entry %s is off its expectation: it ran to %s"
+                  e.name (C.Interp.flat_to_string o.value)))
   in
   let entry_arg =
-    Arg.(value & pos 0 (some string) None
+    (* An enum of the entry names, built on first use: indexing forty
+       names costs about 0.08 ms, which every fgc process would pay at
+       start-up. *)
+    let enum =
+      lazy
+        (Arg.conv_parser
+           (Arg.enum
+              (List.map (fun (e : C.Corpus.entry) -> (e.name, e))
+                 C.Corpus.all)))
+    in
+    let entry =
+      Arg.conv
+        ( (fun name -> Lazy.force enum name),
+          fun ppf (e : C.Corpus.entry) -> Fmt.string ppf e.name )
+    in
+    Arg.(value & pos 0 (some entry) None
          & info [] ~docv:"NAME"
              ~doc:"Corpus entry to show and run (omit to list).")
   in
@@ -507,7 +492,7 @@ let corpus_cmd =
     (Cmd.info "corpus"
        ~doc:"List or run the built-in corpus of paper example programs")
     Term.(const run $ entry_arg $ all_flag $ backend_arg $ cache_dir_arg
-          $ cache_max_bytes_arg $ domains_arg $ format_arg $ stats_flag)
+          $ domains_arg $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* eq: same-type queries                                             *)
@@ -521,7 +506,8 @@ let eq_cmd =
               match C.Parser.constr_of_string src with
               | C.Ast.CSame (a, b) -> C.Equality.assume eq a b
               | C.Ast.CModel _ ->
-                  failwith "assumptions must be same-type constraints (a == b)")
+                  Diag.error Diag.Parser
+                    "assumptions must be same-type constraints (a == b)")
             (C.Equality.empty ()) assumptions
         in
         match C.Parser.constr_of_string query with
@@ -529,7 +515,9 @@ let eq_cmd =
             Fmt.pr "%b@." (C.Equality.equal eq a b);
             Fmt.pr "repr lhs: %a@." C.Pretty.pp_ty (C.Equality.repr eq a);
             Fmt.pr "repr rhs: %a@." C.Pretty.pp_ty (C.Equality.repr eq b)
-        | C.Ast.CModel _ -> failwith "query must be a same-type constraint")
+        | C.Ast.CModel _ ->
+            Diag.error Diag.Parser
+              "query must be a same-type constraint (a == b)")
   in
   let assumptions =
     Arg.(value & opt_all string []
@@ -674,7 +662,7 @@ let address_of ~socket ~port ~host =
 
 let serve_cmd =
   let run socket port host workers max_queue timeout_ms max_frame fuel
-      cache_dir cache_max_bytes verbose =
+      cache_dir verbose =
     handle_code (fun () ->
         let address = address_of ~socket ~port ~host in
         let base = Server.default_config address in
@@ -688,7 +676,6 @@ let serve_cmd =
             max_frame;
             fuel = (if fuel = 0 then None else Some fuel);
             cache_dir;
-            cache_max_bytes;
             log = verbose;
           }
         in
@@ -755,8 +742,7 @@ let serve_cmd =
           address that cannot be bound is the FG1004 configuration \
           error")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ max_queue
-          $ timeout_ms $ max_frame $ fuel $ cache_dir_arg
-          $ cache_max_bytes_arg $ verbose)
+          $ timeout_ms $ max_frame $ fuel $ cache_dir_arg $ verbose)
 
 (* ---------------------------------------------------------------- *)
 (* client                                                            *)
@@ -769,11 +755,12 @@ let exit_of_status = function
   | Protocol.Overload -> 5
   | Protocol.Shutting_down -> 6
 
-(* Expand directories into their .fg files (sorted), pass files through. *)
+(* Expand directories into their .fg files (sorted), pass anything else
+   through: a path that cannot be read fails when it is read. *)
 let expand_paths paths =
   List.concat_map
     (fun p ->
-      if Sys.is_directory p then
+      if try Sys.is_directory p with Sys_error _ -> false then
         Sys.readdir p |> Array.to_list
         |> List.filter (fun f -> Filename.check_suffix f ".fg")
         |> List.sort String.compare
@@ -783,19 +770,19 @@ let expand_paths paths =
 
 let contains needle s = Fg_util.Strutil.contains ~needle s
 
+exception Probe_failed of string
+
 (* The probe: deliberately violate the protocol three ways and check
    the daemon answers each violation correctly and stays up. *)
 let run_probe address =
+  let fail fmt = Fmt.kstr (fun m -> raise (Probe_failed m)) fmt in
   let expect_status name (r : Protocol.response) status needle =
     if r.Protocol.r_status <> status then
-      failwith
-        (Printf.sprintf "%s: expected status %s, got %s" name
-           (Protocol.status_name status)
-           (Protocol.status_name r.Protocol.r_status));
+      fail "%s: expected status %s, got %s" name
+        (Protocol.status_name status)
+        (Protocol.status_name r.Protocol.r_status);
     if not (contains needle r.Protocol.r_payload) then
-      failwith
-        (Printf.sprintf "%s: payload lacks %s: %s" name needle
-           r.Protocol.r_payload)
+      fail "%s: payload lacks %s: %s" name needle r.Protocol.r_payload
   in
   (* 1. Valid frame, garbage JSON: connection survives. *)
   let c = Client.connect address in
@@ -827,7 +814,7 @@ let run_probe address =
     Protocol.Protocol_error "FG0806";
   (match Client.read_response c with
   | exception Client.Client_error _ -> ()
-  | _ -> failwith "oversized-frame: expected the server to close");
+  | _ -> fail "oversized-frame: expected the server to close");
   Client.close c;
   Fmt.pr "probe ok: garbage JSON, version mismatch and oversized frame \
           all answered correctly@."
@@ -871,105 +858,119 @@ let print_stats_pretty payload =
         fields
   | Ok _ -> print_endline payload
 
+(* A usage mistake cmdliner cannot see, such as the wrong number of
+   files for an action: reported as cmdliner's own usage error. *)
+exception Usage of string
+
+let usage fmt = Fmt.kstr (fun m -> raise (Usage m)) fmt
+
 let client_cmd =
   let run action files expr socket port host prelude global backend
       timeout_ms window doc_version offset at del insert pretty =
-    handle_code (fun () ->
-        let address = address_of ~socket ~port ~host in
-        let backend = C.Backend.of_string_exn backend in
-        try
-          match action with
-          | "stats" | "shutdown" ->
-              let c = Client.connect address in
-              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                  let r =
-                    if action = "stats" then Client.stats c
-                    else Client.shutdown c
-                  in
-                  if action = "stats" && pretty then
-                    print_stats_pretty r.Protocol.r_payload
-                  else print_endline r.Protocol.r_payload;
-                  exit_of_status r.Protocol.r_status)
-          | "open" | "edit" | "close" | "diag" | "hover" | "def" | "complete"
-            ->
-              let file =
-                match files with
-                | [ f ] -> f
-                | _ -> failwith (action ^ ": give exactly one FILE")
-              in
-              let c = Client.connect address in
-              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                  let r =
-                    match action with
-                    | "open" ->
-                        let name, source = read_input file in
-                        Client.doc_open c ~version:doc_version ~prelude
-                          ~global_models:global ~backend ~name source
-                    | "edit" -> (
-                        match at with
-                        | Some off ->
-                            Client.doc_change c ~version:doc_version
-                              ~name:file
-                              (`Edits [ (off, del, insert) ])
-                        | None ->
-                            let name, source = read_input file in
-                            Client.doc_change c ~version:doc_version ~name
-                              (`Text source))
-                    | "close" -> Client.doc_close c ~name:file
-                    | "diag" -> Client.doc_diagnostics c ~name:file
-                    | "hover" -> Client.hover c ~name:file ~offset
-                    | "def" -> Client.definition c ~name:file ~offset
-                    | _ -> Client.completion c ~name:file ~offset
-                  in
-                  print_endline r.Protocol.r_payload;
-                  exit_of_status r.Protocol.r_status)
-          | "probe" ->
-              run_probe address;
-              0
-          | "batch" ->
-              let files = expand_paths files in
-              if files = [] then failwith "batch: no .fg files to run";
-              let reqs =
-                List.mapi
-                  (fun i f ->
-                    let name, source = read_input f in
-                    Protocol.request ~id:(i + 1) ~file:name ~source ~prelude
-                      ~global_models:global ~backend ?timeout_ms Protocol.Run)
-                  files
-              in
-              let c = Client.connect address in
-              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                  let resps = Client.batch ~window c reqs in
-                  let worst = ref 0 in
-                  List.iter
-                    (fun (r : Protocol.response) ->
-                      print_endline r.Protocol.r_payload;
-                      worst := max !worst (exit_of_status r.Protocol.r_status))
-                    resps;
-                  !worst)
-          | action ->
-              (* run, check or translate: named after their wire kinds *)
-              let kind = Option.get (Protocol.kind_of_name action) in
-              let name, source =
-                match (expr, files) with
-                | Some s, _ -> ("<expr>", s)
-                | None, [ f ] -> read_input f
-                | None, [] -> read_input "-"
-                | None, _ -> failwith (action ^ ": give exactly one FILE")
-              in
-              let c = Client.connect address in
-              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                  let r =
-                    Client.request c
-                      (Protocol.request ~id:1 ~file:name ~source ~prelude
-                         ~global_models:global ~backend ?timeout_ms kind)
-                  in
-                  print_endline r.Protocol.r_payload;
-                  exit_of_status r.Protocol.r_status)
-        with Client.Client_error msg ->
-          (* no response to map: exits 1-6 mirror response statuses *)
-          Fmt.epr "fgc client: %s@." msg;
-          7)
+    match
+      handle_code (fun () ->
+          let address = address_of ~socket ~port ~host in
+          let backend = C.Backend.of_string_exn backend in
+          try
+            match action with
+            | "stats" | "shutdown" ->
+                let c = Client.connect address in
+                Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                    let r =
+                      if action = "stats" then Client.stats c
+                      else Client.shutdown c
+                    in
+                    if action = "stats" && pretty then
+                      print_stats_pretty r.Protocol.r_payload
+                    else print_endline r.Protocol.r_payload;
+                    exit_of_status r.Protocol.r_status)
+            | "open" | "edit" | "close" | "diag" | "hover" | "def" | "complete"
+              ->
+                let file =
+                  match files with
+                  | [ f ] -> f
+                  | _ -> usage "%s: give exactly one FILE" action
+                in
+                let c = Client.connect address in
+                Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                    let r =
+                      match action with
+                      | "open" ->
+                          let name, source = read_input file in
+                          Client.doc_open c ~version:doc_version ~prelude
+                            ~global_models:global ~backend ~name source
+                      | "edit" -> (
+                          match at with
+                          | Some off ->
+                              Client.doc_change c ~version:doc_version
+                                ~name:file
+                                (`Edits [ (off, del, insert) ])
+                          | None ->
+                              let name, source = read_input file in
+                              Client.doc_change c ~version:doc_version ~name
+                                (`Text source))
+                      | "close" -> Client.doc_close c ~name:file
+                      | "diag" -> Client.doc_diagnostics c ~name:file
+                      | "hover" -> Client.hover c ~name:file ~offset
+                      | "def" -> Client.definition c ~name:file ~offset
+                      | _ -> Client.completion c ~name:file ~offset
+                    in
+                    print_endline r.Protocol.r_payload;
+                    exit_of_status r.Protocol.r_status)
+            | "probe" -> (
+                match run_probe address with
+                | () -> 0
+                | exception Probe_failed msg ->
+                    Fmt.epr "fgc client: probe: %s@." msg;
+                    1)
+            | "batch" ->
+                let files = expand_paths files in
+                if files = [] then usage "batch: no .fg files to run";
+                let reqs =
+                  List.mapi
+                    (fun i f ->
+                      let name, source = read_input f in
+                      Protocol.request ~id:(i + 1) ~file:name ~source ~prelude
+                        ~global_models:global ~backend ?timeout_ms Protocol.Run)
+                    files
+                in
+                let c = Client.connect address in
+                Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                    let resps = Client.batch ~window c reqs in
+                    let worst = ref 0 in
+                    List.iter
+                      (fun (r : Protocol.response) ->
+                        print_endline r.Protocol.r_payload;
+                        worst :=
+                          max !worst (exit_of_status r.Protocol.r_status))
+                      resps;
+                    !worst)
+            | action ->
+                (* run, check or translate: named after their wire kinds *)
+                let kind = Option.get (Protocol.kind_of_name action) in
+                let name, source =
+                  match (expr, files) with
+                  | Some s, _ -> ("<expr>", s)
+                  | None, [ f ] -> read_input f
+                  | None, [] -> read_input "-"
+                  | None, _ -> usage "%s: give at most one FILE" action
+                in
+                let c = Client.connect address in
+                Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                    let r =
+                      Client.request c
+                        (Protocol.request ~id:1 ~file:name ~source ~prelude
+                           ~global_models:global ~backend ?timeout_ms kind)
+                    in
+                    print_endline r.Protocol.r_payload;
+                    exit_of_status r.Protocol.r_status)
+          with Client.Client_error msg ->
+            (* no response to map: exits 1-6 mirror response statuses *)
+            Fmt.epr "fgc client: %s@." msg;
+            7)
+    with
+    | code -> `Ok code
+    | exception Usage msg -> `Error (true, msg)
   in
   let action =
     let actions =
@@ -1045,9 +1046,10 @@ let client_cmd =
           follows the response status (see docs/SERVER.md); a client \
           that cannot reach the daemon or read its reply prints one \
           line on stderr and exits 7")
-    Term.(const run $ action $ files $ expr_arg $ socket_arg $ port_arg
-          $ host_arg $ prelude_flag $ global_flag $ backend_arg $ timeout_ms
-          $ window $ doc_version $ offset $ at $ del $ insert $ pretty)
+    Term.(ret (const run $ action $ files $ expr_arg $ socket_arg $ port_arg
+               $ host_arg $ prelude_flag $ global_flag $ backend_arg
+               $ timeout_ms $ window $ doc_version $ offset $ at $ del
+               $ insert $ pretty))
 
 (* ---------------------------------------------------------------- *)
 (* repl                                                              *)

@@ -4,19 +4,7 @@ open Fg_util
 
 let format_version = 1
 
-type t = {
-  root : string;
-  max_bytes : int option;
-  total_bytes : int Atomic.t;
-      (** this process's running estimate; re-synced by every {!gc} *)
-  entries : int Atomic.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-  corrupt : int Atomic.t;
-}
-
-let root t = t.root
+type t = { root : string }
 
 (* ---------------------------------------------------------------- *)
 (* Blob framing                                                      *)
@@ -99,7 +87,7 @@ let elf_build_id path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> try parse ic with _ -> None)
 
-(* Unit keys and the marshalled closures in blob bodies only make sense
+(* Unit keys and the marshalled units in blob bodies only make sense
    to the build that wrote them: the stamp pins format, OCaml version
    and the exact binary (its build-id note, or a digest of the file
    when it has none), and the body digest pins the bytes.  Anything
@@ -157,70 +145,7 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* Every (shard, file, size, last-access) currently on disk.  mtime
-   stands in for access time — [touch] refreshes it on every hit —
-   because atime is unreliable under relatime mounts. *)
-let scan t =
-  let acc = ref [] in
-  (match Sys.readdir t.root with
-  | exception Sys_error _ -> ()
-  | shards ->
-      Array.iter
-        (fun shard ->
-          let dir = Filename.concat t.root shard in
-          match Sys.readdir dir with
-          | exception Sys_error _ -> ()
-          | files ->
-              Array.iter
-                (fun f ->
-                  let path = Filename.concat dir f in
-                  match Unix.stat path with
-                  | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
-                      acc := (path, st_mtime, st_size) :: !acc
-                  | _ | (exception Unix.Unix_error _) -> ())
-                files)
-        shards);
-  !acc
-
-let resync t found =
-  Atomic.set t.total_bytes
-    (List.fold_left (fun a (_, _, sz) -> a + sz) 0 found);
-  Atomic.set t.entries (List.length found)
-
-let gc t =
-  let found = scan t in
-  match t.max_bytes with
-  | None -> resync t found
-  | Some bound ->
-      let total = List.fold_left (fun a (_, _, sz) -> a + sz) 0 found in
-      if total <= bound then resync t found
-      else begin
-        (* Oldest access first; path as tiebreak keeps the order
-           deterministic when timestamps collide. *)
-        let by_age =
-          List.sort
-            (fun (p1, m1, _) (p2, m2, _) ->
-              match compare (m1 : float) m2 with
-              | 0 -> String.compare p1 p2
-              | c -> c)
-            found
-        in
-        let remaining = ref total in
-        let kept = ref [] in
-        List.iter
-          (fun ((path, _, sz) as e) ->
-            if !remaining > bound then begin
-              (try Sys.remove path with Sys_error _ -> ());
-              remaining := !remaining - sz;
-              Atomic.incr t.evictions;
-              Telemetry.record_disk_eviction ()
-            end
-            else kept := e :: !kept)
-          by_age;
-        resync t !kept
-      end
-
-let open_store ?max_bytes root =
+let open_store root =
   (try mkdir_p root
    with Unix.Unix_error (e, _, _) ->
      Diag.config_error ~code:"FG1002" "cannot create cache directory %s: %s"
@@ -228,20 +153,7 @@ let open_store ?max_bytes root =
   if not (try Sys.is_directory root with Sys_error _ -> false) then
     Diag.config_error ~code:"FG1002"
       "cache directory %s is not a directory" root;
-  let t =
-    {
-      root;
-      max_bytes = Option.map (max 0) max_bytes;
-      total_bytes = Atomic.make 0;
-      entries = Atomic.make 0;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      evictions = Atomic.make 0;
-      corrupt = Atomic.make 0;
-    }
-  in
-  resync t (scan t);
-  t
+  { root }
 
 (* ---------------------------------------------------------------- *)
 (* Get / put                                                         *)
@@ -256,83 +168,42 @@ let read_file path =
           try Some (really_input_string ic (in_channel_length ic))
           with End_of_file | Sys_error _ -> None)
 
-let miss t =
-  Atomic.incr t.misses;
+let miss () =
   Telemetry.record_disk_miss ();
   None
 
 (* A validation failure is *removed* (it can never validate again in
    this build) and read as a miss. *)
-let drop_corrupt t path =
-  Atomic.incr t.corrupt;
+let drop_corrupt path =
   Telemetry.record_corrupt_entry ();
   (try Sys.remove path with Sys_error _ -> ());
-  miss t
+  miss ()
 
 let get t key =
   let path = entry_path t key in
   match read_file path with
-  | None -> miss t
+  | None -> miss ()
   | Some raw -> (
       match decode_blob raw with
-      | None -> drop_corrupt t path
+      | None -> drop_corrupt path
       | Some body ->
-          Atomic.incr t.hits;
           Telemetry.record_disk_hit ();
-          (* Refresh the access stamp for oldest-first GC; both times
-             to "now" is exactly what utimes 0 0 means. *)
-          (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
           Some body)
 
 let put t key body =
   let path = entry_path t key in
-  if not (Sys.file_exists path) then begin
+  if not (Sys.file_exists path) then
     match
       mkdir_p (Filename.dirname path);
-      let tmp, oc =
-        Filename.open_temp_file ~temp_dir:t.root ~mode:[ Open_binary ]
-          "put" ".tmp"
-      in
-      (tmp, oc)
+      Filename.open_temp_file ~temp_dir:t.root ~mode:[ Open_binary ] "put"
+        ".tmp"
     with
     | exception _ -> () (* unwritable store: degrade to uncached *)
     | tmp, oc -> (
-        match
+        try
           output_string oc (encode_blob body);
           close_out oc;
           Unix.rename tmp path
-        with
-        | () ->
-            ignore
-              (Atomic.fetch_and_add t.total_bytes
-                 (String.length body + 64));
-            ignore (Atomic.fetch_and_add t.entries 1);
-            (match t.max_bytes with
-            | Some bound when Atomic.get t.total_bytes > bound -> gc t
-            | _ -> ())
-        | exception _ ->
-            close_out_noerr oc;
-            (try Sys.remove tmp with Sys_error _ -> ()))
-  end
-
-(* ---------------------------------------------------------------- *)
-(* Stats                                                             *)
-
-type stats = {
-  d_hits : int;
-  d_misses : int;
-  d_evictions : int;
-  d_corrupt : int;
-  d_entries : int;
-  d_bytes : int;
-}
-
-let stats t =
-  {
-    d_hits = Atomic.get t.hits;
-    d_misses = Atomic.get t.misses;
-    d_evictions = Atomic.get t.evictions;
-    d_corrupt = Atomic.get t.corrupt;
-    d_entries = Atomic.get t.entries;
-    d_bytes = Atomic.get t.total_bytes;
-  }
+        with _ ->
+          close_out_noerr oc;
+          (try Sys.remove tmp with Sys_error _ -> ()))

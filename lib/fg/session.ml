@@ -28,7 +28,6 @@ module Config = struct
     escape_check : bool;
     prelude : string option;
     cache_dir : string option;
-    cache_max_bytes : int option;
   }
 
   let default =
@@ -38,13 +37,11 @@ module Config = struct
       escape_check = true;
       prelude = None;
       cache_dir = None;
-      cache_max_bytes = None;
     }
 
   let with_standard_prelude c = { c with prelude = Some Prelude.full }
 
-  let of_flags ?cache_dir ?cache_max_bytes ~prelude ~global_models ~backend ()
-      =
+  let of_flags ?cache_dir ~prelude ~global_models ~backend () =
     {
       default with
       backend;
@@ -52,7 +49,6 @@ module Config = struct
         (if global_models then Resolution.Global else Resolution.Lexical);
       prelude = (if prelude then Some Prelude.full else None);
       cache_dir;
-      cache_max_bytes;
     }
 end
 
@@ -160,10 +156,7 @@ let session_cache ?cache (cfg : Config.t) =
       (match cfg.Config.cache_dir with
       | None -> ()
       | Some dir ->
-          let d =
-            Diskcache.open_store ?max_bytes:cfg.Config.cache_max_bytes dir
-          in
-          Unit.set_stores c [ Unit.disk_store d ]);
+          Unit.set_stores c [ Unit.disk_store (Diskcache.open_store dir) ]);
       c
 
 let check_config cache (cfg : Config.t) =

@@ -48,14 +48,12 @@ module Config : sig
         (** a declaration stack in concrete syntax (each declaration
             ending in [in], as {!Prelude.full} is written) *)
     cache_dir : string option;
-        (** root of a persistent on-disk unit store ({!Diskcache})
-            attached behind the session's private unit cache; [None]
-            (the default) keeps the cache memory-only.  Ignored when a
-            shared [cache] is passed to {!of_config} — whoever owns the
-            shared cache owns its tiers. *)
-    cache_max_bytes : int option;
-        (** size bound for the disk store; oldest-accessed entries are
-            evicted past it.  [None] = unbounded. *)
+        (** root of a persistent on-disk unit store ({!Diskcache}),
+            an unbounded content-addressed directory attached behind
+            the session's private unit cache; [None] (the default)
+            keeps the cache memory-only.  Ignored when a shared [cache]
+            is passed to {!of_config} — whoever owns the shared cache
+            owns its tiers. *)
   }
 
   val default : t
@@ -68,8 +66,8 @@ module Config : sig
       document's open parameters to a {!t}.  [prelude] selects
       {!Prelude.full} and [global_models] {!Resolution.Global}. *)
   val of_flags :
-    ?cache_dir:string -> ?cache_max_bytes:int -> prelude:bool ->
-    global_models:bool -> backend:Backend.t -> unit -> t
+    ?cache_dir:string -> prelude:bool -> global_models:bool ->
+    backend:Backend.t -> unit -> t
 end
 
 (** What the specializing backends add to an outcome: the partially

@@ -231,34 +231,28 @@ let insert c (u : checked) =
     | None -> ()
     | Some blob -> List.iter (fun st -> store_put st u.ck_pkey blob) c.stores
 
-(* memory → stores in order.  A deeper hit is written back into the tiers
-   that missed (so the next cold process finds it locally) and promoted
-   into the memory map under the current family-scoped key. *)
+(* memory, then the stores in order: the first decodable hit is
+   promoted into the memory map under the current family-scoped key. *)
 let find c ~key ~pkey ~dep_keys =
   match find_mem c key with
   | Some u ->
       record_hit c;
       Some u
-  | None ->
-      let rec go missed = function
-        | [] ->
-            record_miss c;
-            None
-        | st :: rest -> (
-            match (try st.st_get pkey with _ -> None) with
-            | None -> go (st :: missed) rest
-            | Some blob -> (
-                match decode ~pkey blob with
-                | None -> go (st :: missed) rest
-                | Some u ->
-                    let u = { u with ck_key = key; ck_pkey = pkey;
-                              ck_deps = dep_keys } in
-                    List.iter (fun st' -> store_put st' pkey blob) missed;
-                    insert_mem c u;
-                    record_hit c;
-                    Some u))
+  | None -> (
+      let from_store st =
+        match st.st_get pkey with
+        | Some blob -> decode ~pkey blob
+        | None | (exception _) -> None
       in
-      go [] c.stores
+      match List.find_map from_store c.stores with
+      | None ->
+          record_miss c;
+          None
+      | Some u ->
+          let u = { u with ck_key = key; ck_pkey = pkey; ck_deps = dep_keys } in
+          insert_mem c u;
+          record_hit c;
+          Some u)
 
 module KSet = Set.Make (String)
 

@@ -54,16 +54,19 @@ val create_cache : ?capacity:int -> unit -> cache
 
 (** A persistent tier behind the memory map.  Keys are portable unit
     keys; values are opaque marshalled-unit blobs.  Lookups go memory →
-    stores in list order; a deeper hit is written back into the tiers
-    that missed, a fresh check is written through to every tier, and a
-    store that throws is treated as a miss on lookup and skipped on
-    write-through, so the unit is compiled locally.  Blobs are plain
-    marshalled data with no code pointers; a store must only hand back
-    blobs written by the same compiler build (the disk store checks a
-    build-id stamp).  A corrupt blob counts as a corrupt entry and reads
-    as a miss. *)
+    stores in list order and take the first blob that decodes; a fresh
+    check is written through to every store.  A store that throws is
+    treated as a miss on lookup and skipped on write-through, so the
+    unit is compiled locally.  Blobs are plain marshalled data with no
+    code pointers; a store must only hand back blobs written by the
+    same compiler build (the disk store checks a build-id stamp).  A
+    corrupt blob counts as a corrupt entry and reads as a miss. *)
 type store = {
   st_name : string;
+      (** read by nothing: it keeps [benchspine/layers.ml]'s
+          [{ base with st_get; st_put }] a partial update, which a
+          two-field record would make warning 23, an error under the
+          dev profile *)
   st_get : string -> string option;
   st_put : string -> string -> unit;
 }

@@ -13,15 +13,18 @@ exception Client_error of string
 
 let fail fmt = Fmt.kstr (fun m -> raise (Client_error m)) fmt
 
+(* Every socket failure on an open connection is a [Client_error]; a
+   receive timeout ([SO_RCVTIMEO]) surfaces from [read] as EAGAIN. *)
+let on_socket what f =
+  try f () with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      fail "%s: timed out" what
+  | Unix.Unix_error (e, _, _) -> fail "%s: %s" what (Unix.error_message e)
+
 let connect ?max_frame ?rcv_timeout (addr : Protocol.address) =
-  let fd =
+  let domain, sockaddr, where =
     match addr with
-    | `Unix path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with Unix.Unix_error (e, _, _) ->
-           fail "cannot connect to %s: %s" path (Unix.error_message e));
-        fd
+    | `Unix path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path, path)
     | `Tcp (host, port) ->
         let inet =
           try Unix.inet_addr_of_string host
@@ -29,16 +32,24 @@ let connect ?max_frame ?rcv_timeout (addr : Protocol.address) =
             try (Unix.gethostbyname host).Unix.h_addr_list.(0)
             with Not_found -> fail "unknown host %s" host)
         in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.connect fd (Unix.ADDR_INET (inet, port));
-           Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error (e, _, _) ->
-           fail "cannot connect to %s:%d: %s" host port
-             (Unix.error_message e));
-        fd
+        ( Unix.PF_INET,
+          Unix.ADDR_INET (inet, port),
+          Printf.sprintf "%s:%d" host port )
   in
-  (* A bounded receive wait turns a hung server into a Unix error the
+  let refused e =
+    fail "cannot connect to %s: %s" where (Unix.error_message e)
+  in
+  let fd =
+    try Unix.socket domain Unix.SOCK_STREAM 0
+    with Unix.Unix_error (e, _, _) -> refused e
+  in
+  (try
+     Unix.connect fd sockaddr;
+     if domain = Unix.PF_INET then Unix.setsockopt fd Unix.TCP_NODELAY true
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close fd;
+     refused e);
+  (* A bounded receive wait turns a hung server into a Client_error the
      caller can report, instead of a stuck caller. *)
   (match rcv_timeout with
   | None -> ()
@@ -49,21 +60,22 @@ let connect ?max_frame ?rcv_timeout (addr : Protocol.address) =
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-let send c req =
-  Protocol.write_frame c.fd
-    (Json.to_string (Protocol.request_to_json req))
-
 (* Send raw bytes as one frame — deliberately malformed payloads for
    tests and the CI probe go through here. *)
-let send_raw_frame c payload = Protocol.write_frame c.fd payload
+let send_raw_frame c payload =
+  on_socket "send" (fun () -> Protocol.write_frame c.fd payload)
+
+let send c req =
+  send_raw_frame c (Json.to_string (Protocol.request_to_json req))
 
 let send_raw_bytes c s =
   let b = Bytes.of_string s in
   let n = Bytes.length b in
   let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write c.fd b !off (n - !off)
-  done
+  on_socket "send" (fun () ->
+      while !off < n do
+        off := !off + Unix.write c.fd b !off (n - !off)
+      done)
 
 let read_response c =
   let rec loop () =
@@ -77,7 +89,8 @@ let read_response c =
             | Error e -> fail "bad response: %s" e))
     | `Error e -> fail "response framing error: %s" e
     | `Await ->
-        if Protocol.read_chunk c.dec c.fd then loop ()
+        if on_socket "read" (fun () -> Protocol.read_chunk c.dec c.fd) then
+          loop ()
         else fail "connection closed by server"
   in
   loop ()

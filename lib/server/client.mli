@@ -13,7 +13,8 @@ exception Client_error of string
 
 (** [rcv_timeout] (seconds) bounds every blocking read on the
     connection ([SO_RCVTIMEO]), so a hung server surfaces as a
-    {!Client_error} instead of a stuck caller. *)
+    {!Client_error} instead of a stuck caller.  A failed connect closes
+    its socket before raising. *)
 val connect :
   ?max_frame:int -> ?rcv_timeout:float -> Protocol.address -> conn
 

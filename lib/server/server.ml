@@ -24,7 +24,6 @@ type config = {
   cache_dir : string option;
       (** root of the daemon's shared on-disk unit store; [None] (the
           default) runs memory-only *)
-  cache_max_bytes : int option;
   log : bool;
 }
 
@@ -37,7 +36,6 @@ let default_config address =
     max_frame = Protocol.default_max_frame;
     fuel = Some 10_000_000;
     cache_dir = None;
-    cache_max_bytes = None;
     log = false;
   }
 
@@ -141,9 +139,10 @@ let request_shutdown t =
   Pool.initiate_stop t.pool
 
 (* The stats payload: live pool metrics plus the static config, plus
-   the process-wide specializer counters (covering every worker's
-   stencil/hybrid requests, since telemetry is process-global). *)
-let stats_json cfg disk ws metrics =
+   the process-wide specializer and disk-store counters (covering every
+   worker's stencil/hybrid requests and disk lookups, since telemetry
+   is process-global and a daemon opens one store). *)
+let stats_json cfg ws metrics =
   let t = Telemetry.snapshot () in
   Pool.metrics_to_json metrics
     ~extra:
@@ -163,18 +162,14 @@ let stats_json cfg disk ws metrics =
               ("dicts_hoisted", Json.Int t.Telemetry.dicts_hoisted);
             ] );
         ( "disk_cache",
-          match disk with
+          match cfg.cache_dir with
           | None -> Json.Null
-          | Some d ->
-              let s = Fg_core.Diskcache.stats d in
+          | Some _ ->
               Json.Obj
                 [
-                  ("hits", Json.Int s.Fg_core.Diskcache.d_hits);
-                  ("misses", Json.Int s.Fg_core.Diskcache.d_misses);
-                  ("evictions", Json.Int s.Fg_core.Diskcache.d_evictions);
-                  ("corrupt", Json.Int s.Fg_core.Diskcache.d_corrupt);
-                  ("entries", Json.Int s.Fg_core.Diskcache.d_entries);
-                  ("bytes", Json.Int s.Fg_core.Diskcache.d_bytes);
+                  ("hits", Json.Int t.Telemetry.disk_hits);
+                  ("misses", Json.Int t.Telemetry.disk_misses);
+                  ("corrupt", Json.Int t.Telemetry.corrupt_entries);
                 ] );
         ("workspace", Fg_workspace.Workspace.stats_json ws);
       ]
@@ -249,15 +244,11 @@ let listen_on address =
 
 let create cfg =
   let cfg = { cfg with workers = max 1 cfg.workers } in
-  let disk =
-    Option.map
-      (Fg_core.Diskcache.open_store ?max_bytes:cfg.cache_max_bytes)
-      cfg.cache_dir
-  in
+  let disk = Option.map Fg_core.Diskcache.open_store cfg.cache_dir in
   let ws = Fg_workspace.Workspace.create ?fuel:cfg.fuel () in
   let pool =
     Pool.create ?fuel:cfg.fuel ?disk ~capacity:cfg.max_queue
-      ~stats_json:(stats_json cfg disk ws) ()
+      ~stats_json:(stats_json cfg ws) ()
   in
   let listen_fd, bound = listen_on cfg.address in
   Pool.start ~workers:cfg.workers pool;

@@ -29,9 +29,9 @@ type config = {
   fuel : int option;  (** evaluator step bound per served run *)
   cache_dir : string option;
       (** root of the daemon's shared on-disk unit store
-          ({!Fg_core.Diskcache}), consulted by every worker behind its
-          memory cache; [None] (the default) runs memory-only *)
-  cache_max_bytes : int option;  (** disk-store size bound *)
+          ({!Fg_core.Diskcache}), an unbounded content-addressed
+          directory consulted by every worker behind its memory cache;
+          [None] (the default) runs memory-only *)
   log : bool;  (** chatty lifecycle lines on stderr *)
 }
 

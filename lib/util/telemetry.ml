@@ -159,7 +159,6 @@ let stencil_fallbacks = Shardcounter.create ()
 let dicts_hoisted = Shardcounter.create ()
 let disk_hits = Shardcounter.create ()
 let disk_misses = Shardcounter.create ()
-let disk_evictions = Shardcounter.create ()
 let corrupt_entries = Shardcounter.create ()
 
 let bump c = Shardcounter.incr c
@@ -178,7 +177,6 @@ let record_unit_miss () = bump unit_misses
 let record_unit_eviction () = bump unit_evictions
 let record_disk_hit () = bump disk_hits
 let record_disk_miss () = bump disk_misses
-let record_disk_eviction () = bump disk_evictions
 let record_corrupt_entry () = bump corrupt_entries
 
 let add c n = if n > 0 then Shardcounter.add c n
@@ -256,7 +254,6 @@ type snapshot = {
   dicts_hoisted : int;
   disk_hits : int;
   disk_misses : int;
-  disk_evictions : int;
   corrupt_entries : int;
 }
 
@@ -287,7 +284,6 @@ let snapshot () =
     dicts_hoisted = Shardcounter.read dicts_hoisted;
     disk_hits = Shardcounter.read disk_hits;
     disk_misses = Shardcounter.read disk_misses;
-    disk_evictions = Shardcounter.read disk_evictions;
     corrupt_entries = Shardcounter.read corrupt_entries;
   }
 
@@ -318,7 +314,6 @@ let diff (b : snapshot) (a : snapshot) =
     dicts_hoisted = b.dicts_hoisted - a.dicts_hoisted;
     disk_hits = b.disk_hits - a.disk_hits;
     disk_misses = b.disk_misses - a.disk_misses;
-    disk_evictions = b.disk_evictions - a.disk_evictions;
     corrupt_entries = b.corrupt_entries - a.corrupt_entries;
   }
 
@@ -345,12 +340,10 @@ let pp ppf (s : snapshot) =
   Fmt.pf ppf "  misses         : %10d@," s.unit_misses;
   Fmt.pf ppf "  evictions      : %10d@," s.unit_evictions;
   Fmt.pf ppf "  invalidations  : %10d" s.unit_invalidations;
-  if s.disk_hits + s.disk_misses + s.disk_evictions + s.corrupt_entries > 0
-  then begin
+  if s.disk_hits + s.disk_misses + s.corrupt_entries > 0 then begin
     Fmt.pf ppf "@,disk cache:@,";
     Fmt.pf ppf "  hits           : %10d@," s.disk_hits;
     Fmt.pf ppf "  misses         : %10d@," s.disk_misses;
-    Fmt.pf ppf "  evictions      : %10d@," s.disk_evictions;
     Fmt.pf ppf "  corrupt        : %10d" s.corrupt_entries
   end;
   if s.fuzz_generated + s.fuzz_discarded + s.fuzz_shrunk > 0 then begin

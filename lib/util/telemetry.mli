@@ -144,9 +144,6 @@ val record_disk_hit : unit -> unit
 val record_disk_miss : unit -> unit
 (** The on-disk unit store was consulted and had no (valid) entry. *)
 
-val record_disk_eviction : unit -> unit
-(** The on-disk store's size-bounded GC removed one entry. *)
-
 val record_corrupt_entry : unit -> unit
 (** A persisted entry failed validation (truncated, corrupt, or from a
     different store format / compiler build) and was treated as a
@@ -180,7 +177,6 @@ type snapshot = {
   dicts_hoisted : int;
   disk_hits : int;
   disk_misses : int;
-  disk_evictions : int;
   corrupt_entries : int;
 }
 

@@ -478,6 +478,9 @@ let test_serve_startup_faults () =
       Printf.sprintf "serve --port 1 --host %s.invalid" (String.make 64 'x');
       "serve --port 70000" ]
 
+let workspace_actions =
+  [ "open"; "edit"; "close"; "diag"; "hover"; "def"; "complete" ]
+
 (* Every client action with no daemon listening prints one line on
    stderr and exits 7; an unknown action is a usage error (exit 124)
    that lists the valid ones. *)
@@ -502,7 +505,7 @@ let test_client_faults () =
        "stats"; "shutdown"; "probe" ]
     @ List.map
         (fun a -> a ^ " " ^ file)
-        [ "open"; "edit"; "close"; "diag"; "hover"; "def"; "complete" ]);
+        workspace_actions);
   let code, out, err = run_env "" "client bogus" in
   Alcotest.(check int) "unknown action exit" 124 code;
   Alcotest.(check string) "unknown action stdout" "" out;
@@ -511,6 +514,83 @@ let test_client_faults () =
       Alcotest.(check bool) ("usage error names " ^ needle) true
         (Astring_contains.contains ~needle err))
     [ "invalid value 'bogus'"; "'run'"; "'probe'"; "'complete'" ]
+
+(* Usage mistakes cmdliner cannot see are still its usage errors (exit
+   124, nothing on stdout), and a misused subcommand ends in a
+   diagnostic (exit 1): none reaches cmdliner's "internal error" (exit
+   125).  [--cache-max-bytes] is no flag at all. *)
+let test_usage_mistakes () =
+  let empty_dir = Filename.temp_dir "fgc_no_programs" "" in
+  Fun.protect
+    ~finally:(fun () -> Unix.rmdir empty_dir)
+    (fun () ->
+      List.iter
+        (fun (args, needle) ->
+          let code, out, err = run_env "" args in
+          Alcotest.(check int) (args ^ " exit") 124 code;
+          Alcotest.(check string) (args ^ " stdout") "" out;
+          Alcotest.(check bool) (args ^ ": " ^ needle) true
+            (Astring_contains.contains ~needle err))
+        ([ ("run --cache-max-bytes 10 -e 1",
+            "unknown option '--cache-max-bytes'");
+           ("client run a.fg b.fg", "run: give at most one FILE");
+           ("client batch " ^ empty_dir, "batch: no .fg files to run");
+           ("corpus nosuch", "invalid value 'nosuch', expected one of");
+         ]
+        @ List.map
+            (fun a -> ("client " ^ a, a ^ ": give exactly one FILE"))
+            workspace_actions));
+  List.iter
+    (fun (args, what) ->
+      let code, out, err = run_env "" args in
+      Alcotest.(check int) (args ^ " exit") 1 code;
+      Alcotest.(check string) (args ^ " stdout") "" out;
+      Alcotest.(check string) (args ^ " stderr")
+        ("parse error[FG0101]: " ^ what ^ " (a == b)\n")
+        err)
+    [ ("eq -a 'Monoid<int>' 'int == int'",
+       "assumptions must be same-type constraints");
+      ("eq 'Monoid<int>'", "query must be a same-type constraint") ]
+
+(* A daemon that answers the probe's violations wrongly fails the
+   probe: one line on stderr, exit 1.  The stand-in answers the first
+   frame it reads with an ok response and hangs up; if no client comes
+   within 10 s it gives up, and the checks below fail. *)
+let test_probe_failure () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fgc_bad_daemon_%d.sock" (Unix.getpid ()))
+  in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      if Sys.file_exists sock then Sys.remove sock)
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_UNIX sock);
+      Unix.listen lfd 1;
+      let answer_ok () =
+        match Unix.select [ lfd ] [] [] 10. with
+        | [], _, _ -> ()
+        | _ ->
+            let fd, _ = Unix.accept lfd in
+            ignore (Unix.read fd (Bytes.create 4096) 0 4096);
+            let module P = Fg_server.Protocol in
+            P.write_frame fd
+              (Fg_util.Json.to_string
+                 (P.response_to_json
+                    { P.r_id = 0; r_status = P.Ok_; r_payload = "{}" }));
+            Unix.close fd
+      in
+      let th = Thread.create answer_ok () in
+      let code, out, err = run_env "" ("client probe --socket " ^ sock) in
+      Thread.join th;
+      Alcotest.(check int) "exit" 1 code;
+      Alcotest.(check string) "stdout" "" out;
+      Alcotest.(check string) "stderr"
+        "fgc client: probe: garbage-json: expected status protocol_error, \
+         got ok\n"
+        err)
 
 let suite =
   [
@@ -547,4 +627,6 @@ let suite =
     Alcotest.test_case "serve start-up faults" `Quick
       test_serve_startup_faults;
     Alcotest.test_case "client faults" `Quick test_client_faults;
+    Alcotest.test_case "usage mistakes" `Quick test_usage_mistakes;
+    Alcotest.test_case "failed probe" `Quick test_probe_failure;
   ]

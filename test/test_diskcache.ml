@@ -1,7 +1,7 @@
 (* The persistent unit store: blob framing, cold/warm byte-identity
    through a real session, resilience to garbage in the store,
-   concurrent writers, oldest-access-first GC, and a tier that throws
-   read as a miss. *)
+   concurrent writers, an open that reads nothing and a hit that writes
+   nothing, and a tier that throws read as a miss. *)
 
 open Fg_util
 module C = Fg_core
@@ -130,30 +130,67 @@ let test_build_id_note () =
     (C.Diskcache.elf_build_id Sys.executable_name)
     (C.Diskcache.elf_build_id Sys.executable_name)
 
+(* The disk counters [f] bumped, read from Telemetry. *)
+let disk_counts f =
+  let before = Telemetry.snapshot () in
+  f ();
+  let d = Telemetry.diff (Telemetry.snapshot ()) before in
+  Telemetry.(d.disk_hits, d.disk_misses, d.corrupt_entries)
+
 let test_get_put () =
   let d = C.Diskcache.open_store (fresh_root ()) in
   let key = Digest.string "some unit" in
-  Alcotest.(check bool) "empty store misses" true
-    (C.Diskcache.get d key = None);
-  C.Diskcache.put d key "unit body";
-  Alcotest.(check (option string)) "stored body comes back"
-    (Some "unit body") (C.Diskcache.get d key);
-  let s = C.Diskcache.stats d in
-  Alcotest.(check int) "one hit" 1 s.C.Diskcache.d_hits;
-  Alcotest.(check int) "one miss" 1 s.C.Diskcache.d_misses;
-  Alcotest.(check int) "one entry" 1 s.C.Diskcache.d_entries;
+  let counts =
+    disk_counts (fun () ->
+        Alcotest.(check bool) "empty store misses" true
+          (C.Diskcache.get d key = None);
+        C.Diskcache.put d key "unit body";
+        Alcotest.(check (option string)) "stored body comes back"
+          (Some "unit body") (C.Diskcache.get d key))
+  in
+  Alcotest.(check (triple int int int)) "one hit, one miss" (1, 1, 0) counts;
   (* scribbling over the entry reads as a (counted) corrupt miss and
      removes the file *)
   let path = C.Diskcache.entry_path d key in
   let oc = open_out_bin path in
   output_string oc "not a blob";
   close_out oc;
-  Alcotest.(check bool) "corrupt entry is a miss" true
-    (C.Diskcache.get d key = None);
-  Alcotest.(check int) "corrupt counted" 1
-    (C.Diskcache.stats d).C.Diskcache.d_corrupt;
+  let counts =
+    disk_counts (fun () ->
+        Alcotest.(check bool) "corrupt entry is a miss" true
+          (C.Diskcache.get d key = None))
+  in
+  Alcotest.(check (triple int int int)) "corrupt counted as a miss"
+    (0, 1, 1) counts;
   Alcotest.(check bool) "corrupt entry unlinked" false
     (Sys.file_exists path)
+
+(* Opening a store costs nothing per entry: no scan of the tree. *)
+let test_open_reads_nothing () =
+  let root = fresh_root () in
+  let d = C.Diskcache.open_store root in
+  for i = 1 to 2_000 do
+    C.Diskcache.put d (Digest.string (string_of_int i)) "unit body"
+  done;
+  let before = Gc.allocated_bytes () in
+  ignore (C.Diskcache.open_store root);
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "open_store allocated %.0f bytes, under 64 KiB" allocated)
+    true
+    (allocated < 65536.)
+
+(* A hit reads its entry and leaves it as it was, mtime included. *)
+let test_hit_writes_nothing () =
+  let d = C.Diskcache.open_store (fresh_root ()) in
+  let key = Digest.string "read me" in
+  C.Diskcache.put d key "unit body";
+  let path = C.Diskcache.entry_path d key in
+  Unix.utimes path 1000. 1000.;
+  Alcotest.(check (option string)) "hit" (Some "unit body")
+    (C.Diskcache.get d key);
+  Alcotest.(check (float 0.)) "mtime untouched" 1000.
+    (Unix.stat path).Unix.st_mtime
 
 (* ---------------------------------------------------------------- *)
 (* Through a session                                                 *)
@@ -213,7 +250,7 @@ let test_garbage_in_store () =
     (d.Telemetry.corrupt_entries > 0)
 
 (* ---------------------------------------------------------------- *)
-(* Concurrency and GC                                                *)
+(* Concurrency                                                       *)
 
 let test_concurrent_writers () =
   let root = fresh_root () in
@@ -235,30 +272,6 @@ let test_concurrent_writers () =
   let d = C.Diskcache.open_store root in
   Alcotest.(check (option string)) "entry whole after racing writers"
     (Some body) (C.Diskcache.get d key)
-
-let test_gc_oldest_access_first () =
-  let root = fresh_root () in
-  let d = C.Diskcache.open_store ~max_bytes:2_500 root in
-  let body = String.make 1_000 'u' in
-  let k1 = Digest.string "one" and k2 = Digest.string "two" in
-  let k3 = Digest.string "three" in
-  C.Diskcache.put d k1 body;
-  C.Diskcache.put d k2 body;
-  (* back-date the access stamps so eviction order is forced: k1 is
-     oldest, k2 next, and the entry written below is freshest *)
-  Unix.utimes (C.Diskcache.entry_path d k1) 1000. 1000.;
-  Unix.utimes (C.Diskcache.entry_path d k2) 2000. 2000.;
-  C.Diskcache.put d k3 body;
-  (* 3 × ~1k bodies over a 2.5k bound: the put's sweep must evict
-     exactly the oldest-accessed entry *)
-  Alcotest.(check bool) "oldest-accessed entry evicted" false
-    (Sys.file_exists (C.Diskcache.entry_path d k1));
-  Alcotest.(check bool) "younger entry kept" true
-    (Sys.file_exists (C.Diskcache.entry_path d k2));
-  Alcotest.(check bool) "freshest entry kept" true
-    (Sys.file_exists (C.Diskcache.entry_path d k3));
-  Alcotest.(check bool) "eviction counted" true
-    ((C.Diskcache.stats d).C.Diskcache.d_evictions >= 1)
 
 (* ---------------------------------------------------------------- *)
 (* A failing tier                                                    *)
@@ -320,8 +333,8 @@ let suite =
       `Quick test_garbage_in_store;
     Alcotest.test_case "concurrent writers, one whole entry" `Quick
       test_concurrent_writers;
-    Alcotest.test_case "GC evicts oldest access first" `Quick
-      test_gc_oldest_access_first;
+    Alcotest.test_case "open reads nothing" `Quick test_open_reads_nothing;
+    Alcotest.test_case "a hit writes nothing" `Quick test_hit_writes_nothing;
     Alcotest.test_case "a throwing store is a miss" `Quick
       test_throwing_store;
   ]

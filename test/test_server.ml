@@ -21,13 +21,14 @@ let next_sock =
    accept thread — every test path tears the server down fully, so a
    hung drain shows up as a hung test. *)
 let with_server ?(workers = 2) ?(max_queue = 64) ?request_timeout_ms
-    ?(path = next_sock ()) f =
+    ?cache_dir ?(path = next_sock ()) f =
   let cfg =
     {
       (Server.default_config (`Unix path)) with
       workers;
       max_queue;
       request_timeout_ms;
+      cache_dir;
     }
   in
   let srv = Server.create cfg in
@@ -265,6 +266,69 @@ let test_stats () =
                 | None -> -1
               in
               Alcotest.(check bool) "enqueued >= 1" true (enqueued >= 1)))
+
+(* The stats "disk_cache" object: null without a store, and exactly
+   the three process-wide disk counters with one. *)
+let test_stats_disk_cache () =
+  let disk_cache ?cache_dir () =
+    with_server ?cache_dir (fun addr _srv ->
+        let c = Client.connect addr in
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+            ignore (Client.run_file c ~file:"<t>" "let x = 1 in x");
+            let payload = (Client.stats c).Protocol.r_payload in
+            match Fg_util.Json.of_string payload with
+            | Ok j -> Fg_util.Json.mem "disk_cache" j
+            | Error e -> Alcotest.failf "stats payload not JSON: %s" e))
+  in
+  Alcotest.(check bool) "null without a store" true
+    (disk_cache () = Some Fg_util.Json.Null);
+  let dir = Filename.temp_dir "fgtest_disk" "" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      match disk_cache ~cache_dir:dir () with
+      | Some (Fg_util.Json.Obj kvs) ->
+          Alcotest.(check (list string)) "disk_cache keys"
+            [ "corrupt"; "hits"; "misses" ] (List.map fst kvs)
+      | _ -> Alcotest.fail "disk_cache is no object with a store")
+
+(* A server that accepts nothing and never answers: with a receive
+   timeout, the client's read fails as a Client_error, not as a raw
+   Unix error. *)
+let test_client_timeout () =
+  let path = next_sock () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_UNIX path);
+      Unix.listen lfd 1;
+      let c = Client.connect ~rcv_timeout:0.2 (`Unix path) in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          match Client.stats c with
+          | _ -> Alcotest.fail "a server that never answers answered"
+          | exception Client.Client_error _ -> ()))
+
+(* A failed connect closes its socket: after 100 of them to a path
+   nothing listens on, the lowest free descriptor is still the same. *)
+let test_connect_leaks_nothing () =
+  let lowest_free () =
+    let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    Unix.close fd;
+    fd
+  in
+  let path = next_sock () in
+  let before = lowest_free () in
+  for _ = 1 to 100 do
+    match Client.connect (`Unix path) with
+    | c ->
+        Client.close c;
+        Alcotest.fail "connected to a path nothing listens on"
+    | exception Client.Client_error _ -> ()
+  done;
+  Alcotest.(check bool) "no descriptor leaked" true (lowest_free () = before)
 
 (* The stats "backends" object lists every backend and counts only
    requests that ran one: stats requests (served by the pool, not a
@@ -524,6 +588,10 @@ let suite =
     Alcotest.test_case "overload and retry" `Quick test_overload;
     Alcotest.test_case "stats endpoint" `Quick test_stats;
     Alcotest.test_case "stats backends" `Quick test_stats_backends;
+    Alcotest.test_case "stats disk_cache" `Quick test_stats_disk_cache;
+    Alcotest.test_case "client read timeout" `Quick test_client_timeout;
+    Alcotest.test_case "failed connect leaks nothing" `Quick
+      test_connect_leaks_nothing;
     Alcotest.test_case "workspace document kinds" `Quick
       test_workspace_kinds;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_drain;

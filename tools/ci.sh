@@ -194,15 +194,23 @@ echo "== cache smoke (persistent unit store: cold/warm byte-identity)"
 # Both passes must print exactly what a cache-less run prints, and the
 # warm pass must re-check nothing for the well-typed corpus: its
 # --stats report shows zero unit-cache misses.  (Error programs
-# re-check by design — failed declarations are never cached.)
+# re-check by design — failed declarations are never cached.)  A warm
+# pass reads the store and writes nothing to it: every entry's name,
+# size and mtime are the same after it as before.
 cache_dir=$(mktemp -d /tmp/fgc_cache_XXXXXX)
 plain=$(mktemp) && cold=$(mktemp) && warm=$(mktemp) && wstats=$(mktemp)
-track "$cache_dir" "$plain" "$cold" "$warm" "$wstats"
+store_before=$(mktemp) && store_after=$(mktemp)
+track "$cache_dir" "$plain" "$cold" "$warm" "$wstats" "$store_before" "$store_after"
+list_store() { find "$cache_dir" -type f -printf '%P %s %T@\n' | sort; }
 for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
   for p in "" -p; do
     "$fgc" run --format=json $p "$f" > "$plain" 2>/dev/null || true
     "$fgc" run --format=json $p --cache-dir "$cache_dir" "$f" > "$cold" 2>/dev/null || true
+    list_store > "$store_before"
     "$fgc" run --format=json $p --cache-dir "$cache_dir" --stats "$f" > "$warm" 2>"$wstats" || true
+    list_store > "$store_after"
+    cmp -s "$store_before" "$store_after" \
+      || { echo "cache smoke: warm run wrote to the store: $p $f"; exit 1; }
     cmp -s "$plain" "$cold" \
       || { echo "cache smoke: cold cached run differs from uncached: $p $f"; exit 1; }
     cmp -s "$plain" "$warm" \
