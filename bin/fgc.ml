@@ -873,6 +873,8 @@ let client_cmd =
           let backend = C.Backend.of_string_exn backend in
           try
             match action with
+            | ("stats" | "shutdown" | "probe") when files <> [] ->
+                usage "%s: takes no FILE" action
             | "stats" | "shutdown" ->
                 let c = Client.connect address in
                 Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
@@ -950,7 +952,8 @@ let client_cmd =
                 let kind = Option.get (Protocol.kind_of_name action) in
                 let name, source =
                   match (expr, files) with
-                  | Some s, _ -> ("<expr>", s)
+                  | Some s, [] -> ("<expr>", s)
+                  | Some _, _ -> usage "%s: give -e or a FILE, not both" action
                   | None, [ f ] -> read_input f
                   | None, [] -> read_input "-"
                   | None, _ -> usage "%s: give at most one FILE" action

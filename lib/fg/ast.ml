@@ -186,6 +186,16 @@ and constr_concept_names = function
         (Sset.singleton c) args
   | CSame (a, b) -> Sset.union (concept_names a) (concept_names b)
 
+(** Does a [forall] occur anywhere in the type?  Translating one draws
+    fresh names, so {!Fg_core.Types} asks before it skips a
+    translation. *)
+let rec has_forall = function
+  | TBase _ | TVar _ -> false
+  | TArrow (args, ret) -> List.exists has_forall args || has_forall ret
+  | TTuple ts | TAssoc (_, ts, _) -> List.exists has_forall ts
+  | TList t -> has_forall t
+  | TForall _ -> true
+
 let rec freshen avoid x =
   if Sset.mem x avoid then freshen avoid (x ^ "'") else x
 

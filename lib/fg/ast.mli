@@ -113,6 +113,9 @@ val concept_names : ty -> Sset.t
 
 val constr_concept_names : constr -> Sset.t
 
+(** Does a [forall] occur anywhere in the type? *)
+val has_forall : ty -> bool
+
 (** Capture-avoiding simultaneous type substitution. *)
 val subst_ty : ty Smap.t -> ty -> ty
 

@@ -145,30 +145,45 @@ let check_concept_decl ?loc env (d : concept_decl) : unit =
   (* Refinement arguments are checked left to right; each refinement may
      mention the concept's parameters, its own associated types, and the
      associated types of earlier refinements. *)
-  let visible =
-    List.fold_left
-      (fun visible (c', rargs) ->
-        let decl' = Env.lookup_concept_exn ?loc env c' in
-        Types.arity_check ?loc "concept" c'
-          ~expected:(List.length decl'.c_params)
-          ~got:(List.length rargs);
-        if String.equal c' d.c_name then
-          Diag.wf_error ?loc "concept %s cannot refine itself" d.c_name;
-        let env_vis = Env.bind_tyvars env (d.c_params @ d.c_assoc @ visible) in
-        List.iter (Types.wf_ty ?loc env_vis) rargs;
-        (* Inherited associated-type names become visible. *)
-        let inherited =
-          let rec names c =
-            let decl = Env.lookup_concept_exn ?loc env c in
-            decl.c_assoc
-            @ List.concat_map (fun (c'', _) -> names c'') decl.c_refines
-          in
-          names c'
-        in
+  (* Inherited associated-type names become visible, in the order a
+     depth-first walk of the refinements first meets them.  Each concept
+     is walked once: a diamond reaches its base along every path, but
+     the names it contributes are the same. *)
+  let walked = Hashtbl.create 8 in
+  let visible_set = Hashtbl.create 8 in
+  let rec walk_names rev_visible c =
+    if Hashtbl.mem walked c then rev_visible
+    else begin
+      Hashtbl.add walked c ();
+      let decl = Env.lookup_concept_exn ?loc env c in
+      let rev_visible =
         List.fold_left
-          (fun vis s -> if List.mem s vis then vis else vis @ [ s ])
-          visible inherited)
-      [] d.c_refines
+          (fun vis s ->
+            if Hashtbl.mem visible_set s then vis
+            else (Hashtbl.add visible_set s (); s :: vis))
+          rev_visible decl.c_assoc
+      in
+      List.fold_left
+        (fun vis (c'', _) -> walk_names vis c'')
+        rev_visible decl.c_refines
+    end
+  in
+  let visible =
+    List.rev
+      (List.fold_left
+         (fun rev_visible (c', rargs) ->
+           let decl' = Env.lookup_concept_exn ?loc env c' in
+           Types.arity_check ?loc "concept" c'
+             ~expected:(List.length decl'.c_params)
+             ~got:(List.length rargs);
+           if String.equal c' d.c_name then
+             Diag.wf_error ?loc "concept %s cannot refine itself" d.c_name;
+           let env_vis =
+             Env.bind_tyvars env (d.c_params @ d.c_assoc @ List.rev rev_visible)
+           in
+           List.iter (Types.wf_ty ?loc env_vis) rargs;
+           walk_names rev_visible c')
+         [] d.c_refines)
   in
   (* Member types and same-type requirements may mention the refined
      concepts' associated types, both by bare name and as qualified
@@ -507,7 +522,7 @@ and check_exp_desc (env : Env.t) (e : exp) : ty * exp * F.exp =
   | TyAbs (tvs, constrs, body) ->
       Coverage.hit p_tyabs;
       if constrs <> [] then Coverage.hit p_tyabs_where;
-      let env', plan = Types.process_where ~loc env tvs constrs in
+      let env', plan, dict_tys = Types.process_where_dicts ~loc env tvs constrs in
       let tbody, body_elab, body' = check env' body in
       (* Representative selection inside the body may have rewritten
          associated-type projections to their internal fresh variables
@@ -528,7 +543,7 @@ and check_exp_desc (env : Env.t) (e : exp) : ty * exp * F.exp =
       if not (Types.no_requirements plan) then begin
         let used = lazy (f_term_vars Sset.empty body') in
         List.iter
-          (fun (dv, (cname, cargs), _) ->
+          (fun (dv, (cname, cargs)) ->
             match Env.lookup_concept env' cname with
             | Some decl
               when decl.c_assoc = [] && decl.c_refines = []
@@ -550,7 +565,9 @@ and check_exp_desc (env : Env.t) (e : exp) : ty * exp * F.exp =
           F.tyabs ~loc
             (tvs @ List.map fst plan.Types.p_slots)
             (F.abs ~loc
-               (List.map (fun (d, _, dty) -> (d, dty)) plan.Types.p_dicts)
+               (List.map2
+                  (fun (d, _) dty -> (d, dty))
+                  plan.Types.p_dicts dict_tys)
                body')
       in
       (fg_ty, tyabs ~loc tvs constrs body_elab, f_exp)
@@ -759,7 +776,9 @@ and check_model_decl env ~loc (d : model_decl) : frame =
     d.m_params;
   (* The model's own context: binders + proxy models, like a where
      clause.  For ground models this is a no-op. *)
-  let env_m, ctx_plan = Types.process_where ~loc env d.m_params d.m_constrs in
+  let env_m, ctx_plan, ctx_dict_tys =
+    Types.process_where_dicts ~loc env d.m_params d.m_constrs
+  in
   List.iter (Types.wf_ty ~loc env_m) d.m_args;
   (* Haskell-style ablation: models are globally unique per concept and
      argument list, wherever they are declared.  (For parameterized
@@ -925,7 +944,9 @@ and check_model_decl env ~loc (d : model_decl) : frame =
       let slots = List.map fst ctx_plan.Types.p_slots in
       let inner_dict_ty = Types.dict_type ~loc env_eq (c, d.m_args) in
       let ctx_dict_params =
-        List.map (fun (dv, _, dty) -> (dv, dty)) ctx_plan.Types.p_dicts
+        List.map2
+          (fun (dv, _) dty -> (dv, dty))
+          ctx_plan.Types.p_dicts ctx_dict_tys
       in
       let poly_body =
         if Types.no_requirements ctx_plan then dict_core

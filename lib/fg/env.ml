@@ -46,15 +46,59 @@ type model_entry = {
     models, the matching substitution for its parameters. *)
 type found_model = { fm_entry : model_entry; fm_subst : (string * ty) list }
 
+(** One concept instantiation [c<τ̄>] with what {!Types} derives from it
+    by walking the refinement lattice; a pure function of the concept
+    table and [(c, τ̄)]. *)
+type instance = {
+  in_decl : concept_decl;
+  in_scope : (string * ty) list;
+      (** [ba(c, τ̄)]: every visible associated-type name to its
+          projection *)
+  in_subst : (string * ty) list;
+      (** parameters to arguments, then [in_scope] *)
+  in_refines : (string * ty list) list;  (** instantiated refinements *)
+  in_requires : (string * ty list) list;  (** instantiated requirements *)
+}
+
+type key = int * string * ty list
+
+(* A memo whose entries live as long as their keys can recur.  Keys
+   carry scope generations, and every program checked against a
+   session mints its own, so what a run records can only hit within
+   that run: while a run is open its entries go to its own table, which
+   dies with it, and the session's table is only read. *)
+type ('k, 'v) tiers = {
+  session : ('k, 'v) Hashtbl.t;
+  mutable run : ('k, 'v) Hashtbl.t option;
+}
+
+type memo = {
+  resolved : (key, found_model option) tiers;
+      (** model resolution, keyed on (scope generation, concept,
+          argument types) *)
+  instances : (key, instance) tiers;
+      (** concept instantiations, keyed on (concept-table generation,
+          concept, argument types) *)
+  members : (key * string, (ty * int list) option) tiers;
+      (** member lookups: an instantiation's key and the member name *)
+}
+
 type t = {
   vars : ty Smap.t;
   tyvars : Sset.t;
   concepts : concept_decl Smap.t;
+  concepts_gen : int;
+      (** identifies [concepts]: bumped by {!bind_concept}, so the
+          concept-query memo can key results by concept table *)
   models : model_entry list;  (** newest first; lookup order = shadowing *)
   named_models : model_entry Smap.t;
       (** named models (Section 6): declared but only active under
           [using] *)
   eq : Equality.t;
+  foralls : bool;
+      (** some concept, model assignment or equation in scope mentions
+          a [forall] type, so translating a type may meet one (and draw
+          fresh names) even where the type itself has none *)
   gensym : Gensym.t;  (** shared fresh-name supply for the translation *)
   resolution : Resolution.mode;
   escape_check : bool;
@@ -69,11 +113,11 @@ type t = {
           every extension that can change what {!lookup_model} sees, so
           the resolution cache can key results by scope *)
   gen_supply : int ref;  (** shared generation supply, never rewound *)
-  resolve_cache : (int * string * ty list, found_model option) Hashtbl.t;
-      (** memoized model resolution, keyed on (scope generation,
-          concept, raw argument types); shared by every environment
-          derived from the same {!create} — in particular by every
-          program checked against one session's prelude scope *)
+  memo : memo;
+      (** memoized resolution and concept queries, shared by every
+          environment derived from the same {!create} — in particular
+          by every program checked against one session's prelude
+          scope *)
   diag : Diag.engine ref;
       (** warning sink, shared by every environment derived from the
           same {!create}; recovering drivers swap in their own engine
@@ -83,27 +127,31 @@ type t = {
           from.  Frames produced while checking under one family (a
           type alias's, in cached compilation units) may hold
           environments and their shared mutable state (the gensym, the
-          resolution cache), so they are only replayable under the same
-          family — {!Fg_core.Unit} keys its cache on this. *)
+          memo), so they are only replayable under the same family —
+          {!Fg_core.Unit} keys its cache on this. *)
 }
 
 let family_supply = Atomic.make 0
+
+let tiers n = { session = Hashtbl.create n; run = None }
 
 let create ?(resolution = Resolution.Lexical) ?(escape_check = true) () =
   {
     vars = Smap.empty;
     tyvars = Sset.empty;
     concepts = Smap.empty;
+    concepts_gen = 0;
     models = [];
     named_models = Smap.empty;
     eq = Equality.empty ();
+    foralls = false;
     gensym = Gensym.create ();
     resolution;
     escape_check;
     global_models = ref [];
     scope_gen = 0;
     gen_supply = ref 0;
-    resolve_cache = Hashtbl.create 256;
+    memo = { resolved = tiers 256; instances = tiers 64; members = tiers 64 };
     diag = ref (Diag.engine ());
     family = Atomic.fetch_and_add family_supply 1;
   }
@@ -111,12 +159,46 @@ let create ?(resolution = Resolution.Lexical) ?(escape_check = true) () =
 let with_fresh_family env =
   { env with family = Atomic.fetch_and_add family_supply 1 }
 
-(* A fresh scope generation.  The supply is shared and monotone, so a
-   generation uniquely names one (models, eq) pair for the lifetime of
-   the cache — results recorded under one scope can never answer a
-   lookup made under another (e.g. two programs declaring different
-   models of the same concept each get private generations). *)
-let next_gen env = { env with scope_gen = (incr env.gen_supply; !(env.gen_supply)) }
+(* A fresh generation.  The supply is shared and monotone, so a
+   generation uniquely names one (models, eq) pair or one concept table
+   for the lifetime of the memo — results recorded under one scope can
+   never answer a lookup made under another (e.g. two programs declaring
+   different models of the same concept each get private generations). *)
+let fresh_gen env = incr env.gen_supply; !(env.gen_supply)
+
+let next_gen env = { env with scope_gen = fresh_gen env }
+
+(* ------------------------------------------------------------------ *)
+(* The memo's lifetime                                                 *)
+
+let find_memo t k =
+  match Hashtbl.find_opt t.session k with
+  | Some _ as r -> r
+  | None -> Option.bind t.run (fun r -> Hashtbl.find_opt r k)
+
+let add_memo t k v =
+  Hashtbl.replace (match t.run with Some r -> r | None -> t.session) k v
+
+let with_run env f =
+  let m = env.memo in
+  match m.resolved.run with
+  | Some _ -> f ()
+  | None ->
+      let open_run t = t.run <- Some (Hashtbl.create 64) in
+      let close_run t = t.run <- None in
+      open_run m.resolved;
+      open_run m.instances;
+      open_run m.members;
+      Fun.protect f ~finally:(fun () ->
+          close_run m.resolved;
+          close_run m.instances;
+          close_run m.members)
+
+let memo_entries env =
+  let m = env.memo in
+  Hashtbl.length m.resolved.session
+  + Hashtbl.length m.instances.session
+  + Hashtbl.length m.members.session
 
 (* ------------------------------------------------------------------ *)
 (* Extension                                                           *)
@@ -126,10 +208,28 @@ let bind_var env x t = { env with vars = Smap.add x t env.vars }
 let bind_tyvars env tvs =
   { env with tyvars = List.fold_left (fun s t -> Sset.add t s) env.tyvars tvs }
 
-let bind_concept env (d : concept_decl) =
-  { env with concepts = Smap.add d.c_name d env.concepts }
+let decl_has_forall (d : concept_decl) =
+  let args = List.concat_map snd in
+  List.exists has_forall
+    (List.map snd d.c_members
+    @ args d.c_refines @ args d.c_requires
+    @ List.concat_map (fun (a, b) -> [ a; b ]) d.c_same)
 
-let bind_model env me = next_gen { env with models = me :: env.models }
+let bind_concept env (d : concept_decl) =
+  {
+    env with
+    concepts = Smap.add d.c_name d env.concepts;
+    concepts_gen = fresh_gen env;
+    foralls = env.foralls || decl_has_forall d;
+  }
+
+let bind_model env me =
+  next_gen
+    {
+      env with
+      models = me :: env.models;
+      foralls = env.foralls || Smap.exists (fun _ t -> has_forall t) me.me_assoc;
+    }
 
 let bind_named_model env name me =
   (* named models are inert until [using] activates them (which goes
@@ -138,10 +238,23 @@ let bind_named_model env name me =
 
 let lookup_named_model env name = Smap.find_opt name env.named_models
 
-let assume env a b = next_gen { env with eq = Equality.assume env.eq a b }
+let assume env a b =
+  next_gen
+    {
+      env with
+      eq = Equality.assume env.eq a b;
+      foralls = env.foralls || has_forall a || has_forall b;
+    }
 
 let assume_all env pairs =
-  next_gen { env with eq = Equality.assume_all env.eq pairs }
+  next_gen
+    {
+      env with
+      eq = Equality.assume_all env.eq pairs;
+      foralls =
+        env.foralls
+        || List.exists (fun (a, b) -> has_forall a || has_forall b) pairs;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
@@ -216,7 +329,7 @@ let rec normalize ?loc ?(depth = 0) env (t : ty) : ty =
 and lookup_model ?loc ?(depth = 0) env c args : found_model option =
   Telemetry.record_model_lookup ();
   let key = (env.scope_gen, c, args) in
-  match Hashtbl.find_opt env.resolve_cache key with
+  match find_memo env.memo.resolved key with
   | Some r ->
       Telemetry.record_resolve_hit ();
       r
@@ -233,7 +346,7 @@ and lookup_model ?loc ?(depth = 0) env c args : found_model option =
           Coverage.hit probe_resolve_ground
       | Some _ -> Coverage.hit probe_resolve_param
       | None -> Coverage.hit probe_resolve_none);
-      Hashtbl.replace env.resolve_cache key r;
+      add_memo env.memo.resolved key r;
       r
 
 and lookup_model_uncached ?loc ~depth env c args : found_model option =

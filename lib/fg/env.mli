@@ -22,15 +22,46 @@ type model_entry = {
     matching substitution for its parameters. *)
 type found_model = { fm_entry : model_entry; fm_subst : (string * ty) list }
 
+(** One concept instantiation [c<τ̄>] with what {!Types} derives from
+    it by walking the refinement lattice. *)
+type instance = {
+  in_decl : concept_decl;
+  in_scope : (string * ty) list;  (** [ba(c, τ̄)] *)
+  in_subst : (string * ty) list;  (** parameters to arguments, then [in_scope] *)
+  in_refines : (string * ty list) list;  (** instantiated refinements *)
+  in_requires : (string * ty list) list;  (** instantiated requirements *)
+}
+
+(** A memo key: a generation, a concept and its argument types. *)
+type key = int * string * ty list
+
+(** A memo table in two tiers: the session's, written only outside a
+    run ({!with_run}), and the open run's own, which dies with it. *)
+type ('k, 'v) tiers
+
+type memo = {
+  resolved : (key, found_model option) tiers;
+      (** model resolution, keyed on the scope generation *)
+  instances : (key, instance) tiers;
+      (** concept instantiations, keyed on the concept-table generation *)
+  members : (key * string, (ty * int list) option) tiers;
+      (** member lookups: an instantiation's key and the member name *)
+}
+
 type t = {
   vars : ty Smap.t;
   tyvars : Fg_util.Names.Sset.t;
   concepts : concept_decl Smap.t;
+  concepts_gen : int;
+      (** names [concepts]; bumped by {!bind_concept} *)
   models : model_entry list;  (** newest first; lookup order = shadowing *)
   named_models : model_entry Smap.t;
       (** named models (Section 6): declared but only active under
           [using] *)
   eq : Equality.t;
+  foralls : bool;
+      (** some concept, model assignment or equation in scope mentions
+          a [forall] type *)
   gensym : Fg_util.Gensym.t;
   resolution : Resolution.mode;
   escape_check : bool;
@@ -41,10 +72,9 @@ type t = {
       (** names this environment's (models, eq) pair; bumped by every
           extension that can change what {!lookup_model} sees *)
   gen_supply : int ref;  (** shared, monotone generation supply *)
-  resolve_cache : (int * string * ty list, found_model option) Hashtbl.t;
-      (** memoized model resolution keyed on (scope generation,
-          concept, argument types); shared by all environments derived
-          from one {!create} *)
+  memo : memo;
+      (** memoized resolution and concept queries; shared by all
+          environments derived from one {!create} *)
   diag : Fg_util.Diag.engine ref;
       (** warning sink shared by all environments derived from one
           {!create}; recovering drivers swap in their own engine for
@@ -63,6 +93,22 @@ val create : ?resolution:Resolution.mode -> ?escape_check:bool -> unit -> t
     (whose families were drawn from that process's supply) joins this
     one. *)
 val with_fresh_family : t -> t
+
+(** {1 The memo's lifetime} *)
+
+val find_memo : ('k, 'v) tiers -> 'k -> 'v option
+
+(** Record an entry: in the open run's tier, or the session's when no
+    run is open. *)
+val add_memo : ('k, 'v) tiers -> 'k -> 'v -> unit
+
+(** [with_run env f] runs [f] with a run tier open on [env]'s memo:
+    what [f] records is dropped when it returns or raises, and the
+    session tier is only read.  Nested calls join the open run. *)
+val with_run : t -> (unit -> 'a) -> 'a
+
+(** Entries in the session tier of [env]'s memo (tests). *)
+val memo_entries : t -> int
 
 (** {1 Extension} *)
 

@@ -11,9 +11,12 @@
       its post-prelude position before every program, so a session's
       output for a program is identical to a standalone run's and
       independent of serving order;
-    - the resolution cache and congruence closure live in the shared
-      environment and stay warm across programs (scope generations keep
-      per-program extensions from contaminating each other);
+    - the memo (model resolution and concept queries) and the
+      congruence closure live in the shared environment: what the
+      prelude and {!extend} record stays warm across programs, and what
+      a program records goes to a run tier dropped when it is done
+      (scope generations keep per-program extensions from contaminating
+      each other, and a program's entries could never hit again);
     - {!run_batch} fans out over [Domain.spawn], one private session
       per domain (checker state — gensym, caches — is single-domain by
       design). *)
@@ -369,10 +372,11 @@ let check_source ?file t source =
   rewind t;
   let triple =
     Telemetry.time Telemetry.Check (fun () ->
-        let w = Unit.walk t.cache ~source ~spine:t.spine t.env ast in
-        Unit.unwind t.frames
-          (Unit.unwind w.Unit.w_frames
-             (Check.check w.Unit.w_env w.Unit.w_residual)))
+        Env.with_run t.env (fun () ->
+            let w = Unit.walk t.cache ~source ~spine:t.spine t.env ast in
+            Unit.unwind t.frames
+              (Unit.unwind w.Unit.w_frames
+                 (Check.check w.Unit.w_env w.Unit.w_residual))))
   in
   (ast, triple)
 
@@ -500,6 +504,7 @@ let run_full_impl ~file ?fuel t source =
   Fun.protect
     ~finally:(fun () -> t.env.Env.diag := saved)
     (fun () ->
+      Env.with_run t.env @@ fun () ->
       let ast, dropped =
         Telemetry.time Telemetry.Parse (fun () ->
             Parser.exp_of_string_recovering ~engine ~file source)
@@ -617,3 +622,4 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
 
 let stats t = Telemetry.diff (Telemetry.snapshot ()) t.created
 let cache_stats t = Unit.stats t.cache
+let memo_entries t = Env.memo_entries t.env

@@ -258,3 +258,7 @@ val stats : t -> Telemetry.snapshot
 
 (** Unit-cache counters: hits, misses, evictions, invalidations, size. *)
 val cache_stats : t -> Unit.stats
+
+(** Entries the session's own memo tier holds ({!Env.memo_entries}):
+    fixed once the session is built, however many programs it checks. *)
+val memo_entries : t -> int

@@ -40,9 +40,9 @@ type plan = {
       (** fresh type-parameter name -> the projection [C<τ̄>.s] it
           stands for, in binder order; τ̄ written in terms of the
           abstraction's own binders *)
-  p_dicts : (string * (string * ty list) * F.ty) list;
-      (** dictionary variable -> top-level requirement and its
-          dictionary type, in where-clause order *)
+  p_dicts : (string * (string * ty list)) list;
+      (** dictionary variable -> top-level requirement, in where-clause
+          order *)
 }
 
 let no_requirements plan = plan.p_dicts = []
@@ -53,60 +53,78 @@ let arity_check ?loc what name ~expected ~got =
       name expected got
 
 (* ------------------------------------------------------------------ *)
-(* ba: associated types in scope for a concept instantiation           *)
+(* The refinement lattice, one instantiation at a time                 *)
 
-(** [assoc_scope env (c, args)] maps every associated-type name visible
-    in concept [c] — its own and those of the concepts it transitively
-    refines — to its qualified projection.  On a name collision the
-    first binding wins: the concept's own associated types shadow
-    refined ones, and earlier refinements shadow later ones. *)
-let rec assoc_scope ?loc env (c, args) : (string * ty) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  arity_check ?loc "concept" c
-    ~expected:(List.length decl.c_params)
-    ~got:(List.length args);
-  let own = List.map (fun s -> (s, TAssoc (c, args, s))) decl.c_assoc in
-  let params = List.combine decl.c_params args in
-  List.fold_left
-    (fun acc (c', rargs) ->
-      let rargs' = List.map (subst_ty_list (params @ acc)) rargs in
-      let inherited = assoc_scope ?loc env (c', rargs') in
-      acc
-      @ List.filter (fun (s, _) -> not (List.mem_assoc s acc)) inherited)
-    own decl.c_refines
+(* Every query below walks the lattice below [c<args>], and a diamond
+   has exponentially many paths through it, so each instantiation is
+   computed once per concept table and memoized in the environment
+   (Env.memo: a pure function of the key, dropped with the run that
+   recorded it). *)
+
+(** [instance env (c, args)]: the concept's declaration and its
+    instantiation at [args].  [in_scope] is [ba(c, τ̄)]: every
+    associated-type name visible in [c] — its own and those of the
+    concepts it transitively refines — mapped to its qualified
+    projection.  On a name collision the first binding wins: the
+    concept's own associated types shadow refined ones, and earlier
+    refinements shadow later ones. *)
+let rec instance ?loc env (c, args) : Env.instance =
+  let key = (env.Env.concepts_gen, c, args) in
+  match Env.find_memo env.Env.memo.instances key with
+  | Some i -> i
+  | None ->
+      let decl = Env.lookup_concept_exn ?loc env c in
+      arity_check ?loc "concept" c
+        ~expected:(List.length decl.c_params)
+        ~got:(List.length args);
+      let own = List.map (fun s -> (s, TAssoc (c, args, s))) decl.c_assoc in
+      let params = List.combine decl.c_params args in
+      let scope =
+        List.fold_left
+          (fun acc (c', rargs) ->
+            let rargs' = List.map (subst_ty_list (params @ acc)) rargs in
+            let inherited = (instance ?loc env (c', rargs')).in_scope in
+            acc
+            @ List.filter (fun (s, _) -> not (List.mem_assoc s acc)) inherited)
+          own decl.c_refines
+      in
+      let subst = params @ scope in
+      let inst =
+        List.map (fun (c', rargs) -> (c', List.map (subst_ty_list subst) rargs))
+      in
+      let i =
+        {
+          Env.in_decl = decl;
+          in_scope = scope;
+          in_subst = subst;
+          in_refines = inst decl.c_refines;
+          in_requires = inst decl.c_requires;
+        }
+      in
+      Env.add_memo env.Env.memo.instances key i;
+      i
+
+let assoc_scope ?loc env r = (instance ?loc env r).in_scope
 
 (** Substitution applied to a concept's member types and same-type
     requirements when the concept is instantiated at [args]: parameters
     to arguments, associated-type names to qualified projections. *)
-let instantiation_subst ?loc env (c, args) =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  List.combine decl.c_params args @ assoc_scope ?loc env (c, args)
+let instantiation_subst ?loc env r = (instance ?loc env r).in_subst
 
 (** Direct refinements of [c<args>], instantiated. *)
-let refinements ?loc env (c, args) : (string * ty list) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  List.map
-    (fun (c', rargs) -> (c', List.map (subst_ty_list s) rargs))
-    decl.c_refines
+let refinements ?loc env r = (instance ?loc env r).in_refines
 
 (** Nested requirements [require C'<σ̄>;] of [c<args>], instantiated
     (Section 6 extension): like refinements they contribute proxies and
     nested dictionaries, but no member names. *)
-let requires ?loc env (c, args) : (string * ty list) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  List.map
-    (fun (c', rargs) -> (c', List.map (subst_ty_list s) rargs))
-    decl.c_requires
+let requires ?loc env r = (instance ?loc env r).in_requires
 
 (** The concept's same-type requirements, instantiated. *)
-let same_requirements ?loc env (c, args) : (ty * ty) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
+let same_requirements ?loc env r : (ty * ty) list =
+  let i = instance ?loc env r in
   List.map
-    (fun (a, b) -> (subst_ty_list s a, subst_ty_list s b))
-    decl.c_same
+    (fun (a, b) -> (subst_ty_list i.in_subst a, subst_ty_list i.in_subst b))
+    i.in_decl.c_same
 
 (* ------------------------------------------------------------------ *)
 (* b: member lookup with dictionary paths                              *)
@@ -117,48 +135,54 @@ let same_requirements ?loc env (c, args) : (ty * ty) list =
     the dictionary for [c<args>].  The layout matches Figure 7: a
     dictionary is a tuple whose first [|refines|] components are the
     refined concepts' dictionaries and whose remaining components are
-    the concept's own members in declaration order. *)
+    the concept's own members in declaration order.  Memoized per
+    instantiation and name, so a miss costs one visit per distinct
+    instantiation below [c<args>], not one per path. *)
 let rec member_lookup ?loc env (c, args) x : (ty * int list) option =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  let n_refines = List.length decl.c_refines + List.length decl.c_requires in
-  match
-    List.find_index (fun (y, _) -> String.equal x y) decl.c_members
-  with
-  | Some i ->
-      let ty = subst_ty_list s (snd (List.nth decl.c_members i)) in
-      Some (ty, [ n_refines + i ])
+  let key = ((env.Env.concepts_gen, c, args), x) in
+  match Env.find_memo env.Env.memo.members key with
+  | Some r -> r
   | None ->
-      let rec try_refines j = function
-        | [] -> None
-        | (c', rargs) :: rest -> (
-            let rargs' = List.map (subst_ty_list s) rargs in
-            match member_lookup ?loc env (c', rargs') x with
-            | Some (ty, path) -> Some (ty, j :: path)
-            | None -> try_refines (j + 1) rest)
+      let i = instance ?loc env (c, args) in
+      let decl = i.in_decl in
+      let n_refines = List.length decl.c_refines + List.length decl.c_requires in
+      let r =
+        match
+          List.find_index (fun (y, _) -> String.equal x y) decl.c_members
+        with
+        | Some k ->
+            let ty = subst_ty_list i.in_subst (snd (List.nth decl.c_members k)) in
+            Some (ty, [ n_refines + k ])
+        | None ->
+            List.find_map
+              (fun (j, r) ->
+                Option.map
+                  (fun (ty, path) -> (ty, j :: path))
+                  (member_lookup ?loc env r x))
+              (List.mapi (fun j r -> (j, r)) i.in_refines)
       in
-      try_refines 0 decl.c_refines
+      Env.add_memo env.Env.memo.members key r;
+      r
 
 (** All members reachable from [c<args>], with types and paths; own
     members shadow refined ones of the same name (tests, docs, REPL). *)
 let rec all_members ?loc env (c, args) : (string * ty * int list) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
+  let i = instance ?loc env (c, args) in
+  let decl = i.in_decl in
   let n_refines = List.length decl.c_refines + List.length decl.c_requires in
   let own =
     List.mapi
-      (fun i (x, ty) -> (x, subst_ty_list s ty, [ n_refines + i ]))
+      (fun k (x, ty) -> (x, subst_ty_list i.in_subst ty, [ n_refines + k ]))
       decl.c_members
   in
   let inherited =
     List.concat
       (List.mapi
-         (fun j (c', rargs) ->
-           let rargs' = List.map (subst_ty_list s) rargs in
+         (fun j r ->
            List.map
              (fun (x, ty, path) -> (x, ty, j :: path))
-             (all_members ?loc env (c', rargs')))
-         decl.c_refines)
+             (all_members ?loc env r))
+         i.in_refines)
   in
   own
   @ List.filter
@@ -168,6 +192,14 @@ let rec all_members ?loc env (c, args) : (string * ty * int list) list =
 (* ------------------------------------------------------------------ *)
 (* Well-formedness and translation of types (mutually recursive with
    where-clause processing)                                            *)
+
+(* Translating a type draws fresh names exactly when it meets a
+   [forall], and later names depend on how many were drawn.  A
+   dictionary type the translation does not keep may be skipped only
+   when building it could draw none: no [forall] among its arguments,
+   and none in scope that the lattice's member types or a
+   representative could lead to. *)
+let may_draw env (_, args) = env.Env.foralls || List.exists has_forall args
 
 let rec wf_ty ?loc env (t : ty) : unit =
   match t with
@@ -213,8 +245,21 @@ let rec wf_ty ?loc env (t : ty) : unit =
 (* bw / bm: process a where clause in order.  Checks well-formedness of
    each constraint against the environment extended so far (so later
    requirements may mention earlier requirements' associated types),
-   introduces proxy models and their equations, and computes the plan. *)
-and process_where ?loc env (binders : string list) (constrs : constr list) :
+   introduces proxy models and their equations, and computes the plan.
+   The requirements' dictionary types are left to the callers that keep
+   them ({!process_where_dicts}); a caller that would throw them away
+   gets them built only when skipping them would shift fresh names. *)
+and process_where ?loc env binders constrs : Env.t * plan =
+  let env, plan = where_clause ?loc env binders constrs in
+  if List.exists (fun (_, r) -> may_draw env r) plan.p_dicts then
+    ignore (dict_types ?loc ~keep:false env plan);
+  (env, plan)
+
+and process_where_dicts ?loc env binders constrs : Env.t * plan * F.ty list =
+  let env, plan = where_clause ?loc env binders constrs in
+  (env, plan, dict_types ?loc ~keep:true env plan)
+
+and where_clause ?loc env (binders : string list) (constrs : constr list) :
     Env.t * plan =
   (match Names.find_duplicate binders with
   | Some d -> Diag.wf_error ~code:"FG0204" ?loc "duplicate type parameter '%s'" d
@@ -226,21 +271,21 @@ and process_where ?loc env (binders : string list) (constrs : constr list) :
           "type parameter '%s' shadows a type variable in scope" a)
     binders;
   let env = Env.bind_tyvars env binders in
-  let seen : (string * ty list) list ref = ref [] in
+  (* requirements already visited, by concept name *)
+  let seen : (string, ty list) Hashtbl.t = Hashtbl.create 8 in
   let slots = ref [] in
   let dicts = ref [] in
   (* Visit one requirement and everything it refines, pre-order. *)
   let rec visit env dict_var path (c, args) : Env.t =
     if
       List.exists
-        (fun (c', args') ->
-          String.equal c c'
-          && List.length args = List.length args'
+        (fun args' ->
+          List.length args = List.length args'
           && List.for_all2 ty_equal args args')
-        !seen
+        (Hashtbl.find_all seen c)
     then env (* diamond: already processed with the same arguments *)
     else begin
-      seen := (c, args) :: !seen;
+      Hashtbl.add seen c args;
       let decl = Env.lookup_concept_exn ?loc env c in
       (* Fresh type parameter per associated type, with its defining
          equation s' = C<τ̄>.s. *)
@@ -310,32 +355,48 @@ and process_where ?loc env (binders : string list) (constrs : constr list) :
             Env.assume env a b)
       env constrs
   in
-  (* Dictionary types are computed once the whole clause is in scope, so
-     a requirement's type may mention any requirement's associated
-     types via their representatives. *)
-  let p_dicts =
-    List.rev_map
-      (fun (d, (c, args)) -> (d, (c, args), dict_type ?loc env (c, args)))
-      !dicts
-  in
-  (env, { p_slots = List.rev !slots; p_dicts })
+  (env, { p_slots = List.rev !slots; p_dicts = List.rev !dicts })
+
+(* The requirements' dictionary types, computed once the whole clause
+   is in scope (so a requirement's type may mention any requirement's
+   associated types via their representatives).  They form one DAG:
+   a refined concept's dictionary type is built once per distinct
+   instantiation and shared by every path that reaches it.  Building
+   one that meets a [forall] draws fresh names, which the type shows;
+   a kept type is then built again on each path, with its own names, as
+   the translation always has.  A thrown-away one is not: the supply
+   just advances by the names building it again would draw. *)
+and dict_types ?loc ~keep env plan : F.ty list =
+  let built = Hashtbl.create 8 in
+  List.map (fun (_, r) -> shared_dict_type ?loc ~keep env built r) plan.p_dicts
+
+and shared_dict_type ?loc ~keep env built (c, args) : F.ty =
+  let gensym = env.Env.gensym in
+  match Hashtbl.find_opt built (c, args) with
+  | Some (ty, 0) -> ty
+  | Some (ty, drawn) when not keep ->
+      Gensym.restore gensym (Gensym.mark gensym + drawn);
+      ty
+  | _ ->
+      let start = Gensym.mark gensym in
+      let i = instance ?loc env (c, args) in
+      let ty =
+        F.TTuple
+          (List.map
+             (shared_dict_type ?loc ~keep env built)
+             (i.in_refines @ i.in_requires)
+          @ List.map
+              (fun (_, ty) -> translate_ty ?loc env (subst_ty_list i.in_subst ty))
+              i.in_decl.c_members)
+      in
+      Hashtbl.replace built (c, args) (ty, Gensym.mark gensym - start);
+      ty
 
 (* The dictionary type δ for a model of [c<args>] (Figure 7 layout):
    nested dictionaries for refined concepts first, then the translated
    member types. *)
-and dict_type ?loc env (c, args) : F.ty =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  let refine_dicts =
-    List.map (fun r -> dict_type ?loc env r)
-      (refinements ?loc env (c, args) @ requires ?loc env (c, args))
-  in
-  let member_tys =
-    List.map
-      (fun (_, ty) -> translate_ty ?loc env (subst_ty_list s ty))
-      decl.c_members
-  in
-  F.TTuple (refine_dicts @ member_tys)
+and dict_type ?loc env r : F.ty =
+  shared_dict_type ?loc ~keep:true env (Hashtbl.create 8) r
 
 (* Γ ⊢ τ ⇒ τ': replace by the class representative, then translate
    structurally; foralls get assoc-type parameters and dictionary
@@ -354,13 +415,12 @@ and translate_ty ?loc env (t : ty) : F.ty =
         (Pretty.ty_to_string (TAssoc (c, args, s)))
         (Pretty.constr_to_string (CModel (c, args)))
   | TForall (tvs, constrs, body) ->
-      let env', plan = process_where ?loc env tvs constrs in
+      let env', plan, dict_tys = process_where_dicts ?loc env tvs constrs in
       let body' = translate_ty ?loc env' body in
       if no_requirements plan then F.TForall (tvs, body')
       else
         F.TForall
-          ( tvs @ List.map fst plan.p_slots,
-            F.TArrow (List.map (fun (_, _, d) -> d) plan.p_dicts, body') )
+          (tvs @ List.map fst plan.p_slots, F.TArrow (dict_tys, body'))
 
 (* ------------------------------------------------------------------ *)
 (* Instantiating a plan at a type-application site                     *)
@@ -422,7 +482,7 @@ let rec model_dict_exp ?loc env (fm : Env.found_model) : F.exp =
 and plan_dict_actuals ?loc env ~subst:(s : (string * ty) list) (plan : plan) :
     F.exp list =
   List.map
-    (fun (_, (c, args), _) ->
+    (fun (_, (c, args)) ->
       let args' = List.map (subst_ty_list s) args in
       match Env.lookup_model ?loc env c args' with
       | Some fm -> model_dict_exp ?loc env fm

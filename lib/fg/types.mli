@@ -14,14 +14,19 @@ type plan = {
   p_slots : (string * (string * ty list * string)) list;
       (** fresh type-parameter name -> the projection [C<τ̄>.s] it
           stands for, in binder order *)
-  p_dicts : (string * (string * ty list) * F.ty) list;
-      (** dictionary variable -> requirement and its dictionary type *)
+  p_dicts : (string * (string * ty list)) list;
+      (** dictionary variable -> top-level requirement *)
 }
 
 val no_requirements : plan -> bool
 
 val arity_check :
   ?loc:Fg_util.Loc.t -> string -> string -> expected:int -> got:int -> unit
+
+(** A concept instantiation with what the queries below derive from the
+    refinement lattice, memoized per concept table and [(c, τ̄)] in the
+    environment's memo. *)
+val instance : ?loc:Fg_util.Loc.t -> Env.t -> string * ty list -> Env.instance
 
 (** [ba(c, τ̄)]: every associated-type name visible in the concept (own
     and transitively refined), mapped to its qualified projection. *)
@@ -65,10 +70,20 @@ val wf_ty : ?loc:Fg_util.Loc.t -> Env.t -> ty -> unit
 
 (** [bw]/[bm]: process a where clause in order — well-formedness,
     proxy models (with refinement closure and diamond dedup), fresh
-    associated-type parameters with their equations, the concepts' own
-    same-type requirements, and each requirement's dictionary type. *)
+    associated-type parameters with their equations, and the concepts'
+    own same-type requirements.  Builds no dictionary type unless
+    skipping it would shift later fresh names. *)
 val process_where :
   ?loc:Fg_util.Loc.t -> Env.t -> string list -> constr list -> Env.t * plan
+
+(** {!process_where} for the callers whose translation keeps the
+    requirements' dictionary types (a type abstraction, a
+    parameterized model, a translated [forall]): also returns them, in
+    [p_dicts] order, as one DAG that shares each distinct refined
+    dictionary. *)
+val process_where_dicts :
+  ?loc:Fg_util.Loc.t -> Env.t -> string list -> constr list ->
+  Env.t * plan * F.ty list
 
 (** The dictionary type δ for a model of [c<args>] (Figure 7 layout). *)
 val dict_type : ?loc:Fg_util.Loc.t -> Env.t -> string * ty list -> F.ty

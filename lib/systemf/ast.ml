@@ -70,55 +70,83 @@ let base_equal (a : base) (b : base) = a = b
 module Sset = Names.Sset
 module Smap = Names.Smap
 
-let rec ftv = function
-  | TBase _ -> Sset.empty
-  | TVar t -> Sset.singleton t
-  | TArrow (args, ret) ->
-      List.fold_left
-        (fun acc t -> Sset.union acc (ftv t))
-        (ftv ret) args
-  | TTuple ts ->
-      List.fold_left (fun acc t -> Sset.union acc (ftv t)) Sset.empty ts
-  | TList t -> ftv t
-  | TForall (tvs, body) -> Sset.diff (ftv body) (Sset.of_list tvs)
+(* The FG translation builds a where clause's dictionary types as a
+   DAG: a refinement diamond's base dictionary is one tuple, shared by
+   every path that reaches it.  The walks below remember the tuples they
+   have finished — physically, and under the same binder context — so
+   they cost the size of the DAG, not of the tree it unfolds to. *)
+let ftv t =
+  let seen = ref [] in
+  let rec go t =
+    match t with
+    | TBase _ -> Sset.empty
+    | TVar a -> Sset.singleton a
+    | TArrow (args, ret) ->
+        List.fold_left (fun acc t -> Sset.union acc (go t)) (go ret) args
+    | TTuple ts -> (
+        match List.assq_opt t !seen with
+        | Some r -> r
+        | None ->
+            let r =
+              List.fold_left (fun acc t -> Sset.union acc (go t)) Sset.empty ts
+            in
+            seen := (t, r) :: !seen;
+            r)
+    | TList t -> go t
+    | TForall (tvs, body) -> Sset.diff (go body) (Sset.of_list tvs)
+  in
+  go t
 
 (** Fresh variant of [x] avoiding [avoid]. *)
 let rec freshen avoid x =
   if Sset.mem x avoid then freshen avoid (x ^ "'") else x
 
 (** Capture-avoiding simultaneous substitution of types for type
-    variables. *)
-let rec subst_ty (s : ty Smap.t) (t : ty) : ty =
-  match t with
-  | TBase _ -> t
-  | TVar a -> ( match Smap.find_opt a s with Some u -> u | None -> t)
-  | TArrow (args, ret) -> TArrow (List.map (subst_ty s) args, subst_ty s ret)
-  | TTuple ts -> TTuple (List.map (subst_ty s) ts)
-  | TList t -> TList (subst_ty s t)
-  | TForall (tvs, body) ->
-      (* Drop shadowed bindings, then rename binders that would capture. *)
-      let s = Smap.filter (fun a _ -> not (List.mem a tvs)) s in
-      if Smap.is_empty s then TForall (tvs, body)
-      else
-        let range_ftv =
-          Smap.fold (fun _ u acc -> Sset.union acc (ftv u)) s Sset.empty
-        in
-        let avoid = ref (Sset.union range_ftv (ftv body)) in
-        let renaming, tvs' =
-          List.fold_left_map
-            (fun ren a ->
-              if Sset.mem a range_ftv then begin
-                let a' = freshen !avoid a in
-                avoid := Sset.add a' !avoid;
-                (Smap.add a (TVar a') ren, a')
-              end
-              else (ren, a))
-            Smap.empty tvs
-        in
-        let body =
-          if Smap.is_empty renaming then body else subst_ty renaming body
-        in
-        TForall (tvs', subst_ty s body)
+    variables.  A tuple shared in [t] is substituted once and stays
+    shared in the result. *)
+let subst_ty (s : ty Smap.t) (t : ty) : ty =
+  let seen = ref [] in
+  let rec go s t =
+    match t with
+    | TBase _ -> t
+    | TVar a -> ( match Smap.find_opt a s with Some u -> u | None -> t)
+    | TArrow (args, ret) -> TArrow (List.map (go s) args, go s ret)
+    | TTuple ts -> (
+        match
+          List.find_map
+            (fun (s', t', r) -> if t' == t && s' == s then Some r else None)
+            !seen
+        with
+        | Some r -> r
+        | None ->
+            let r = TTuple (List.map (go s) ts) in
+            seen := (s, t, r) :: !seen;
+            r)
+    | TList t -> TList (go s t)
+    | TForall (tvs, body) ->
+        (* Drop shadowed bindings, then rename binders that would capture. *)
+        let s = Smap.filter (fun a _ -> not (List.mem a tvs)) s in
+        if Smap.is_empty s then TForall (tvs, body)
+        else
+          let range_ftv =
+            Smap.fold (fun _ u acc -> Sset.union acc (ftv u)) s Sset.empty
+          in
+          let avoid = ref (Sset.union range_ftv (ftv body)) in
+          let renaming, tvs' =
+            List.fold_left_map
+              (fun ren a ->
+                if Sset.mem a range_ftv then begin
+                  let a' = freshen !avoid a in
+                  avoid := Sset.add a' !avoid;
+                  (Smap.add a (TVar a') ren, a')
+                end
+                else (ren, a))
+              Smap.empty tvs
+          in
+          let body = if Smap.is_empty renaming then body else go renaming body in
+          TForall (tvs', go s body)
+  in
+  go s t
 
 let subst_ty_list pairs t =
   subst_ty (List.fold_left (fun m (a, u) -> Smap.add a u m) Smap.empty pairs) t
@@ -128,8 +156,16 @@ let subst_ty_list pairs t =
     compares the F type of a translated term against the translated FG
     type up to alpha. *)
 let alpha_equal (a : ty) (b : ty) : bool =
-  (* Map each side's binders to shared canonical indices. *)
+  (* Map each side's binders to shared canonical indices.  Physically
+     equal subterms are equal when both sides resolve bound variables
+     through the same (physical) maps, and a pair of tuples already
+     found equal under the same maps is not compared again: any
+     mismatch ends the whole comparison, so only successes need
+     remembering. *)
+  let equal_tuples = ref [] in
   let rec go (la : int Smap.t) (lb : int Smap.t) depth a b =
+    (a == b && la == lb)
+    ||
     match (a, b) with
     | TBase x, TBase y -> base_equal x y
     | TVar x, TVar y -> (
@@ -142,8 +178,13 @@ let alpha_equal (a : ty) (b : ty) : bool =
         && List.for_all2 (go la lb depth) xs ys
         && go la lb depth x y
     | TTuple xs, TTuple ys ->
-        List.length xs = List.length ys
-        && List.for_all2 (go la lb depth) xs ys
+        List.exists
+          (fun (la', lb', x, y) -> x == a && y == b && la' == la && lb' == lb)
+          !equal_tuples
+        || List.length xs = List.length ys
+           && List.for_all2 (go la lb depth) xs ys
+           && (equal_tuples := (la, lb, a, b) :: !equal_tuples;
+               true)
     | TList x, TList y -> go la lb depth x y
     | TForall (xs, x), TForall (ys, y) ->
         List.length xs = List.length ys

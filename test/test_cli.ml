@@ -127,6 +127,100 @@ let test_stdin_input () =
   Alcotest.(check int) "exit" 0 code;
   Alcotest.(check string) "stdin program" "42" out
 
+(* A concept member whose type is a constrained [forall] draws fresh
+   names whenever its dictionary type is translated, including at sites
+   that then throw the type away (here, the type application [g[bool]]
+   between [g] and [h]).  Skipping such a type must not shift the names
+   [h] gets: the bytes below are the translation before dictionary
+   types were built only where kept. *)
+let test_forall_member_names () =
+  let src =
+    {|concept Sized<t> { size : fn(t) -> int; } in
+concept Mapper<t> { types e; apply : forall u where Sized<u> . fn(t, u) -> int; } in
+model Sized<int> { size = fun (x : int) => x; } in
+model Mapper<bool> { types e = int; apply = tfun u where Sized<u> => fun (b : bool, y : u) => Sized<u>.size(y); } in
+let g = tfun t where Mapper<t> => fun (x : t) => Mapper<t>.apply[int](x, 41) in
+let k = g[bool](true) in
+let h = tfun t where Mapper<t> => fun (x : t) => g[t](x) + k in
+h[bool](true)|}
+  in
+  let code, out = run_cmd "run" ~stdin_text:src in
+  Alcotest.(check int) "run exit" 0 code;
+  Alcotest.(check string) "value" "82" out;
+  let code, out = run_cmd "translate" ~stdin_text:src in
+  Alcotest.(check int) "translate exit" 0 code;
+  Alcotest.(check string) "translation"
+    {|let Sized_1 = tuple(fun (x : int) => x) in
+let Mapper_2 =
+  tuple(tfun u =>
+          fun (Sized_3 : tuple(fn(u) -> int)) =>
+            fun (b : bool, y : u) => nth Sized_3 0(y)) in
+let g =
+  tfun t e_5 =>
+    fun (Mapper_4 : tuple(forall u.
+                          fn(tuple(fn(u) -> int)) -> fn(t, u) -> int)) =>
+      fun (x : t) => nth Mapper_4 0[int](Sized_1)(x, 41) in
+let k = g[bool, int](Mapper_2)(true) in
+let h =
+  tfun t e_14 =>
+    fun (Mapper_13 : tuple(forall u.
+                           fn(tuple(fn(u) -> int)) -> fn(t, u) -> int)) =>
+      fun (x : t) => iadd(g[t, e_14](Mapper_13)(x), k) in
+h[bool, int](Mapper_2)(true)|}
+    out
+
+(* The same in a diamond whose shared base has such a member: the
+   concept declarations throw away dictionary types that reach the
+   base along two paths, and the supply must advance by the names the
+   second build would have drawn ([Sz_27] below), while the type
+   abstraction keeps one copy of the base per path. *)
+let test_forall_member_diamond_names () =
+  let src =
+    {|concept Sz<t> { sz : fn(t) -> int; } in
+concept D0a<t> { types s0a; v0a : t; g0 : forall u where Sz<u>. fn(u) -> t; } in
+concept D0b<t> { types s0b; v0b : t; } in
+concept D1a<t> { types s1a; refines D0a<t>, D0b<t>; v1a : t; } in
+concept D1b<t> { types s1b; refines D0a<t>, D0b<t>; v1b : t; } in
+concept D2a<t> { types s2a; refines D1a<t>, D1b<t>; v2a : t; } in
+concept D2b<t> { types s2b; refines D1a<t>, D1b<t>; v2b : t; } in
+model Sz<int> { sz = fun (x : int) => x; } in
+model D0a<int> { types s0a = int; v0a = 1; g0 = tfun u where Sz<u> => fun (y : u) => 40 + Sz<u>.sz(y); } in
+model D0b<int> { types s0b = int; v0b = 2; } in
+model D1a<int> { types s1a = int; v1a = 2; } in
+model D1b<int> { types s1b = int; v1b = 3; } in
+model D2a<int> { types s2a = int; v2a = 4; } in
+model D2b<int> { types s2b = int; v2b = 5; } in
+let f = tfun t where D2a<t> => fun (x : t) => D2a<t>.g0[int](2) in
+f[int](0)|}
+  in
+  let code, out = run_cmd "run" ~stdin_text:src in
+  Alcotest.(check int) "run exit" 0 code;
+  Alcotest.(check string) "value" "42" out;
+  let code, out = run_cmd "translate" ~stdin_text:src in
+  Alcotest.(check int) "translate exit" 0 code;
+  Alcotest.(check string) "translation"
+    {|let Sz_27 = tuple(fun (x : int) => x) in
+let D0a_28 =
+  (1,
+   tfun u =>
+     fun (Sz_29 : tuple(fn(u) -> int)) =>
+       fun (y : u) => iadd(40, nth Sz_29 0(y))) in
+let D0b_30 = tuple(2) in
+let D1a_31 = (D0a_28, D0b_30, 2) in
+let D1b_32 = (D0a_28, D0b_30, 3) in
+let D2a_33 = (D1a_31, D1b_32, 4) in
+let D2b_34 = (D1a_31, D1b_32, 5) in
+let f =
+  tfun t s2a_36 s1a_37 s0a_38 s0b_39 s1b_40 =>
+    fun (D2a_35 : ((t * (forall u. fn(tuple(fn(u) -> int)) -> fn(u) -> t)) *
+                   tuple(t) * t) *
+                  ((t * (forall u. fn(tuple(fn(u) -> int)) -> fn(u) -> t)) *
+                   tuple(t) * t) *
+                  t) =>
+      fun (x : t) => nth (nth (nth D2a_35 0) 0) 1[int](Sz_27)(2) in
+f[int, int, int, int, int, int](D2a_33)(0)|}
+    out
+
 let test_run_json () =
   let code, out =
     run_cmd "run --format=json -p -e 'power[int](2, 5)'" ~stdin_text:""
@@ -552,6 +646,25 @@ let test_usage_mistakes () =
        "assumptions must be same-type constraints");
       ("eq 'Monoid<int>'", "query must be a same-type constraint") ]
 
+(* FILE arguments an action would ignore are usage errors, found
+   before any connection is tried: no daemon is needed to see them. *)
+let test_client_ignored_files () =
+  List.iter
+    (fun (args, needle) ->
+      let code, out, err = run_env "" args in
+      Alcotest.(check int) (args ^ " exit") 124 code;
+      Alcotest.(check string) (args ^ " stdout") "" out;
+      Alcotest.(check bool) (args ^ ": " ^ needle) true
+        (Astring_contains.contains ~needle err))
+    (List.map
+       (fun a ->
+         ( Printf.sprintf "client %s -e '1 + 2' a.fg" a,
+           a ^ ": give -e or a FILE, not both" ))
+       [ "run"; "check"; "translate" ]
+    @ List.map
+        (fun a -> (Printf.sprintf "client %s a.fg" a, a ^ ": takes no FILE"))
+        [ "stats"; "shutdown"; "probe" ])
+
 (* A daemon that answers the probe's violations wrongly fails the
    probe: one line on stderr, exit 1.  The stand-in answers the first
    frame it reads with an ok response and hangs up; if no client comes
@@ -628,5 +741,10 @@ let suite =
       test_serve_startup_faults;
     Alcotest.test_case "client faults" `Quick test_client_faults;
     Alcotest.test_case "usage mistakes" `Quick test_usage_mistakes;
+    Alcotest.test_case "forall member keeps fresh names" `Quick
+      test_forall_member_names;
+    Alcotest.test_case "forall member in a diamond keeps fresh names" `Quick
+      test_forall_member_diamond_names;
+    Alcotest.test_case "client ignored FILEs" `Quick test_client_ignored_files;
     Alcotest.test_case "failed probe" `Quick test_probe_failure;
   ]

@@ -24,9 +24,49 @@ let test_refinement_chain () =
   check_family "refinement_chain" Genprog.refinement_chain [ 1; 2; 5; 10; 20 ]
     (fun _ -> "42")
 
+(* The diamond sweep: each size runs the whole pipeline, so the value,
+   the System F re-check of Theorems 1-2 and the agreement of the two
+   evaluators are checked at every depth, 16 included. *)
 let test_refinement_diamond () =
-  check_family "refinement_diamond" Genprog.refinement_diamond [ 1; 2; 4; 6 ]
-    (fun _ -> "1")
+  let sizes = [ 1; 2; 4; 6; 8; 12; 16 ] in
+  check_family "refinement_diamond" Genprog.refinement_diamond sizes
+    (fun _ -> "1");
+  List.iter
+    (fun n ->
+      match
+        Theorems.check_agreement_result
+          (Parser.exp_of_string (Genprog.refinement_diamond n))
+      with
+      | Ok a ->
+          Alcotest.(check string)
+            (Printf.sprintf "refinement_diamond n=%d translated value" n)
+            "1"
+            (Interp.flat_to_string a.Theorems.translated)
+      | Error d ->
+          Alcotest.failf "refinement_diamond n=%d: %s" n
+            (Fg_util.Diag.to_string d))
+    sizes
+
+(* A work bound for the diamond, in words allocated rather than time so
+   that it is deterministic: checking walks each distinct instantiation
+   of the lattice once and allocates about 1.7 million words here;
+   walking every refinement path allocated 2.4 billion (a whole
+   `fgc run` process at depth 16). *)
+let test_diamond_work_bound () =
+  let src = Genprog.refinement_diamond 16 in
+  let s = session () in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  (match Session.run_result ~file:"diamond/16" s src with
+  | Ok out ->
+      Alcotest.(check string) "value" "1" (Interp.flat_to_string out.value)
+  | Error d -> Alcotest.failf "diamond 16: %s" (Fg_util.Diag.to_string d));
+  let words = allocated () -. before in
+  if words > 6e6 then
+    Alcotest.failf "depth-16 diamond allocated %.0f words (bound 6000000)" words
 
 let test_many_models () =
   check_family "many_models" Genprog.many_models [ 1; 10; 50 ] (fun _ -> "0")
@@ -82,6 +122,7 @@ let suite =
   [
     Alcotest.test_case "refinement chain" `Quick test_refinement_chain;
     Alcotest.test_case "refinement diamond" `Quick test_refinement_diamond;
+    Alcotest.test_case "diamond work bound" `Quick test_diamond_work_bound;
     Alcotest.test_case "many models" `Quick test_many_models;
     Alcotest.test_case "wide where" `Quick test_wide_where;
     Alcotest.test_case "same-type chain" `Quick test_same_type_chain;

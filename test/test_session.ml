@@ -491,6 +491,35 @@ let test_unit_cache_lru () =
   List.iter walk [ "b"; "c" ];
   Alcotest.(check int) "evicted: b, c" 7 (Unit.stats cache).Unit.s_misses
 
+(* What a program records in the memo dies with its run: its scope
+   generations are its own, so nothing it records could answer a later
+   program.  Hundreds of distinct programs — generated ones declaring
+   their own concepts and models, and prelude calls at types no other
+   program uses — leave the session's own tier exactly as the warm-up
+   left it. *)
+let test_memo_does_not_grow () =
+  let s = Session.of_config Session.Config.(default |> with_standard_prelude) in
+  let program i =
+    if i mod 2 = 0 then Pretty.exp_to_string (Gen.program_of_seed i)
+    else
+      Printf.sprintf
+        "let xs = cons[%s](nil[int], nil[%s]) in power(%d, 3)"
+        (String.concat "" (List.init (i mod 7) (fun _ -> "list ")) ^ "list int")
+        (String.concat "" (List.init (i mod 7) (fun _ -> "list ")) ^ "list int")
+        i
+  in
+  (* both ways a program is checked against a session: the recovering
+     run and the plain one *)
+  let run i =
+    let file = Printf.sprintf "p%d" i in
+    if i mod 3 = 0 then ignore (Session.run_result ~file s (program i))
+    else ignore (Session.run_full ~file s (program i))
+  in
+  for i = 0 to 19 do run i done;
+  let warm = Session.memo_entries s in
+  for i = 20 to 419 do run i done;
+  Alcotest.(check int) "session memo tier unchanged" warm (Session.memo_entries s)
+
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
@@ -551,6 +580,8 @@ let suite =
       test_unit_cache_eviction;
     Alcotest.test_case "unit cache evicts least recent" `Quick
       test_unit_cache_lru;
+    Alcotest.test_case "memo does not grow across runs" `Quick
+      test_memo_does_not_grow;
     Alcotest.test_case "stats observable" `Quick test_stats;
     Alcotest.test_case "prelude must be declarations" `Quick
       test_prelude_must_be_declarations;

@@ -87,8 +87,8 @@ let test_all_members () =
     (List.map (fun (x, _, _) -> x) ms)
 
 let test_process_where_plan () =
-  let env', plan =
-    T.process_where env [ "i" ]
+  let env', plan, dict_tys =
+    T.process_where_dicts env [ "i" ]
       [ Ast.CModel ("Iterator", [ Ast.TVar "i" ]) ]
   in
   (* one requirement -> one dictionary; one assoc -> one slot *)
@@ -101,7 +101,7 @@ let test_process_where_plan () =
   Alcotest.(check bool) "proxy in scope" true
     (Env.lookup_model env' "Iterator" [ Ast.TVar "i" ] <> None);
   (* dictionary type: (fn(i)->i) * (fn(i)->slot) * (fn(i)->bool) *)
-  let _, _, dty = List.hd plan.T.p_dicts in
+  let dty = List.hd dict_tys in
   match dty with
   | F.TTuple [ F.TArrow ([ F.TVar "i" ], F.TVar "i"); _; _ ] -> ()
   | _ ->
@@ -109,13 +109,13 @@ let test_process_where_plan () =
         (Fg_systemf.Pretty.ty_to_string dty)
 
 let test_plan_refinement_closure () =
-  let _, plan =
-    T.process_where env [ "t" ] [ Ast.CModel ("Ord", [ Ast.TVar "t" ]) ]
+  let _, plan, dict_tys =
+    T.process_where_dicts env [ "t" ] [ Ast.CModel ("Ord", [ Ast.TVar "t" ]) ]
   in
   (* Ord has no assoc; neither does Eq: no slots, one dict *)
   Alcotest.(check int) "no slots" 0 (List.length plan.T.p_slots);
   Alcotest.(check int) "one dict" 1 (List.length plan.T.p_dicts);
-  let _, _, dty = List.hd plan.T.p_dicts in
+  let dty = List.hd dict_tys in
   (* nested: ((eq), less) *)
   match dty with
   | F.TTuple [ F.TTuple [ _ ]; _ ] -> ()
@@ -177,6 +177,61 @@ let test_translate_ty_unconstrained () =
   | ft ->
       Alcotest.failf "unexpected %s" (Fg_systemf.Pretty.ty_to_string ft)
 
+(* A where clause over a diamond builds the base's dictionary type
+   once, and both paths share it; a base whose dictionary type draws
+   fresh names (a constrained [forall] member) is built once per path,
+   with its own names, as the translation always did. *)
+let test_diamond_dict_shared () =
+  let base_of env =
+    match
+      T.process_where_dicts env [ "t" ] [ Ast.CModel ("Top", [ Ast.TVar "t" ]) ]
+    with
+    | _, _, [ F.TTuple [ F.TTuple [ l1; _ ]; F.TTuple [ l2; _ ] ] ] -> (l1, l2)
+    | _, _, dtys ->
+        Alcotest.failf "unexpected Top dict %s"
+          (String.concat "; " (List.map Fg_systemf.Pretty.ty_to_string dtys))
+  in
+  let diamond base =
+    env_with
+      (stack ^ base
+     ^ {|concept M1<t> { refines L<t>; m1 : t; } in
+concept M2<t> { refines L<t>; m2 : t; } in
+concept Top<t> { refines M1<t>, M2<t>; } in
+|})
+  in
+  let l1, l2 = base_of (diamond "concept L<t> { lv : fn(t) -> t; } in\n") in
+  Alcotest.(check bool) "base shared" true (l1 == l2);
+  let l1, l2 =
+    base_of
+      (diamond "concept L<t> { lf : forall u where Eq<u>. fn(u) -> t; } in\n")
+  in
+  Alcotest.(check bool) "name-drawing base rebuilt" true (l1 != l2);
+  Alcotest.(check bool) "and equal" true (F.alpha_equal l1 l2)
+
+(* The concept-query memo is keyed by concept table, not by name: the
+   inner A and B have other associated types and members than the
+   outer ones, and the same where clause [B<t>] must see them. *)
+let test_memo_keyed_by_concept_table () =
+  let src =
+    {|concept A<t> { types x; ax : x; } in
+concept B<t> { refines A<t>; bx : fn(x) -> int; } in
+model A<int> { types x = int; ax = 40; } in
+model B<int> { bx = fun (v : int) => v + 1; } in
+let f = tfun t where B<t> => fun (u : t) => B<t>.bx(B<t>.ax) in
+let r = f[int](0) in
+concept A<t> { types y; ay : fn(t) -> y; } in
+concept B<t> { refines A<t>; by : fn(y) -> int; } in
+model A<bool> { types y = int; ay = fun (b : bool) => if b then 1 else 0; } in
+model B<bool> { by = fun (n : int) => n; } in
+let g = tfun t where B<t> => fun (u : t) => B<t>.by(B<t>.ay(u)) in
+r + g[bool](true)|}
+  in
+  match Theorems.check_agreement_result (Parser.exp_of_string src) with
+  | Ok a ->
+      Alcotest.(check string) "value" "42"
+        (Interp.flat_to_string a.Theorems.direct)
+  | Error d -> Alcotest.failf "%s" (Fg_util.Diag.to_string d)
+
 let suite =
   [
     Alcotest.test_case "assoc_scope (ba)" `Quick test_assoc_scope;
@@ -196,4 +251,8 @@ let suite =
       test_translate_ty_forall;
     Alcotest.test_case "translate plain forall" `Quick
       test_translate_ty_unconstrained;
+    Alcotest.test_case "diamond dictionary types shared" `Quick
+      test_diamond_dict_shared;
+    Alcotest.test_case "memo keyed by concept table" `Quick
+      test_memo_keyed_by_concept_table;
   ]

@@ -61,6 +61,23 @@ for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
     || { echo "one-shot GC: $f collected"; grep _collections "$gc_err"; exit 1; }
 done
 
+echo "== diamond budget: a depth-16 refinement diamond under 4M words"
+# Genprog.refinement_diamond 16: 32 concepts, each refining both of the
+# level below, so 2^16 refinement paths but only 32 distinct
+# instantiations.  The checker and the System F re-check walk each
+# instantiation once; a walk over paths allocates billions of words.
+# v=0x400 prints the runtime's allocated_words at exit, deterministic
+# for a given binary.
+diamond=$(mktemp) && diamond_err=$(mktemp)
+track "$diamond" "$diamond_err"
+./_build/default/tools/genprog.exe refinement_diamond 16 > "$diamond"
+value=$(OCAMLRUNPARAM=v=0x400 ./_build/default/bin/fgc.exe run "$diamond" 2> "$diamond_err")
+[ "$value" = 1 ] || { echo "diamond budget: run printed '$value', want 1"; exit 1; }
+words=$(sed -n 's/^allocated_words: //p' "$diamond_err")
+echo "-- allocated_words: $words"
+[ -n "$words" ] && [ "$words" -le 4000000 ] \
+  || { echo "diamond budget: ${words:-no} allocated_words, bound 4000000"; exit 1; }
+
 echo "== fuzz smoke (seed 42, 200 programs)"
 # Deterministic: the same seed generates the same programs on every
 # machine, so a clean run here means a clean run everywhere.
