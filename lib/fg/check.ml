@@ -116,6 +116,35 @@ let rec f_term_vars acc (f : F.exp) =
 (* ------------------------------------------------------------------ *)
 (* Concept declarations (CPT)                                          *)
 
+(* Refinements and requirements name concepts, resolved in the concept
+   table of wherever they are used, so a declaration that shadows a
+   concept also rebinds it for every older concept that mentions it.
+   Such a declaration can close a cycle ([concept B in concept A
+   { refines B } in concept B { refines A }]), which would send every
+   query about the lattice round it forever.  Reject [d] if its
+   refinements and requirements, resolved with its own name bound to
+   [d], lead back to that name.  The table below [d] has no cycle (each
+   declaration in it passed this check), so this one walk suffices. *)
+let check_acyclic ?loc env (d : concept_decl) =
+  let walked = Hashtbl.create 8 in
+  let edges (decl : concept_decl) =
+    List.map (fun (c, _) -> ("refines", c)) decl.c_refines
+    @ List.map (fun (c, _) -> ("requires", c)) decl.c_requires
+  in
+  let rec reach steps from (rel, c) =
+    let steps = (from, rel, c) :: steps in
+    if String.equal c d.c_name then
+      Diag.wf_error ?loc "concept %s cannot refine or require itself: %s"
+        d.c_name
+        (String.concat ", "
+           (List.rev_map (fun (a, r, b) -> a ^ " " ^ r ^ " " ^ b) steps))
+    else if not (Hashtbl.mem walked c) then begin
+      Hashtbl.add walked c ();
+      List.iter (reach steps c) (edges (Env.lookup_concept_exn ?loc env c))
+    end
+  in
+  List.iter (reach [] d.c_name) (edges d)
+
 let check_concept_decl ?loc env (d : concept_decl) : unit =
   if d.c_params = [] then
     Diag.wf_error ?loc "concept %s must have at least one type parameter"
@@ -206,6 +235,7 @@ let check_concept_decl ?loc env (d : concept_decl) : unit =
         ~expected:(List.length decl'.c_params)
         ~got:(List.length rargs))
     d.c_requires;
+  check_acyclic ?loc env d;
   let env_members, _plan =
     Types.process_where ?loc env
       (d.c_params @ d.c_assoc @ visible)

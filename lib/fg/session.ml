@@ -6,7 +6,9 @@
       program's, each {!extend} — through a content-hashed unit cache:
       a declaration is checked at most once per (content, dependency
       chain, environment family, supply position) and replayed from the
-      cache everywhere else, byte-identically;
+      cache everywhere else, byte-identically.  A batch job's spine is
+      the exception: nothing could replay it, so it is walked without
+      the cache unless a persistent store is attached;
     - {!Fg_util.Gensym.mark}/[restore] rewind the fresh-name supply to
       its post-prelude position before every program, so a session's
       output for a program is identical to a standalone run's and
@@ -115,7 +117,7 @@ let check_decl_stack cache ~spine env src ~file =
   in
   let w =
     Telemetry.time Telemetry.Check (fun () ->
-        Unit.walk cache ~source ~spine env ast)
+        Unit.walk (Some cache) ~source ~spine env ast)
   in
   (match w.Unit.w_residual.Ast.desc with
   | Ast.Lit (Ast.LInt 0) -> ()
@@ -365,22 +367,24 @@ let parse ?(file = "<program>") source =
 (* Parse and check one program under the session environment, returning
    the program's own AST and the whole-program (prelude-wrapped)
    elaboration triple.  The program's declaration spine goes through
-   the unit cache: re-checking an edited program re-checks only the
-   units whose content or dependencies changed. *)
-let check_source ?file t source =
+   [cache] (the session's unit cache unless a batch says otherwise):
+   re-checking an edited program re-checks only the units whose content
+   or dependencies changed. *)
+let check_source ?file ~cache t source =
   let ast = parse ?file source in
   rewind t;
   let triple =
     Telemetry.time Telemetry.Check (fun () ->
         Env.with_run t.env (fun () ->
-            let w = Unit.walk t.cache ~source ~spine:t.spine t.env ast in
+            let w = Unit.walk cache ~source ~spine:t.spine t.env ast in
             Unit.unwind t.frames
               (Unit.unwind w.Unit.w_frames
                  (Check.check w.Unit.w_env w.Unit.w_residual))))
   in
   (ast, triple)
 
-let elaborate ?file t source = snd (check_source ?file t source)
+let elaborate ?file t source =
+  snd (check_source ?file ~cache:(Some t.cache) t source)
 
 let typecheck ?file t source =
   let ty, _, _ = elaborate ?file t source in
@@ -482,7 +486,7 @@ let complete ?fuel t ~source ~ast triple : outcome =
   }
 
 let run ?file ?fuel t source : outcome =
-  let ast, triple = check_source ?file t source in
+  let ast, triple = check_source ?file ~cache:(Some t.cache) t source in
   complete ?fuel t ~source ~ast triple
 
 let run_result ?file ?fuel t source =
@@ -513,7 +517,7 @@ let run_full_impl ~file ?fuel t source =
       let poisoned = Names.Sset.of_list dropped in
       let w =
         Telemetry.time Telemetry.Check (fun () ->
-            Unit.walk ~recover:engine ~poisoned t.cache ~source
+            Unit.walk ~recover:engine ~poisoned (Some t.cache) ~source
               ~spine:t.spine t.env ast)
       in
       let poisoned = w.Unit.w_poisoned in
@@ -586,6 +590,29 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
     max 1 (min d (max 1 n))
   in
   let results = Array.make n None in
+  (* A batch runs each job once, under the job's own file name, and a
+     unit's key includes the file: no unit a batch inserts could ever be
+     read back in this process.  So jobs skip the unit cache (its
+     dependency analysis, keys and inserts) unless a persistent tier
+     can hand the units to a later process. *)
+  let keyed = Unit.persistent t.cache in
+  (* One job's result.  Any exception besides a diagnostic (a stack
+     overflow on a deeply nested program, say) is this job's internal
+     error: the other jobs still run and report. *)
+  let job t_local name source =
+    let cache = if keyed then Some t_local.cache else None in
+    match
+      let ast, triple = check_source ~file:name ~cache t_local source in
+      complete ?fuel t_local ~source ~ast triple
+    with
+    | o -> Ok o
+    | exception Diag.Error d -> Error d
+    | exception exn ->
+        Error
+          (Diag.make Diag.Internal
+             ("uncaught exception while running this program: "
+             ^ Printexc.to_string exn))
+  in
   (* Strided work split: domain d takes jobs d, d+domains, ...  Writes
      land on disjoint indices, so the array needs no lock; outcomes are
      per-program deterministic (the supply is rewound before each), so
@@ -594,7 +621,7 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
     let i = ref first in
     while !i < n do
       let name, source = jobs.(!i) in
-      results.(!i) <- Some (name, run_result ~file:name ?fuel t_local source);
+      results.(!i) <- Some (name, job t_local name source);
       i := !i + domains
     done
   in

@@ -9,7 +9,8 @@
       dependency chain) and replayed from the cache everywhere else.
       The prelude is checked {e once} at {!of_config}; re-checking an
       edited program re-checks only the declarations whose content or
-      dependencies changed;
+      dependencies changed ({!run_batch} jobs, which nothing re-checks,
+      skip the cache);
     - a {b memoized model-resolution cache} (in {!Env}): lookups are
       keyed on (concept, argument types, scope generation), so the
       prelude-scope resolutions one program performs are free for the
@@ -245,7 +246,19 @@ val default_domains : unit -> int
     configuration, so no mutable checker state crosses domains.
     Results come back in job order and are identical for every choice
     of [domains] (each program's fresh names are rewound
-    per-program). *)
+    per-program), and identical to running each job alone with {!run}.
+
+    Each job is checked once, under its own name, and a unit's key
+    includes the file, so no unit a job could insert would ever be
+    read back: jobs are checked without the unit cache ({!Unit.walk}
+    with [None]), and {!cache_stats} does not move.  The exception is
+    a session whose cache has a persistent store ([cache_dir]), which a
+    later process can read: there jobs walk through the cache as {!run}
+    does.
+
+    A job that raises anything besides [Diag.Error] (a stack overflow,
+    say) yields its own [FG0901] internal-error diagnostic naming the
+    exception; the other jobs are unaffected. *)
 val run_batch :
   ?domains:int -> ?fuel:int -> t -> (string * string) list ->
   (string * (outcome, Diag.diagnostic) result) list

@@ -147,6 +147,7 @@ let push_newest c e =
   c.newest <- Some e
 
 let set_stores c stores = c.stores <- stores
+let persistent c = c.stores <> []
 
 (* The memory tier alone; the tiered [find] below decides whether a
    memory miss is a real miss (nothing deeper either) or a hit served
@@ -454,11 +455,17 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
     Declgraph.global spine.sp_graph
     <> (env0.Env.resolution = Resolution.Global)
   then Diag.ice "Unit.walk: spine analysed under another resolution mode";
-  (* Only this program's declarations are analysed; the spine's state
-     stands for everything before them.  Edges are spine indices:
-     below [n_spine] they name spine units, above it this walk's. *)
-  let infos = Array.of_list (List.map Declgraph.info_of_decl decls) in
-  let _, deps = Declgraph.extend spine.sp_graph infos in
+  (* Only this program's declarations are analysed, and only with a
+     cache; the spine's state stands for everything before them.  Edges
+     are spine indices: below [n_spine] they name spine units, above it
+     this walk's. *)
+  let infos, deps =
+    match cache with
+    | None -> ([||], [||])
+    | Some _ ->
+        let infos = Array.of_list (List.map Declgraph.info_of_decl decls) in
+        (infos, snd (Declgraph.extend spine.sp_graph infos))
+  in
   let n_spine = Array.length spine.sp_keys in
   let keys = Array.make (Array.length infos) "" in
   let pkeys = Array.make (Array.length infos) "" in
@@ -478,7 +485,9 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
   let units = ref [] in
   let dlog = ref [] in
   let poisoned = ref poisoned in
-  let failed = ref false in
+  (* Without a cache, and from the first failing declaration on, nothing
+     is keyed, looked up or inserted, and no unit is recorded. *)
+  let keyed = ref cache in
   let commit (u : checked) =
     env := Check.extend !env u.ck_frame;
     Gensym.restore !env.Env.gensym u.ck_gensym_end;
@@ -490,20 +499,21 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
   in
   List.iteri
     (fun i decl ->
-      let gensym_start = Gensym.mark !env.Env.gensym in
-      let pkey =
-        if !failed then ""
-        else
-          pkey_of key_bytes ~env:!env ~gensym_start ~source decl
-            ~dep_pkeys:(List.map dep_pkey deps.(i))
+      let pkey, found =
+        match !keyed with
+        | None -> ("", None)
+        | Some cache ->
+            let gensym_start = Gensym.mark !env.Env.gensym in
+            let pkey =
+              pkey_of key_bytes ~env:!env ~gensym_start ~source decl
+                ~dep_pkeys:(List.map dep_pkey deps.(i))
+            in
+            let key = pkey ^ family in
+            keys.(i) <- key;
+            pkeys.(i) <- pkey;
+            (pkey, find cache ~key ~pkey ~dep_keys:(List.map dep_key deps.(i)))
       in
-      let key = if !failed then "" else pkey ^ family in
-      keys.(i) <- key;
-      pkeys.(i) <- pkey;
-      match
-        if !failed then None
-        else find cache ~key ~pkey ~dep_keys:(List.map dep_key deps.(i))
-      with
+      match found with
       | Some u ->
           (* replay: re-extend the environment, fast-forward the
              fresh-name supply, re-report the recorded warnings once *)
@@ -539,32 +549,35 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
                       (fun s n -> Sset.add n s)
                       !poisoned (Check.decl_poison decl);
                   dlog := (decl, pkey, Dfailed) :: !dlog;
-                  failed := true)
+                  keyed := None)
           | None ->
               ignore (finish ());
               Diag.ice "Unit.walk: split_spine produced a non-declaration"
           | Some (frame, _body) ->
               let env' = Check.extend !env frame in
               let warnings = finish () in
-              let u =
-                {
-                  ck_key = key;
-                  ck_pkey = pkey;
-                  ck_deps = List.map dep_key deps.(i);
-                  ck_info = infos.(i);
-                  ck_frame = frame;
-                  ck_gensym_end = Gensym.mark env'.Env.gensym;
-                  ck_globals_delta =
-                    globals_delta ~before:globals_before
-                      !(env'.Env.global_models);
-                  ck_warnings = warnings;
-                }
-              in
-              if not !failed then insert cache u;
+              Option.iter
+                (fun cache ->
+                  let u =
+                    {
+                      ck_key = keys.(i);
+                      ck_pkey = pkey;
+                      ck_deps = List.map dep_key deps.(i);
+                      ck_info = infos.(i);
+                      ck_frame = frame;
+                      ck_gensym_end = Gensym.mark env'.Env.gensym;
+                      ck_globals_delta =
+                        globals_delta ~before:globals_before
+                          !(env'.Env.global_models);
+                      ck_warnings = warnings;
+                    }
+                  in
+                  insert cache u;
+                  units := u :: !units)
+                !keyed;
               env := env';
               frames := frame :: !frames;
-              dlog := (decl, pkey, Dchecked) :: !dlog;
-              units := u :: !units))
+              dlog := (decl, pkey, Dchecked) :: !dlog))
     decls;
   {
     w_env = !env;

@@ -74,6 +74,10 @@ type store = {
 (** Attach the persistent tiers consulted after the memory map. *)
 val set_stores : cache -> store list -> unit
 
+(** Does [cache] have a persistent tier, so that what goes in can be
+    read back by a later process? *)
+val persistent : cache -> bool
+
 (** The on-disk store ({!Diskcache}) as a tier. *)
 val disk_store : Diskcache.t -> store
 
@@ -110,12 +114,16 @@ type walk_result = {
   w_frames : Check.frame list;
       (** the declarations' frames, innermost first: {!unwind}
           rebuilds the program's triple from the residual's *)
-  w_units : checked list;  (** this walk's units, in spine order *)
+  w_units : checked list;
+      (** this walk's units, in spine order: one per declaration
+          addressed by key (none without a cache, and none from the
+          first failing declaration on) *)
   w_decls : (exp * string * decl_outcome) list;
       (** one entry per walked declaration, in order: the declaration
-          node, the pkey it was addressed by ("" once recovery has
-          failed), and its outcome.  Unlike [w_units] this pairs back
-          with the program's declarations even under recovery. *)
+          node, the pkey it was addressed by ("" without a cache and
+          once recovery has failed), and its outcome.  Unlike [w_units]
+          this pairs back with the program's declarations even under
+          recovery. *)
   w_poisoned : Sset.t;  (** recovery: names whose declarations failed *)
 }
 
@@ -164,11 +172,18 @@ val adopt : cache -> spine -> Env.t -> spine
     scope unknowable — all
     subsequent units bypass the cache entirely, reproducing the cold
     recovering walk byte-for-byte.  Only successfully checked units are
-    ever cached. *)
+    ever cached.
+
+    With [None] in place of [Some cache], every declaration is checked
+    as if the walk had already failed: no dependency analysis, no
+    keys, no cache traffic, no units ([w_units] is empty and every
+    [w_decls] key is [""]).  Its environment, frames, fresh names,
+    warnings and diagnostics are those of a walk through a cold
+    cache. *)
 val walk :
   ?recover:Fg_util.Diag.engine ->
   ?poisoned:Sset.t ->
-  cache ->
+  cache option ->
   source:string ->
   spine:spine ->
   Env.t ->

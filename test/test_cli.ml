@@ -517,6 +517,35 @@ let run_env env args =
   let out = slurp out_file in
   (code, out, slurp err_file)
 
+(* A job that throws something other than a diagnostic (here a stack
+   overflow, from a literal inside 200,000 parentheses under a 1M-word
+   stack limit) is that job's FG0901; every other job still reports,
+   in argument order, and the batch exits 1.  The deep job runs on the
+   main domain in the first batch and on a spawned one in the second. *)
+let test_batch_job_throws () =
+  with_program_files
+    [ String.make 200_000 '(' ^ "1" ^ String.make 200_000 ')' ]
+    (fun files ->
+      let deep = Filename.quote (List.hd files) in
+      let fig5 = "../programs/fig5_accumulate.fg" in
+      List.iter
+        (fun (args, needles) ->
+          let code, out, err = run_env "OCAMLRUNPARAM=l=1M" args in
+          Alcotest.(check int) (args ^ " exit") 1 code;
+          Alcotest.(check bool) (args ^ ": no uncaught exception") false
+            (Astring_contains.contains ~needle:"uncaught exception:" err);
+          List.iter
+            (fun needle ->
+              Alcotest.(check bool) needle true
+                (Astring_contains.contains ~needle out))
+            needles)
+        [
+          ( Printf.sprintf "batch --format=json %s %s" deep fig5,
+            [ {|"code": "FG0901"|}; "Stack overflow"; {|"value": 3|} ] );
+          ( Printf.sprintf "batch --domains 2 %s %s %s" fig5 deep fig5,
+            [ "internal error[FG0901]"; "Stack overflow"; "2/3 ok" ] );
+        ])
+
 (* One-shot runs collect nothing: fgc starts its one-shot subcommands
    with a minor heap large enough that loading the prelude image
    requests no major slice (bin/oneshot_heap.c).  [v=0x400] makes the
@@ -730,6 +759,8 @@ let suite =
     Alcotest.test_case "--stats" `Quick test_stats_flag;
     Alcotest.test_case "batch" `Quick test_batch;
     Alcotest.test_case "batch --format=json" `Quick test_batch_json;
+    Alcotest.test_case "batch survives a job that throws" `Quick
+      test_batch_job_throws;
     Alcotest.test_case "corpus --all" `Quick test_corpus_all;
     Alcotest.test_case "repl session" `Quick test_repl_session;
     Alcotest.test_case "repl using commits" `Quick test_repl_using;

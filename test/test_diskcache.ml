@@ -220,7 +220,28 @@ let test_cold_warm_byte_identity () =
   let st = C.Session.cache_stats warm_s in
   Alcotest.(check int) "zero unit re-checks when warm" 0
     st.C.Unit.s_misses;
-  Alcotest.(check bool) "warm units are hits" true (st.C.Unit.s_hits > 0)
+  Alcotest.(check bool) "warm units are hits" true (st.C.Unit.s_hits > 0);
+  (* A batch on a session with a store still walks through the cache,
+     so its units persist for the next process too. *)
+  let jobs = [ ("<b1>", program); ("<b2>", "power[int](2, 5)") ] in
+  let batch s =
+    List.map
+      (fun (file, r) ->
+        Json.to_string
+          (match r with
+          | Ok o -> C.Jsonview.json_of_outcome ~file o
+          | Error d -> C.Jsonview.json_of_failure ~file d))
+      (C.Session.run_batch ~domains:1 s jobs)
+  in
+  let root = fresh_root () in
+  let baseline = batch (session ()) in
+  Alcotest.(check (list string)) "cold batch matches uncached" baseline
+    (batch (session ~cache_dir:root ()));
+  let warm_s = session ~cache_dir:root () in
+  Alcotest.(check (list string)) "warm batch matches uncached" baseline
+    (batch warm_s);
+  Alcotest.(check int) "zero unit re-checks in a warm batch" 0
+    (C.Session.cache_stats warm_s).C.Unit.s_misses
 
 let test_garbage_in_store () =
   let root = fresh_root () in

@@ -190,6 +190,58 @@ let check_batches_equal a b =
       | _ -> Alcotest.failf "%s: verdict differs between batches" n1)
     a b
 
+(* Every program under programs/, programs/errors/ and
+   programs/fuzz_regressions/, as batch jobs named by their paths. *)
+let corpus_jobs () =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".fg")
+      |> List.sort String.compare
+      |> List.map (fun f ->
+             let path = Filename.concat dir f in
+             (path, In_channel.with_open_bin path In_channel.input_all)))
+    [ "../programs"; "../programs/errors"; "../programs/fuzz_regressions" ]
+
+(* A batch must agree with per-program runs under both resolution
+   modes, with and without the prelude. *)
+let batch_configs =
+  List.concat_map
+    (fun resolution ->
+      let cfg = { Session.Config.default with resolution } in
+      [ cfg; Session.Config.with_standard_prelude cfg ])
+    [ Resolution.Lexical; Resolution.Global ]
+
+(* What a job's result shows: its type, value, step counts and
+   translation bytes, or its diagnostic's text. *)
+let shown = function
+  | Ok (o : Session.outcome) ->
+      String.concat "\n"
+        [
+          Pretty.ty_to_string o.fg_ty;
+          Interp.flat_to_string o.value;
+          string_of_int o.direct_steps;
+          string_of_int o.translated_steps;
+          f_exp_str o.f_exp;
+        ]
+  | Error d -> "error: " ^ Fg_util.Diag.to_string d
+
+(* The jobs whose batched result differs from a run of the same job on
+   one session that keeps its unit cache, as batches never do. *)
+let batch_mismatches ~domains cfg jobs =
+  let batched = Session.run_batch ~domains (Session.of_config cfg) jobs in
+  let single = Session.of_config cfg in
+  List.concat
+    (List.map2
+       (fun (name, src) (n, r) ->
+         if
+           String.equal name n
+           && String.equal (shown r)
+                (shown (Session.run_result ~file:name single src))
+         then []
+         else [ name ])
+       jobs batched)
+
 let test_batch_deterministic () =
   let b1 = run_jobs 1 in
   let b2 = run_jobs 2 in
@@ -198,15 +250,31 @@ let test_batch_deterministic () =
   check_batches_equal b1 b2;
   check_batches_equal b1 bn;
   (* and the batch agrees with serving the jobs one by one *)
-  let s = Session.of_config Session.Config.(default |> with_standard_prelude) in
-  List.iter2
-    (fun (name, src) (n, r) ->
-      Alcotest.(check string) "order" name n;
-      match (Session.run_result ~file:name s src, r) with
-      | Ok o1, Ok o2 -> check_outcome_equal name o1 o2
-      | Error _, Error _ -> ()
-      | _ -> Alcotest.failf "%s: batch vs single verdict differs" name)
-    batch_jobs b1
+  let corpus = corpus_jobs () in
+  Alcotest.(check bool) "corpus found" true (List.length corpus > 30);
+  List.iter
+    (fun cfg ->
+      Alcotest.(check (list string))
+        "jobs whose batch result differs from a single run" []
+        (batch_mismatches ~domains:2 cfg (batch_jobs @ corpus)))
+    batch_configs
+
+(* A batch runs each job once, under the job's own name, and a unit's
+   key includes the file, so nothing could read a batch's units back:
+   without a persistent store a batch keys nothing, on any domain. *)
+let test_batch_keys_nothing () =
+  let s = Session.of_config Session.Config.default in
+  let corpus = corpus_jobs () in
+  List.iter
+    (fun domains ->
+      ignore (Session.run_batch ~domains s corpus);
+      let st = Session.cache_stats s in
+      Alcotest.(check (list int)) "hits, misses, size" [ 0; 0; 0 ]
+        [ st.Unit.s_hits; st.Unit.s_misses; st.Unit.s_size ];
+      let t = Session.stats s in
+      Alcotest.(check (list int)) "unit traffic on every domain" [ 0; 0 ]
+        [ t.Fg_util.Telemetry.unit_hits; t.Fg_util.Telemetry.unit_misses ])
+    [ 1; 2 ]
 
 let test_batch_more_domains_than_jobs () =
   let s = Session.of_config Session.Config.(default |> with_standard_prelude) in
@@ -253,24 +321,17 @@ let prop_batch_matches_single_on_generated =
     ~count:30
     QCheck.(make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
     (fun seed ->
-      (* a small batch of printed generated programs, fanned out over 2
-         domains, must match per-program session runs *)
+      (* a batch of ten printed generated programs (300 over the whole
+         run), fanned out over 2 domains, must match per-program session
+         runs in every configuration *)
       let jobs =
-        List.init 4 (fun i ->
+        List.init 10 (fun i ->
             ( Printf.sprintf "g%d" i,
               Pretty.exp_to_string (Gen.program_of_seed (seed + (i * 101))) ))
       in
-      let s = Session.of_config Session.Config.default in
-      let batched = Session.run_batch ~domains:2 s jobs in
-      List.for_all2
-        (fun (name, src) (_, r) ->
-          match (Session.run_result ~file:name s src, r) with
-          | Ok a, Ok b ->
-              Interp.flat_equal a.Session.value b.Session.value
-              && f_exp_str a.Session.f_exp = f_exp_str b.Session.f_exp
-          | Error _, Error _ -> true
-          | _ -> false)
-        jobs batched)
+      List.for_all
+        (fun cfg -> batch_mismatches ~domains:2 cfg jobs = [])
+        batch_configs)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-checking: the unit cache must be invisible            *)
@@ -478,7 +539,7 @@ let test_unit_cache_lru () =
   let walk x =
     let src = Printf.sprintf "let %s = 1 in 0" x in
     ignore
-      (Unit.walk cache ~source:src ~spine env
+      (Unit.walk (Some cache) ~source:src ~spine env
          (Parser.exp_of_string ~file:"lru" src))
   in
   List.iter walk [ "a"; "b"; "c"; "a"; "d"; "e" ];
@@ -564,6 +625,7 @@ let suite =
       test_batch_more_domains_than_jobs;
     Alcotest.test_case "batch domains share no checker state" `Quick
       test_batch_domains_share_nothing;
+    Alcotest.test_case "batch keys nothing" `Quick test_batch_keys_nothing;
     QCheck_alcotest.to_alcotest prop_batch_matches_single_on_generated;
     Alcotest.test_case "incremental mutation = cold check" `Quick
       test_incremental_mutation_equals_cold;

@@ -232,6 +232,41 @@ r + g[bool](true)|}
         (Interp.flat_to_string a.Theorems.direct)
   | Error d -> Alcotest.failf "%s" (Fg_util.Diag.to_string d)
 
+(* A declaration that shadows a concept rebinds its name for every
+   older concept that refines or requires it, so it could close a cycle
+   that every query about the lattice would follow forever (a stack
+   overflow, or no end at all when each turn grows the arguments).  Each
+   such declaration is rejected where it is checked. *)
+let test_shadowing_closes_no_cycle () =
+  let a_then_b rel_a rel_b where =
+    Printf.sprintf
+      "concept B<t> { bv : t; } in concept A<t> { %s B<t>; av : t; } in \
+       concept B<t> { %s A<t>; bw : t; } in let f = tfun t where %s in 1"
+      rel_a rel_b where
+  in
+  let use_b = "B<t> => fun (x : t) => B<t>.bw" in
+  List.iter
+    (fun (src, message) ->
+      match Theorems.check_agreement_result (Parser.exp_of_string src) with
+      | Error d ->
+          Alcotest.(check (pair string string)) src ("FG0201", message)
+            (d.Fg_util.Diag.code, d.Fg_util.Diag.message)
+      | Ok _ -> Alcotest.failf "accepted: %s" src)
+    [
+      ( a_then_b "refines" "refines" "A<t> => fun (x : t) => x",
+        "concept B cannot refine or require itself: B refines A, A refines B"
+      );
+      ( a_then_b "require" "refines" use_b,
+        "concept B cannot refine or require itself: B refines A, A requires B"
+      );
+      ( a_then_b "refines" "require" use_b,
+        "concept B cannot refine or require itself: B requires A, A refines B"
+      );
+      ( "concept C<t> { cv : t; } in concept C<t> { require C<list t>; dv : \
+         t; } in let f = tfun t where C<t> => fun (x : t) => C<t>.dv(x) in 1",
+        "concept C cannot refine or require itself: C requires C" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "assoc_scope (ba)" `Quick test_assoc_scope;
@@ -255,4 +290,6 @@ let suite =
       test_diamond_dict_shared;
     Alcotest.test_case "memo keyed by concept table" `Quick
       test_memo_keyed_by_concept_table;
+    Alcotest.test_case "concept shadowing closes no cycle" `Quick
+      test_shadowing_closes_no_cycle;
   ]

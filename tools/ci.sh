@@ -242,6 +242,36 @@ for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
   done
 done
 
+echo "-- batch: cold and warm batches on a store match one without"
+# A batch checks its jobs without the unit cache (no job is ever checked
+# twice) unless a store is attached, which a later process can read: a
+# batch on a store keeps walking through the cache, so a warm batch
+# re-checks nothing.  Cold and warm batches over programs/ must print
+# exactly what a batch without a store prints.
+batch_dir=$(mktemp -d /tmp/fgc_batch_cache_XXXXXX)
+track "$batch_dir"
+"$fgc" batch -p --format=json programs/*.fg > "$plain" 2>/dev/null || true
+"$fgc" batch -p --format=json --cache-dir "$batch_dir" programs/*.fg \
+  > "$cold" 2>/dev/null || true
+"$fgc" batch -p --format=json --cache-dir "$batch_dir" --stats programs/*.fg \
+  > "$warm" 2>"$wstats" || true
+cmp -s "$plain" "$cold" \
+  || { echo "cache smoke: cold cached batch differs from uncached"; exit 1; }
+cmp -s "$plain" "$warm" \
+  || { echo "cache smoke: warm cached batch differs from uncached"; exit 1; }
+grep -A4 'unit cache:' "$wstats" | grep -q 'misses         :          0' \
+  || { echo "cache smoke: warm batch re-checked units"; exit 1; }
+
+echo "-- batch: without a store, a batch keys nothing"
+# Nothing could read back the units of a batch without a store, so its
+# jobs must not pay for keys, lookups and inserts: zero unit-cache
+# misses over programs/, with and without the prelude.
+for p in "" -p; do
+  "$fgc" batch $p --stats programs/*.fg > /dev/null 2>"$wstats" || true
+  grep -A4 'unit cache:' "$wstats" | grep -q 'misses         :          0' \
+    || { echo "cache smoke: a batch without a store used the unit cache: $p"; exit 1; }
+done
+
 echo "-- served: a daemon on the warm store matches one-shot runs"
 # The daemon's disk tier (--cache-dir through the pool to every
 # worker's unit cache): a single-worker daemon on the store warmed
