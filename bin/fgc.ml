@@ -53,10 +53,19 @@ let print_json j = print_endline (Json.to_string j)
 (* ---------------------------------------------------------------- *)
 (* Common arguments                                                  *)
 
+(* A usage mistake cmdliner cannot see, such as the wrong number of
+   files for a client action: it passes through [handle_code] and is
+   reported as cmdliner's own usage error (exit 124). *)
+exception Usage of string
+
+let usage fmt = Fmt.kstr (fun m -> raise (Usage m)) fmt
+
 (* Run a command body that reports its own exit code; on a diagnostic
-   print it (as JSON when asked) and exit non-zero.  With [--stats],
-   the telemetry accumulated by the command — timers and cache counters
-   included — goes to stderr either way. *)
+   print it (as JSON when asked) and exit non-zero.  Any other exception
+   (a stack overflow on a deeply nested program, say) is reported the
+   same way, as the FG0901 internal error a batch job gets for it.  With
+   [--stats], the telemetry accumulated by the command — timers and
+   cache counters included — goes to stderr either way. *)
 let handle_code ?(json = false) ?(stats = false) f =
   let before = Telemetry.snapshot () in
   let finish code =
@@ -65,14 +74,18 @@ let handle_code ?(json = false) ?(stats = false) f =
         (Telemetry.diff (Telemetry.snapshot ()) before);
     code
   in
+  let fail d =
+    if json then
+      print_json (Json.Obj [ ("ok", Json.Bool false);
+                             ("diagnostics", json_of_diags [ d ]) ])
+    else Fmt.epr "%a@." Diag.pp d;
+    finish 1
+  in
   match f () with
   | code -> finish code
-  | exception Diag.Error d ->
-      if json then
-        print_json (Json.Obj [ ("ok", Json.Bool false);
-                               ("diagnostics", json_of_diags [ d ]) ])
-      else Fmt.epr "%a@." Diag.pp d;
-      finish 1
+  | exception Diag.Error d -> fail d
+  | exception (Usage _ as exn) -> raise exn
+  | exception exn -> fail (C.Session.internal_error exn)
 
 let handle ?json ?stats f = handle_code ?json ?stats (fun () -> f (); 0)
 
@@ -317,36 +330,40 @@ let batch_cmd =
     handle ~json:(format = `Json) ~stats (fun () ->
         let jobs = List.map read_input files in
         let s = make_session ~backend ?cache_dir ~global ~prelude () in
-        let results = C.Session.run_batch ?domains s jobs in
-        let failed = ref 0 in
-        (match format with
-        | `Json ->
-            print_json
-              (Json.List
-                 (List.map
-                    (fun (name, r) ->
-                      match r with
-                      | Ok o -> json_of_outcome ~file:name o
-                      | Error d ->
-                          incr failed;
-                          json_of_failure ~file:name d)
-                    results))
-        | `Text ->
-            List.iter
-              (fun (name, r) ->
-                match r with
-                | Ok (o : C.Session.outcome) ->
-                    Fmt.pr "%-40s %a@." name C.Interp.pp_flat o.value
-                | Error d ->
-                    incr failed;
-                    Fmt.pr "%-40s ERROR %a@." name Diag.pp d)
-              results;
-            Fmt.pr "%d/%d ok@."
-              (List.length results - !failed)
-              (List.length results));
-        if !failed > 0 then
-          Diag.error Diag.Eval "%d of %d programs failed" !failed
-            (List.length results))
+        (* Each job's result is projected to what is printed on the
+           domain that ran it, so the batch holds no job's AST or
+           translation past its end. *)
+        let failed, total =
+          match format with
+          | `Json ->
+              let rows =
+                C.Session.map_batch ?domains s jobs (fun name -> function
+                  | Ok o -> (true, json_of_outcome ~file:name o)
+                  | Error d -> (false, json_of_failure ~file:name d))
+              in
+              print_json (Json.List (List.map snd rows));
+              (List.length (List.filter (fun (ok, _) -> not ok) rows),
+               List.length rows)
+          | `Text ->
+              let rows =
+                C.Session.map_batch ?domains s jobs (fun name r ->
+                    ( name,
+                      Result.map (fun (o : C.Session.outcome) -> o.value) r ))
+              in
+              List.iter
+                (fun (name, r) ->
+                  match r with
+                  | Ok v -> Fmt.pr "%-40s %a@." name C.Interp.pp_flat v
+                  | Error d -> Fmt.pr "%-40s ERROR %a@." name Diag.pp d)
+                rows;
+              let failed =
+                List.length (List.filter (fun (_, r) -> Result.is_error r) rows)
+              in
+              Fmt.pr "%d/%d ok@." (List.length rows - failed) (List.length rows);
+              (failed, List.length rows)
+        in
+        if failed > 0 then
+          Diag.error Diag.Eval "%d of %d programs failed" failed total)
   in
   let files =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE"
@@ -378,70 +395,66 @@ let corpus_cmd =
               C.Corpus.all
         | None, true ->
             (* Run every entry, in parallel; an entry passes when its
-               outcome matches its stated expectation. *)
+               outcome matches its stated expectation.  Each job keeps
+               only its verdict and what is printed for it. *)
             let s = session () in
             let jobs =
               List.map (fun (e : C.Corpus.entry) -> (e.name, e.source))
                 C.Corpus.all
             in
-            let results = C.Session.run_batch ?domains s jobs in
-            let failed = ref 0 in
-            let verdicts =
-              List.map2
-                (fun (e : C.Corpus.entry) (name, r) ->
-                  let ok =
-                    match (e.expected, r) with
-                    | C.Corpus.Value expect, Ok (o : C.Session.outcome) ->
-                        C.Interp.flat_equal o.value expect
-                    | C.Corpus.Fails phase, Error (d : Diag.diagnostic) ->
-                        d.phase = phase
-                    | C.Corpus.Value _, Error _
-                    | C.Corpus.Fails _, Ok _ -> false
-                  in
-                  if not ok then incr failed;
-                  (name, ok, r))
-                C.Corpus.all results
+            let as_expected name r =
+              match ((C.Corpus.find name).expected, r) with
+              | C.Corpus.Value expect, Ok (o : C.Session.outcome) ->
+                  C.Interp.flat_equal o.value expect
+              | C.Corpus.Fails phase, Error (d : Diag.diagnostic) ->
+                  d.phase = phase
+              | C.Corpus.Value _, Error _ | C.Corpus.Fails _, Ok _ -> false
             in
-            (match format with
-            | `Json ->
-                print_json
-                  (Json.List
-                     (List.map
-                        (fun (name, ok, r) ->
+            let failed =
+              match format with
+              | `Json ->
+                  let rows =
+                    C.Session.map_batch ?domains s jobs (fun name r ->
+                        let ok = as_expected name r in
+                        let j =
                           match r with
-                          | Ok o ->
-                              (match json_of_outcome ~file:name o with
-                              | Json.Obj fields ->
-                                  Json.Obj
-                                    (("expected_ok", Json.Bool ok) :: fields)
-                              | j -> j)
-                          | Error d ->
-                              (match json_of_failure ~file:name d with
-                              | Json.Obj fields ->
-                                  Json.Obj
-                                    (("expected_ok", Json.Bool ok) :: fields)
-                              | j -> j))
-                        verdicts))
-            | `Text ->
-                List.iter
-                  (fun (name, ok, r) ->
-                    let show =
-                      match r with
-                      | Ok (o : C.Session.outcome) ->
-                          C.Interp.flat_to_string o.value
-                      | Error (d : Diag.diagnostic) ->
-                          "rejected: " ^ Diag.phase_name d.phase
-                    in
-                    Fmt.pr "%-30s %s %s@." name
-                      (if ok then "ok  " else "FAIL")
-                      show)
-                  verdicts;
-                Fmt.pr "%d/%d as expected@."
-                  (List.length verdicts - !failed)
-                  (List.length verdicts));
-            if !failed > 0 then
-              Diag.error Diag.Eval "%d corpus entries off expectation"
-                !failed
+                          | Ok o -> json_of_outcome ~file:name o
+                          | Error d -> json_of_failure ~file:name d
+                        in
+                        ( ok,
+                          match j with
+                          | Json.Obj fields ->
+                              Json.Obj (("expected_ok", Json.Bool ok) :: fields)
+                          | j -> j ))
+                  in
+                  print_json (Json.List (List.map snd rows));
+                  List.length (List.filter (fun (ok, _) -> not ok) rows)
+              | `Text ->
+                  let rows =
+                    C.Session.map_batch ?domains s jobs (fun name r ->
+                        ( name,
+                          as_expected name r,
+                          match r with
+                          | Ok (o : C.Session.outcome) ->
+                              C.Interp.flat_to_string o.value
+                          | Error (d : Diag.diagnostic) ->
+                              "rejected: " ^ Diag.phase_name d.phase ))
+                  in
+                  List.iter
+                    (fun (name, ok, show) ->
+                      Fmt.pr "%-30s %s %s@." name
+                        (if ok then "ok  " else "FAIL")
+                        show)
+                    rows;
+                  let failed =
+                    List.length (List.filter (fun (_, ok, _) -> not ok) rows)
+                  in
+                  Fmt.pr "%d/%d as expected@." (List.length rows - failed)
+                    (List.length rows);
+                  failed
+            in
+            if failed > 0 then
+              Diag.error Diag.Eval "%d corpus entries off expectation" failed
         | Some (e : C.Corpus.entry), _ -> (
             Fmt.pr "// %s (%s)@.%s@.@." e.description e.paper e.source;
             (* Off its expectation, an entry ends in a diagnostic: the
@@ -857,12 +870,6 @@ let print_stats_pretty payload =
           | v -> Fmt.pr "%s: %s@." k (Json.to_string v))
         fields
   | Ok _ -> print_endline payload
-
-(* A usage mistake cmdliner cannot see, such as the wrong number of
-   files for an action: reported as cmdliner's own usage error. *)
-exception Usage of string
-
-let usage fmt = Fmt.kstr (fun m -> raise (Usage m)) fmt
 
 let client_cmd =
   let run action files expr socket port host prelude global backend

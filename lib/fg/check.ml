@@ -1053,14 +1053,18 @@ let decl_body (e : exp) : exp option =
 
 (** Is [d] a likely consequence of an earlier failure that poisoned one
     of [poisoned]?  Diagnostic messages quote user names as ['name'],
-    and failed resolutions read "no model of C<...>"; matching on those
-    shapes suppresses the echo of an error already reported without a
-    structured provenance channel through every raise site. *)
+    failed resolutions read "no model of C<...>", and a concept's own
+    errors read "concept C ..." (such as "concept C has no member 'x'",
+    which a failed concept declaration that shadows an older [C]
+    leaves behind); matching on those shapes suppresses the echo of an
+    error already reported without a structured provenance channel
+    through every raise site. *)
 let is_cascade poisoned (d : Diag.diagnostic) =
   Sset.exists
     (fun n ->
       Strutil.contains ~needle:("'" ^ n ^ "'") d.Diag.message
-      || Strutil.contains ~needle:("no model of " ^ n ^ "<") d.Diag.message)
+      || Strutil.contains ~needle:("no model of " ^ n ^ "<") d.Diag.message
+      || Strutil.contains ~needle:("concept " ^ n ^ " ") d.Diag.message)
     poisoned
 
 (* ------------------------------------------------------------------ *)

@@ -111,6 +111,6 @@ val decl_poison : exp -> string list
 val decl_body : exp -> exp option
 
 (** Is this diagnostic a likely cascade of a failure that poisoned one
-    of the given names?  (Matches quoted names and failed resolutions
-    of poisoned concepts in the message.) *)
+    of the given names?  (Matches quoted names, failed resolutions of
+    poisoned concepts and "concept C ..." errors in the message.) *)
 val is_cascade : Fg_util.Names.Sset.t -> Fg_util.Diag.diagnostic -> bool

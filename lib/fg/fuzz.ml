@@ -1345,7 +1345,12 @@ let agreement_fails ast =
   | Ok _ -> false
   | Error _ -> true
 
-let agreement_failure (p : program) res : failure list =
+(* What the agreement oracle reads of a batch job: whether it failed,
+   and how.  A batch keeps nothing else of the job. *)
+let verdict _name res = Result.map ignore res
+
+let agreement_failure (p : program) (res : (unit, Diag.diagnostic) result) :
+    failure list =
   match res with
   | Ok _ -> []
   | Error (d : Diag.diagnostic) ->
@@ -1474,13 +1479,13 @@ let run_blind ?domains (cfg : config) =
       (fun p -> (Printf.sprintf "fuzz-%d-%d" cfg.seed p.p_index, p.p_source))
       programs
   in
-  let batch = Session.run_batch ?domains sess jobs in
+  let batch = Session.map_batch ?domains sess jobs verdict in
   let rsess = Session.of_config scfg in
   let mutants_run = ref 0 in
   let failures =
     List.concat
       (List.map2
-         (fun p (_, res) ->
+         (fun p res ->
            roundtrip_failure p @ agreement_failure p res
            @ recovery_failures cfg rsess mutants_run p)
          programs batch)
@@ -1940,10 +1945,12 @@ let run_guided ?domains (cfg : config) =
         (Printf.sprintf "fuzz-%d-%d" cfg.seed p.p_index, p.p_source))
       well_typed
   in
-  let batch = Session.run_batch ?domains (Session.of_config scfg) jobs in
+  let batch =
+    Session.map_batch ?domains (Session.of_config scfg) jobs verdict
+  in
   let agree = Hashtbl.create 32 in
   List.iter2
-    (fun (p, _) (_, res) -> Hashtbl.replace agree p.p_index res)
+    (fun (p, _) res -> Hashtbl.replace agree p.p_index res)
     well_typed batch;
   let rsess = Session.of_config scfg in
   let mutants_run = ref 0 in

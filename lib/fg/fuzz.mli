@@ -107,7 +107,7 @@ type report = {
 
 (** Run the whole harness: generate (or, guided, mutate) [config.count]
     programs, check the three oracles (agreement fanned out over
-    [domains] OCaml domains via {!Session.run_batch}), shrink any
+    [domains] OCaml domains via {!Session.map_batch}), shrink any
     failures.  Output — including the guided-mode coverage map and
     corpus — is independent of [domains].  Does not raise on oracle
     failures — they come back in the report. *)

@@ -85,9 +85,9 @@ and parse_constr p : constr =
       (* "C<τ̄> . s ==" begins a same-type constraint; any other "."
          terminates the where clause (the "." is left unconsumed). *)
       if
-        P.peek p = T.DOT
+        T.equal (P.peek p) T.DOT
         && (match P.peek2 p with T.LIDENT _ -> true | _ -> false)
-        && P.peek_nth p 2 = T.EQEQ
+        && T.equal (P.peek_nth p 2) T.EQEQ
       then begin
         P.skip p;
         let s = P.expect_lident p in
@@ -551,23 +551,11 @@ and parse_concept_app_after_kw p = parse_concept_app p
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
-let exp_of_string ?file src =
-  let p = P.of_string ?file src in
-  let e = parse_exp p in
-  P.expect_eof p;
-  e
+let exp_of_string ?file src = P.parse ?file src parse_exp
 
-let ty_of_string ?file src =
-  let p = P.of_string ?file src in
-  let t = parse_ty p in
-  P.expect_eof p;
-  t
+let ty_of_string ?file src = P.parse ?file src parse_ty
 
-let constr_of_string ?file src =
-  let p = P.of_string ?file src in
-  let c = parse_constr p in
-  P.expect_eof p;
-  c
+let constr_of_string ?file src = P.parse ?file src parse_constr
 
 (* ------------------------------------------------------------------ *)
 (* Recovering entry point                                              *)
@@ -581,7 +569,7 @@ let decl_binder_hint p =
   match (P.peek p, P.peek2 p) with
   | T.KW ("let" | "type" | "using"), T.LIDENT x -> Some x
   | T.KW "concept", T.UIDENT c -> Some c
-  | T.KW "model", T.LIDENT m when P.peek_nth p 2 = T.EQ -> Some m
+  | T.KW "model", T.LIDENT m when T.equal (P.peek_nth p 2) T.EQ -> Some m
   | _ -> None
 
 (* Parse one top-level declaration including its trailing "in",
@@ -655,9 +643,13 @@ let synchronize p =
     | _ -> P.skip p
   done
 
+(* The scanner reports lexer errors to [engine] as the parse reaches
+   them, while parser errors wait in [parse_errors] until the loop has
+   read the input to its end: every lexer diagnostic precedes every
+   parser diagnostic, however the two interleave in the text. *)
 let exp_of_string_recovering ~engine ?file src =
-  let toks = Lexer.tokenize_recovering ~engine ?file src in
-  let p = P.of_tokens toks in
+  let p = P.of_string ?file ~recover:engine src in
+  let parse_errors = ref [] in
   let wraps = ref [] in
   let poisoned = ref [] in
   let body = ref None in
@@ -666,13 +658,13 @@ let exp_of_string_recovering ~engine ?file src =
      expression; parse the spine iteratively so a failed declaration can
      be dropped without losing the ones after it. *)
   while not !finished do
-    if P.peek p = T.EOF then finished := true
+    if T.equal (P.peek p) T.EOF then finished := true
     else if at_decl_kw p then begin
       let hint = decl_binder_hint p in
       match parse_decl_step p with
       | wrap -> wraps := wrap :: !wraps
       | exception Fg_util.Diag.Error d ->
-          Fg_util.Diag.report engine d;
+          parse_errors := d :: !parse_errors;
           Option.iter (fun x -> poisoned := x :: !poisoned) hint;
           synchronize p
     end
@@ -686,10 +678,11 @@ let exp_of_string_recovering ~engine ?file src =
           body := Some e;
           finished := true
       | exception Fg_util.Diag.Error d ->
-          Fg_util.Diag.report engine d;
+          parse_errors := d :: !parse_errors;
           synchronize p
     end
   done;
+  List.iter (Fg_util.Diag.report engine) (List.rev !parse_errors);
   let body =
     match !body with
     | Some e -> e

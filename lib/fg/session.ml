@@ -19,9 +19,9 @@
       a program records goes to a run tier dropped when it is done
       (scope generations keep per-program extensions from contaminating
       each other, and a program's entries could never hit again);
-    - {!run_batch} fans out over [Domain.spawn], one private session
+    - {!map_batch} fans out over [Domain.spawn], one private session
       per domain (checker state — gensym, caches — is single-domain by
-      design). *)
+      design), and keeps of each job only what its caller projects. *)
 
 open Fg_util
 module F = Fg_systemf
@@ -581,8 +581,12 @@ let run_indexed ?(file = "<program>") ?fuel t source : indexed_run =
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
 
-let run_batch ?domains ?fuel t (jobs : (string * string) list) :
-    (string * (outcome, Diag.diagnostic) result) list =
+let internal_error exn =
+  Diag.make Diag.Internal
+    ("uncaught exception while running this program: "
+    ^ Printexc.to_string exn)
+
+let map_batch ?domains ?fuel t (jobs : (string * string) list) f =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   let domains =
@@ -607,21 +611,20 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
     with
     | o -> Ok o
     | exception Diag.Error d -> Error d
-    | exception exn ->
-        Error
-          (Diag.make Diag.Internal
-             ("uncaught exception while running this program: "
-             ^ Printexc.to_string exn))
+    | exception exn -> Error (internal_error exn)
   in
   (* Strided work split: domain d takes jobs d, d+domains, ...  Writes
      land on disjoint indices, so the array needs no lock; outcomes are
      per-program deterministic (the supply is rewound before each), so
-     the assembled list is identical for every domain count. *)
+     the assembled list is identical for every domain count.  Each
+     outcome goes to [f] as soon as its job ends and only what [f]
+     returns is kept: the job's AST and translation are garbage before
+     the domain's next job starts. *)
   let work t_local first =
     let i = ref first in
     while !i < n do
       let name, source = jobs.(!i) in
-      results.(!i) <- Some (name, job t_local name source);
+      results.(!i) <- Some (f name (job t_local name source));
       i := !i + domains
     done
   in
@@ -641,8 +644,11 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
     (Array.map
        (function
          | Some r -> r
-         | None -> Diag.ice "run_batch: unfilled result slot")
+         | None -> Diag.ice "map_batch: unfilled result slot")
        results)
+
+let run_batch ?domains ?fuel t jobs =
+  map_batch ?domains ?fuel t jobs (fun name r -> (name, r))
 
 (* ---------------------------------------------------------------- *)
 (* Observability                                                     *)

@@ -9,7 +9,7 @@
       dependency chain) and replayed from the cache everywhere else.
       The prelude is checked {e once} at {!of_config}; re-checking an
       edited program re-checks only the declarations whose content or
-      dependencies changed ({!run_batch} jobs, which nothing re-checks,
+      dependencies changed ({!map_batch} jobs, which nothing re-checks,
       skip the cache);
     - a {b memoized model-resolution cache} (in {!Env}): lookups are
       keyed on (concept, argument types, scope generation), so the
@@ -25,7 +25,7 @@
     post-prelude position before each program, so output never depends
     on how many programs the session has already served.
 
-    A session is single-domain; {!run_batch} verifies N programs across
+    A session is single-domain; {!map_batch} verifies N programs across
     OCaml 5 domains by giving each domain its own session built from
     the same configuration, with deterministic, order-stable output. *)
 
@@ -239,14 +239,20 @@ val verify : ?file:string -> t -> string -> Theorems.report
 (** The default domain count: the runtime's recommendation, at least 1. *)
 val default_domains : unit -> int
 
-(** [run_batch ~domains t jobs] — run every [(name, source)] job
+(** [map_batch ~domains t jobs f] — run every [(name, source)] job
     through the full pipeline, fanned out over [domains] OCaml domains
-    (default {!default_domains}).  The calling session serves one
-    domain; every other domain builds its own session from the same
-    configuration, so no mutable checker state crosses domains.
-    Results come back in job order and are identical for every choice
-    of [domains] (each program's fresh names are rewound
-    per-program), and identical to running each job alone with {!run}.
+    (default {!default_domains}), and return [f name result] for each
+    job, in job order.  [f] runs on the domain that ran the job, as
+    soon as the job ends, and only what it returns is kept: a caller
+    that needs a job's value or verdict keeps that, not the job's
+    source, AST and translation.  [f] must be safe to call from any
+    domain.
+
+    The calling session serves one domain; every other domain builds
+    its own session from the same configuration, so no mutable checker
+    state crosses domains.  Results are identical for every choice of
+    [domains] (each program's fresh names are rewound per-program), and
+    identical to running each job alone with {!run}.
 
     Each job is checked once, under its own name, and a unit's key
     includes the file, so no unit a job could insert would ever be
@@ -257,11 +263,22 @@ val default_domains : unit -> int
     does.
 
     A job that raises anything besides [Diag.Error] (a stack overflow,
-    say) yields its own [FG0901] internal-error diagnostic naming the
-    exception; the other jobs are unaffected. *)
+    say) yields its own {!internal_error}; the other jobs are
+    unaffected. *)
+val map_batch :
+  ?domains:int -> ?fuel:int -> t -> (string * string) list ->
+  (string -> (outcome, Diag.diagnostic) result -> 'a) -> 'a list
+
+(** [run_batch ~domains t jobs] is {!map_batch} keeping every job's
+    name and whole result. *)
 val run_batch :
   ?domains:int -> ?fuel:int -> t -> (string * string) list ->
   (string * (outcome, Diag.diagnostic) result) list
+
+(** The [FG0901] internal-error diagnostic for an exception other than
+    [Diag.Error] that escaped a program's run: "uncaught exception
+    while running this program: ...". *)
+val internal_error : exn -> Diag.diagnostic
 
 (** {1 Observability} *)
 

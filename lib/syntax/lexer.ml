@@ -1,14 +1,12 @@
 (** Hand-written scanner shared by the System F and FG parsers.
 
-    Produces the full token stream eagerly (programs are small; the
-    parsers want arbitrary lookahead for cheap).  Supports [//] line
-    comments and nestable [/* ... */] block comments.
+    A {!scanner} stops after each token: the parsers pull tokens one at
+    a time into a four-token window ({!Parser_base}), so a parse holds
+    no array sized by its input.  Supports [//] line comments and
+    nestable [/* ... */] block comments.
 
-    The stream keeps each token's span as six integers in one int array
-    and builds the {!Loc.t} record only when asked.  A (token, span)
-    pair per token would make a large program's stream thousands of
-    small blocks that one array holds across minor collections, and
-    copying them to the major heap costs more than scanning the text.
+    A token's span is six integers written into the caller's int array;
+    the {!Loc.t} record is built only when asked.
 
     ['<'] and ['>'] are always lexed as single tokens, never combined
     into shifts, so nested concept applications like [C<D<int>>] lex
@@ -169,88 +167,73 @@ let next_token lx : Token.t =
   end
 
 (* ---------------------------------------------------------------- *)
-(* The token stream                                                  *)
+(* The scanner                                                       *)
 
-type tokens = {
-  file : string;
-  mutable toks : Token.t array;
-  mutable spans : int array;
-      (** per token: start line, col, offset, end line, col, offset *)
-  mutable count : int;
-}
+type scanner = { lx : t; recover : Diag.engine option }
 
-let push t tok ~line ~col ~offset lx =
-  if t.count = Array.length t.toks then begin
-    let toks = Array.make (2 * t.count) Token.EOF in
-    let spans = Array.make (12 * t.count) 0 in
-    Array.blit t.toks 0 toks 0 t.count;
-    Array.blit t.spans 0 spans 0 (6 * t.count);
-    t.toks <- toks;
-    t.spans <- spans
-  end;
-  let b = 6 * t.count in
-  t.toks.(t.count) <- tok;
-  t.spans.(b) <- line;
-  t.spans.(b + 1) <- col;
-  t.spans.(b + 2) <- offset;
-  t.spans.(b + 3) <- lx.line;
-  t.spans.(b + 4) <- lx.col;
-  t.spans.(b + 5) <- lx.pos;
-  t.count <- t.count + 1
+let scanner ?file ?recover src = { lx = create ?file src; recover }
 
-(* Scan the whole input; [on_error] decides what a lexer error does. *)
-let scan ?(file = "<input>") src ~on_error =
-  let lx = create ~file src in
-  let cap = max 16 (String.length src / 2) in
-  let t =
-    {
-      file;
-      toks = Array.make cap Token.EOF;
-      spans = Array.make (6 * cap) 0;
-      count = 0;
-    }
-  in
-  let continue = ref true in
-  while !continue do
-    match
-      skip_trivia lx;
-      let line = lx.line and col = lx.col and offset = lx.pos in
-      let tok = next_token lx in
-      push t tok ~line ~col ~offset lx;
-      tok
-    with
-    | Token.EOF -> continue := false
-    | _ -> ()
-    | exception Diag.Error d -> on_error lx d
-  done;
-  t
+let file sc = sc.lx.file
 
-(** Lex the whole input to located tokens, ending in [EOF]. *)
-let tokenize ?file src =
-  scan ?file src ~on_error:(fun _ d -> raise (Diag.Error d))
+(** Scan the next token and write its span into [spans] at [b]: start
+    line, col, offset, then end line, col, offset.  At end of input
+    every call returns [EOF] again. *)
+let rec next sc spans b : Token.t =
+  let lx = sc.lx in
+  match
+    skip_trivia lx;
+    let line = lx.line and col = lx.col and offset = lx.pos in
+    let tok = next_token lx in
+    spans.(b) <- line;
+    spans.(b + 1) <- col;
+    spans.(b + 2) <- offset;
+    spans.(b + 3) <- lx.line;
+    spans.(b + 4) <- lx.col;
+    spans.(b + 5) <- lx.pos;
+    tok
+  with
+  | tok -> tok
+  | exception Diag.Error d -> (
+      match sc.recover with
+      | None -> raise (Diag.Error d)
+      | Some engine ->
+          Coverage.hit p_recover_skip;
+          Diag.report engine d;
+          (* Skip the character the scanner tripped on so the scan
+             makes progress; at end of input (an unterminated comment)
+             the next round produces EOF. *)
+          if not (eof lx) then advance lx;
+          next sc spans b)
 
-(** Like {!tokenize}, but lexer errors are reported to [engine] and the
-    scan keeps going: the offending character is skipped and the next
-    token is read after it.  The result always ends in [EOF], so the
-    parser can run over whatever tokens survived. *)
-let tokenize_recovering ~engine ?file src =
-  scan ?file src ~on_error:(fun lx d ->
-      Coverage.hit p_recover_skip;
-      Diag.report engine d;
-      (* Skip the character the scanner tripped on so the loop makes
-         progress; at end of input (unterminated comment) the next
-         round produces EOF. *)
-      if not (eof lx) then advance lx)
-
-let length t = t.count
-
-let token t i =
-  if i < 0 || i >= t.count then invalid_arg "Lexer.token";
-  t.toks.(i)
-
-let loc t i =
-  if i < 0 || i >= t.count then invalid_arg "Lexer.loc";
-  let s = t.spans and b = 6 * i in
-  Loc.make ~file:t.file
+let span ~file s b =
+  Loc.make ~file
     ~start_pos:{ Loc.line = s.(b); col = s.(b + 1); offset = s.(b + 2) }
     ~end_pos:{ Loc.line = s.(b + 3); col = s.(b + 4); offset = s.(b + 5) }
+
+let drain sc =
+  let scratch = Array.make 6 0 in
+  let rec go () = match next sc scratch 0 with Token.EOF -> () | _ -> go () in
+  go ()
+
+(* ---------------------------------------------------------------- *)
+(* Whole-input token arrays                                          *)
+
+type tokens = { file : string; toks : (Token.t * int array) array }
+
+(** Drain a scanner: the located tokens of the whole input, ending in
+    [EOF]. *)
+let tokenize ?file src =
+  let sc = scanner ?file src in
+  let rec loop acc =
+    let span = Array.make 6 0 in
+    match next sc span 0 with
+    | Token.EOF -> List.rev ((Token.EOF, span) :: acc)
+    | tok -> loop ((tok, span) :: acc)
+  in
+  { file = sc.lx.file; toks = Array.of_list (loop []) }
+
+let length t = Array.length t.toks
+
+let token t i = fst t.toks.(i)
+
+let loc t i = span ~file:t.file (snd t.toks.(i)) 0

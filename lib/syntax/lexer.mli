@@ -2,19 +2,40 @@
     Supports [//] line comments and nestable [/* ... */] block comments;
     ['<']/['>'] are always single tokens (so [C<D<int>>] lexes). *)
 
-(** A lexed input: its tokens in order, the last one [EOF], each with
-    its source span. *)
+(** A scan of one input that stops after each token. *)
+type scanner
+
+(** [scanner ?file ?recover src] starts at the beginning of [src].
+    Without [recover], a lexer error raises a located diagnostic from
+    the {!next} call that meets it.  With [recover], it is reported to
+    the engine instead and the offending character skipped, so every
+    scan reaches [EOF]. *)
+val scanner : ?file:string -> ?recover:Fg_util.Diag.engine -> string -> scanner
+
+(** The file name spans carry. *)
+val file : scanner -> string
+
+(** [next sc spans b] scans the next token and writes its span into
+    [spans.(b)] .. [spans.(b + 5)]: start line, column and offset, then
+    end line, column and offset.  After the last token every call
+    returns [EOF] again. *)
+val next : scanner -> int array -> int -> Token.t
+
+(** The span {!next} wrote at [spans.(b)]. *)
+val span : file:string -> int array -> int -> Fg_util.Loc.t
+
+(** Scan to the end of input, discarding the tokens: raises the first
+    lexer error left in the text (or reports every one, when
+    recovering). *)
+val drain : scanner -> unit
+
+(** A whole input's tokens in order, the last one [EOF], each with its
+    source span. *)
 type tokens
 
-(** Lex the whole input eagerly.  Raises a located lexer diagnostic on
-    bad input. *)
+(** Drain a fresh scanner into a {!tokens}.  Raises a located lexer
+    diagnostic on bad input. *)
 val tokenize : ?file:string -> string -> tokens
-
-(** Like {!tokenize}, but lexer errors are reported to [engine] (and the
-    offending character skipped) instead of raising, so the scan reaches
-    end of input and the result always ends in [EOF]. *)
-val tokenize_recovering :
-  engine:Fg_util.Diag.engine -> ?file:string -> string -> tokens
 
 (** Number of tokens, [EOF] included. *)
 val length : tokens -> int

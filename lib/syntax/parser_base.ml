@@ -1,30 +1,78 @@
 (** Token-stream cursor shared by the two recursive-descent parsers.
 
-    Wraps the stream produced by {!Lexer.tokenize} with peeking,
-    expectation and error-reporting helpers.  The parsers themselves live
-    with their languages ([fg_systemf] and [fg_core]). *)
+    Pulls tokens from a {!Lexer.scanner} into a small window and wraps
+    it with peeking, expectation and error-reporting helpers.  The
+    parsers themselves live with their languages ([fg_systemf] and
+    [fg_core]). *)
 
 open Fg_util
 
+(* The parsers look at most two tokens ahead ([peek_nth p 2]) and one
+   behind ([prev_loc]), so four tokens are all a parse keeps: token [i]
+   lives in slot [i land mask] of a ring that is doubled only when a
+   caller peeks further ahead. *)
 type t = {
-  toks : Lexer.tokens;
-  mutable cursor : int;
+  scan : Lexer.scanner;
+  file : string;
+  mutable mask : int;  (** ring capacity - 1; the capacity is a power of 2 *)
+  mutable toks : Token.t array;
+  mutable spans : int array;  (** six ints per slot, as {!Lexer.next} writes *)
+  mutable cursor : int;  (** index of the current token *)
+  mutable filled : int;  (** tokens scanned so far *)
+  mutable ended : bool;  (** the last token scanned is [EOF] *)
   mutable span_at : int;  (** index whose span [span] holds, or -1 *)
   mutable span : Loc.t;
 }
 
-let of_tokens toks =
-  if Lexer.length toks = 0 then Diag.ice "parser: empty token stream";
-  { toks; cursor = 0; span_at = -1; span = Loc.dummy }
+let window = 4
 
-let of_string ?file src = of_tokens (Lexer.tokenize ?file src)
+let of_string ?file ?recover src =
+  let scan = Lexer.scanner ?file ?recover src in
+  {
+    scan;
+    file = Lexer.file scan;
+    mask = window - 1;
+    toks = Array.make window Token.EOF;
+    spans = Array.make (6 * window) 0;
+    cursor = 0;
+    filled = 0;
+    ended = false;
+    span_at = -1;
+    span = Loc.dummy;
+  }
 
-let peek p = Lexer.token p.toks p.cursor
+(* Double the ring, keeping the tokens from [cursor - 1] on. *)
+let grow p =
+  let cap = 2 * (p.mask + 1) in
+  let toks = Array.make cap Token.EOF and spans = Array.make (6 * cap) 0 in
+  for i = max 0 (p.cursor - 1) to p.filled - 1 do
+    let o = i land p.mask and n = i land (cap - 1) in
+    toks.(n) <- p.toks.(o);
+    Array.blit p.spans (6 * o) spans (6 * n) 6
+  done;
+  p.toks <- toks;
+  p.spans <- spans;
+  p.mask <- cap - 1
+
+(* Scan until token [i] is in the ring or the input has ended. *)
+let rec fill p i =
+  if p.filled <= i && not p.ended then begin
+    if p.filled - max 0 (p.cursor - 1) > p.mask then grow p;
+    let slot = p.filled land p.mask in
+    let tok = Lexer.next p.scan p.spans (6 * slot) in
+    p.toks.(slot) <- tok;
+    p.filled <- p.filled + 1;
+    (match tok with Token.EOF -> p.ended <- true | _ -> ());
+    fill p i
+  end
 
 (** [peek_nth p 0 = peek p]. *)
 let peek_nth p k =
-  if p.cursor + k < Lexer.length p.toks then Lexer.token p.toks (p.cursor + k)
-  else Token.EOF
+  let i = p.cursor + k in
+  if i >= p.filled then fill p i;
+  if i < p.filled then p.toks.(i land p.mask) else Token.EOF
+
+let peek p = peek_nth p 0
 
 let peek2 p = peek_nth p 1
 
@@ -35,12 +83,14 @@ let peek2 p = peek_nth p 1
    parse's allocation. *)
 let span_of p i =
   if p.span_at <> i then begin
-    p.span <- Lexer.loc p.toks i;
+    p.span <- Lexer.span ~file:p.file p.spans (6 * (i land p.mask));
     p.span_at <- i
   end;
   p.span
 
-let loc p = span_of p p.cursor
+let loc p =
+  ignore (peek p);
+  span_of p p.cursor
 
 (** Span of the most recently consumed token. *)
 let prev_loc p = if p.cursor = 0 then loc p else span_of p (p.cursor - 1)
@@ -74,7 +124,7 @@ let eat p tok =
 
 let expect_kw p kw = ignore (expect p (Token.KW kw))
 
-let at_kw p kw = Token.equal (peek p) (Token.KW kw)
+let at_kw p kw = match peek p with Token.KW k -> String.equal k kw | _ -> false
 
 let expect_lident p =
   match peek p with
@@ -108,3 +158,21 @@ let expect_eof p =
   match peek p with
   | Token.EOF -> ()
   | _ -> error p "expected end of input"
+
+(* A text's first lexer error wins over anything the parse raises
+   before reaching it, so which error a text reports does not depend on
+   how far the parse read: the rest of the text is scanned before the
+   parse's exception is re-raised. *)
+let parse ?file src f =
+  let p = of_string ?file src in
+  match
+    let v = f p in
+    expect_eof p;
+    v
+  with
+  | v -> v
+  | exception (Diag.Error { Diag.phase = Diag.Lexer; _ } as e) -> raise e
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Lexer.drain p.scan;
+      Printexc.raise_with_backtrace e bt

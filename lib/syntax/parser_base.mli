@@ -3,8 +3,15 @@
 
 type t
 
-val of_tokens : Lexer.tokens -> t
-val of_string : ?file:string -> string -> t
+(** A cursor at the first token of [src].  Tokens are scanned as the
+    parse asks for them; [recover] is as in {!Lexer.scanner}. *)
+val of_string : ?file:string -> ?recover:Fg_util.Diag.engine -> string -> t
+
+(** [parse ?file src f] runs [f] on a cursor over [src] and then
+    requires the end of input.  A lexer error anywhere in [src] wins
+    over any exception the parse raises before reaching it, as if the
+    whole text had been lexed first. *)
+val parse : ?file:string -> string -> (t -> 'a) -> 'a
 
 val peek : t -> Token.t
 val peek2 : t -> Token.t

@@ -320,14 +320,6 @@ and parse_atom p : exp =
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
-let exp_of_string ?file src =
-  let p = P.of_string ?file src in
-  let e = parse_exp p in
-  P.expect_eof p;
-  e
+let exp_of_string ?file src = P.parse ?file src parse_exp
 
-let ty_of_string ?file src =
-  let p = P.of_string ?file src in
-  let t = parse_ty p in
-  P.expect_eof p;
-  t
+let ty_of_string ?file src = P.parse ?file src parse_ty

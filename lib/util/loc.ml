@@ -24,7 +24,11 @@ let is_dummy s = s.file = "<none>"
 
 let make ~file ~start_pos ~end_pos = { file; start_pos; end_pos }
 
-let cmp_pos a b = compare (a.offset, a.line, a.col) (b.offset, b.line, b.col)
+(* By offset, then line, then column; every [merge] compares twice. *)
+let cmp_pos a b =
+  if a.offset <> b.offset then Int.compare a.offset b.offset
+  else if a.line <> b.line then Int.compare a.line b.line
+  else Int.compare a.col b.col
 
 (** [merge a b] spans from the earlier start to the later end.  If either
     side is a dummy span the other side wins, so synthesized nodes inherit

@@ -546,6 +546,35 @@ let test_batch_job_throws () =
             [ "internal error[FG0901]"; "Stack overflow"; "2/3 ok" ] );
         ])
 
+(* The one-shot subcommands report such a crash the way they report a
+   diagnostic: the same FG0901 a batch job gets, in text on stderr or
+   as the JSON error object on stdout, and exit 1. *)
+let test_oneshot_crash () =
+  with_program_files
+    [ String.make 200_000 '(' ^ "1" ^ String.make 200_000 ')' ]
+    (fun files ->
+      let deep = Filename.quote (List.hd files) in
+      let msg =
+        "uncaught exception while running this program: Stack overflow"
+      in
+      List.iter
+        (fun cmd ->
+          let args = cmd ^ " " ^ deep in
+          let code, out, err = run_env "OCAMLRUNPARAM=l=1M" args in
+          Alcotest.(check int) (args ^ " exit") 1 code;
+          Alcotest.(check string) (args ^ " stdout") "" out;
+          Alcotest.(check string) (args ^ " stderr")
+            ("internal error[FG0901]: " ^ msg ^ "\n") err)
+        [ "run"; "check"; "translate" ];
+      let args = "run --format=json " ^ deep in
+      let code, out, err = run_env "OCAMLRUNPARAM=l=1M" args in
+      Alcotest.(check int) (args ^ " exit") 1 code;
+      Alcotest.(check string) (args ^ " stderr") "" err;
+      Alcotest.(check string) (args ^ " stdout")
+        ({|{"ok": false, "diagnostics": [{"code": "FG0901", "severity": "error", "phase": "internal error", "message": "|}
+        ^ msg ^ {|", "span": null, "notes": []}]}|} ^ "\n")
+        out)
+
 (* One-shot runs collect nothing: fgc starts its one-shot subcommands
    with a minor heap large enough that loading the prelude image
    requests no major slice (bin/oneshot_heap.c).  [v=0x400] makes the
@@ -761,6 +790,8 @@ let suite =
     Alcotest.test_case "batch --format=json" `Quick test_batch_json;
     Alcotest.test_case "batch survives a job that throws" `Quick
       test_batch_job_throws;
+    Alcotest.test_case "one-shot runs report a crash as FG0901" `Quick
+      test_oneshot_crash;
     Alcotest.test_case "corpus --all" `Quick test_corpus_all;
     Alcotest.test_case "repl session" `Quick test_repl_session;
     Alcotest.test_case "repl using commits" `Quick test_repl_using;

@@ -169,6 +169,95 @@ let test_garbage_terminates () =
     (List.length (errors_of r) > 0);
   Alcotest.(check bool) "no outcome" true (r.Session.outcome = None)
 
+(* A concept declaration that shadows an older one of the same name and
+   fails poisons the name: a use of a member only the failed declaration
+   had is not reported again against the older concept. *)
+let test_failed_shadowing_concept () =
+  let r =
+    report_of
+      "concept B<t> { bv : t; } in concept B<t> { refines Q<t>; bw : t; } \
+       in let f = tfun t where B<t> => fun (x : t) => B<t>.bw in 1"
+  in
+  Alcotest.(check (list string)) "the root cause only"
+    [ "rec:1:29-70: ill-formed[FG0202]: unknown concept 'Q'" ]
+    (List.map Diag.to_string r.Session.diagnostics)
+
+(* Lexer and parser errors interleaved in the text, ending in an
+   unterminated block comment.  Every lexer diagnostic comes first, in
+   text order, then every parser diagnostic, in text order; the
+   declarations that failed to parse are poisoned, the lexer's decision
+   point fires once per skipped character and the parser's once per
+   resynchronization. *)
+let interleaved =
+  {|let a = in
+let b = 1 $ 2 in
+let c = ) in
+let d = 3 # in
+model in
+let e = 4 in /* never /* closed */|}
+
+let test_recovering_order () =
+  let before = Fg_util.Coverage.snapshot () in
+  let engine = Diag.engine () in
+  let _, poisoned =
+    Parser.exp_of_string_recovering ~engine ~file:"r.fg" interleaved
+  in
+  let hits = Fg_util.Coverage.diff (Fg_util.Coverage.snapshot ()) before in
+  Alcotest.(check (list string))
+    "lexer diagnostics, then parser diagnostics"
+    [
+      "r.fg:2:11-11: lex error[FG0001]: unexpected character '$'";
+      "r.fg:4:11-11: lex error[FG0001]: unexpected character '#'";
+      "r.fg:6:35-35: lex error[FG0002]: unterminated block comment";
+      "r.fg:1:9-11: parse error[FG0101]: expected an expression (found \
+       keyword 'in')";
+      "r.fg:2:13-14: parse error[FG0101]: expected keyword 'in' (found \
+       integer literal 2)";
+      "r.fg:3:9-10: parse error[FG0101]: expected an expression (found ')')";
+      "r.fg:5:7-9: parse error[FG0101]: expected a capitalized identifier \
+       (found keyword 'in')";
+    ]
+    (List.map Diag.to_string (Diag.diagnostics engine));
+  Alcotest.(check (list string)) "poisoned" [ "a"; "b"; "c" ] poisoned;
+  Alcotest.(check (list (option int))) "recover.lexer.skip, recover.parser.sync"
+    [ Some 3; Some 4 ]
+    [
+      List.assoc_opt "recover.lexer.skip" hits;
+      List.assoc_opt "recover.parser.sync" hits;
+    ]
+
+(* A raising parse reports the first lexer error of the text even when a
+   parse error comes before it, in either language. *)
+let test_lexer_error_wins () =
+  let first f src =
+    match f src with
+    | _ -> "parsed"
+    | exception Diag.Error d -> Diag.to_string d
+  in
+  let fg = first (Parser.exp_of_string ~file:"x.fg") in
+  Alcotest.(check (list string)) "FG expressions"
+    [
+      "x.fg:1:14-14: lex error[FG0001]: unexpected character '$'";
+      "x.fg:1:21-21: lex error[FG0002]: unterminated block comment";
+      "x.fg:1:31-31: lex error[FG0003]: integer literal out of range: \
+       99999999999999999999999";
+      "x.fg:1:13-13: parse error[FG0101]: expected an expression (found end \
+       of input)";
+    ]
+    (List.map fg
+       [
+         "let x = in 1 $ #";
+         "let x = in 1 /* open";
+         "(1 + ) 99999999999999999999999";
+         "let y = 1 in";
+       ]);
+  Alcotest.(check string) "FG types"
+    "<input>:1:14-14: lex error[FG0001]: unexpected character '~'"
+    (first Parser.ty_of_string "fn(int) -> ] ~");
+  Alcotest.(check string) "System F"
+    "<input>:1:15-15: lex error[FG0001]: unexpected character '?'"
+    (first Fg_systemf.Parser.exp_of_string "fun (x : ) => ?")
+
 let suite =
   [
     Alcotest.test_case "multi-phase errors" `Quick test_multi_phase;
@@ -186,4 +275,9 @@ let suite =
     Alcotest.test_case "clean program agrees" `Quick
       test_clean_program_agrees;
     Alcotest.test_case "garbage terminates" `Quick test_garbage_terminates;
+    Alcotest.test_case "failed shadowing concept echoes nothing" `Quick
+      test_failed_shadowing_concept;
+    Alcotest.test_case "recovering parse keeps diagnostic order" `Quick
+      test_recovering_order;
+    Alcotest.test_case "first lexer error wins" `Quick test_lexer_error_wins;
   ]

@@ -276,6 +276,32 @@ let test_batch_keys_nothing () =
         [ t.Fg_util.Telemetry.unit_hits; t.Fg_util.Telemetry.unit_misses ])
     [ 1; 2 ]
 
+(* A batch keeps of each job only what its caller projects: after a
+   batch over 200 generated programs that keeps each job's value (or
+   diagnostic) and a full major collection, the live heap has grown by
+   less than 100 words per job.  Keeping whole outcomes (each job's
+   source, AST and translation) holds about 2,000 words per job. *)
+let test_batch_keeps_projection () =
+  let jobs =
+    List.init 200 (fun i ->
+        ( Printf.sprintf "gen_%03d" i,
+          Pretty.exp_to_string (Gen.program_of_seed i) ))
+  in
+  let s = Session.of_config Session.Config.default in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let kept =
+    Session.map_batch ~domains:1 s jobs (fun _ r ->
+        Result.map (fun (o : Session.outcome) -> o.value) r)
+  in
+  let grown = live () - before in
+  Alcotest.(check int) "every job" 200 (List.length (Sys.opaque_identity kept));
+  if grown >= 100 * 200 then
+    Alcotest.failf "live words grew by %d over 200 jobs" grown
+
 let test_batch_more_domains_than_jobs () =
   let s = Session.of_config Session.Config.(default |> with_standard_prelude) in
   let jobs = [ ("only", "power[int](2, 4)") ] in
@@ -626,6 +652,8 @@ let suite =
     Alcotest.test_case "batch domains share no checker state" `Quick
       test_batch_domains_share_nothing;
     Alcotest.test_case "batch keys nothing" `Quick test_batch_keys_nothing;
+    Alcotest.test_case "batch keeps only the projection" `Quick
+      test_batch_keeps_projection;
     QCheck_alcotest.to_alcotest prop_batch_matches_single_on_generated;
     Alcotest.test_case "incremental mutation = cold check" `Quick
       test_incremental_mutation_equals_cold;

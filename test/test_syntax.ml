@@ -111,6 +111,33 @@ let test_eof_idempotent () =
   Parser_base.skip p;
   Alcotest.(check bool) "still eof" true (Parser_base.peek p = T.EOF)
 
+(* Each cursor owns its scanner and its lookahead: two streams live at
+   once on one domain, advanced in turn, never see each other's tokens
+   or spans. *)
+let test_streams_independent () =
+  let a = Parser_base.of_string ~file:"a" "alpha beta\n  gamma delta"
+  and b = Parser_base.of_string ~file:"b" "x y" in
+  Alcotest.(check bool) "a starts" true (Parser_base.peek a = T.LIDENT "alpha");
+  Alcotest.(check bool) "b starts" true (Parser_base.peek b = T.LIDENT "x");
+  Parser_base.skip a;
+  Alcotest.(check bool) "b unmoved" true (Parser_base.peek b = T.LIDENT "x");
+  Alcotest.(check bool) "a two ahead" true
+    (Parser_base.peek_nth a 2 = T.LIDENT "delta");
+  Parser_base.skip b;
+  Parser_base.skip b;
+  Alcotest.(check bool) "b at end" true (Parser_base.peek b = T.EOF);
+  Alcotest.(check bool) "a unmoved by b" true
+    (Parser_base.peek a = T.LIDENT "beta");
+  Parser_base.skip a;
+  let l = Parser_base.loc a and pl = Parser_base.prev_loc a in
+  Alcotest.(check (list int)) "a's span, line and col" [ 2; 3 ]
+    [ l.start_pos.line; l.start_pos.col ];
+  Alcotest.(check string) "a's file" "a" l.file;
+  Alcotest.(check (list int)) "a's previous span" [ 1; 7; 11 ]
+    [ pl.start_pos.line; pl.start_pos.col; pl.end_pos.col ];
+  Alcotest.(check string) "b's file" "b" (Parser_base.prev_loc b).file;
+  Alcotest.(check bool) "b still at end" true (Parser_base.peek b = T.EOF)
+
 let suite =
   [
     Alcotest.test_case "basic tokens" `Quick test_basic_tokens;
@@ -125,4 +152,6 @@ let suite =
     Alcotest.test_case "sep_list" `Quick test_parser_base_sep_list;
     Alcotest.test_case "expect/eat" `Quick test_parser_base_expect;
     Alcotest.test_case "eof idempotent" `Quick test_eof_idempotent;
+    Alcotest.test_case "two streams stay independent" `Quick
+      test_streams_independent;
   ]

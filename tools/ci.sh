@@ -61,6 +61,22 @@ for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
     || { echo "one-shot GC: $f collected"; grep _collections "$gc_err"; exit 1; }
 done
 
+echo "== batch heap: a batch keeps only what it prints"
+# A batch keeps each job's printed result, not the job's source, AST
+# and translation, so its peak major heap must not grow with the number
+# of jobs: programs/ listed eight times must stay under twice the peak
+# of programs/ listed once.  v=0x400 prints top_heap_words at exit; on
+# one domain it is deterministic for a given binary.
+batch_heap() {
+  OCAMLRUNPARAM=v=0x400 ./_build/default/bin/fgc.exe batch --format=json \
+    --domains 1 "$@" 2>&1 > /dev/null | sed -n 's/^top_heap_words: //p'
+}
+heap_1=$(batch_heap programs/*.fg)
+heap_8=$(batch_heap $(for _ in 1 2 3 4 5 6 7 8; do echo programs/*.fg; done))
+echo "-- top_heap_words: $heap_1 listed once, $heap_8 listed 8 times"
+[ -n "$heap_1" ] && [ -n "$heap_8" ] && [ "$heap_8" -lt $((2 * heap_1)) ] \
+  || { echo "batch heap: 8x run reached ${heap_8:-?} words, bound 2 x ${heap_1:-?}"; exit 1; }
+
 echo "== diamond budget: a depth-16 refinement diamond under 4M words"
 # Genprog.refinement_diamond 16: 32 concepts, each refining both of the
 # level below, so 2^16 refinement paths but only 32 distinct
