@@ -36,7 +36,8 @@ type t = {
       (** congruence signatures: (symbol, child class roots) -> node id *)
   use : (int, int list) Hashtbl.t;
       (** class root -> ids of parent nodes with a child in that class *)
-  best : (int, Term.t) Hashtbl.t;  (** class root -> preferred member term *)
+  best : (int, int) Hashtbl.t;
+      (** class root -> the node holding the preferred member term *)
   mutable generation : int;
       (** bumped on every merge; lets clients cache query results *)
 }
@@ -95,12 +96,14 @@ let rec process ~prefer t worklist =
         List.iter (fun p -> Hashtbl.remove t.sigs (signature t (node t p))) px;
         List.iter (fun p -> Hashtbl.remove t.sigs (signature t (node t p))) py;
         let bx = Hashtbl.find t.best rx and by = Hashtbl.find t.best ry in
+        let tx = (node t bx).term in
         let r = Uf.union t.uf rx ry in
         let dead = if r = rx then ry else rx in
         Hashtbl.remove t.use dead;
         Hashtbl.remove t.best dead;
         Hashtbl.replace t.use r (px @ py);
-        Hashtbl.replace t.best r (prefer bx by);
+        Hashtbl.replace t.best r
+          (if prefer tx (node t by).term == tx then bx else by);
         (* Re-insert parents; congruent collisions feed the worklist. *)
         let extra = ref rest in
         List.iter
@@ -127,7 +130,7 @@ let rec add ?(prefer = default_prefer) t (term : Term.t) =
       let n = { id; term; args } in
       store_node t n;
       Hashtbl.add t.intern (term.sym, args) id;
-      Hashtbl.replace t.best id term;
+      Hashtbl.replace t.best id id;
       List.iter
         (fun a ->
           let ra = Uf.find t.uf a in
@@ -154,21 +157,29 @@ let equiv ?prefer t a b =
     equalities such as [x = f(x)], which have no finite canonical form —
     FG's typing rules never generate them, but user programs can write
     them, so we fail with a diagnostic rather than diverge. *)
-let repr ?prefer ?(max_depth = 10_000) t a =
-  let rec go depth (term : Term.t) =
+let repr_interned ?prefer ?(max_depth = 10_000) t a =
+  (* Interned once; below the top, the preferred member's node already
+     names its children's nodes, so the walk is linear in the result. *)
+  let canonical = ref true in
+  let rec go depth id =
+    let best_id = Hashtbl.find t.best (Uf.find t.uf id) in
+    if depth > 0 && best_id <> id then canonical := false;
     if depth > max_depth then
       Fg_util.Diag.ice
         "congruence: no finite representative (cyclic equality involving %s)"
         (Term.to_string a);
-    let id = add ?prefer t term in
-    let best = Hashtbl.find t.best (Uf.find t.uf id) in
-    if best.Term.args = [] then best
+    let best = node t best_id in
+    let term = best.term in
+    if term.Term.args = [] then term
     else
-      let args' = List.map (go (depth + 1)) best.Term.args in
-      if List.equal ( == ) args' best.Term.args then best
-      else Term.make best.Term.sym args'
+      let args' = List.map (go (depth + 1)) best.args in
+      if List.equal ( == ) args' term.Term.args then term
+      else Term.make term.Term.sym args'
   in
-  go 0 a
+  let r = go 0 (add ?prefer t a) in
+  (r, !canonical)
+
+let repr ?prefer ?max_depth t a = fst (repr_interned ?prefer ?max_depth t a)
 
 (** All equivalence classes, as lists of interned terms (tests only). *)
 let classes t =

@@ -45,6 +45,13 @@ val equiv : ?prefer:prefer -> t -> Term.t -> Term.t -> bool
     canonical form; exceeding it raises an internal diagnostic. *)
 val repr : ?prefer:prefer -> ?max_depth:int -> t -> Term.t -> Term.t
 
+(** {!repr}, and whether each proper subterm of the result is (a copy
+    of) an interned term that is the preferred member of its own class:
+    then {!repr} of any subterm interns nothing, merges nothing and
+    returns an equal term. *)
+val repr_interned :
+  ?prefer:prefer -> ?max_depth:int -> t -> Term.t -> Term.t * bool
+
 (** All equivalence classes among interned terms (tests only). *)
 val classes : t -> Term.t list list
 

@@ -199,15 +199,36 @@ let rec has_forall = function
 let rec freshen avoid x =
   if Sset.mem x avoid then freshen avoid (x ^ "'") else x
 
-(** Capture-avoiding simultaneous type substitution. *)
+(** [map_shared f l] is [List.map f l] (left to right), except that it
+    returns [l] itself when [f] returns every element unchanged, so an
+    operation that changes nothing below a type allocates nothing. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+(** Capture-avoiding simultaneous type substitution.  A type the
+    substitution does not change comes back as itself. *)
 let rec subst_ty (s : ty Smap.t) (t : ty) : ty =
   match t with
   | TBase _ -> t
   | TVar a -> ( match Smap.find_opt a s with Some u -> u | None -> t)
-  | TArrow (args, ret) -> TArrow (List.map (subst_ty s) args, subst_ty s ret)
-  | TTuple ts -> TTuple (List.map (subst_ty s) ts)
-  | TList t -> TList (subst_ty s t)
-  | TAssoc (c, args, x) -> TAssoc (c, List.map (subst_ty s) args, x)
+  | TArrow (args, ret) ->
+      let args' = map_shared (subst_ty s) args in
+      let ret' = subst_ty s ret in
+      if args' == args && ret' == ret then t else TArrow (args', ret')
+  | TTuple ts ->
+      let ts' = map_shared (subst_ty s) ts in
+      if ts' == ts then t else TTuple ts'
+  | TList u ->
+      let u' = subst_ty s u in
+      if u' == u then t else TList u'
+  | TAssoc (c, args, x) ->
+      let args' = map_shared (subst_ty s) args in
+      if args' == args then t else TAssoc (c, args', x)
   | TForall (tvs, constrs, body) ->
       let s = Smap.filter (fun a _ -> not (List.mem a tvs)) s in
       if Smap.is_empty s then t
@@ -232,23 +253,36 @@ let rec subst_ty (s : ty Smap.t) (t : ty) : ty =
               else (ren, a))
             Smap.empty tvs
         in
-        let body, constrs =
+        let body_r, constrs_r =
           if Smap.is_empty renaming then (body, constrs)
           else
             ( subst_ty renaming body,
               List.map (subst_constr renaming) constrs )
         in
-        TForall (tvs', List.map (subst_constr s) constrs, subst_ty s body)
+        let constrs' = map_shared (subst_constr s) constrs_r in
+        let body' = subst_ty s body_r in
+        if Smap.is_empty renaming && constrs' == constrs && body' == body
+        then t
+        else TForall (tvs', constrs', body')
 
-and subst_constr s = function
-  | CModel (c, args) -> CModel (c, List.map (subst_ty s) args)
-  | CSame (a, b) -> CSame (subst_ty s a, subst_ty s b)
+and subst_constr s c =
+  match c with
+  | CModel (n, args) ->
+      let args' = map_shared (subst_ty s) args in
+      if args' == args then c else CModel (n, args')
+  | CSame (a, b) ->
+      let a' = subst_ty s a in
+      let b' = subst_ty s b in
+      if a' == a && b' == b then c else CSame (a', b')
 
 let subst_of_list pairs =
   List.fold_left (fun m (a, u) -> Smap.add a u m) Smap.empty pairs
 
-let subst_ty_list pairs t = subst_ty (subst_of_list pairs) t
-let subst_constr_list pairs c = subst_constr (subst_of_list pairs) c
+let subst_ty_list pairs t =
+  match pairs with [] -> t | _ -> subst_ty (subst_of_list pairs) t
+
+let subst_constr_list pairs c =
+  match pairs with [] -> c | _ -> subst_constr (subst_of_list pairs) c
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic equality (alpha for foralls; no same-type reasoning)      *)
@@ -384,7 +418,7 @@ let rec subst_ty_exp (s : ty Smap.t) (e : exp) : exp =
         let s' = Smap.remove t s in
         TypeAlias (t, sub ty, subst_ty_exp s' body)
   in
-  { e with desc }
+  if desc == e.desc then e else { e with desc }
 
 (* Names bound inside a concept body: its own associated types.  (The
    associated types of refined concepts are resolved during checking,

@@ -116,7 +116,12 @@ val constr_concept_names : constr -> Sset.t
 (** Does a [forall] occur anywhere in the type? *)
 val has_forall : ty -> bool
 
-(** Capture-avoiding simultaneous type substitution. *)
+(** [List.map] (left to right) that returns the list itself when the
+    function returns every element unchanged (physically). *)
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+
+(** Capture-avoiding simultaneous type substitution; a type it does not
+    change comes back as itself (physically), not as a copy. *)
 val subst_ty : ty Smap.t -> ty -> ty
 
 val subst_constr : ty Smap.t -> constr -> constr

@@ -62,6 +62,25 @@ type instance = {
 
 type key = int * string * ty list
 
+(** A where clause's plan: the extra type parameters (one per associated
+    type, diamonds deduplicated) and dictionary parameters (one per
+    top-level requirement) that abstraction and application must agree
+    on.  {!Types} computes it. *)
+type plan = {
+  p_slots : (string * (string * ty list * string)) list;
+      (** fresh type-parameter name -> the projection [C<τ̄>.s] it
+          stands for, in binder order; τ̄ written in terms of the
+          abstraction's own binders *)
+  p_dicts : (string * (string * ty list)) list;
+      (** dictionary variable -> top-level requirement, in where-clause
+          order *)
+}
+
+(** A parameterized model's where-clause plan as its first use computed
+    it: the fresh binders it was computed over, the plan in terms of
+    them, and the fresh names computing it drew (binders included). *)
+type model_plan = { mp_params : string list; mp_plan : plan; mp_drawn : int }
+
 (* A memo whose entries live as long as their keys can recur.  Keys
    carry scope generations, and every program checked against a
    session mints its own, so what a run records can only hit within
@@ -81,6 +100,10 @@ type memo = {
           concept, argument types) *)
   members : (key * string, (ty * int list) option) tiers;
       (** member lookups: an instantiation's key and the member name *)
+  plans : (int * string list * constr list, model_plan option) tiers;
+      (** parameterized models' where-clause plans, keyed on the
+          concept-table generation and the model's binders and context;
+          [None] for a context whose plan may depend on more *)
 }
 
 type t = {
@@ -151,7 +174,13 @@ let create ?(resolution = Resolution.Lexical) ?(escape_check = true) () =
     global_models = ref [];
     scope_gen = 0;
     gen_supply = ref 0;
-    memo = { resolved = tiers 256; instances = tiers 64; members = tiers 64 };
+    memo =
+      {
+        resolved = tiers 256;
+        instances = tiers 64;
+        members = tiers 64;
+        plans = tiers 16;
+      };
     diag = ref (Diag.engine ());
     family = Atomic.fetch_and_add family_supply 1;
   }
@@ -189,16 +218,19 @@ let with_run env f =
       open_run m.resolved;
       open_run m.instances;
       open_run m.members;
+      open_run m.plans;
       Fun.protect f ~finally:(fun () ->
           close_run m.resolved;
           close_run m.instances;
-          close_run m.members)
+          close_run m.members;
+          close_run m.plans)
 
 let memo_entries env =
   let m = env.memo in
   Hashtbl.length m.resolved.session
   + Hashtbl.length m.instances.session
   + Hashtbl.length m.members.session
+  + Hashtbl.length m.plans.session
 
 (* ------------------------------------------------------------------ *)
 (* Extension                                                           *)
@@ -299,27 +331,41 @@ let check_depth ?loc depth what =
     the models in scope.  Ground models also contribute equations to the
     congruence closure, but parameterized models are schematic — one
     declaration covers infinitely many instances — so their projections
-    are resolved here, by rewriting, before any equality query. *)
+    are resolved here, by rewriting, before any equality query.  A type
+    with nothing to rewrite comes back as itself, not as a copy. *)
 let rec normalize ?loc ?(depth = 0) env (t : ty) : ty =
-  check_depth ?loc depth (fun () -> Pretty.ty_to_string t);
-  let norm t = normalize ?loc ~depth env t in
+  normalize_at ?loc depth env t
+
+(* [normalize] with the depth passed positionally: the walk over a type
+   with nothing to rewrite allocates nothing. *)
+and normalize_at ?loc depth env (t : ty) : ty =
+  if depth > max_resolution_depth then
+    check_depth ?loc depth (fun () -> Pretty.ty_to_string t);
   match t with
   | TBase _ | TVar _ -> t
-  | TArrow (args, ret) -> TArrow (List.map norm args, norm ret)
-  | TTuple ts -> TTuple (List.map norm ts)
-  | TList t -> TList (norm t)
+  | TArrow (args, ret) ->
+      let ret' = normalize_at ?loc depth env ret in
+      let args' = map_shared (normalize_at ?loc depth env) args in
+      if args' == args && ret' == ret then t else TArrow (args', ret')
+  | TTuple ts ->
+      let ts' = map_shared (normalize_at ?loc depth env) ts in
+      if ts' == ts then t else TTuple ts'
+  | TList u ->
+      let u' = normalize_at ?loc depth env u in
+      if u' == u then t else TList u'
   | TForall _ -> t (* alpha-opaque under equality; leave as written *)
   | TAssoc (c, args, s) -> (
-      let args' = List.map norm args in
+      let args' = map_shared (normalize_at ?loc depth env) args in
+      let t' = if args' == args then t else TAssoc (c, args', s) in
       match lookup_model ?loc ~depth:(depth + 1) env c args' with
       | Some { fm_entry; fm_subst } -> (
           match Smap.find_opt s fm_entry.me_assoc with
           | Some def ->
               let def' = subst_ty_list fm_subst def in
-              if ty_equal def' (TAssoc (c, args', s)) then def'
-              else normalize ?loc ~depth:(depth + 1) env def'
-          | None -> TAssoc (c, args', s))
-      | None -> TAssoc (c, args', s))
+              if ty_equal def' t' then def'
+              else normalize_at ?loc (depth + 1) env def'
+          | None -> t')
+      | None -> t')
 
 (** Find the innermost model of [c<args>] in scope.  Ground models and
     proxies match when their arguments are equal (up to the equality
@@ -352,7 +398,7 @@ and lookup_model ?loc ?(depth = 0) env c args : found_model option =
 and lookup_model_uncached ?loc ~depth env c args : found_model option =
   check_depth ?loc depth (fun () ->
       Pretty.constr_to_string (CModel (c, args)));
-  let args = List.map (normalize ?loc ~depth:(depth + 1) env) args in
+  let args = map_shared (normalize_at ?loc (depth + 1) env) args in
   List.find_map
     (fun me ->
       if not (String.equal me.me_concept c) then None
@@ -362,7 +408,7 @@ and lookup_model_uncached ?loc ~depth env c args : found_model option =
           && List.for_all2
                (fun a b ->
                  Equality.equal env.eq
-                   (normalize ?loc ~depth:(depth + 1) env a)
+                   (normalize_at ?loc (depth + 1) env a)
                    b)
                me.me_args args
         then Some { fm_entry = me; fm_subst = [] }
@@ -380,8 +426,8 @@ and lookup_model_uncached ?loc ~depth env c args : found_model option =
                       <> None
                   | CSame (a, b) ->
                       Equality.equal env.eq
-                        (normalize ?loc ~depth:(depth + 1) env a)
-                        (normalize ?loc ~depth:(depth + 1) env b))
+                        (normalize_at ?loc (depth + 1) env a)
+                        (normalize_at ?loc (depth + 1) env b))
                 me.me_constrs
             then Some { fm_entry = me; fm_subst = subst }
             else None)
@@ -404,7 +450,7 @@ and match_args ?loc ~depth env params pats args : (string * ty) list option =
         | None -> Some ((a, arg) :: subst))
     | _ when not (has_param pat) ->
         if
-          Equality.equal env.eq (normalize ?loc ~depth:(depth + 1) env pat) arg
+          Equality.equal env.eq (normalize_at ?loc (depth + 1) env pat) arg
         then Some subst
         else None
     | _ -> (
@@ -464,5 +510,8 @@ let ty_eq ?loc env a b =
   || Equality.equal env.eq (normalize ?loc env a) (normalize ?loc env b)
 
 let ty_repr ?loc env t = Equality.repr env.eq (normalize ?loc env t)
+
+let ty_repr_canonical ?loc env t =
+  Equality.repr_canonical env.eq (normalize ?loc env t)
 
 let fresh env base = Gensym.fresh env.gensym base

@@ -35,6 +35,20 @@ type instance = {
 (** A memo key: a generation, a concept and its argument types. *)
 type key = int * string * ty list
 
+(** A where clause's plan ({!Types.plan}). *)
+type plan = {
+  p_slots : (string * (string * ty list * string)) list;
+      (** fresh type-parameter name -> the projection [C<τ̄>.s] it
+          stands for, in binder order *)
+  p_dicts : (string * (string * ty list)) list;
+      (** dictionary variable -> top-level requirement *)
+}
+
+(** A parameterized model's where-clause plan as its first use computed
+    it: the fresh binders it was computed over, the plan in terms of
+    them, and the fresh names computing it drew (binders included). *)
+type model_plan = { mp_params : string list; mp_plan : plan; mp_drawn : int }
+
 (** A memo table in two tiers: the session's, written only outside a
     run ({!with_run}), and the open run's own, which dies with it. *)
 type ('k, 'v) tiers
@@ -46,6 +60,10 @@ type memo = {
       (** concept instantiations, keyed on the concept-table generation *)
   members : (key * string, (ty * int list) option) tiers;
       (** member lookups: an instantiation's key and the member name *)
+  plans : (int * string list * constr list, model_plan option) tiers;
+      (** parameterized models' where-clause plans, keyed on the
+          concept-table generation and the model's binders and context;
+          [None] for a context whose plan may depend on more *)
 }
 
 type t = {
@@ -160,6 +178,10 @@ val no_model_notes : t -> string -> Fg_util.Diag.note list
     the checker uses everywhere. *)
 val ty_eq : ?loc:Fg_util.Loc.t -> t -> ty -> ty -> bool
 val ty_repr : ?loc:Fg_util.Loc.t -> t -> ty -> ty
+
+(** {!ty_repr} and {!Equality.repr_canonical}'s flag: when it is set,
+    [ty_repr] of any subterm of the representative is that subterm. *)
+val ty_repr_canonical : ?loc:Fg_util.Loc.t -> t -> ty -> ty * bool
 
 (** Fresh name from the environment's shared supply. *)
 val fresh : t -> string -> string

@@ -26,6 +26,30 @@ open Ast
 open Fg_util
 module Smap = Names.Smap
 
+(* A model scope's lookups, keyed on (concept, argument types).  The
+   hash reads the whole of each type: [Hashtbl.hash] reads ten nodes at
+   most, so it would give every [list^k int] past a small [k] one
+   bucket. *)
+module Lookups = Hashtbl.Make (struct
+  type t = string * ty list
+
+  let equal (c, args) (c', args') =
+    String.equal c c' && compare args args' = 0
+
+  let mix h x = (h * 31) + x
+
+  let rec ty_hash h t =
+    match t with
+    | TBase _ | TVar _ | TForall _ -> mix h (Hashtbl.hash t)
+    | TArrow (args, ret) -> List.fold_left ty_hash (ty_hash (mix h 1) ret) args
+    | TTuple ts -> List.fold_left ty_hash (mix h 2) ts
+    | TList t -> ty_hash (mix h 3) t
+    | TAssoc (c, args, s) ->
+        List.fold_left ty_hash (mix h (Hashtbl.hash (c, s))) args
+
+  let hash (c, args) = List.fold_left ty_hash (Hashtbl.hash c) args
+end)
+
 type value =
   | VInt of int
   | VBool of bool
@@ -38,9 +62,22 @@ type value =
 
 and renv = {
   venv : value option ref Smap.t;
-  models : rmodel list;
+  scope : scope;
   named : rmodel Smap.t;  (** named models, activated by [using] *)
   concepts : concept_decl Smap.t;
+}
+
+(* The models in scope, innermost first, and what {!find_model} has
+   answered against them.  A scope's models never change and lookup
+   spends no fuel, so each (concept, arguments) need be searched only
+   once per scope: a parameterized chain is then matched once per level
+   instead of re-validated below every level.  The memo is made when a
+   search first validates a parameterized model's context (a scope
+   whose lookups all end at ground models keeps none) and dies with the
+   scope, so it lives no longer than its run. *)
+and scope = {
+  models : rmodel list;
+  mutable lookups : (rmodel * (string * ty) list) option Lookups.t option;
 }
 
 and rmodel = {
@@ -139,24 +176,32 @@ let spend ?loc st =
   if st.fuel <= 0 then Diag.eval_error ?loc "evaluation fuel exhausted";
   st.fuel <- st.fuel - 1
 
+let scope_of models = { models; lookups = None }
+
 (* Resolve associated-type projections using the models in scope until
    the type is projection-free.  Runtime types are closed, so matching
-   is syntactic after recursive normalization. *)
-let rec normalize_ty ?loc (models : rmodel list) (t : ty) : ty =
+   is syntactic after recursive normalization.  A projection-free type
+   comes back as itself, not as a copy. *)
+let rec normalize_ty ?loc (sc : scope) (t : ty) : ty =
   match t with
   | TBase _ | TVar _ -> t
   | TArrow (args, ret) ->
-      TArrow
-        (List.map (normalize_ty ?loc models) args, normalize_ty ?loc models ret)
-  | TTuple ts -> TTuple (List.map (normalize_ty ?loc models) ts)
-  | TList t -> TList (normalize_ty ?loc models t)
+      let ret' = normalize_ty ?loc sc ret in
+      let args' = map_shared (normalize_ty ?loc sc) args in
+      if args' == args && ret' == ret then t else TArrow (args', ret')
+  | TTuple ts ->
+      let ts' = map_shared (normalize_ty ?loc sc) ts in
+      if ts' == ts then t else TTuple ts'
+  | TList u ->
+      let u' = normalize_ty ?loc sc u in
+      if u' == u then t else TList u'
   | TForall _ -> t (* runtime types under binders stay as-is *)
   | TAssoc (c, args, s) -> (
-      let args' = List.map (normalize_ty ?loc models) args in
-      match find_model ?loc models c args' with
+      let args' = map_shared (normalize_ty ?loc sc) args in
+      match find_model ?loc sc c args' with
       | Some (m, subst) -> (
           match List.assoc_opt s m.r_assoc with
-          | Some ty -> normalize_ty ?loc models (subst_ty_list subst ty)
+          | Some ty -> normalize_ty ?loc sc (subst_ty_list subst ty)
           | None ->
               Diag.eval_error ?loc
                 "model of %s<...> has no associated type '%s' at runtime" c s)
@@ -166,9 +211,24 @@ let rec normalize_ty ?loc (models : rmodel list) (t : ty) : ty =
 
 (* Find a model for [c<args>] ([args] closed); parameterized models
    match by one-way structural matching of their patterns, and their
-   own requirements must resolve recursively. *)
-and find_model ?loc models c args : (rmodel * (string * ty) list) option =
-  let args = List.map (normalize_ty ?loc models) args in
+   own requirements must resolve recursively.  Memoized per scope. *)
+and find_model ?loc sc c args : (rmodel * (string * ty) list) option =
+  let memoized =
+    match sc.lookups with
+    | Some memo -> Lookups.find_opt memo (c, args)
+    | None -> None
+  in
+  match memoized with
+  | Some r -> r
+  | None ->
+      let r = search_models ?loc sc c args in
+      (match sc.lookups with
+      | Some memo -> Lookups.replace memo (c, args) r
+      | None -> ());
+      r
+
+and search_models ?loc sc c args =
+  let args = map_shared (normalize_ty ?loc sc) args in
   List.find_map
     (fun m ->
       if not (String.equal m.r_concept c) then None
@@ -182,21 +242,23 @@ and find_model ?loc models c args : (rmodel * (string * ty) list) option =
         match match_patterns m.r_params m.r_args args with
         | None -> None
         | Some subst ->
+            if Option.is_none sc.lookups then
+              sc.lookups <- Some (Lookups.create 8);
             if
               List.for_all
                 (function
                   | CModel (c', args') ->
-                      find_model ?loc models c'
+                      find_model ?loc sc c'
                         (List.map (subst_ty_list subst) args')
                       <> None
                   | CSame (a, b) ->
                       ty_equal
-                        (normalize_ty ?loc models (subst_ty_list subst a))
-                        (normalize_ty ?loc models (subst_ty_list subst b)))
+                        (normalize_ty ?loc sc (subst_ty_list subst a))
+                        (normalize_ty ?loc sc (subst_ty_list subst b)))
                 m.r_constrs
             then Some (m, subst)
             else None)
-    models
+    sc.models
 
 (* One-way structural matching of closed argument types against a
    parameterized model's patterns. *)
@@ -224,12 +286,17 @@ and match_patterns params pats args : (string * ty) list option =
   in
   if List.length pats <> List.length args then None else go_list [] pats args
 
-let find_model_exn ?loc models c args =
-  match find_model ?loc models c args with
+let find_model_exn ?loc sc c args =
+  match find_model ?loc sc c args with
   | Some found -> found
   | None ->
       Diag.eval_error ?loc "no model of %s in scope at runtime"
         (Pretty.constr_to_string (CModel (c, args)))
+
+(* The scope with [resolved] in front; with nothing resolved it is the
+   same scope, memo included. *)
+let extend_scope resolved sc =
+  match resolved with [] -> sc | _ -> scope_of (resolved @ sc.models)
 
 (* ---------------------------------------------------------------- *)
 (* Evaluation                                                        *)
@@ -336,25 +403,25 @@ let rec apply_value ?loc run fn args =
    models and its member bodies evaluated under the captured environment
    extended with the resolved context models — the runtime mirror of the
    polymorphic-dictionary application the translation emits. *)
-and instantiate ?loc run (site_models : rmodel list)
+and instantiate ?loc run (site : scope)
     ((m, subst) : rmodel * (string * ty) list) : rmodel =
   match m.r_impl with
   | RReady _ -> m
   | RDeferred (cenv, bodies) ->
     spend ?loc run.st;
-    let inst_ty t = normalize_ty ?loc site_models (subst_ty_list subst t) in
+    let inst_ty t = normalize_ty ?loc site (subst_ty_list subst t) in
     let resolved =
       List.filter_map
         (function
           | CModel (c', args') ->
               let args'' = List.map inst_ty args' in
               Some
-                (instantiate ?loc run site_models
-                   (find_model_exn ?loc site_models c' args''))
+                (instantiate ?loc run site
+                   (find_model_exn ?loc site c' args''))
           | CSame _ -> None)
         m.r_constrs
     in
-    let body_env = { cenv with models = resolved @ cenv.models } in
+    let body_env = { cenv with scope = extend_scope resolved cenv.scope } in
     let sigma = subst_of_list subst in
     let members =
       List.map (fun (x, e) -> (x, eval run body_env (subst_ty_exp sigma e))) bodies
@@ -387,13 +454,13 @@ and find_member ?loc run renv (m : rmodel) x : value option =
         | (c', rargs) :: rest -> (
             let rargs' =
               List.map
-                (fun t -> normalize_ty ?loc renv.models (subst_ty_list subst t))
+                (fun t -> normalize_ty ?loc renv.scope (subst_ty_list subst t))
                 rargs
             in
-            match find_model ?loc renv.models c' rargs' with
+            match find_model ?loc renv.scope c' rargs' with
             | None -> try_refines rest
             | Some found -> (
-                let m' = instantiate ?loc run renv.models found in
+                let m' = instantiate ?loc run renv.scope found in
                 match find_member ?loc run renv m' x with
                 | Some v -> Some v
                 | None -> try_refines rest))
@@ -416,7 +483,7 @@ and eval (run : run) (renv : renv) (e : exp) : value =
           spend ~loc run.st;
           if List.length tvs <> List.length tys then
             Diag.eval_error ~loc "type application arity mismatch at runtime";
-          let tys' = List.map (normalize_ty ~loc renv.models) tys in
+          let tys' = List.map (normalize_ty ~loc renv.scope) tys in
           let s = subst_of_list (List.combine tvs tys') in
           (* Resolve instantiated model requirements at the CALL SITE —
              including the models of every concept each requirement
@@ -433,8 +500,8 @@ and eval (run : run) (renv : renv) (e : exp) : value =
             then acc
             else
               let m =
-                instantiate ~loc run renv.models
-                  (find_model_exn ~loc renv.models c args)
+                instantiate ~loc run renv.scope
+                  (find_model_exn ~loc renv.scope c args)
               in
               let acc = m :: acc in
               let decl = decl_of ~loc renv c in
@@ -444,7 +511,7 @@ and eval (run : run) (renv : renv) (e : exp) : value =
                   let rargs' =
                     List.map
                       (fun t ->
-                        normalize_ty ~loc renv.models
+                        normalize_ty ~loc renv.scope
                           (subst_ty_list subst0 t))
                       rargs
                   in
@@ -459,7 +526,7 @@ and eval (run : run) (renv : renv) (e : exp) : value =
                     let args' =
                       List.map
                         (fun a ->
-                          normalize_ty ~loc renv.models (subst_ty s a))
+                          normalize_ty ~loc renv.scope (subst_ty s a))
                         args
                     in
                     resolve_closure acc c args'
@@ -467,7 +534,7 @@ and eval (run : run) (renv : renv) (e : exp) : value =
               [] constrs
           in
           let body' = subst_ty_exp s body in
-          eval run { cenv with models = resolved @ cenv.models } body'
+          eval run { cenv with scope = extend_scope resolved cenv.scope } body'
       | VPrim _ as p -> p
       | VList [] as v -> v
       | v ->
@@ -503,10 +570,10 @@ and eval (run : run) (renv : renv) (e : exp) : value =
           Diag.eval_error ~loc "if condition evaluated to non-bool (%s)"
             (value_kind v))
   | Member (c, args, x) -> (
-      let args' = List.map (normalize_ty ~loc renv.models) args in
+      let args' = List.map (normalize_ty ~loc renv.scope) args in
       let m =
-        instantiate ~loc run renv.models
-          (find_model_exn ~loc renv.models c args')
+        instantiate ~loc run renv.scope
+          (find_model_exn ~loc renv.scope c args')
       in
       match find_member ~loc run renv m x with
       | Some v -> v
@@ -522,12 +589,12 @@ and eval (run : run) (renv : renv) (e : exp) : value =
          first use. *)
       let ground = d.m_params = [] in
       let args' =
-        if ground then List.map (normalize_ty ~loc renv.models) d.m_args
+        if ground then List.map (normalize_ty ~loc renv.scope) d.m_args
         else d.m_args
       in
       let assoc' =
         if ground then
-          List.map (fun (s, t) -> (s, normalize_ty ~loc renv.models t)) d.m_assoc
+          List.map (fun (s, t) -> (s, normalize_ty ~loc renv.scope t)) d.m_assoc
         else d.m_assoc
       in
       let rec m =
@@ -541,30 +608,36 @@ and eval (run : run) (renv : renv) (e : exp) : value =
             RDeferred
               ( {
                   venv = renv.venv;
-                  models = m :: renv.models;
+                  scope = inner;
                   named = renv.named;
                   concepts = renv.concepts;
                 },
                 d.m_members );
         }
-      in
+      and inner = { models = m :: renv.scope.models; lookups = None } in
       (match d.m_name with
       | Some name -> eval run { renv with named = Smap.add name m renv.named } body
-      | None -> eval run { renv with models = m :: renv.models } body)
+      | None -> eval run { renv with scope = inner } body)
   | Using (m, body) -> (
       match Smap.find_opt m renv.named with
-      | Some rm -> eval run { renv with models = rm :: renv.models } body
+      | Some rm ->
+          eval run { renv with scope = scope_of (rm :: renv.scope.models) } body
       | None ->
           Diag.eval_error ~loc "unknown named model '%s' at runtime" m)
   | TypeAlias (t, ty, body) ->
-      let ty' = normalize_ty ~loc renv.models ty in
+      let ty' = normalize_ty ~loc renv.scope ty in
       eval run renv (subst_ty_exp (Smap.singleton t ty') body)
 
 (** Evaluate a closed, well-typed FG program. *)
 let run_program ?(fuel = default_fuel) (e : exp) : value * int =
   let run = { st = { fuel } } in
   let renv =
-    { venv = Smap.empty; models = []; named = Smap.empty; concepts = Smap.empty }
+    {
+      venv = Smap.empty;
+      scope = scope_of [];
+      named = Smap.empty;
+      concepts = Smap.empty;
+    }
   in
   let v = eval run renv e in
   (v, fuel - run.st.fuel)

@@ -23,10 +23,12 @@ type value =
 
 and renv = {
   venv : value option ref Smap.t;
-  models : rmodel list;
+  scope : scope;  (** the models in scope, with a memo of lookups *)
   named : rmodel Smap.t;  (** named models, activated by [using] *)
   concepts : concept_decl Smap.t;
 }
+
+and scope
 
 and rmodel = {
   r_concept : string;

@@ -35,14 +35,9 @@ open Fg_util
 module F = Fg_systemf.Ast
 module Smap = Names.Smap
 
-type plan = {
+type plan = Env.plan = {
   p_slots : (string * (string * ty list * string)) list;
-      (** fresh type-parameter name -> the projection [C<τ̄>.s] it
-          stands for, in binder order; τ̄ written in terms of the
-          abstraction's own binders *)
   p_dicts : (string * (string * ty list)) list;
-      (** dictionary variable -> top-level requirement, in where-clause
-          order *)
 }
 
 let no_requirements plan = plan.p_dicts = []
@@ -400,9 +395,28 @@ and dict_type ?loc env r : F.ty =
 
 (* Γ ⊢ τ ⇒ τ': replace by the class representative, then translate
    structurally; foralls get assoc-type parameters and dictionary
-   parameters per their where clause. *)
+   parameters per their where clause.  Each subterm is replaced by its
+   own representative in turn, except below a plainly canonical one
+   ({!Env.ty_repr_canonical}), whose subterms already are theirs: there
+   asking again would change nothing, and would make translating
+   [list^k int] cost k representative lookups of shrinking size. *)
 and translate_ty ?loc env (t : ty) : F.ty =
-  match Env.ty_repr ?loc env t with
+  match Env.ty_repr_canonical ?loc env t with
+  | r, true -> translate_plain r
+  | r, false -> translate_repr ?loc env r
+
+and translate_plain (t : ty) : F.ty =
+  match t with
+  | TBase b -> F.TBase b
+  | TVar a -> F.TVar a
+  | TArrow (args, ret) ->
+      F.TArrow (List.map translate_plain args, translate_plain ret)
+  | TTuple ts -> F.TTuple (List.map translate_plain ts)
+  | TList t -> F.TList (translate_plain t)
+  | TAssoc _ | TForall _ -> Diag.ice "translate_plain: not a plain type"
+
+and translate_repr ?loc env (r : ty) : F.ty =
+  match r with
   | TBase b -> F.TBase b
   | TVar a -> F.TVar a
   | TArrow (args, ret) ->
@@ -436,6 +450,71 @@ let plan_slot_actuals ?loc env ~subst:(s : (string * ty) list) (plan : plan) :
       translate_ty ?loc env (TAssoc (c, args', assoc)))
     plan.p_slots
 
+(* A parameterized model's where-clause plan at a use site, over fresh
+   binders (renaming them mirrors the TAPP rule).  The plan is a
+   function of the binders, the context and the concept table, so it is
+   computed once per run (Env.memo) and reused with the matched types
+   substituted for its binders; the fresh-name supply then skips the
+   names computing it again would have drawn, as a thrown-away
+   dictionary type's are skipped.  It is computed at every use, as
+   before, where more than that key decides the work: a [forall] in
+   scope or in the context (the names a thrown-away dictionary type
+   draws then follow the use site's equations), a context that names
+   type variables besides the binders (a fresh binder name could
+   capture one), and a use site that has the next binder name in
+   scope (which [process_where] reports). *)
+let model_plan ?loc env (me : Env.model_entry) : string list * plan =
+  let compute () =
+    let fresh_params = List.map (fun a -> Env.fresh env a) me.Env.me_params in
+    let rename =
+      List.map2 (fun a b -> (a, TVar b)) me.Env.me_params fresh_params
+    in
+    let constrs_r = List.map (subst_constr_list rename) me.Env.me_constrs in
+    (fresh_params, snd (process_where ?loc env fresh_params constrs_r))
+  in
+  if env.Env.foralls then compute ()
+  else
+    let gensym = env.Env.gensym in
+    let key = (env.Env.concepts_gen, me.Env.me_params, me.Env.me_constrs) in
+    match Env.find_memo env.Env.memo.plans key with
+    | Some None -> compute ()
+    | Some (Some mp) ->
+        let start = Gensym.mark gensym in
+        let rec binder_in_scope i = function
+          | [] -> false
+          | a :: rest ->
+              Env.tyvar_in_scope env (Gensym.name_at a (start + i))
+              || binder_in_scope (i + 1) rest
+        in
+        if binder_in_scope 0 me.Env.me_params then compute ()
+        else begin
+          Gensym.restore gensym (start + mp.Env.mp_drawn);
+          (mp.Env.mp_params, mp.Env.mp_plan)
+        end
+    | None ->
+        let params = Names.Sset.of_list me.Env.me_params in
+        let reusable =
+          List.for_all
+            (fun c ->
+              (match c with
+              | CModel (_, args) -> not (List.exists has_forall args)
+              | CSame (a, b) -> not (has_forall a || has_forall b))
+              && Names.Sset.subset (ftv_constr c) params)
+            me.Env.me_constrs
+        in
+        let start = Gensym.mark gensym in
+        let fresh_params, plan = compute () in
+        Env.add_memo env.Env.memo.plans key
+          (if reusable then
+             Some
+               {
+                 Env.mp_params = fresh_params;
+                 mp_plan = plan;
+                 mp_drawn = Gensym.mark gensym - start;
+               }
+           else None);
+        (fresh_params, plan)
+
 (** The System F dictionary expression for a resolved model.  A ground
     model's dictionary is its (possibly projected) dictionary variable;
     a parameterized model's dictionary function is instantiated at the
@@ -456,14 +535,7 @@ let rec model_dict_exp ?loc env (fm : Env.found_model) : F.exp =
              the matched arguments"
             me.Env.me_concept p
     in
-    (* Rename the binders so the plan can be recomputed here, then
-       instantiate it — mirroring the TAPP rule. *)
-    let fresh_params = List.map (fun a -> Env.fresh env a) me.Env.me_params in
-    let rename =
-      List.map2 (fun a b -> (a, TVar b)) me.Env.me_params fresh_params
-    in
-    let constrs_r = List.map (subst_constr_list rename) me.Env.me_constrs in
-    let _, plan = process_where ?loc env fresh_params constrs_r in
+    let fresh_params, plan = model_plan ?loc env me in
     let subst =
       List.map2 (fun fp p -> (fp, actual p)) fresh_params me.Env.me_params
     in

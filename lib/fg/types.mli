@@ -10,7 +10,7 @@ module F := Fg_systemf.Ast
     type application must agree on the number and order of the extra
     type parameters (one per associated type, with diamond dedup) and
     dictionary parameters (one per top-level requirement). *)
-type plan = {
+type plan = Env.plan = {
   p_slots : (string * (string * ty list * string)) list;
       (** fresh type-parameter name -> the projection [C<τ̄>.s] it
           stands for, in binder order *)

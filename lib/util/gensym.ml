@@ -22,11 +22,15 @@ let mark g = g.next
 
 let restore g n = g.next <- n
 
+(** [name_at base n]: the name {!fresh} returns for [base] at supply
+    position [n]. *)
+let name_at base n = base ^ "_" ^ Int.to_string n
+
 (** [fresh g base] returns ["base_N"] for the next counter value [N]. *)
 let fresh g base =
   let n = g.next in
   g.next <- n + 1;
-  Printf.sprintf "%s_%d" base n
+  name_at base n
 
 (** [fresh_many g base k] returns [k] distinct names sharing [base]. *)
 let fresh_many g base k = List.init k (fun _ -> fresh g base)

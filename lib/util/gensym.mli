@@ -20,5 +20,9 @@ val restore : t -> int -> unit
 (** [fresh g base] returns ["base_N"] for the next counter value. *)
 val fresh : t -> string -> string
 
+(** [name_at base n]: the name {!fresh} returns for [base] when the
+    supply is at position [n] (a {!mark}). *)
+val name_at : string -> int -> string
+
 (** [fresh_many g base k] returns [k] distinct names sharing [base]. *)
 val fresh_many : t -> string -> int -> string list

@@ -201,6 +201,26 @@ let prop_repr_idempotent =
       | Ok (r1, r2) -> A.ty_equal r1 r2
       | Error _ -> QCheck.assume_fail () (* cyclic assumption set *))
 
+(* [repr_canonical]'s flag licenses the translation to skip asking for
+   each subterm's representative: it may be set only when each subterm
+   already is one, with no projection or [forall] in the type. *)
+let test_repr_canonical () =
+  let eq = eq_of [ ("a", "int") ] in
+  let check t expected_repr expected_flag =
+    let r, canonical = Equality.repr_canonical eq (ty t) in
+    Alcotest.(check (pair string bool)) ("repr_canonical " ^ t)
+      (expected_repr, expected_flag)
+      (Pretty.ty_to_string r, canonical)
+  in
+  (* a's class is represented by int, so list a's subterm is not its
+     own representative; once list int is interned it is *)
+  check "list a" "list int" false;
+  check "list int" "list int" true;
+  check "list (list bool)" "list (list bool)" true;
+  check "fn(b, int) -> b" "fn(b, int) -> b" true;
+  check "list C<b>.s" "list C<b>.s" false;
+  check "list (forall t. t)" "list (forall t. t)" false
+
 let suite =
   [
     Alcotest.test_case "syntactic equality" `Quick test_syntactic;
@@ -222,6 +242,8 @@ let suite =
     Alcotest.test_case "assumptions listing" `Quick test_assumptions_listing;
     Alcotest.test_case "tuple arities distinct" `Quick test_tuple_arity;
     Alcotest.test_case "class count" `Quick test_class_count;
+    Alcotest.test_case "canonical representatives" `Quick
+      test_repr_canonical;
     QCheck_alcotest.to_alcotest prop_reflexive;
     QCheck_alcotest.to_alcotest prop_symmetric;
     QCheck_alcotest.to_alcotest prop_assumed_holds;

@@ -68,6 +68,47 @@ let test_diamond_work_bound () =
   if words > 6e6 then
     Alcotest.failf "depth-16 diamond allocated %.0f words (bound 6000000)" words
 
+(* The parameterized-model chains (B6), pinned byte for byte: for each
+   size, the value, the beta steps of both evaluators and the MD5 of the
+   printed System F translation, as recorded before the chain's
+   where-clause plans, model lookups and type operations were made
+   linear in its depth.  (Fresh names drawn after a reused plan are
+   pinned in test_parameterized's "fresh names after a reused plan":
+   none shows in these translations.) *)
+let chain_pins =
+  (* family, size, value, direct steps, translated steps, MD5 *)
+  [
+    ("param_depth", 1, "true", 6, 7, "fcb0fb35db56338fe5231140d169cfec");
+    ("param_depth", 2, "true", 8, 10, "41359360d9471804a94c65031151b412");
+    ("param_depth", 5, "true", 14, 19, "f1ed6ad52b3cb363c5daea6bfe12e6d1");
+    ("param_depth", 20, "true", 44, 64, "d4936d04608fa55ee72f4f565dd41fc3");
+    ("param_depth", 60, "true", 124, 184, "acf575b8f70220209e906f25a2425d4f");
+    ("fanout", 1, "3", 15, 16, "102b53d7217a3e77ae833b62a16807ce");
+    ("fanout", 8, "3", 309, 394, "71c296f4492dab859f38a861ac6341c0");
+    ("fanout", 30, "3", 3147, 4453, "175e6f179fcc82091baeed8b5ad59c4e");
+  ]
+
+let test_chains_pinned () =
+  List.iter
+    (fun (family, n, value, direct, translated, md5) ->
+      let src =
+        if family = "param_depth" then Genprog.param_depth n
+        else Genprog.instantiation_fanout ~reps:3 n
+      in
+      let what = Printf.sprintf "%s %d" family n in
+      match Session.run_result ~file:what (session ()) src with
+      | Error d -> Alcotest.failf "%s: %s" what (Fg_util.Diag.to_string d)
+      | Ok out ->
+          Alcotest.(check string) (what ^ " value") value
+            (Interp.flat_to_string out.value);
+          Alcotest.(check int) (what ^ " direct steps") direct out.direct_steps;
+          Alcotest.(check int) (what ^ " translated steps") translated
+            out.translated_steps;
+          let printed = Fmt.str "%a" Fg_systemf.Pretty.pp_exp out.f_exp in
+          Alcotest.(check string) (what ^ " translation MD5") md5
+            (Digest.to_hex (Digest.string printed)))
+    chain_pins
+
 let test_many_models () =
   check_family "many_models" Genprog.many_models [ 1; 10; 50 ] (fun _ -> "0")
 
@@ -123,6 +164,7 @@ let suite =
     Alcotest.test_case "refinement chain" `Quick test_refinement_chain;
     Alcotest.test_case "refinement diamond" `Quick test_refinement_diamond;
     Alcotest.test_case "diamond work bound" `Quick test_diamond_work_bound;
+    Alcotest.test_case "parameterized chains pinned" `Quick test_chains_pinned;
     Alcotest.test_case "many models" `Quick test_many_models;
     Alcotest.test_case "wide where" `Quick test_wide_where;
     Alcotest.test_case "same-type chain" `Quick test_same_type_chain;

@@ -234,6 +234,149 @@ let test_depth_fuse_text () =
        ^ " (diverging parameterized models?)")
         (Fg_util.Diag.to_string d)
 
+(* One [Eq<list t>] chain used under three [Eq<int>] models: the
+   program's own, a shadowing one in a [let] scope, and a named one
+   under [using].  The checker caches each parameterized model's
+   where-clause plan per run and the interpreter memoizes model lookup
+   per scope, so a memo keyed too coarsely would answer one scope with
+   another's model.  Both semantics must give each scope its own. *)
+let test_chain_per_scope () =
+  let src =
+    eq_defs
+    ^ {|model below = Eq<int> { eq = fun (a : int, b : int) => a < b; } in
+let one = cons[int](1, nil[int]) in
+let two = cons[int](2, nil[int]) in
+let outer = (Eq<list int>.eq(one, two), Eq<list int>.eq(two, two)) in
+let shadowed =
+  model Eq<int> { eq = fun (a : int, b : int) => true; } in
+  (Eq<list int>.eq(one, two), Eq<list int>.eq(two, one)) in
+let named =
+  using below in (Eq<list int>.eq(one, two), Eq<list int>.eq(two, one)) in
+let again = (Eq<list int>.eq(one, two), Eq<list int>.eq(two, two)) in
+(outer, shadowed, named, again)|}
+  in
+  let expected =
+    "((false, true), (true, true), (true, false), (false, true))"
+  in
+  match Session.run_result ~file:"scopes.fg" (session ()) src with
+  | Error d -> Alcotest.failf "scopes: %s" (Fg_util.Diag.to_string d)
+  | Ok out ->
+      Alcotest.(check string) "interpreter" expected
+        (Interp.flat_to_string out.value);
+      Alcotest.(check string) "translation" expected
+        (Interp.flat_to_string
+           (Interp.flatten_f (Fg_systemf.Eval.run_value out.f_exp)))
+
+(* A parameterized [Eq2<list t>] used after its concept is redeclared
+   with an associated type: the use site's where-clause plan gains a
+   slot for [r], which nothing binds, so translation fails with FG0501.
+   In the second program the model is used once before the
+   redeclaration, so a plan cached without the concept-table
+   generation would be reused at the second use and hide the error. *)
+let test_plan_follows_concept_table () =
+  let model =
+    {|concept Eq2<t> { eq : fn(t, t) -> bool; } in
+model Eq2<int> { eq = ieq; } in
+model <t> where Eq2<t> => Eq2<list t> {
+  eq = fun (a : list t, b : list t) => null[t](a) && null[t](b);
+} in
+|}
+  in
+  let redeclared =
+    {|concept Eq2<t> { types r; eq : fn(t, t) -> bool; } in
+Eq2<list int>.eq(nil[int], nil[int])|}
+  in
+  List.iter
+    (fun (src, line) ->
+      match Session.run_result ~file:"eq2.fg" (session ()) src with
+      | Ok out ->
+          Alcotest.failf "expected FG0501, got %s"
+            (Interp.flat_to_string out.value)
+      | Error d ->
+          Alcotest.(check string) "code" "FG0501" d.code;
+          Alcotest.(check string) "text"
+            (Printf.sprintf
+               "eq2.fg:%d:1-17: translation error[FG0501]: associated type \
+                Eq2<int>.r has no known binding (no model of Eq2<int> in \
+                scope?)"
+               line)
+            (Fg_util.Diag.to_string d))
+    [
+      (model ^ redeclared, 7);
+      (model ^ "let first = Eq2<list int>.eq(nil[int], nil[int]) in\n"
+       ^ redeclared, 8);
+    ]
+
+(* The checker reuses a parameterized model's where-clause plan within a
+   run and advances the fresh-name supply past the names computing it
+   again would have drawn.  Here the second use of [Eq<list (list
+   int)>] reuses the plan, and the dictionary parameter of the generic
+   declared after it shows where the supply stands: [Eq_23], as before
+   plans were reused. *)
+let test_names_after_reused_plan () =
+  let src =
+    eq_defs
+    ^ {|let x = Eq<list (list int)>.eq(nil[list int], nil[list int]) in
+let y = Eq<list (list int)>.eq(nil[list int], nil[list int]) in
+let reflexive = tfun u where Eq<u> => fun (a : u) => Eq<u>.eq(a, a) in
+(x, y, reflexive[list bool](nil[bool]))|}
+  in
+  match Session.run_result ~file:"names.fg" (session ()) src with
+  | Error d -> Alcotest.failf "names: %s" (Fg_util.Diag.to_string d)
+  | Ok out ->
+      Alcotest.(check string) "value" "(true, true, true)"
+        (Interp.flat_to_string out.value);
+      let f = Fg_systemf.Pretty.exp_to_flat_string out.f_exp in
+      Alcotest.(check bool) "dictionary parameter Eq_23" true
+        (Astring_contains.contains
+           ~needle:
+             "fun (Eq_23 : tuple(fn(u, u) -> bool)) => fun (a : u) => \
+              nth Eq_23 0(a, a)"
+           f)
+
+(* Fuel that runs out inside a depth-20 chain.  The session evaluates
+   the translation first, so its exhaustion is what [run_full]
+   reports; the interpreter, run alone, spends one step per chain level
+   (on the member access) and then one per [fix], and finding a model
+   spends none.  Each message is the one recorded before model lookup
+   was memoized. *)
+let test_fuel_in_chain () =
+  let src = Genprog.param_depth 20 in
+  let diags fuel =
+    let r = Session.run_full ~file:"pd20.fg" ~fuel (session ()) src in
+    Alcotest.(check bool) (Printf.sprintf "fuel %d: no outcome" fuel) true
+      (r.Session.outcome = None);
+    List.map
+      (fun (d : Fg_util.Diag.diagnostic) ->
+        d.code ^ " " ^ Fg_util.Diag.to_string d)
+      r.Session.diagnostics
+  in
+  let exhausted span =
+    "FG0601 pd20.fg:" ^ span
+    ^ ": runtime error[FG0601]: evaluation fuel exhausted"
+  in
+  List.iter
+    (fun (fuel, span) ->
+      Alcotest.(check (list string)) (Printf.sprintf "run_full fuel %d" fuel)
+        [ exhausted span ] (diags fuel))
+    [ (10, "10:1-151"); (30, "4:8-8:70"); (63, "6:26-36") ];
+  let _, elaborated, _ =
+    Check.elaborate (Parser.exp_of_string ~file:"pd20.fg" src)
+  in
+  List.iter
+    (fun (fuel, span) ->
+      match Interp.run_program ~fuel elaborated with
+      | v, steps ->
+          Alcotest.failf "interpreter fuel %d: got %s in %d steps" fuel
+            (Interp.value_to_string v) steps
+      | exception Fg_util.Diag.Error d ->
+          Alcotest.(check string) (Printf.sprintf "interpreter fuel %d" fuel)
+            (exhausted span) (d.code ^ " " ^ Fg_util.Diag.to_string d))
+    [ (1, "10:1-151"); (20, "10:1-151"); (21, "4:8-8:70"); (43, "6:26-36") ];
+  let v, steps = Interp.run_program ~fuel:44 elaborated in
+  Alcotest.(check string) "interpreter fuel 44" "true in 44"
+    (Printf.sprintf "%s in %d" (Interp.value_to_string v) steps)
+
 let prop_parameterized_agreement =
   (* random element lists, equality through the parameterized instance:
      direct interpreter and translation agree with the OCaml oracle *)
@@ -281,5 +424,12 @@ let suite =
       test_missing_context_rejected;
     Alcotest.test_case "divergence fused" `Quick test_divergence_fused;
     Alcotest.test_case "FG0405 code and text" `Quick test_depth_fuse_text;
+    Alcotest.test_case "one chain, each scope's model" `Quick
+      test_chain_per_scope;
+    Alcotest.test_case "plan follows the concept table" `Quick
+      test_plan_follows_concept_table;
+    Alcotest.test_case "fresh names after a reused plan" `Quick
+      test_names_after_reused_plan;
+    Alcotest.test_case "fuel runs out inside a chain" `Quick test_fuel_in_chain;
     QCheck_alcotest.to_alcotest prop_parameterized_agreement;
   ]

@@ -94,6 +94,30 @@ echo "-- allocated_words: $words"
 [ -n "$words" ] && [ "$words" -le 4000000 ] \
   || { echo "diamond budget: ${words:-no} allocated_words, bound 4000000"; exit 1; }
 
+echo "== chain budget: parameterized-model chains in linear work"
+# Genprog.param_depth 60 resolves Eq<list^60 int> through the
+# parameterized Eq<list t> model, a 61-level dictionary chain;
+# instantiation_fanout 30 calls one generic at list^0..29 int, three
+# times each.  Each chain level costs a plan reuse, one model match and
+# one instantiation, so the process allocates 211k and 1.44M words; a
+# checker that recomputes the plan at every level, or an interpreter that
+# re-validates the chain below every level, allocates 1.68M and 5.30M.
+# The bounds are about twice the linear figures; v=0x400 prints
+# allocated_words at exit.
+chain_budget() { # family, size, expected value, bound
+  chain=$(mktemp) && chain_err=$(mktemp)
+  track "$chain" "$chain_err"
+  ./_build/default/tools/genprog.exe "$1" "$2" > "$chain"
+  value=$(OCAMLRUNPARAM=v=0x400 ./_build/default/bin/fgc.exe run "$chain" 2> "$chain_err")
+  [ "$value" = "$3" ] || { echo "chain budget: $1 $2 printed '$value', want $3"; exit 1; }
+  words=$(sed -n 's/^allocated_words: //p' "$chain_err")
+  echo "-- $1 $2: allocated_words $words (bound $4)"
+  [ -n "$words" ] && [ "$words" -le "$4" ] \
+    || { echo "chain budget: $1 $2 allocated ${words:-no} words, bound $4"; exit 1; }
+}
+chain_budget param_depth 60 true 425000
+chain_budget instantiation_fanout 30 3 2900000
+
 echo "== fuzz smoke (seed 42, 200 programs)"
 # Deterministic: the same seed generates the same programs on every
 # machine, so a clean run here means a clean run everywhere.
