@@ -119,7 +119,8 @@ let cache_dir_arg =
      across invocations: a warm run replays every unchanged declaration \
      from disk instead of re-checking it, with byte-identical output.  \
      Entries only decode in the compiler build that wrote them; \
-     anything else reads as a miss."
+     anything else reads as a miss.  Separate processes may share \
+     $(docv)."
   in
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR" ~doc)
@@ -145,11 +146,25 @@ let format_arg =
        & info [ "format" ] ~docv:"FMT" ~doc)
 
 (* The session every subcommand drives: prelude cached at creation when
-   requested, so per-program work excludes it. *)
+   requested, so per-program work excludes it.  With [cache_dir] (the
+   one-shot commands' --cache-dir) its unit cache has the disk store
+   behind it, attached before the prelude walk so that a checked
+   prelude's units persist too. *)
 let make_session ?(backend = "dict") ?cache_dir ~global ~prelude () =
-  C.Session.of_config
-    (C.Session.Config.of_flags ?cache_dir ~prelude ~global_models:global
-       ~backend:(C.Backend.of_string_exn backend) ())
+  let cfg =
+    C.Session.Config.of_flags ~prelude ~global_models:global
+      ~backend:(C.Backend.of_string_exn backend) ()
+  in
+  let cache =
+    Option.map
+      (fun dir ->
+        let cache = C.Unit.create_cache () in
+        C.Unit.set_stores cache
+          [ C.Unit.disk_store (C.Diskcache.open_store dir) ];
+        cache)
+      cache_dir
+  in
+  C.Session.of_config ?cache cfg
 
 let get_source file expr =
   match expr with Some s -> ("<expr>", s) | None -> read_input file
@@ -326,10 +341,10 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 let batch_cmd =
-  let run files global prelude backend cache_dir domains format stats =
+  let run files global prelude backend domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let jobs = List.map read_input files in
-        let s = make_session ~backend ?cache_dir ~global ~prelude () in
+        let s = make_session ~backend ~global ~prelude () in
         (* Each job's result is projected to what is printed on the
            domain that ran it, so the batch holds no job's AST or
            translation past its end. *)
@@ -376,16 +391,16 @@ let batch_cmd =
           OCaml domains with a shared session configuration; output order \
           matches the argument order regardless of the domain count")
     Term.(const run $ files $ global_flag $ prelude_flag $ backend_arg
-          $ cache_dir_arg $ domains_arg $ format_arg $ stats_flag)
+          $ domains_arg $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* corpus                                                            *)
 
 let corpus_cmd =
-  let run entry all backend cache_dir domains format stats =
+  let run entry all backend domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let session () =
-          make_session ~backend ?cache_dir ~global:false ~prelude:false ()
+          make_session ~backend ~global:false ~prelude:false ()
         in
         match (entry, all) with
         | None, false ->
@@ -504,8 +519,8 @@ let corpus_cmd =
   Cmd.v
     (Cmd.info "corpus"
        ~doc:"List or run the built-in corpus of paper example programs")
-    Term.(const run $ entry_arg $ all_flag $ backend_arg $ cache_dir_arg
-          $ domains_arg $ format_arg $ stats_flag)
+    Term.(const run $ entry_arg $ all_flag $ backend_arg $ domains_arg
+          $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* eq: same-type queries                                             *)
@@ -604,8 +619,22 @@ let fuzz_cmd =
          & info [ "seed" ] ~docv:"N"
              ~doc:"Master seed; the whole run is a pure function of it.")
   in
+  (* A negative count is a usage error, in blind and guided mode
+     alike. *)
+  let count =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 0 -> Ok n
+          | _ ->
+              Error
+                (`Msg
+                  (Printf.sprintf
+                     "invalid value '%s', expected a non-negative integer" s))),
+        Fmt.int )
+  in
   let count_arg =
-    Arg.(value & opt int 100
+    Arg.(value & opt count 100
          & info [ "count" ] ~docv:"N" ~doc:"Number of programs to generate.")
   in
   let size_arg =
@@ -614,7 +643,7 @@ let fuzz_cmd =
              ~doc:"Size budget per generated program (AST-node scale).")
   in
   let mutants_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt count 2
          & info [ "mutants" ] ~docv:"N"
              ~doc:"Corrupted variants per program for the recovery oracle.")
   in
@@ -675,7 +704,7 @@ let address_of ~socket ~port ~host =
 
 let serve_cmd =
   let run socket port host workers max_queue timeout_ms max_frame fuel
-      cache_dir verbose =
+      verbose =
     handle_code (fun () ->
         let address = address_of ~socket ~port ~host in
         let base = Server.default_config address in
@@ -688,7 +717,6 @@ let serve_cmd =
             request_timeout_ms = timeout_ms;
             max_frame;
             fuel = (if fuel = 0 then None else Some fuel);
-            cache_dir;
             log = verbose;
           }
         in
@@ -755,7 +783,7 @@ let serve_cmd =
           address that cannot be bound is the FG1004 configuration \
           error")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ max_queue
-          $ timeout_ms $ max_frame $ fuel $ cache_dir_arg $ verbose)
+          $ timeout_ms $ max_frame $ fuel $ verbose)
 
 (* ---------------------------------------------------------------- *)
 (* client                                                            *)

@@ -1,14 +1,14 @@
 (** A persistent, content-addressed store for compilation-unit blobs:
-    the disk tier of the unit cache ([--cache-dir]).
+    the disk tier of a one-shot run's unit cache ([--cache-dir] on
+    [fgc check], [translate] and [run]).
 
     {b Layout.}  Under the store root, entries fan out into 256 shard
     directories named by the first two hex characters of the key; an
     entry file is the full lowercase hex of its key.  Writes go to a
     temp file in the root followed by an atomic [rename], so concurrent
-    writers (parallel batch domains, several server workers, even
-    separate processes sharing one root) can never produce a torn
-    entry — the last rename wins and every reader sees either a whole
-    blob or none.
+    writers (separate one-shot processes sharing one root) can never
+    produce a torn entry — the last rename wins and every reader sees
+    either a whole blob or none.
 
     {b Validation.}  Every blob is stamped with the store format
     version, [Sys.ocaml_version], and the identity of the running

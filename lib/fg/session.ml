@@ -8,7 +8,7 @@
       chain, environment family, supply position) and replayed from the
       cache everywhere else, byte-identically.  A batch job's spine is
       the exception: nothing could replay it, so it is walked without
-      the cache unless a persistent store is attached;
+      the cache;
     - {!Fg_util.Gensym.mark}/[restore] rewind the fresh-name supply to
       its post-prelude position before every program, so a session's
       output for a program is identical to a standalone run's and
@@ -32,7 +32,6 @@ module Config = struct
     resolution : Resolution.mode;
     escape_check : bool;
     prelude : string option;
-    cache_dir : string option;
   }
 
   let default =
@@ -41,19 +40,17 @@ module Config = struct
       resolution = Resolution.Lexical;
       escape_check = true;
       prelude = None;
-      cache_dir = None;
     }
 
   let with_standard_prelude c = { c with prelude = Some Prelude.full }
 
-  let of_flags ?cache_dir ~prelude ~global_models ~backend () =
+  let of_flags ~prelude ~global_models ~backend () =
     {
       default with
       backend;
       resolution =
         (if global_models then Resolution.Global else Resolution.Lexical);
       prelude = (if prelude then Some Prelude.full else None);
-      cache_dir;
     }
 end
 
@@ -149,21 +146,6 @@ let translation_prefix env ~mark frames =
   Gensym.restore env.Env.gensym mark;
   Result.to_option prefix
 
-(* A session's unit cache: the shared one, or a private one with the
-   configured disk tier attached.  The tier goes on before the prelude
-   walk so the prelude's own units persist too (and replay on warm
-   runs). *)
-let session_cache ?cache (cfg : Config.t) =
-  match cache with
-  | Some c -> c
-  | None ->
-      let c = Unit.create_cache () in
-      (match cfg.Config.cache_dir with
-      | None -> ()
-      | Some dir ->
-          Unit.set_stores c [ Unit.disk_store (Diskcache.open_store dir) ]);
-      c
-
 let check_config cache (cfg : Config.t) =
   let env0 =
     Env.create ~resolution:cfg.Config.resolution
@@ -231,8 +213,7 @@ module Image = struct
      drawn from another process's supply and could equal one this
      process already uses.  Its units join the cache under that
      family, as a check would have left them. *)
-  let load ?cache cfg bytes =
-    let cache = session_cache ?cache cfg in
+  let load ?(cache = Unit.create_cache ()) cfg bytes =
     Telemetry.record_prelude_build ();
     let i : image = Marshal.from_string bytes 0 in
     let env = Env.with_fresh_family i.i_env in
@@ -261,10 +242,10 @@ module Image = struct
     | _ -> None
 end
 
-let of_config ?cache (cfg : Config.t) : t =
+let of_config ?(cache = Unit.create_cache ()) (cfg : Config.t) : t =
   match Image.find cfg with
-  | Some bytes -> Image.load ?cache cfg bytes
-  | None -> check_config (session_cache ?cache cfg) cfg
+  | Some bytes -> Image.load ~cache cfg bytes
+  | None -> check_config cache cfg
 
 let config t = t.cfg
 
@@ -298,33 +279,6 @@ let extend t decls =
     check_decl_stack t.cache ~spine:t.spine t.env decls ~file:"<decls>"
   in
   let spine = Unit.extend_spine t.spine units in
-  (* A redefinition shadows earlier spine units; drop cached entries
-     that depended on the shadowed definitions.  (Correctness does not
-     need this — a dependent's key chains through its providers, so it
-     would miss anyway — but the dead entries would otherwise sit in
-     the cache until evicted, and the bump makes invalidation
-     observable in the stats.)  The spine itself stays protected:
-     shadowed units are still live history. *)
-  let provided =
-    List.fold_left
-      (fun s (u : Unit.checked) ->
-        Names.Sset.union u.Unit.ck_info.Declgraph.i_provides s)
-      Names.Sset.empty units
-  in
-  let seeds =
-    List.filter_map
-      (fun (u : Unit.checked) ->
-        if
-          Names.Sset.is_empty
-            (Names.Sset.inter u.Unit.ck_info.Declgraph.i_provides provided)
-        then None
-        else Some u.Unit.ck_key)
-      (Unit.spine_units t.spine)
-  in
-  let protect =
-    List.map (fun (u : Unit.checked) -> u.Unit.ck_key) (Unit.spine_units spine)
-  in
-  ignore (Unit.invalidate t.cache ~protect ~seeds);
   let frames = frames' @ t.frames in
   let mark = Gensym.mark env'.Env.gensym in
   let prefix = translation_prefix env' ~mark frames in
@@ -458,10 +412,14 @@ let complete ?fuel t ~source ~ast triple : outcome =
     Telemetry.time Telemetry.Verify (fun () ->
         Theorems.report_of_elaboration ?prefix:t.prefix triple)
   in
+  (* The translation runs first: OCaml leaves the evaluation order of a
+     tuple's components unspecified, and under [fuel] the order decides
+     which evaluator's FG0601 a program that runs out reports. *)
   let (v_direct, direct_steps), (v_translated, translated_steps) =
     Telemetry.time Telemetry.Eval (fun () ->
-        ( Interp.run_program ?fuel report.Theorems.elaborated,
-          F.Eval.run ?fuel report.Theorems.f_exp ))
+        let translated = F.Eval.run ?fuel report.Theorems.f_exp in
+        let direct = Interp.run_program ?fuel report.Theorems.elaborated in
+        (direct, translated))
   in
   let direct = Interp.flatten v_direct in
   let translated = Interp.flatten_f v_translated in
@@ -594,19 +552,15 @@ let map_batch ?domains ?fuel t (jobs : (string * string) list) f =
     max 1 (min d (max 1 n))
   in
   let results = Array.make n None in
-  (* A batch runs each job once, under the job's own file name, and a
-     unit's key includes the file: no unit a batch inserts could ever be
-     read back in this process.  So jobs skip the unit cache (its
-     dependency analysis, keys and inserts) unless a persistent tier
-     can hand the units to a later process. *)
-  let keyed = Unit.persistent t.cache in
-  (* One job's result.  Any exception besides a diagnostic (a stack
-     overflow on a deeply nested program, say) is this job's internal
-     error: the other jobs still run and report. *)
+  (* One job's result.  A batch runs each job once, under the job's own
+     file name, and a unit's key includes the file: no unit a job could
+     insert would ever be read back.  So jobs skip the unit cache (its
+     dependency analysis, keys and inserts).  Any exception besides a
+     diagnostic (a stack overflow on a deeply nested program, say) is
+     this job's internal error: the other jobs still run and report. *)
   let job t_local name source =
-    let cache = if keyed then Some t_local.cache else None in
     match
-      let ast, triple = check_source ~file:name ~cache t_local source in
+      let ast, triple = check_source ~file:name ~cache:None t_local source in
       complete ?fuel t_local ~source ~ast triple
     with
     | o -> Ok o

@@ -48,13 +48,6 @@ module Config : sig
     prelude : string option;
         (** a declaration stack in concrete syntax (each declaration
             ending in [in], as {!Prelude.full} is written) *)
-    cache_dir : string option;
-        (** root of a persistent on-disk unit store ({!Diskcache}),
-            an unbounded content-addressed directory attached behind
-            the session's private unit cache; [None] (the default)
-            keeps the cache memory-only.  Ignored when a shared [cache]
-            is passed to {!of_config} — whoever owns the shared cache
-            owns its tiers. *)
   }
 
   val default : t
@@ -67,8 +60,7 @@ module Config : sig
       document's open parameters to a {!t}.  [prelude] selects
       {!Prelude.full} and [global_models] {!Resolution.Global}. *)
   val of_flags :
-    ?cache_dir:string -> prelude:bool -> global_models:bool ->
-    backend:Backend.t -> unit -> t
+    prelude:bool -> global_models:bool -> backend:Backend.t -> unit -> t
 end
 
 (** What the specializing backends add to an outcome: the partially
@@ -105,9 +97,10 @@ type outcome = {
 (** [of_config cfg] — a new session.  The prelude (if any) is parsed
     and checked here, once, through the session's compilation-unit
     cache.  [cache] shares an existing unit cache (e.g. one per server
-    worker) instead of creating a private one — it is a separate
-    argument, not part of {!Config.t}, precisely so configs stay
-    structurally comparable.  Raises {!Diag.Error} if the prelude
+    worker, or one with a disk tier behind it, as [fgc run --cache-dir]
+    builds) instead of creating a private memory-only one — it is a
+    separate argument, not part of {!Config.t}, precisely so configs
+    stay structurally comparable.  Raises {!Diag.Error} if the prelude
     itself is ill-formed. *)
 val of_config : ?cache:Unit.cache -> Config.t -> t
 
@@ -257,10 +250,8 @@ val default_domains : unit -> int
     Each job is checked once, under its own name, and a unit's key
     includes the file, so no unit a job could insert would ever be
     read back: jobs are checked without the unit cache ({!Unit.walk}
-    with [None]), and {!cache_stats} does not move.  The exception is
-    a session whose cache has a persistent store ([cache_dir]), which a
-    later process can read: there jobs walk through the cache as {!run}
-    does.
+    with [None]), and {!cache_stats} does not move, whatever tiers the
+    session's cache has.
 
     A job that raises anything besides [Diag.Error] (a stack overflow,
     say) yields its own {!internal_error}; the other jobs are
@@ -286,7 +277,7 @@ val internal_error : exn -> Diag.diagnostic
     (includes work done by batch domains the session spawned). *)
 val stats : t -> Telemetry.snapshot
 
-(** Unit-cache counters: hits, misses, evictions, invalidations, size. *)
+(** Unit-cache counters: hits, misses, evictions, size. *)
 val cache_stats : t -> Unit.stats
 
 (** Entries the session's own memo tier holds ({!Env.memo_entries}):

@@ -46,7 +46,6 @@ type triple = Ast.ty * Ast.exp * F.Ast.exp
 type checked = {
   ck_key : string;
   ck_pkey : string;
-  ck_deps : string list;
   ck_info : Declgraph.info;
   ck_frame : Check.frame;
   ck_gensym_end : int;
@@ -87,7 +86,6 @@ type cache = {
   hits : int Atomic.t;
   misses : int Atomic.t;
   evictions : int Atomic.t;
-  invalidations : int Atomic.t;
   size : int Atomic.t;
       (** mirrors [Hashtbl.length tbl]; atomic so other domains (the
           server's stats endpoint) can read a consistent value while
@@ -106,7 +104,6 @@ let create_cache ?(capacity = default_capacity) () =
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     evictions = Atomic.make 0;
-    invalidations = Atomic.make 0;
     size = Atomic.make 0;
   }
 
@@ -114,7 +111,6 @@ type stats = {
   s_hits : int;
   s_misses : int;
   s_evictions : int;
-  s_invalidations : int;
   s_size : int;
   s_capacity : int;
 }
@@ -124,7 +120,6 @@ let stats c =
     s_hits = Atomic.get c.hits;
     s_misses = Atomic.get c.misses;
     s_evictions = Atomic.get c.evictions;
-    s_invalidations = Atomic.get c.invalidations;
     s_size = Atomic.get c.size;
     s_capacity = c.capacity;
   }
@@ -147,7 +142,6 @@ let push_newest c e =
   c.newest <- Some e
 
 let set_stores c stores = c.stores <- stores
-let persistent c = c.stores <> []
 
 (* The memory tier alone; the tiered [find] below decides whether a
    memory miss is a real miss (nothing deeper either) or a hit served
@@ -171,19 +165,13 @@ let record_miss c =
   Atomic.incr c.misses;
   Telemetry.record_unit_miss ()
 
-let remove c key =
-  match Hashtbl.find_opt c.tbl key with
-  | Some e ->
-      Hashtbl.remove c.tbl key;
-      unlink c e;
-      ignore (Atomic.fetch_and_add c.size (-1))
-  | None -> ()
-
 let evict_oldest c =
   match c.oldest with
   | None -> ()
   | Some e ->
-      remove c e.e_key;
+      Hashtbl.remove c.tbl e.e_key;
+      unlink c e;
+      ignore (Atomic.fetch_and_add c.size (-1));
       Atomic.incr c.evictions;
       Telemetry.record_unit_eviction ()
 
@@ -234,7 +222,7 @@ let insert c (u : checked) =
 
 (* memory, then the stores in order: the first decodable hit is
    promoted into the memory map under the current family-scoped key. *)
-let find c ~key ~pkey ~dep_keys =
+let find c ~key ~pkey =
   match find_mem c key with
   | Some u ->
       record_hit c;
@@ -250,47 +238,10 @@ let find c ~key ~pkey ~dep_keys =
           record_miss c;
           None
       | Some u ->
-          let u = { u with ck_key = key; ck_pkey = pkey; ck_deps = dep_keys } in
+          let u = { u with ck_key = key; ck_pkey = pkey } in
           insert_mem c u;
           record_hit c;
           Some u)
-
-module KSet = Set.Make (String)
-
-let invalidate c ~protect ~seeds =
-  match seeds with
-  | [] -> 0
-  | _ ->
-      let protect = KSet.of_list protect in
-      let invalid = ref (KSet.of_list seeds) in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        Hashtbl.iter
-          (fun key e ->
-            if
-              (not (KSet.mem key !invalid))
-              && List.exists (fun d -> KSet.mem d !invalid) e.e_unit.ck_deps
-            then begin
-              invalid := KSet.add key !invalid;
-              changed := true
-            end)
-          c.tbl
-      done;
-      let dropped = ref 0 in
-      KSet.iter
-        (fun key ->
-          if (not (KSet.mem key protect)) && Hashtbl.mem c.tbl key then begin
-            remove c key;
-            incr dropped
-          end)
-        !invalid;
-      (* count the shadowed units themselves as bumped, so a
-         redefinition is observable even when nothing depended on it *)
-      let n = !dropped + List.length seeds in
-      ignore (Atomic.fetch_and_add c.invalidations n);
-      Telemetry.record_unit_invalidations n;
-      n
 
 (* ---------------------------------------------------------------- *)
 (* Keys                                                               *)
@@ -398,7 +349,6 @@ let globals_delta ~before after =
    cannot disagree. *)
 type spine = {
   sp_units : checked list;  (** in declaration order *)
-  sp_keys : string array;
   sp_pkeys : string array;
   sp_graph : Declgraph.t;
 }
@@ -406,7 +356,6 @@ type spine = {
 let empty_spine (env : Env.t) =
   {
     sp_units = [];
-    sp_keys = [||];
     sp_pkeys = [||];
     sp_graph =
       Declgraph.empty ~global:(env.Env.resolution = Resolution.Global);
@@ -417,36 +366,17 @@ let extend_spine sp units =
   let graph, _ = Declgraph.extend sp.sp_graph (field (fun u -> u.ck_info)) in
   {
     sp_units = sp.sp_units @ units;
-    sp_keys = Array.append sp.sp_keys (field (fun u -> u.ck_key));
     sp_pkeys = Array.append sp.sp_pkeys (field (fun u -> u.ck_pkey));
     sp_graph = graph;
   }
 
-let spine_units sp = sp.sp_units
-
-(* A spine's units depend only on earlier units of the same spine, so
-   each dependency's new key is known by the time it is needed. *)
 let adopt c sp (env : Env.t) =
   let family = string_of_int env.Env.family in
-  let rekey = Hashtbl.create 64 in
   let units =
-    List.map
-      (fun u ->
-        let key = u.ck_pkey ^ family in
-        Hashtbl.replace rekey u.ck_key key;
-        {
-          u with
-          ck_key = key;
-          ck_deps = List.map (Hashtbl.find rekey) u.ck_deps;
-        })
-      sp.sp_units
+    List.map (fun u -> { u with ck_key = u.ck_pkey ^ family }) sp.sp_units
   in
   List.iter (insert_mem c) units;
-  {
-    sp with
-    sp_units = units;
-    sp_keys = Array.of_list (List.map (fun u -> u.ck_key) units);
-  }
+  { sp with sp_units = units }
 
 let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
     ast : walk_result =
@@ -466,12 +396,8 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
         let infos = Array.of_list (List.map Declgraph.info_of_decl decls) in
         (infos, snd (Declgraph.extend spine.sp_graph infos))
   in
-  let n_spine = Array.length spine.sp_keys in
-  let keys = Array.make (Array.length infos) "" in
+  let n_spine = Array.length spine.sp_pkeys in
   let pkeys = Array.make (Array.length infos) "" in
-  let dep_key j =
-    if j < n_spine then spine.sp_keys.(j) else keys.(j - n_spine)
-  in
   let dep_pkey j =
     if j < n_spine then spine.sp_pkeys.(j) else pkeys.(j - n_spine)
   in
@@ -499,9 +425,9 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
   in
   List.iteri
     (fun i decl ->
-      let pkey, found =
+      let key, pkey, found =
         match !keyed with
-        | None -> ("", None)
+        | None -> ("", "", None)
         | Some cache ->
             let gensym_start = Gensym.mark !env.Env.gensym in
             let pkey =
@@ -509,9 +435,8 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
                 ~dep_pkeys:(List.map dep_pkey deps.(i))
             in
             let key = pkey ^ family in
-            keys.(i) <- key;
             pkeys.(i) <- pkey;
-            (pkey, find cache ~key ~pkey ~dep_keys:(List.map dep_key deps.(i)))
+            (key, pkey, find cache ~key ~pkey)
       in
       match found with
       | Some u ->
@@ -560,9 +485,8 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
                 (fun cache ->
                   let u =
                     {
-                      ck_key = keys.(i);
+                      ck_key = key;
                       ck_pkey = pkey;
-                      ck_deps = List.map dep_key deps.(i);
                       ck_info = infos.(i);
                       ck_frame = frame;
                       ck_gensym_end = Gensym.mark env'.Env.gensym;

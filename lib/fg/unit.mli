@@ -24,19 +24,18 @@ module Sset := Fg_util.Names.Sset
 
 type triple = ty * exp * F.exp
 
-(** One checked declaration: its cache key, the keys it depends on, its
-    {!Declgraph} facts, and everything needed to replay it — its frame
-    (the environment delta and the translation wrapper, as data), the
-    fresh-name supply position after checking, the Global-mode
-    overlap-set delta, and the warnings it emitted (replayed verbatim on
-    a hit, so warnings appear exactly once per program).  A unit holds
+(** One checked declaration: its cache keys, its {!Declgraph} facts,
+    and everything needed to replay it — its frame (the environment
+    delta and the translation wrapper, as data), the fresh-name supply
+    position after checking, the Global-mode overlap-set delta, and the
+    warnings it emitted (replayed verbatim on a hit, so warnings appear
+    exactly once per program).  A unit holds
     no functions, so it marshals as plain data. *)
 type checked = {
   ck_key : string;  (** memory-tier key: the family-scoped {!ck_pkey} *)
   ck_pkey : string;
       (** portable key — family-free, so it addresses the persistent
           tiers (the disk store), which outlive any process *)
-  ck_deps : string list;
   ck_info : Declgraph.info;
   ck_frame : Check.frame;
   ck_gensym_end : int;
@@ -74,10 +73,6 @@ type store = {
 (** Attach the persistent tiers consulted after the memory map. *)
 val set_stores : cache -> store list -> unit
 
-(** Does [cache] have a persistent tier, so that what goes in can be
-    read back by a later process? *)
-val persistent : cache -> bool
-
 (** The on-disk store ({!Diskcache}) as a tier. *)
 val disk_store : Diskcache.t -> store
 
@@ -85,21 +80,12 @@ type stats = {
   s_hits : int;
   s_misses : int;
   s_evictions : int;
-  s_invalidations : int;
   s_size : int;
   s_capacity : int;
 }
 
 (** Counter snapshot; safe to call from any domain. *)
 val stats : cache -> stats
-
-(** [invalidate cache ~protect ~seeds] removes the entries named by
-    [seeds] and everything transitively depending on them, except keys
-    in [protect] (a session's live spine).  Returns the number of
-    invalidations recorded: entries dropped plus the seeds themselves
-    (a redefinition is observable even when nothing cached depended on
-    it). *)
-val invalidate : cache -> protect:string list -> seeds:string list -> int
 
 (** Split a program into its leading declarations and residual body. *)
 val split_spine : exp -> exp list * exp
@@ -145,9 +131,6 @@ val empty_spine : Env.t -> spine
     way to add units to a spine, so its units and its analysis always
     agree. *)
 val extend_spine : spine -> checked list -> spine
-
-(** The spine's units, in declaration order. *)
-val spine_units : spine -> checked list
 
 (** [adopt cache sp env] — [sp] with its units re-keyed under [env]'s
     family, each inserted into [cache]'s memory tier in declaration

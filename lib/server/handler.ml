@@ -20,9 +20,8 @@ type t = {
   sessions : C.Session.Table.t;
 }
 
-let create ?fuel ?disk () =
+let create ?fuel () =
   let cache = C.Unit.create_cache () in
-  Option.iter (fun d -> C.Unit.set_stores cache [ C.Unit.disk_store d ]) disk;
   { fuel; cache; sessions = C.Session.Table.create cache }
 
 let cache_stats t = C.Unit.stats t.cache

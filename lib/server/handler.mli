@@ -12,11 +12,8 @@ type t
 
 (** [fuel] bounds both evaluators of every served [run] request, so a
     divergent program cannot pin a worker forever (it reports the
-    FG0601 fuel diagnostic instead).
-
-    [disk] attaches the daemon's shared on-disk unit store behind this
-    worker's memory cache. *)
-val create : ?fuel:int -> ?disk:Fg_core.Diskcache.t -> unit -> t
+    FG0601 fuel diagnostic instead). *)
+val create : ?fuel:int -> unit -> t
 
 (** Eagerly build the standard-prelude session (workers call this at
     startup so the first request doesn't pay the prelude check). *)

@@ -129,8 +129,6 @@ type job = {
 type t = {
   capacity : int;
   fuel : int option;
-  disk : Fg_core.Diskcache.t option;
-      (** the daemon's shared on-disk unit store, one per server *)
   m : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
@@ -145,12 +143,11 @@ type t = {
       (** the [stats] payload; the server closes over its own config *)
 }
 
-let create ?fuel ?disk ~capacity ~stats_json () =
+let create ?fuel ~capacity ~stats_json () =
   let metrics = metrics () in
   {
     capacity = max 1 capacity;
     fuel;
-    disk;
     m = Mutex.create ();
     not_empty = Condition.create ();
     not_full = Condition.create ();
@@ -179,7 +176,6 @@ let unit_cache_json t =
         ("hits", Json.Int s.Fg_core.Unit.s_hits);
         ("misses", Json.Int s.Fg_core.Unit.s_misses);
         ("evictions", Json.Int s.Fg_core.Unit.s_evictions);
-        ("invalidations", Json.Int s.Fg_core.Unit.s_invalidations);
         ("size", Json.Int s.Fg_core.Unit.s_size);
         ("capacity", Json.Int s.Fg_core.Unit.s_capacity);
       ]
@@ -195,8 +191,6 @@ let unit_cache_json t =
             ("misses", Json.Int (total (fun s -> s.Fg_core.Unit.s_misses)));
             ( "evictions",
               Json.Int (total (fun s -> s.Fg_core.Unit.s_evictions)) );
-            ( "invalidations",
-              Json.Int (total (fun s -> s.Fg_core.Unit.s_invalidations)) );
             ("size", Json.Int (total (fun s -> s.Fg_core.Unit.s_size)));
           ] );
     ]
@@ -292,7 +286,7 @@ let process t handler (job : job) =
   job.respond resp
 
 let worker_loop t =
-  let handler = Handler.create ?fuel:t.fuel ?disk:t.disk () in
+  let handler = Handler.create ?fuel:t.fuel () in
   Mutex.lock t.m;
   t.handlers <- handler :: t.handlers;
   Mutex.unlock t.m;

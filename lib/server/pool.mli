@@ -46,12 +46,9 @@ type job = {
 type t
 
 (** [stats_json] renders the [stats] payload from the live metrics
-    (the server adds its own config fields via [?extra]).  [disk] is
-    handed to every worker's {!Handler.create}: one shared on-disk
-    unit store per daemon. *)
+    (the server adds its own config fields via [?extra]). *)
 val create :
-  ?fuel:int -> ?disk:Fg_core.Diskcache.t -> capacity:int ->
-  stats_json:(metrics -> Json.t) -> unit -> t
+  ?fuel:int -> capacity:int -> stats_json:(metrics -> Json.t) -> unit -> t
 
 val metrics : t -> metrics
 val stats_payload : t -> string

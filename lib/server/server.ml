@@ -21,9 +21,6 @@ type config = {
   request_timeout_ms : int option;
   max_frame : int;
   fuel : int option;
-  cache_dir : string option;
-      (** root of the daemon's shared on-disk unit store; [None] (the
-          default) runs memory-only *)
   log : bool;
 }
 
@@ -35,7 +32,6 @@ let default_config address =
     request_timeout_ms = None;
     max_frame = Protocol.default_max_frame;
     fuel = Some 10_000_000;
-    cache_dir = None;
     log = false;
   }
 
@@ -139,9 +135,8 @@ let request_shutdown t =
   Pool.initiate_stop t.pool
 
 (* The stats payload: live pool metrics plus the static config, plus
-   the process-wide specializer and disk-store counters (covering every
-   worker's stencil/hybrid requests and disk lookups, since telemetry
-   is process-global and a daemon opens one store). *)
+   the process-wide specializer counters (covering every worker's
+   stencil/hybrid requests, since telemetry is process-global). *)
 let stats_json cfg ws metrics =
   let t = Telemetry.snapshot () in
   Pool.metrics_to_json metrics
@@ -161,16 +156,6 @@ let stats_json cfg ws metrics =
               ("stencil_fallbacks", Json.Int t.Telemetry.stencil_fallbacks);
               ("dicts_hoisted", Json.Int t.Telemetry.dicts_hoisted);
             ] );
-        ( "disk_cache",
-          match cfg.cache_dir with
-          | None -> Json.Null
-          | Some _ ->
-              Json.Obj
-                [
-                  ("hits", Json.Int t.Telemetry.disk_hits);
-                  ("misses", Json.Int t.Telemetry.disk_misses);
-                  ("corrupt", Json.Int t.Telemetry.corrupt_entries);
-                ] );
         ("workspace", Fg_workspace.Workspace.stats_json ws);
       ]
 
@@ -244,10 +229,9 @@ let listen_on address =
 
 let create cfg =
   let cfg = { cfg with workers = max 1 cfg.workers } in
-  let disk = Option.map Fg_core.Diskcache.open_store cfg.cache_dir in
   let ws = Fg_workspace.Workspace.create ?fuel:cfg.fuel () in
   let pool =
-    Pool.create ?fuel:cfg.fuel ?disk ~capacity:cfg.max_queue
+    Pool.create ?fuel:cfg.fuel ~capacity:cfg.max_queue
       ~stats_json:(stats_json cfg ws) ()
   in
   let listen_fd, bound = listen_on cfg.address in

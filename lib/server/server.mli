@@ -27,17 +27,11 @@ type config = {
   request_timeout_ms : int option;  (** default per-request deadline *)
   max_frame : int;  (** largest accepted wire frame, bytes *)
   fuel : int option;  (** evaluator step bound per served run *)
-  cache_dir : string option;
-      (** root of the daemon's shared on-disk unit store
-          ({!Fg_core.Diskcache}), an unbounded content-addressed
-          directory consulted by every worker behind its memory cache;
-          [None] (the default) runs memory-only *)
   log : bool;  (** chatty lifecycle lines on stderr *)
 }
 
 (** Sensible defaults: one worker per recommended domain, queue of
-    128, no deadline, 4 MiB frames, 10M evaluation steps, no disk
-    store, quiet. *)
+    128, no deadline, 4 MiB frames, 10M evaluation steps, quiet. *)
 val default_config : address -> config
 
 type t

@@ -152,7 +152,6 @@ let fuzz_shrunk = Shardcounter.create ()
 let unit_hits = Shardcounter.create ()
 let unit_misses = Shardcounter.create ()
 let unit_evictions = Shardcounter.create ()
-let unit_invalidations = Shardcounter.create ()
 let stencils_created = Shardcounter.create ()
 let stencils_shared = Shardcounter.create ()
 let stencil_fallbacks = Shardcounter.create ()
@@ -180,7 +179,6 @@ let record_disk_miss () = bump disk_misses
 let record_corrupt_entry () = bump corrupt_entries
 
 let add c n = if n > 0 then Shardcounter.add c n
-let record_unit_invalidations n = add unit_invalidations n
 let record_stencils_created n = add stencils_created n
 let record_stencils_shared n = add stencils_shared n
 let record_stencil_fallbacks n = add stencil_fallbacks n
@@ -247,7 +245,6 @@ type snapshot = {
   unit_hits : int;
   unit_misses : int;
   unit_evictions : int;
-  unit_invalidations : int;
   stencils_created : int;
   stencils_shared : int;
   stencil_fallbacks : int;
@@ -277,7 +274,6 @@ let snapshot () =
     unit_hits = Shardcounter.read unit_hits;
     unit_misses = Shardcounter.read unit_misses;
     unit_evictions = Shardcounter.read unit_evictions;
-    unit_invalidations = Shardcounter.read unit_invalidations;
     stencils_created = Shardcounter.read stencils_created;
     stencils_shared = Shardcounter.read stencils_shared;
     stencil_fallbacks = Shardcounter.read stencil_fallbacks;
@@ -307,7 +303,6 @@ let diff (b : snapshot) (a : snapshot) =
     unit_hits = b.unit_hits - a.unit_hits;
     unit_misses = b.unit_misses - a.unit_misses;
     unit_evictions = b.unit_evictions - a.unit_evictions;
-    unit_invalidations = b.unit_invalidations - a.unit_invalidations;
     stencils_created = b.stencils_created - a.stencils_created;
     stencils_shared = b.stencils_shared - a.stencils_shared;
     stencil_fallbacks = b.stencil_fallbacks - a.stencil_fallbacks;
@@ -338,8 +333,7 @@ let pp ppf (s : snapshot) =
   Fmt.pf ppf "unit cache:@,";
   Fmt.pf ppf "  hits           : %10d@," s.unit_hits;
   Fmt.pf ppf "  misses         : %10d@," s.unit_misses;
-  Fmt.pf ppf "  evictions      : %10d@," s.unit_evictions;
-  Fmt.pf ppf "  invalidations  : %10d" s.unit_invalidations;
+  Fmt.pf ppf "  evictions      : %10d" s.unit_evictions;
   if s.disk_hits + s.disk_misses + s.corrupt_entries > 0 then begin
     Fmt.pf ppf "@,disk cache:@,";
     Fmt.pf ppf "  hits           : %10d@," s.disk_hits;

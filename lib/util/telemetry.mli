@@ -118,10 +118,6 @@ val record_unit_eviction : unit -> unit
 (** A bounded compilation-unit cache evicted its least recently used
     entry to make room. *)
 
-val record_unit_invalidations : int -> unit
-(** [n] compilation units were invalidated by a redefinition (the
-    shadowed units plus their cached dependents). *)
-
 val record_stencils_created : int -> unit
 (** The specializing backend created [n] stencils (specialized
     clones of generic bindings). *)
@@ -170,7 +166,6 @@ type snapshot = {
   unit_hits : int;
   unit_misses : int;
   unit_evictions : int;
-  unit_invalidations : int;
   stencils_created : int;
   stencils_shared : int;
   stencil_fallbacks : int;

@@ -670,9 +670,20 @@ let test_client_faults () =
 (* Usage mistakes cmdliner cannot see are still its usage errors (exit
    124, nothing on stdout), and a misused subcommand ends in a
    diagnostic (exit 1): none reaches cmdliner's "internal error" (exit
-   125).  [--cache-max-bytes] is no flag at all. *)
+   125).  [--cache-max-bytes] is no flag at all, a negative fuzz count
+   is a usage error in blind and guided mode alike, and only the
+   one-shot commands take [--cache-dir]: the others reject it before
+   anything could create the directory. *)
 let test_usage_mistakes () =
   let empty_dir = Filename.temp_dir "fgc_no_programs" "" in
+  let store =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fgc_no_store_%d" (Unix.getpid ()))
+  in
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fgc_no_daemon_%d.sock" (Unix.getpid ()))
+  in
   Fun.protect
     ~finally:(fun () -> Unix.rmdir empty_dir)
     (fun () ->
@@ -688,10 +699,23 @@ let test_usage_mistakes () =
            ("client run a.fg b.fg", "run: give at most one FILE");
            ("client batch " ^ empty_dir, "batch: no .fg files to run");
            ("corpus nosuch", "invalid value 'nosuch', expected one of");
+           ("fuzz --count=-5",
+            "invalid value '-5', expected a non-negative integer");
+           ("fuzz --count 3 --mutants=-1",
+            "invalid value '-1', expected a non-negative integer");
+           ("fuzz --guided --count=-2",
+            "invalid value '-2', expected a non-negative integer");
          ]
         @ List.map
+            (fun args -> (args, "unknown option '--cache-dir'"))
+            [ "batch --cache-dir " ^ store ^ " ../programs/fig1_square.fg";
+              "corpus --all --cache-dir " ^ store;
+              "serve --cache-dir " ^ store ^ " --socket " ^ sock ]
+        @ List.map
             (fun a -> ("client " ^ a, a ^ ": give exactly one FILE"))
-            workspace_actions));
+            workspace_actions);
+      Alcotest.(check bool) "no store created" false (Sys.file_exists store);
+      Alcotest.(check bool) "no socket created" false (Sys.file_exists sock));
   List.iter
     (fun (args, what) ->
       let code, out, err = run_env "" args in

@@ -172,8 +172,12 @@ let test_open_reads_nothing () =
   for i = 1 to 2_000 do
     C.Diskcache.put d (Digest.string (string_of_int i)) "unit body"
   done;
+  (* [Gc.allocated_bytes] leaves out what still sits in the minor heap,
+     so empty it before each reading. *)
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   ignore (C.Diskcache.open_store root);
+  Gc.minor ();
   let allocated = Gc.allocated_bytes () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "open_store allocated %.0f bytes, under 64 KiB" allocated)
@@ -198,10 +202,21 @@ let test_hit_writes_nothing () =
 let program =
   "accumulate[int](cons[int](1, cons[int](2, nil[int]))) + power[int](3, 3)"
 
+(* A standard-prelude session; with [cache_dir], its unit cache has the
+   disk store under that root behind it, as [fgc run --cache-dir]
+   builds it. *)
 let session ?cache_dir () =
-  C.Session.of_config
-    { (C.Session.Config.with_standard_prelude C.Session.Config.default) with
-      cache_dir }
+  let cache =
+    Option.map
+      (fun dir ->
+        let cache = C.Unit.create_cache () in
+        C.Unit.set_stores cache
+          [ C.Unit.disk_store (C.Diskcache.open_store dir) ];
+        cache)
+      cache_dir
+  in
+  C.Session.of_config ?cache
+    (C.Session.Config.with_standard_prelude C.Session.Config.default)
 
 let rendered s =
   let report = C.Session.run_full ~file:"<t>" s program in
@@ -220,28 +235,7 @@ let test_cold_warm_byte_identity () =
   let st = C.Session.cache_stats warm_s in
   Alcotest.(check int) "zero unit re-checks when warm" 0
     st.C.Unit.s_misses;
-  Alcotest.(check bool) "warm units are hits" true (st.C.Unit.s_hits > 0);
-  (* A batch on a session with a store still walks through the cache,
-     so its units persist for the next process too. *)
-  let jobs = [ ("<b1>", program); ("<b2>", "power[int](2, 5)") ] in
-  let batch s =
-    List.map
-      (fun (file, r) ->
-        Json.to_string
-          (match r with
-          | Ok o -> C.Jsonview.json_of_outcome ~file o
-          | Error d -> C.Jsonview.json_of_failure ~file d))
-      (C.Session.run_batch ~domains:1 s jobs)
-  in
-  let root = fresh_root () in
-  let baseline = batch (session ()) in
-  Alcotest.(check (list string)) "cold batch matches uncached" baseline
-    (batch (session ~cache_dir:root ()));
-  let warm_s = session ~cache_dir:root () in
-  Alcotest.(check (list string)) "warm batch matches uncached" baseline
-    (batch warm_s);
-  Alcotest.(check int) "zero unit re-checks in a warm batch" 0
-    (C.Session.cache_stats warm_s).C.Unit.s_misses
+  Alcotest.(check bool) "warm units are hits" true (st.C.Unit.s_hits > 0)
 
 let test_garbage_in_store () =
   let root = fresh_root () in

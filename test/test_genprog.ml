@@ -55,7 +55,10 @@ let test_refinement_diamond () =
 let test_diamond_work_bound () =
   let src = Genprog.refinement_diamond 16 in
   let s = session () in
+  (* [Gc.counters] leaves out what still sits in the minor heap, so
+     empty it before each reading. *)
   let allocated () =
+    Gc.minor ();
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in

@@ -21,14 +21,13 @@ let next_sock =
    accept thread — every test path tears the server down fully, so a
    hung drain shows up as a hung test. *)
 let with_server ?(workers = 2) ?(max_queue = 64) ?request_timeout_ms
-    ?cache_dir ?(path = next_sock ()) f =
+    ?(path = next_sock ()) f =
   let cfg =
     {
       (Server.default_config (`Unix path)) with
       workers;
       max_queue;
       request_timeout_ms;
-      cache_dir;
     }
   in
   let srv = Server.create cfg in
@@ -247,11 +246,10 @@ let test_stats () =
                 | _ -> Alcotest.fail "stats object missing"
               in
               Alcotest.(check (list string)) "top-level keys"
-                [ "backends"; "connections_opened"; "disk_cache"; "enqueued";
-                  "latency"; "max_queue"; "protocol_errors"; "queue_depth";
-                  "queue_wait"; "request_timeout_ms"; "requests";
-                  "specializer"; "unit_cache"; "uptime_ms"; "workers";
-                  "workspace" ]
+                [ "backends"; "connections_opened"; "enqueued"; "latency";
+                  "max_queue"; "protocol_errors"; "queue_depth"; "queue_wait";
+                  "request_timeout_ms"; "requests"; "specializer";
+                  "unit_cache"; "uptime_ms"; "workers"; "workspace" ]
                 (keys (Some j));
               (* one requests entry per wire kind *)
               Alcotest.(check (list string)) "request kinds"
@@ -259,6 +257,13 @@ let test_stats () =
                   "doc_close"; "doc_diagnostics"; "doc_open"; "hover"; "run";
                   "shutdown"; "stats"; "translate" ]
                 (keys (Fg_util.Json.mem "requests" j));
+              (* the unit-cache counters summed over the workers *)
+              Alcotest.(check (list string)) "unit_cache totals"
+                [ "evictions"; "hits"; "misses"; "size" ]
+                (keys
+                   (Option.bind
+                      (Fg_util.Json.mem "unit_cache" j)
+                      (Fg_util.Json.mem "totals")));
               (* the run we just did is visible in the counters *)
               let enqueued =
                 match Fg_util.Json.int_field "enqueued" j with
@@ -266,31 +271,6 @@ let test_stats () =
                 | None -> -1
               in
               Alcotest.(check bool) "enqueued >= 1" true (enqueued >= 1)))
-
-(* The stats "disk_cache" object: null without a store, and exactly
-   the three process-wide disk counters with one. *)
-let test_stats_disk_cache () =
-  let disk_cache ?cache_dir () =
-    with_server ?cache_dir (fun addr _srv ->
-        let c = Client.connect addr in
-        Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-            ignore (Client.run_file c ~file:"<t>" "let x = 1 in x");
-            let payload = (Client.stats c).Protocol.r_payload in
-            match Fg_util.Json.of_string payload with
-            | Ok j -> Fg_util.Json.mem "disk_cache" j
-            | Error e -> Alcotest.failf "stats payload not JSON: %s" e))
-  in
-  Alcotest.(check bool) "null without a store" true
-    (disk_cache () = Some Fg_util.Json.Null);
-  let dir = Filename.temp_dir "fgtest_disk" "" in
-  Fun.protect
-    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
-    (fun () ->
-      match disk_cache ~cache_dir:dir () with
-      | Some (Fg_util.Json.Obj kvs) ->
-          Alcotest.(check (list string)) "disk_cache keys"
-            [ "corrupt"; "hits"; "misses" ] (List.map fst kvs)
-      | _ -> Alcotest.fail "disk_cache is no object with a store")
 
 (* A server that accepts nothing and never answers: with a receive
    timeout, the client's read fails as a Client_error, not as a raw
@@ -588,7 +568,6 @@ let suite =
     Alcotest.test_case "overload and retry" `Quick test_overload;
     Alcotest.test_case "stats endpoint" `Quick test_stats;
     Alcotest.test_case "stats backends" `Quick test_stats_backends;
-    Alcotest.test_case "stats disk_cache" `Quick test_stats_disk_cache;
     Alcotest.test_case "client read timeout" `Quick test_client_timeout;
     Alcotest.test_case "failed connect leaks nothing" `Quick
       test_connect_leaks_nothing;
