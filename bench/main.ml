@@ -474,19 +474,19 @@ let print_batch_scaling () =
     [ 1; 2; 4; C.Session.default_domains () ]
 
 (* Incremental frontend: a family of programs sharing a long
-   declaration prefix, each differing from the others only in the last
+   declaration prefix, each differing from the others only in one
    declaration.  Cold checks a fresh session per member; warm shares
-   one session, so every member past the first re-checks exactly one
-   compilation unit (the edited declaration) plus the residual body.
-   One round's check time is mostly minor-GC pauses, so the speedup is
-   measured over several rounds (each with a fresh warm session) and
-   the median is reported; tools/ci.sh greps that line and asserts the
-   3x bar. *)
+   one session, so every member past the first re-checks the edited
+   declaration, every declaration after it, and the residual body.
+   Editing the last declaration re-checks one unit; editing the first
+   re-checks them all, the prefix rule's worst case, which should cost
+   about what a cold check costs.  One round's check time is mostly
+   minor-GC pauses, so each speedup is measured over several rounds
+   (each with a fresh warm session) and the median is reported;
+   tools/ci.sh greps the last-declaration line and asserts the 3x bar,
+   and the first-declaration line is reported only. *)
 let print_incremental () =
   let decls = 120 and members = 20 and rounds = 5 in
-  let member i =
-    C.Genprog.shared_prefix ~edit_at:(decls - 1) ~edit:i ~decls ()
-  in
   (* Phase times come from telemetry so the re-check speedup isolates
      what the unit cache accelerates (checking); parsing the edited
      source is inherently whole-program and identical on both sides. *)
@@ -503,47 +503,57 @@ let print_incremental () =
   let row round strategy (wall, parse, check) =
     Fmt.pr "%-6s %-28s %10.1f %10.1f %10.1f@." round strategy wall parse check
   in
-  Fmt.pr
-    "@.S3 incremental re-check (%d members sharing a %d-declaration \
-     prefix, edit last decl, %d rounds)@."
-    members decls rounds;
-  Fmt.pr "%s@." (String.make 73 '-');
-  Fmt.pr "%-6s %-28s %10s %10s %10s@." "round" "strategy" "wall (ms)"
-    "parse (ms)" "check (ms)";
-  let results =
-    List.init rounds (fun r ->
-        let ((_, _, cold_check) as cold) =
-          phases (fun () ->
-              for i = 1 to members do
-                ignore
-                  (C.Session.typecheck ~file:"bench"
-                     (C.Session.of_config C.Session.Config.default)
-                     (member i))
-              done)
-        in
-        let s = C.Session.of_config C.Session.Config.default in
-        ignore (C.Session.typecheck ~file:"bench" s (member 0));
-        let ((_, _, warm_check) as warm) =
-          phases (fun () ->
-              for i = 1 to members do
-                ignore (C.Session.typecheck ~file:"bench" s (member i))
-              done)
-        in
-        let round = string_of_int (r + 1) in
-        row round "cold (fresh session each)" cold;
-        row round "warm (shared unit cache)" warm;
-        (cold_check /. warm_check, C.Session.cache_stats s))
+  (* The median cold/warm check-time ratio with declaration [edit_at]
+     edited. *)
+  let group ~edit_at what =
+    let member i = C.Genprog.shared_prefix ~edit_at ~edit:i ~decls () in
+    Fmt.pr
+      "@.S3 incremental re-check (%d members sharing a %d-declaration \
+       prefix, edit %s decl, %d rounds)@."
+      members decls what rounds;
+    Fmt.pr "%s@." (String.make 73 '-');
+    Fmt.pr "%-6s %-28s %10s %10s %10s@." "round" "strategy" "wall (ms)"
+      "parse (ms)" "check (ms)";
+    let results =
+      List.init rounds (fun r ->
+          let ((_, _, cold_check) as cold) =
+            phases (fun () ->
+                for i = 1 to members do
+                  ignore
+                    (C.Session.typecheck ~file:"bench"
+                       (C.Session.of_config C.Session.Config.default)
+                       (member i))
+                done)
+          in
+          let s = C.Session.of_config C.Session.Config.default in
+          ignore (C.Session.typecheck ~file:"bench" s (member 0));
+          let ((_, _, warm_check) as warm) =
+            phases (fun () ->
+                for i = 1 to members do
+                  ignore (C.Session.typecheck ~file:"bench" s (member i))
+                done)
+          in
+          let round = string_of_int (r + 1) in
+          row round "cold (fresh session each)" cold;
+          row round "warm (shared unit cache)" warm;
+          (cold_check /. warm_check, C.Session.cache_stats s))
+    in
+    let speedups = List.map fst results in
+    let st = snd (List.nth results (rounds - 1)) in
+    Fmt.pr "unit cache (last round): %d hits, %d misses, %d entries@."
+      st.C.Unit.s_hits st.C.Unit.s_misses st.C.Unit.s_size;
+    Fmt.pr "speedup per round: %s@."
+      (String.concat " " (List.map (Printf.sprintf "%.2f") speedups));
+    List.nth (List.sort compare speedups) (rounds / 2)
   in
-  let speedups = List.map fst results in
-  let st = snd (List.nth results (rounds - 1)) in
-  Fmt.pr "unit cache (last round): %d hits, %d misses, %d entries@."
-    st.C.Unit.s_hits st.C.Unit.s_misses st.C.Unit.s_size;
-  Fmt.pr "speedup per round: %s@."
-    (String.concat " " (List.map (Printf.sprintf "%.2f") speedups));
+  let last = group ~edit_at:(decls - 1) "last" in
+  let first = group ~edit_at:0 "first" in
   Fmt.pr "incremental re-check speedup (edit last decl): %.2fx (median of %d \
           rounds)@."
-    (List.nth (List.sort compare speedups) (rounds / 2))
-    rounds
+    last rounds;
+  Fmt.pr "first-declaration edit, cold/warm check time: %.2fx (median of %d \
+          rounds; not gated)@."
+    first rounds
 
 let () =
   Fmt.pr "FG benchmark harness (quota %.2fs per test)@." quota;

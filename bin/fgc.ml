@@ -23,23 +23,22 @@ module Diag = Fg_util.Diag
 module Telemetry = Fg_util.Telemetry
 module Json = Fg_util.Json
 
-let read_input = function
-  | "-" ->
-      let b = Buffer.create 4096 in
-      (try
-         while true do
-           Buffer.add_channel b stdin 4096
-         done
-       with End_of_file -> ());
-      ("<stdin>", Buffer.contents b)
+(* Read to end of file rather than to a length asked for up front: a
+   pipe, [/dev/stdin] or a process substitution has no length. *)
+let read_input file =
+  let name = if file = "-" then "<stdin>" else file in
+  let read ic =
+    match In_channel.input_all ic with
+    | text -> (name, text)
+    | exception Sys_error msg ->
+        Diag.error Diag.Parser "cannot read %s: %s" name msg
+  in
+  match file with
+  | "-" -> read stdin
   | path -> (
       match open_in_bin path with
       | exception Sys_error msg -> Diag.error Diag.Parser "cannot read %s" msg
-      | ic ->
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          (path, s))
+      | ic -> Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic))
 
 (* ---------------------------------------------------------------- *)
 (* JSON views — shared with the server so `fgc serve` payloads are
@@ -144,6 +143,21 @@ let format_arg =
   let doc = "Output format: $(b,text) (default) or $(b,json)." in
   Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
        & info [ "format" ] ~docv:"FMT" ~doc)
+
+(* Integer flags with a floor: a value below it is a usage error, not
+   something to clamp or run. *)
+let int_from least what =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= least -> Ok n
+        | _ ->
+            Error
+              (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))),
+      Fmt.int )
+
+let count = int_from 0 "a non-negative integer"
+let positive = int_from 1 "a positive integer"
 
 (* The session every subcommand drives: prelude cached at creation when
    requested, so per-program work excludes it.  With [cache_dir] (the
@@ -338,7 +352,8 @@ let verify_cmd =
 let domains_arg =
   let doc = "Number of OCaml domains to verify across (default: the \
              runtime's recommendation)." in
-  Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive) None
+       & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 let batch_cmd =
   let run files global prelude backend domains format stats =
@@ -619,26 +634,12 @@ let fuzz_cmd =
          & info [ "seed" ] ~docv:"N"
              ~doc:"Master seed; the whole run is a pure function of it.")
   in
-  (* A negative count is a usage error, in blind and guided mode
-     alike. *)
-  let count =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 0 -> Ok n
-          | _ ->
-              Error
-                (`Msg
-                  (Printf.sprintf
-                     "invalid value '%s', expected a non-negative integer" s))),
-        Fmt.int )
-  in
   let count_arg =
     Arg.(value & opt count 100
          & info [ "count" ] ~docv:"N" ~doc:"Number of programs to generate.")
   in
   let size_arg =
-    Arg.(value & opt int 30
+    Arg.(value & opt count 30
          & info [ "size" ] ~docv:"N"
              ~doc:"Size budget per generated program (AST-node scale).")
   in
@@ -735,13 +736,13 @@ let serve_cmd =
         0)
   in
   let workers =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "workers" ] ~docv:"N"
              ~doc:"Worker domains, each owning warm sessions (default: \
                    the runtime's recommendation).")
   in
   let max_queue =
-    Arg.(value & opt int 128
+    Arg.(value & opt positive 128
          & info [ "max-queue" ] ~docv:"N"
              ~doc:"Bounded request-queue capacity; a full queue answers \
                    $(b,overload) instead of buffering.")

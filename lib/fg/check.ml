@@ -65,18 +65,20 @@ type index_entry =
   | Imodel of Loc.t * string * ty list
       (** a constraint [C<args>] resolved to a model at this span *)
 
-let index_sink : (index_entry -> unit) option Domain.DLS.key =
+let sink_key : (index_entry -> unit) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let with_index_sink f thunk =
-  let prev = Domain.DLS.get index_sink in
-  Domain.DLS.set index_sink (Some f);
+  let prev = Domain.DLS.get sink_key in
+  Domain.DLS.set sink_key (Some f);
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set index_sink prev)
+    ~finally:(fun () -> Domain.DLS.set sink_key prev)
     thunk
 
+let index_sink () = Domain.DLS.get sink_key
+
 let record_index entry =
-  match Domain.DLS.get index_sink with
+  match Domain.DLS.get sink_key with
   | None -> ()
   | Some f -> f entry
 

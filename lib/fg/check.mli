@@ -54,6 +54,9 @@ type index_entry =
     results and cached units are byte-identical either way. *)
 val with_index_sink : (index_entry -> unit) -> (unit -> 'a) -> 'a
 
+(** This domain's installed index sink, if any. *)
+val index_sink : unit -> (index_entry -> unit) option
+
 (** What checking one declaration leaves behind for its body, as plain
     data (no functions, so checked units and a checked prelude marshal
     without [Marshal.Closures]): one case per declaration form. *)

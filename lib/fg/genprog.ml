@@ -181,8 +181,9 @@ let let_chain n =
     number [edit_at], whose bound variable is renamed to [x<edit>] — a
     content change that moves no other line and consumes no extra
     fresh names, so re-checking one member against a session warm from
-    another re-checks exactly one compilation unit (B7, the
-    incremental-frontend dimension). *)
+    another re-checks declaration [edit_at] and every one after it:
+    one compilation unit for the last, all of them for the first (B7,
+    the incremental-frontend dimension). *)
 let shared_prefix ?(edit_at = -1) ?(edit = 0) ~decls () =
   assert (decls >= 1);
   buf_program (fun b ->

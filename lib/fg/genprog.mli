@@ -29,7 +29,8 @@ val let_chain : int -> string
     independent generic definitions and a one-call body.  Members
     differ only in declaration [edit_at] (default none), whose bound
     variable is renamed by [edit] — re-checking one member against a
-    session warm from another re-checks exactly one declaration. *)
+    session warm from another re-checks declaration [edit_at] and every
+    declaration after it. *)
 val shared_prefix : ?edit_at:int -> ?edit:int -> decls:int -> unit -> string
 
 (** Equality at [list^n int] through the parameterized [Eq<list t>]

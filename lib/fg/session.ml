@@ -3,12 +3,12 @@
     The load-bearing pieces:
 
     - {!Unit.walk} drives every declaration spine — the prelude's, each
-      program's, each {!extend} — through a content-hashed unit cache:
-      a declaration is checked at most once per (content, dependency
-      chain, environment family, supply position) and replayed from the
-      cache everywhere else, byte-identically.  A batch job's spine is
-      the exception: nothing could replay it, so it is walked without
-      the cache;
+      program's, each {!extend} — through a unit cache keyed by lexical
+      prefix: a declaration is checked at most once per (source prefix,
+      environment family, supply position) and replayed from the cache
+      everywhere else, byte-identically.  A batch job's spine is the
+      exception: nothing could replay it, so it is walked without the
+      cache;
     - {!Fg_util.Gensym.mark}/[restore] rewind the fresh-name supply to
       its post-prelude position before every program, so a session's
       output for a program is identical to a standalone run's and
@@ -87,11 +87,9 @@ type t = {
   globals_mark : (string * Ast.ty list) list;
       (** the Global-ablation overlap set after the prelude *)
   cache : Unit.cache;  (** compilation-unit cache (possibly shared) *)
-  spine : Unit.spine;
-      (** the units whose scope [env] reflects: prelude then every
-          [extend], in declaration order — their keys seed each
-          program's dependency chain, and their dependency analysis,
-          done once here, is what each program's analysis extends *)
+  chain : string;
+      (** the pkey of the last unit [env] reflects (prelude then every
+          [extend]): each program's first declaration chains to it *)
   prefix : F.Typecheck.prefix option;
       (** the [let]s [frames] put around every program's translation,
           typechecked once in System F: each theorem re-check resumes
@@ -104,17 +102,17 @@ type t = {
 
 (* Check a declaration stack on top of [env] through the unit cache,
    returning the extended environment, the declarations' frames
-   (innermost first), and the checked units.  The stack is parsed with
-   a dummy [0] body; anything left over after the declaration spine
-   means the text was not purely declarations. *)
-let check_decl_stack cache ~spine env src ~file =
+   (innermost first), and the chain pkey after them.  The stack is
+   parsed with a dummy [0] body; anything left over after the
+   declaration spine means the text was not purely declarations. *)
+let check_decl_stack cache ~chain env src ~file =
   let source = src ^ "\n0" in
   let ast =
     Telemetry.time Telemetry.Parse (fun () -> Parser.exp_of_string ~file source)
   in
   let w =
     Telemetry.time Telemetry.Check (fun () ->
-        Unit.walk (Some cache) ~source ~spine env ast)
+        Unit.walk (Some cache) ~source ~chain env ast)
   in
   (match w.Unit.w_residual.Ast.desc with
   | Ast.Lit (Ast.LInt 0) -> ()
@@ -122,7 +120,7 @@ let check_decl_stack cache ~spine env src ~file =
       Diag.wf_error ~loc:w.Unit.w_residual.Ast.loc
         "session prelude must be a stack of declarations (found a \
          non-declaration before the end)");
-  (w.Unit.w_env, w.Unit.w_frames, w.Unit.w_units)
+  (w.Unit.w_env, w.Unit.w_frames, w.Unit.w_chain)
 
 (* The lets [frames] put around every program's translation, checked
    once: the frames wrapped around a hole no FG program can name.  A
@@ -151,16 +149,12 @@ let check_config cache (cfg : Config.t) =
     Env.create ~resolution:cfg.Config.resolution
       ~escape_check:cfg.Config.escape_check ()
   in
-  let spine0 = Unit.empty_spine env0 in
-  let env, frames, spine =
+  let env, frames, chain =
     match cfg.Config.prelude with
-    | None -> (env0, [], spine0)
+    | None -> (env0, [], "")
     | Some src ->
         Telemetry.record_prelude_build ();
-        let env, frames, units =
-          check_decl_stack cache ~spine:spine0 env0 src ~file:"<prelude>"
-        in
-        (env, frames, Unit.extend_spine spine0 units)
+        check_decl_stack cache ~chain:"" env0 src ~file:"<prelude>"
   in
   let mark = Gensym.mark env.Env.gensym in
   let prefix = translation_prefix env ~mark frames in
@@ -171,7 +165,7 @@ let check_config cache (cfg : Config.t) =
     mark;
     globals_mark = !(env.Env.global_models);
     cache;
-    spine;
+    chain;
     prefix;
     created = Telemetry.snapshot ();
   }
@@ -189,7 +183,7 @@ type image = {
   i_frames : Check.frame list;
   i_mark : int;
   i_globals : (string * Ast.ty list) list;
-  i_spine : Unit.spine;
+  i_chain : string;
   i_prefix : F.Typecheck.prefix option;
 }
 
@@ -204,15 +198,15 @@ module Image = struct
         i_frames = t.frames;
         i_mark = t.mark;
         i_globals = t.globals_mark;
-        i_spine = t.spine;
+        i_chain = t.chain;
         i_prefix = t.prefix;
       }
       []
 
   (* The loaded environment gets a family of its own: the image's was
      drawn from another process's supply and could equal one this
-     process already uses.  Its units join the cache under that
-     family, as a check would have left them. *)
+     process already uses.  No walk could replay the prelude's units
+     under a family no walk has used, so none join the cache. *)
   let load ?(cache = Unit.create_cache ()) cfg bytes =
     Telemetry.record_prelude_build ();
     let i : image = Marshal.from_string bytes 0 in
@@ -224,7 +218,7 @@ module Image = struct
       mark = i.i_mark;
       globals_mark = i.i_globals;
       cache;
-      spine = Unit.adopt cache i.i_spine env;
+      chain = i.i_chain;
       prefix = i.i_prefix;
       created = Telemetry.snapshot ();
     }
@@ -275,10 +269,9 @@ let extend t decls =
      many programs the session has served. *)
   Gensym.restore t.env.Env.gensym t.mark;
   t.env.Env.global_models := t.globals_mark;
-  let env', frames', units =
-    check_decl_stack t.cache ~spine:t.spine t.env decls ~file:"<decls>"
+  let env', frames', chain =
+    check_decl_stack t.cache ~chain:t.chain t.env decls ~file:"<decls>"
   in
-  let spine = Unit.extend_spine t.spine units in
   let frames = frames' @ t.frames in
   let mark = Gensym.mark env'.Env.gensym in
   let prefix = translation_prefix env' ~mark frames in
@@ -296,7 +289,7 @@ let extend t decls =
     frames;
     mark;
     globals_mark = !(env'.Env.global_models);
-    spine;
+    chain;
     prefix;
   }
 
@@ -322,15 +315,15 @@ let parse ?(file = "<program>") source =
    the program's own AST and the whole-program (prelude-wrapped)
    elaboration triple.  The program's declaration spine goes through
    [cache] (the session's unit cache unless a batch says otherwise):
-   re-checking an edited program re-checks only the units whose content
-   or dependencies changed. *)
+   re-checking an edited program re-checks the edited declaration and
+   every one after it. *)
 let check_source ?file ~cache t source =
   let ast = parse ?file source in
   rewind t;
   let triple =
     Telemetry.time Telemetry.Check (fun () ->
         Env.with_run t.env (fun () ->
-            let w = Unit.walk cache ~source ~spine:t.spine t.env ast in
+            let w = Unit.walk cache ~source ~chain:t.chain t.env ast in
             Unit.unwind t.frames
               (Unit.unwind w.Unit.w_frames
                  (Check.check w.Unit.w_env w.Unit.w_residual))))
@@ -456,7 +449,7 @@ type run_report = {
 }
 
 (* The recovering pipeline behind [run_full] and [run_indexed]: the
-   report, plus the recovering parse and the walked declaration log. *)
+   report, plus the recovering parse. *)
 let run_full_impl ~file ?fuel t source =
   let engine = Diag.engine () in
   (* Route warnings raised anywhere under this run (the environment's
@@ -476,7 +469,7 @@ let run_full_impl ~file ?fuel t source =
       let w =
         Telemetry.time Telemetry.Check (fun () ->
             Unit.walk ~recover:engine ~poisoned (Some t.cache) ~source
-              ~spine:t.spine t.env ast)
+              ~chain:t.chain t.env ast)
       in
       let poisoned = w.Unit.w_poisoned in
       (* The residual body is checked even when declarations failed, so
@@ -500,39 +493,30 @@ let run_full_impl ~file ?fuel t source =
             Diag.capture engine (fun () -> complete ?fuel t ~source ~ast triple)
         | _ -> None
       in
-      ({ outcome; diagnostics = Diag.diagnostics engine }, ast, w.Unit.w_decls))
+      ({ outcome; diagnostics = Diag.diagnostics engine }, ast))
 
 let run_full ?(file = "<program>") ?fuel t source : run_report =
-  let report, _, _ = run_full_impl ~file ?fuel t source in
-  report
+  fst (run_full_impl ~file ?fuel t source)
 
 (* The workspace entry point: exactly [run_full] — same recovering
    parse, same walk, same diagnostics, so its report renders
-   byte-identically — but it also hands back the parsed program, the
-   walked declaration log and every position-index entry recorded
-   while checking.  Replayed (cache-hit) declarations record no
-   entries; the caller rebases the entries it saved when their unit
-   was first checked. *)
+   byte-identically — but it also hands back the parsed program and
+   every position-index entry recorded while checking it (a replayed
+   unit passes on the entries its check recorded). *)
 type indexed_run = {
   ix_report : run_report;
   ix_ast : Ast.exp;
-  ix_decls : (Ast.exp * string * Unit.decl_outcome) list;
   ix_entries : Check.index_entry list;  (** in recording order *)
 }
 
 let run_indexed ?(file = "<program>") ?fuel t source : indexed_run =
   let entries = ref [] in
-  let report, ast, decls =
+  let report, ast =
     Check.with_index_sink
       (fun e -> entries := e :: !entries)
       (fun () -> run_full_impl ~file ?fuel t source)
   in
-  {
-    ix_report = report;
-    ix_ast = ast;
-    ix_decls = decls;
-    ix_entries = List.rev !entries;
-  }
+  { ix_report = report; ix_ast = ast; ix_entries = List.rev !entries }
 
 (* ---------------------------------------------------------------- *)
 (* Parallel batch verification                                       *)
@@ -555,7 +539,7 @@ let map_batch ?domains ?fuel t (jobs : (string * string) list) f =
   (* One job's result.  A batch runs each job once, under the job's own
      file name, and a unit's key includes the file: no unit a job could
      insert would ever be read back.  So jobs skip the unit cache (its
-     dependency analysis, keys and inserts).  Any exception besides a
+     keys and inserts).  Any exception besides a
      diagnostic (a stack overflow on a deeply nested program, say) is
      this job's internal error: the other jobs still run and report. *)
   let job t_local name source =

@@ -5,12 +5,11 @@
 
     - a {b compilation-unit cache} ({!Unit}): every declaration spine —
       the prelude's, each program's, each {!extend} — is split into
-      content-hashed units, each checked at most once per (content,
-      dependency chain) and replayed from the cache everywhere else.
-      The prelude is checked {e once} at {!of_config}; re-checking an
-      edited program re-checks only the declarations whose content or
-      dependencies changed ({!map_batch} jobs, which nothing re-checks,
-      skip the cache);
+      units keyed by their lexical prefix, each checked at most once per
+      prefix and replayed from the cache everywhere else.  The prelude
+      is checked {e once} at {!of_config}; re-checking an edited program
+      re-checks the edited declaration and every declaration after it
+      ({!map_batch} jobs, which nothing re-checks, skip the cache);
     - a {b memoized model-resolution cache} (in {!Env}): lookups are
       keyed on (concept, argument types, scope generation), so the
       prelude-scope resolutions one program performs are free for the
@@ -111,11 +110,11 @@ val of_config : ?cache:Unit.cache -> Config.t -> t
     installed image for every standard-prelude configuration with the
     escape check on (the default), and checks every other prelude as
     before.  A loaded session is indistinguishable from a checked one:
-    same environment, frames, fresh-name position, units and checked
-    System F prefix, so every report, translation and diagnostic is
-    byte-identical.  Its environment gets a family of its own and its
-    units join the session's unit cache (memory tier only), as a check
-    would have left them; telemetry shows no unit-cache traffic and no
+    same environment, frames, fresh-name position, unit chain and
+    checked System F prefix, so every report, translation and
+    diagnostic is byte-identical.  Its environment gets a family of its
+    own, so no walk could replay the prelude's units and none join the
+    session's unit cache; telemetry shows no unit-cache traffic and no
     check time for the prelude. *)
 module Image : sig
   (** [make cfg] checks [cfg]'s prelude (always through the checker,
@@ -195,17 +194,14 @@ type run_report = {
 val run_full : ?file:string -> ?fuel:int -> t -> string -> run_report
 
 (** {!run_full} plus the raw material a workspace language service
-    needs: the program's recovering parse, the walked declaration log
-    (pairing every program declaration with its unit pkey and
-    hit/checked/failed outcome) and the position-index entries
-    ({!Check.index_entry}) recorded while checking.  The report is
-    computed by the same code path as {!run_full}, so its rendered
-    diagnostics are byte-identical to a plain run of the same
-    source. *)
+    needs: the program's recovering parse and the position-index
+    entries ({!Check.index_entry}) a cold check would record, replayed
+    units' entries included.  The report is computed by the same code
+    path as {!run_full}, so its rendered diagnostics are byte-identical
+    to a plain run of the same source. *)
 type indexed_run = {
   ix_report : run_report;
   ix_ast : Ast.exp;  (** the recovering parse the run checked *)
-  ix_decls : (Ast.exp * string * Unit.decl_outcome) list;
   ix_entries : Check.index_entry list;  (** in recording order *)
 }
 

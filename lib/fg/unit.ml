@@ -1,39 +1,43 @@
 (** Declaration-granular compilation units (see the interface).
 
     Each declaration of a spine becomes a unit addressed by a content
-    hash chained through its dependencies:
+    hash chained through the units before it:
 
-      pkey = H(resolution mode ‖ escape-check flag ‖ gensym position ‖
-               file ‖ span line/cols ‖ decl source bytes ‖ dep pkeys)
+      pkey = H(resolution mode ‖ escape-check flag ‖ indexed flag ‖
+               gensym position ‖ file ‖ previous pkey ‖
+               source bytes since the previous declaration's end)
       key  = pkey ‖ env family
 
     The portable key (pkey) addresses the persistent tiers — the disk
     store — which outlive any process; the memory map
     additionally scopes it by the process-local environment family.
 
-    The content is the declaration's source text together with its
-    file and the line/col of its span, so a cached unit can only ever
-    be replayed for the same text at the same lines of the same file,
-    which is exactly the re-check and shared-prefix scenarios and keeps
-    every diagnostic and elaborated location byte-identical.  Hashing
-    bytes the walk already holds costs far less than re-encoding the
-    parsed declaration, which matters because a warm walk computes a
-    key for every declaration it replays.  The gensym position makes the
-    fresh names a unit consumed part of its address, the dependency
-    keys cover (transitively) everything the checker could observe in
-    scope, and the family confines hits to environments descending from
-    one [Env.create] — a cached type alias's frame holds its environment
-    and with it the family's shared supplies, so replaying it under a
-    foreign family would not be byte-identical.
+    Chained through the previous pkey, the bytes cover the whole source
+    before the declaration's end, and the first declaration's previous
+    pkey covers the session's prelude and extensions: FG's declarations
+    are lexically scoped, so that prefix fixes everything the checker
+    can observe in scope, and a unit is replayed only for the same text
+    at the same offsets of the same file — every diagnostic, elaborated
+    location and index entry comes out byte-identical with no
+    rebasing.  Hashing bytes the walk already holds costs far less than
+    re-encoding the parsed declaration, which matters because a warm
+    walk computes a key for every declaration it replays.  The gensym
+    position makes the fresh names a unit consumed part of its address,
+    the indexed flag keeps a walk that records position-index entries
+    from replaying a unit that recorded none, and the family confines
+    hits to environments descending from one [Env.create] — a cached
+    type alias's frame holds its environment and with it the family's
+    shared supplies, so replaying it under a foreign family would not
+    be byte-identical.
 
     A cache hit replays a unit instead of re-checking it: the recorded
     environment delta is re-applied, the fresh-name supply fast-forwards
     to the recorded end position, the Global ablation's overlap delta is
-    re-pushed, and the unit's recorded warnings are re-reported (once —
-    this is what keeps FG0701/FG0702 exactly-once per program).  Failed
-    declarations are never cached; after the first failure in a walk the
-    cache is bypassed entirely, so error programs behave exactly as a
-    cold recovering check. *)
+    re-pushed, the unit's recorded warnings are re-reported (once —
+    this is what keeps FG0701/FG0702 exactly-once per program) and its
+    index entries go to the sink.  Failed declarations are never cached;
+    after the first failure in a walk the cache is bypassed entirely, so
+    error programs behave exactly as a cold recovering check. *)
 
 open Fg_util
 module F = Fg_systemf
@@ -46,11 +50,11 @@ type triple = Ast.ty * Ast.exp * F.Ast.exp
 type checked = {
   ck_key : string;
   ck_pkey : string;
-  ck_info : Declgraph.info;
   ck_frame : Check.frame;
   ck_gensym_end : int;
   ck_globals_delta : (string * Ast.ty list) list;
   ck_warnings : Diag.diagnostic list;
+  ck_entries : Check.index_entry list;
 }
 
 (* ---------------------------------------------------------------- *)
@@ -254,27 +258,22 @@ let find c ~key ~pkey =
    in-memory replay stays confined to environments descending from one
    [Env.create]).
 
-   A declaration's content is its own source text.  Both parsers end a
-   declaration's span at its trailing "in", so the bytes under the span
-   are exactly the header the checker reads; the body is the next unit
-   or the residual.  Read from the span's start line and column in its
-   file, those bytes fix every line and column inside the declaration,
-   and line/col are the only positions diagnostics and elaborated terms
-   show.  Byte offsets, which shift whenever an earlier declaration
-   changes length, stay out of the key, so such an edit re-checks only
-   what it touched.  The span's end line/col is kept too: two parses
-   that bound a declaration differently never share a key.
+   A declaration's own content is the source from [from], the end of
+   the previous declaration's span (0 for the first), to the end of its
+   own.  Both parsers end a declaration's span at its trailing "in", so
+   those bytes hold the header the checker reads and whatever precedes
+   it since the last declaration (comments, blank lines); the body is
+   the next unit or the residual.
 
    Everything goes into one digest of bytes written into [b], a buffer
    the walk reuses for every declaration (a warm walk computes a key for
-   each declaration it replays).  Integers are fixed-width, the file and
-   the header bytes are length-prefixed, and dependency pkeys are
-   fixed-size digests, so distinct inputs never write the same bytes. *)
-let pkey_of b ~(env : Env.t) ~gensym_start ~source (decl : Ast.exp)
-    ~dep_pkeys =
-  let { Loc.file; start_pos = s; end_pos = e } = decl.Ast.loc in
-  let len = e.Loc.offset - s.Loc.offset in
-  if s.Loc.offset < 0 || len < 0 || e.Loc.offset > String.length source then
+   each declaration it replays).  Integers are fixed-width and the
+   strings are length-prefixed, so distinct inputs never write the same
+   bytes. *)
+let pkey_of b ~(env : Env.t) ~indexed ~gensym_start ~source ~from ~prev
+    (decl : Ast.exp) =
+  let stop = decl.Ast.loc.Loc.end_pos.Loc.offset in
+  if from < 0 || stop < from || stop > String.length source then
     Diag.ice "Unit.walk: declaration span %s lies outside its source"
       (Loc.to_string decl.Ast.loc);
   Buffer.clear b;
@@ -285,15 +284,12 @@ let pkey_of b ~(env : Env.t) ~gensym_start ~source (decl : Ast.exp)
   in
   str (Resolution.mode_name env.Env.resolution);
   int (Bool.to_int env.Env.escape_check);
+  int (Bool.to_int indexed);
   int gensym_start;
-  str file;
-  int s.Loc.line;
-  int s.Loc.col;
-  int e.Loc.line;
-  int e.Loc.col;
-  int len;
-  Buffer.add_substring b source s.Loc.offset len;
-  List.iter (Buffer.add_string b) dep_pkeys;
+  str decl.Ast.loc.Loc.file;
+  str prev;
+  int (stop - from);
+  Buffer.add_substring b source from (stop - from);
   Digest.string (Buffer.contents b)
 
 (* ---------------------------------------------------------------- *)
@@ -305,21 +301,11 @@ let disk_store (d : Diskcache.t) =
 (* ---------------------------------------------------------------- *)
 (* The walk                                                           *)
 
-type decl_outcome = Dhit | Dchecked | Dfailed
-
-(* [w_units] only holds successful units (a failed declaration produces
-   none, and after a failure later units bypass the cache), so it
-   cannot be paired back with the program's declarations.  [w_decls]
-   can: one entry per spine declaration of the walked program, in
-   order, with the pkey it was addressed by ("" once recovery has
-   failed) and what happened to it.  The workspace uses this to rebase
-   its position index over replayed declarations. *)
 type walk_result = {
   w_env : Env.t;
   w_residual : Ast.exp;
   w_frames : Check.frame list;
-  w_units : checked list;
-  w_decls : (Ast.exp * string * decl_outcome) list;
+  w_chain : string;
   w_poisoned : Sset.t;
 }
 
@@ -329,8 +315,8 @@ let unwind frames res =
 let split_spine (e : Ast.exp) : Ast.exp list * Ast.exp =
   let rec go acc e =
     match Check.decl_body e with
-    | Some body when Declgraph.is_decl e -> go (e :: acc) body
-    | _ -> (List.rev acc, e)
+    | Some body -> go (e :: acc) body
+    | None -> (List.rev acc, e)
   in
   go [] e
 
@@ -343,64 +329,10 @@ let globals_delta ~before after =
   in
   take n after
 
-(* The units a walk starts from, with their keys and the dependency
-   analysis state after the last of them.  Only [extend_spine] adds
-   units, and it extends the analysis with the same units, so the two
-   cannot disagree. *)
-type spine = {
-  sp_units : checked list;  (** in declaration order *)
-  sp_pkeys : string array;
-  sp_graph : Declgraph.t;
-}
-
-let empty_spine (env : Env.t) =
-  {
-    sp_units = [];
-    sp_pkeys = [||];
-    sp_graph =
-      Declgraph.empty ~global:(env.Env.resolution = Resolution.Global);
-  }
-
-let extend_spine sp units =
-  let field f = Array.of_list (List.map f units) in
-  let graph, _ = Declgraph.extend sp.sp_graph (field (fun u -> u.ck_info)) in
-  {
-    sp_units = sp.sp_units @ units;
-    sp_pkeys = Array.append sp.sp_pkeys (field (fun u -> u.ck_pkey));
-    sp_graph = graph;
-  }
-
-let adopt c sp (env : Env.t) =
-  let family = string_of_int env.Env.family in
-  let units =
-    List.map (fun u -> { u with ck_key = u.ck_pkey ^ family }) sp.sp_units
-  in
-  List.iter (insert_mem c) units;
-  { sp with sp_units = units }
-
-let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
-    ast : walk_result =
+let walk ?recover ?(poisoned = Sset.empty) cache ~source ~chain env0 ast :
+    walk_result =
   let decls, residual = split_spine ast in
-  if
-    Declgraph.global spine.sp_graph
-    <> (env0.Env.resolution = Resolution.Global)
-  then Diag.ice "Unit.walk: spine analysed under another resolution mode";
-  (* Only this program's declarations are analysed, and only with a
-     cache; the spine's state stands for everything before them.  Edges
-     are spine indices: below [n_spine] they name spine units, above it
-     this walk's. *)
-  let infos, deps =
-    match cache with
-    | None -> ([||], [||])
-    | Some _ ->
-        let infos = Array.of_list (List.map Declgraph.info_of_decl decls) in
-        (infos, snd (Declgraph.extend spine.sp_graph infos))
-  in
-  let n_spine = Array.length spine.sp_pkeys in
-  let pkeys = Array.make (Array.length infos) "" in
-  let dep_pkey j =
-    if j < n_spine then spine.sp_pkeys.(j) else pkeys.(j - n_spine)
-  in
+  let sink = Check.index_sink () in
   let env = ref env0 in
   let key_bytes = Buffer.create 512 in
   (* The memory key is the pkey scoped by the environment family, which
@@ -408,45 +340,46 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
      appending the family is unambiguous. *)
   let family = string_of_int env0.Env.family in
   let frames = ref [] in
-  let units = ref [] in
-  let dlog = ref [] in
   let poisoned = ref poisoned in
   (* Without a cache, and from the first failing declaration on, nothing
-     is keyed, looked up or inserted, and no unit is recorded. *)
+     is keyed, looked up or inserted. *)
   let keyed = ref cache in
+  let chain = ref (if Option.is_none cache then "" else chain) in
+  let from = ref 0 in
   let commit (u : checked) =
     env := Check.extend !env u.ck_frame;
     Gensym.restore !env.Env.gensym u.ck_gensym_end;
     if u.ck_globals_delta <> [] then
       !env.Env.global_models :=
         u.ck_globals_delta @ !(!env.Env.global_models);
-    frames := u.ck_frame :: !frames;
-    units := u :: !units
+    frames := u.ck_frame :: !frames
   in
-  List.iteri
-    (fun i decl ->
-      let key, pkey, found =
+  List.iter
+    (fun decl ->
+      let lookup =
         match !keyed with
-        | None -> ("", "", None)
+        | None -> None
         | Some cache ->
-            let gensym_start = Gensym.mark !env.Env.gensym in
             let pkey =
-              pkey_of key_bytes ~env:!env ~gensym_start ~source decl
-                ~dep_pkeys:(List.map dep_pkey deps.(i))
+              pkey_of key_bytes ~env:!env ~indexed:(Option.is_some sink)
+                ~gensym_start:(Gensym.mark !env.Env.gensym) ~source
+                ~from:!from ~prev:!chain decl
             in
             let key = pkey ^ family in
-            pkeys.(i) <- pkey;
-            (key, pkey, find cache ~key ~pkey)
+            chain := pkey;
+            Some (cache, key, pkey, find cache ~key ~pkey)
       in
-      match found with
-      | Some u ->
+      from := decl.Ast.loc.Loc.end_pos.Loc.offset;
+      match lookup with
+      | Some (_, _, _, Some u) ->
           (* replay: re-extend the environment, fast-forward the
-             fresh-name supply, re-report the recorded warnings once *)
-          let sink = !(!env.Env.diag) in
+             fresh-name supply, re-report the recorded warnings once and
+             pass the recorded index entries on *)
+          let diag = !(!env.Env.diag) in
           commit u;
-          dlog := (decl, pkey, Dhit) :: !dlog;
-          List.iter (fun d -> Diag.report sink d) u.ck_warnings
-      | None -> (
+          List.iter (fun d -> Diag.report diag d) u.ck_warnings;
+          Option.iter (fun f -> List.iter f u.ck_entries) sink
+      | _ -> (
           let diag_cell = !env.Env.diag in
           let outer = !diag_cell in
           (* read before the check: a Global-mode model declaration
@@ -460,7 +393,15 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
             List.iter (fun d -> Diag.report outer d) warnings;
             warnings
           in
-          match Check.check_decl_parts !env decl with
+          (* A keyed declaration's index entries go to a buffer: they
+             reach the sink, and its unit, only if it checks. *)
+          let entries = ref [] in
+          let check () = Check.check_decl_parts !env decl in
+          match
+            if Option.is_some lookup && Option.is_some sink then
+              Check.with_index_sink (fun e -> entries := e :: !entries) check
+            else check ()
+          with
           | exception Diag.Error d -> (
               ignore (finish ());
               match recover with
@@ -473,41 +414,38 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~source ~(spine : spine) env0
                     List.fold_left
                       (fun s n -> Sset.add n s)
                       !poisoned (Check.decl_poison decl);
-                  dlog := (decl, pkey, Dfailed) :: !dlog;
-                  keyed := None)
+                  keyed := None;
+                  chain := "")
           | None ->
               ignore (finish ());
               Diag.ice "Unit.walk: split_spine produced a non-declaration"
           | Some (frame, _body) ->
               let env' = Check.extend !env frame in
               let warnings = finish () in
+              let entries = List.rev !entries in
+              Option.iter (fun f -> List.iter f entries) sink;
               Option.iter
-                (fun cache ->
-                  let u =
+                (fun (cache, key, pkey, _) ->
+                  insert cache
                     {
                       ck_key = key;
                       ck_pkey = pkey;
-                      ck_info = infos.(i);
                       ck_frame = frame;
                       ck_gensym_end = Gensym.mark env'.Env.gensym;
                       ck_globals_delta =
                         globals_delta ~before:globals_before
                           !(env'.Env.global_models);
                       ck_warnings = warnings;
-                    }
-                  in
-                  insert cache u;
-                  units := u :: !units)
-                !keyed;
+                      ck_entries = entries;
+                    })
+                lookup;
               env := env';
-              frames := frame :: !frames;
-              dlog := (decl, pkey, Dchecked) :: !dlog))
+              frames := frame :: !frames))
     decls;
   {
     w_env = !env;
     w_residual = residual;
     w_frames = !frames;
-    w_units = List.rev !units;
-    w_decls = List.rev !dlog;
+    w_chain = !chain;
     w_poisoned = !poisoned;
   }

@@ -228,7 +228,9 @@ let listen_on address =
     cannot_listen where "%s" (Unix.error_message e)
 
 let create cfg =
-  let cfg = { cfg with workers = max 1 cfg.workers } in
+  let cfg =
+    { cfg with workers = max 1 cfg.workers; max_queue = max 1 cfg.max_queue }
+  in
   let ws = Fg_workspace.Workspace.create ?fuel:cfg.fuel () in
   let pool =
     Pool.create ?fuel:cfg.fuel ~capacity:cfg.max_queue

@@ -1,17 +1,13 @@
 (** Workspace language service (see the interface).
 
     Layout: one mutex serializes every operation; under it live the
-    document table, the per-configuration warm sessions (all sharing
-    one compilation-unit cache, exactly like a server worker), and the
-    index-fragment store.  The fragment store is keyed by portable unit
-    key: a declaration's index entries are recorded with offsets
-    relative to the declaration's start, so when a later version of the
-    document replays that unit from cache at a different byte position
-    the fragment is rebased by a plain offset delta.  This is sound
-    because a unit's key covers its source bytes and the line/column of
-    its span but never a byte offset: the same portable key guarantees
-    the same text at the same line/column geometry, so only offsets can
-    differ between two occurrences. *)
+    document table and the per-configuration warm sessions (all sharing
+    one compilation-unit cache, exactly like a server worker).  A
+    document's position index is rebuilt from each check's entries:
+    a replayed unit hands back the entries its check recorded, which
+    hold the same offsets because a unit's key covers the whole source
+    before its end, so nothing needs rebasing and the unit cache's
+    bound is the only one the index's material needs. *)
 
 open Fg_util
 module C = Fg_core
@@ -135,8 +131,6 @@ type t = {
   cache : C.Unit.cache;  (** shared by every session below *)
   sessions : C.Session.Table.t;
   docs : (string, doc) Hashtbl.t;
-  frags : (string, C.Check.index_entry list) Hashtbl.t;
-      (** pkey -> entries with decl-relative byte offsets *)
   h_open : Telemetry.Histogram.t;
   h_change : Telemetry.Histogram.t;
   h_close : Telemetry.Histogram.t;
@@ -154,7 +148,6 @@ let create ?fuel () =
     cache;
     sessions = C.Session.Table.create cache;
     docs = Hashtbl.create 16;
-    frags = Hashtbl.create 256;
     h_open = Telemetry.Histogram.create ();
     h_change = Telemetry.Histogram.create ();
     h_close = Telemetry.Histogram.create ();
@@ -173,27 +166,8 @@ let unknown_doc name =
 (* ---------------------------------------------------------------- *)
 (* Checking a document version                                       *)
 
-let shift_pos d (p : Loc.pos) = { p with Loc.offset = p.Loc.offset + d }
-
-let shift_loc d (l : Loc.t) =
-  if Loc.is_dummy l then l
-  else
-    {
-      l with
-      Loc.start_pos = shift_pos d l.Loc.start_pos;
-      end_pos = shift_pos d l.Loc.end_pos;
-    }
-
-let shift_entry d = function
-  | C.Check.Itype (l, ty) -> C.Check.Itype (shift_loc d l, ty)
-  | C.Check.Imodel (l, c, args) -> C.Check.Imodel (shift_loc d l, c, args)
-
-(* Check [doc.d_text], update payload, AST and index.  Fresh entries
-   belonging to a freshly checked declaration are stored as a fragment
-   under its portable key; cache-hit declarations contribute their
-   stored fragment rebased to the new start offset.  Entries outside
-   every declaration extent (the residual body, which is checked every
-   time) pass through directly. *)
+(* Check [doc.d_text], update payload, AST and index.  The entries
+   come in recording order, which the hover tie-break reads. *)
 let check_doc t doc =
   let sess = C.Session.Table.find t.sessions doc.d_cfg in
   let ir =
@@ -203,83 +177,8 @@ let check_doc t doc =
     Json.to_string
       (C.Jsonview.json_of_run_report ~file:doc.d_name ir.C.Session.ix_report);
   doc.d_ast <- ir.C.Session.ix_ast;
-  (* Declaration extents: a declaration node spans its own syntax
-     (header through the trailing "in"), never the body that follows
-     it, so [start, end) of its span is exactly its unit's extent. *)
-  let extents =
-    ir.C.Session.ix_decls
-    |> List.filter_map (fun (decl, pkey, outcome) ->
-           let l = decl.Ast.loc in
-           if Loc.is_dummy l then None
-           else
-             Some
-               ( l.Loc.start_pos.Loc.offset,
-                 l.Loc.end_pos.Loc.offset,
-                 pkey,
-                 outcome ))
-    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-    |> Array.of_list
-  in
-  let owner_of off =
-    (* rightmost extent starting at or before [off], if it covers it *)
-    let n = Array.length extents in
-    let lo = ref (-1) and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      let s, _, _, _ = extents.(mid) in
-      if s <= off then lo := mid else hi := mid - 1
-    done;
-    if !lo < 0 then None
-    else
-      let s, e, pkey, _ = extents.(!lo) in
-      if s <= off && off < e then Some (s, pkey) else None
-  in
-  (* Partition fresh entries into per-declaration fragments + body. *)
-  let by_pkey : (string, C.Check.index_entry list) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let body = ref [] in
-  List.iter
-    (fun entry ->
-      let l = entry_loc entry in
-      if not (Loc.is_dummy l) then
-        match owner_of l.Loc.start_pos.Loc.offset with
-        | Some (start, pkey) when pkey <> "" ->
-            Hashtbl.replace by_pkey pkey
-              (shift_entry (-start) entry
-              :: (try Hashtbl.find by_pkey pkey with Not_found -> []))
-        | _ -> body := entry :: !body)
-    ir.C.Session.ix_entries;
-  Hashtbl.iter
-    (fun pkey rev_entries -> Hashtbl.replace t.frags pkey (List.rev rev_entries))
-    by_pkey;
-  (* Assemble the document index: every declaration's fragment rebased
-     to its current start, then the body entries.  Sequence numbers
-     follow spine order then body, preserving recording order within
-     each fragment — so the hover tie-break (last recorded wins) is
-     stable across warm and cold checks. *)
-  let seq = ref 0 in
-  let next () =
-    incr seq;
-    !seq
-  in
-  let entries = ref [] in
-  Array.iter
-    (fun (start, _, pkey, outcome) ->
-      match outcome with
-      | C.Unit.Dfailed -> ()
-      | C.Unit.Dhit | C.Unit.Dchecked -> (
-          match Hashtbl.find_opt t.frags pkey with
-          | None -> ()
-          | Some frag ->
-              List.iter
-                (fun e -> entries := (next (), shift_entry start e) :: !entries)
-                frag))
-    extents;
-  List.iter
-    (fun e -> entries := (next (), e) :: !entries)
-    (List.rev !body);
-  doc.d_index <- index_of_entries (List.rev !entries)
+  doc.d_index <-
+    index_of_entries (List.mapi (fun i e -> (i, e)) ir.C.Session.ix_entries)
 
 (* ---------------------------------------------------------------- *)
 (* Lifecycle                                                         *)

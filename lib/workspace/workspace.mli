@@ -5,9 +5,9 @@
     texts an editor is mutating — and keeps each one continuously
     checked.  Opening or changing a document runs the full recovering
     pipeline ({!Fg_core.Session.run_indexed}) through a compilation-unit
-    cache shared by every document, so an edit to one declaration
-    re-checks only that declaration and its transitive dependents; the
-    other declarations replay from cache.  Rendered diagnostics are
+    cache shared by every document, so an edit re-checks the edited
+    declaration and every declaration after it; the declarations before
+    it replay from cache.  Rendered diagnostics are
     byte-identical to a one-shot [fgc run --format=json] of the same
     text, because both go through
     {!Fg_core.Jsonview.json_of_run_report}.
@@ -15,12 +15,12 @@
     Alongside diagnostics the service maintains a {b position index}:
     the inferred type of every expression and every resolved model,
     recorded during checking (via {!Fg_core.Check.with_index_sink}) and
-    stored sorted by span for O(log n) offset lookups.  Index fragments
-    are cached per compilation unit keyed by the unit's portable key —
-    a cache-hit declaration contributes its fragment rebased to its new
-    byte offset, so hover keeps working across edits without
-    re-checking.  {!hover}, {!definition} and {!completion} answer from
-    this index and from a scope-threading walk of the document's AST.
+    stored sorted by span for O(log n) offset lookups.  Each
+    compilation unit carries the entries its check recorded, so a
+    replayed declaration contributes them without re-checking, at the
+    offsets a cold check would record.  {!hover}, {!definition} and
+    {!completion} answer from this index and from a scope-threading
+    walk of the document's AST.
 
     Every operation is serialized by one internal mutex (document
     updates are cheap next to checking) and records its latency into a

@@ -34,7 +34,6 @@ let () =
       ("matrix-library", Test_matrix.suite);
       ("diagnostics", Test_diagnostics.suite);
       ("recovery", Test_recovery.suite);
-      ("declgraph", Test_declgraph.suite);
       ("session", Test_session.suite);
       ("prelude-image", Test_image.suite);
       ("diskcache", Test_diskcache.suite);

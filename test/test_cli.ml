@@ -127,6 +127,27 @@ let test_stdin_input () =
   Alcotest.(check int) "exit" 0 code;
   Alcotest.(check string) "stdin program" "42" out
 
+(* A pipe has no length to read up to: a FILE that names one, here
+   /dev/stdin, reads to end of file exactly as "-" does. *)
+let test_pipe_input () =
+  let piped args =
+    let in_file = Filename.temp_file "fgc_in" ".txt" in
+    let out_file = Filename.temp_file "fgc_out" ".txt" in
+    Out_channel.with_open_bin in_file (fun oc ->
+        output_string oc "let x = 6 in x * 7");
+    let code =
+      Sys.command
+        (Printf.sprintf "cat %s | %s %s > %s 2>&1" (Filename.quote in_file)
+           (Filename.quote fgc) args (Filename.quote out_file))
+    in
+    Sys.remove in_file;
+    (code, slurp out_file)
+  in
+  let want = piped "run -" in
+  Alcotest.(check (pair int string)) "run - on a pipe" (0, "42\n") want;
+  Alcotest.(check (pair int string)) "run /dev/stdin = run -" want
+    (piped "run /dev/stdin")
+
 (* A concept member whose type is a constrained [forall] draws fresh
    names whenever its dictionary type is translated, including at sites
    that then throw the type away (here, the type application [g[bool]]
@@ -705,6 +726,20 @@ let test_usage_mistakes () =
             "invalid value '-1', expected a non-negative integer");
            ("fuzz --guided --count=-2",
             "invalid value '-2', expected a non-negative integer");
+           ("fuzz --count 1 --size=-5",
+            "invalid value '-5', expected a non-negative integer");
+           ("batch --domains=-2 ../programs/fig1_square.fg",
+            "invalid value '-2', expected a positive integer");
+           ("batch -j 0 ../programs/fig1_square.fg",
+            "invalid value '0', expected a positive integer");
+           ("corpus --all --domains=-1",
+            "invalid value '-1', expected a positive integer");
+           ("fuzz --count 1 --domains=-1",
+            "invalid value '-1', expected a positive integer");
+           ("serve --workers 0 --socket " ^ sock,
+            "invalid value '0', expected a positive integer");
+           ("serve --max-queue=-3 --socket " ^ sock,
+            "invalid value '-3', expected a positive integer");
          ]
         @ List.map
             (fun args -> (args, "unknown option '--cache-dir'"))
@@ -801,6 +836,7 @@ let suite =
     Alcotest.test_case "corpus run" `Quick test_corpus_run;
     Alcotest.test_case "eq" `Quick test_eq;
     Alcotest.test_case "stdin input" `Quick test_stdin_input;
+    Alcotest.test_case "run /dev/stdin on a pipe" `Quick test_pipe_input;
     Alcotest.test_case "run --format=json" `Quick test_run_json;
     Alcotest.test_case "json error shape" `Quick test_json_error;
     Alcotest.test_case "multi-error run" `Quick test_multi_error;

@@ -2,8 +2,9 @@
    indistinguishable from one that checks the prelude — every report,
    translation and theorem report byte-identical, in both resolution
    modes — and must extend the same way.  Loaded sessions get families
-   of their own, so sessions sharing one unit cache never replay each
-   other's units; and the build-time generator is deterministic.
+   of their own, so loading inserts no units and sessions sharing one
+   unit cache never replay each other's units; and the build-time
+   generator is deterministic.
 
    This process installs no image: [Session.of_config] checks, and the
    images are loaded explicitly with [Session.Image.load]. *)
@@ -129,26 +130,27 @@ let test_extend_matches () =
     modes
 
 (* Two sessions loaded from one image and one checked session, all over
-   one unit cache: each adds the whole prelude under keys of its own
-   family (so the cache holds three copies), and a program walked in
-   one is re-checked, not replayed, in the others. *)
+   one unit cache: a load inserts nothing (its environment's family is
+   fresh, so no walk could replay the prelude's units), the checked
+   prelude adds its units under its own family, and a program walked in
+   one session is re-checked, not replayed, in the others. *)
 let test_family_isolation () =
   let cfg = config Resolution.Lexical in
   let cache = Unit.create_cache () in
   let stats () = Unit.stats cache in
+  let counters () =
+    let s = stats () in
+    [ s.Unit.s_hits; s.Unit.s_misses; s.Unit.s_size ]
+  in
   let a = Session.Image.load ~cache cfg Embedded.lexical in
-  let n = (stats ()).Unit.s_size in
-  Alcotest.(check bool) "image units joined the cache" true (n > 0);
-  Alcotest.(check int) "image loads touch no counters" 0
-    ((stats ()).Unit.s_hits + (stats ()).Unit.s_misses);
   let b = Session.Image.load ~cache cfg Embedded.lexical in
-  Alcotest.(check int) "second image, own keys" (2 * n) (stats ()).Unit.s_size;
+  Alcotest.(check (list int)) "image loads: no hits, misses or units"
+    [ 0; 0; 0 ] (counters ());
   let c = Session.of_config ~cache cfg in
-  Alcotest.(check int) "checked prelude replays nothing" 0
-    (stats ()).Unit.s_hits;
-  Alcotest.(check int) "checked prelude checks every unit" n
-    (stats ()).Unit.s_misses;
-  Alcotest.(check int) "three prelude copies" (3 * n) (stats ()).Unit.s_size;
+  let n = (stats ()).Unit.s_misses in
+  Alcotest.(check bool) "checked prelude checks its units" true (n > 0);
+  Alcotest.(check (list int)) "checked prelude replays nothing"
+    [ 0; n; n ] (counters ());
   let program =
     "concept Twice<t> { tw : fn(t) -> t; } in\n\
      model Twice<int> { tw = fun (x : int) => x + x; } in\n\

@@ -272,6 +272,19 @@ let test_stats () =
               in
               Alcotest.(check bool) "enqueued >= 1" true (enqueued >= 1)))
 
+(* Stats report the queue the pool really has: a capacity below 1 is
+   clamped where the worker count is, and read back as 1. *)
+let test_stats_max_queue_clamped () =
+  with_server ~max_queue:0 (fun addr _srv ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let r = Client.stats c in
+          match Fg_util.Json.of_string r.Protocol.r_payload with
+          | Error e -> Alcotest.failf "stats payload not JSON: %s" e
+          | Ok j ->
+              Alcotest.(check (option int)) "max_queue" (Some 1)
+                (Fg_util.Json.int_field "max_queue" j)))
+
 (* A server that accepts nothing and never answers: with a receive
    timeout, the client's read fails as a Client_error, not as a raw
    Unix error. *)
@@ -568,6 +581,8 @@ let suite =
     Alcotest.test_case "overload and retry" `Quick test_overload;
     Alcotest.test_case "stats endpoint" `Quick test_stats;
     Alcotest.test_case "stats backends" `Quick test_stats_backends;
+    Alcotest.test_case "stats max_queue is the clamped capacity" `Quick
+      test_stats_max_queue_clamped;
     Alcotest.test_case "client read timeout" `Quick test_client_timeout;
     Alcotest.test_case "failed connect leaks nothing" `Quick
       test_connect_leaks_nothing;

@@ -395,8 +395,9 @@ let quintuple s file src =
 
 let test_incremental_mutation_equals_cold () =
   (* Check a shared-prefix program, then mutate declaration k and
-     re-check incrementally: every prefix unit replays from cache, and
-     the result must equal a cold check of the mutated program. *)
+     re-check incrementally: every unit before the edit replays from
+     cache, and the result must equal a cold check of the mutated
+     program. *)
   let decls = 6 in
   let base = Genprog.shared_prefix ~decls () in
   for k = 0 to decls - 1 do
@@ -411,28 +412,25 @@ let test_incremental_mutation_equals_cold () =
     Alcotest.(check string)
       (Printf.sprintf "mutate decl %d: quintuple" k)
       want got;
-    (* [quintuple] checks the program twice (run_full + elaborate), but
-       both parse paths give declarations identical spans — so the same
-       unit keys — and the second pass replays the unit the first just
-       inserted: exactly one miss for the edited declaration; everything
-       else — 2 framing decls + the other [decls - 1] definitions —
-       hits. *)
+    (* A unit is keyed by the source up to its end, so the first pass
+       ([run_full]) replays the 2 framing decls and the k definitions
+       before the edit and re-checks the edited one and every one after
+       it; the second pass ([elaborate]) parses to the same spans, so
+       it replays all decls + 2 units. *)
     Alcotest.(check int)
       (Printf.sprintf "mutate decl %d: misses" k)
-      1
+      (decls - k)
       (after.Unit.s_misses - before.Unit.s_misses);
-    Alcotest.(check bool)
-      (Printf.sprintf "mutate decl %d: prefix hit" k)
-      true
-      (after.Unit.s_hits - before.Unit.s_hits >= 2 * (decls + 1))
+    Alcotest.(check int)
+      (Printf.sprintf "mutate decl %d: hits" k)
+      (k + 2 + (decls + 2))
+      (after.Unit.s_hits - before.Unit.s_hits)
   done
 
-let test_length_changing_edit_rechecks_one_unit () =
-  (* Widening a leading literal shifts the byte offsets of everything
-     after it without moving a line.  Offsets are not part of a unit's
-     content, so only the edited declaration re-checks: not the concept
-     and model behind it (whose own spans shifted), and not [b], which
-     depends on them. *)
+let test_length_changing_edit_rechecks_from_edit () =
+  (* Widening a leading literal re-checks the edited declaration and
+     everything after it, once: the concept, the model and [b] follow
+     it in the source. *)
   let src lit =
     Printf.sprintf
       "let a = %s in\n\
@@ -450,7 +448,7 @@ let test_length_changing_edit_rechecks_one_unit () =
   Alcotest.(check string) "warm = cold"
     (quintuple (Session.of_config Session.Config.default) "t" (src "100"))
     got;
-  Alcotest.(check int) "only the edited let re-checks" 1
+  Alcotest.(check int) "the edited let and the 3 decls after it" 4
     (after.Unit.s_misses - before.Unit.s_misses)
 
 let prop_warm_session_equals_cold =
@@ -572,11 +570,10 @@ let test_unit_cache_lru () =
      replayed one survives and the untouched ones go, oldest first. *)
   let cache = Unit.create_cache ~capacity:3 () in
   let env = Env.create () in
-  let spine = Unit.empty_spine env in
   let walk x =
     let src = Printf.sprintf "let %s = 1 in 0" x in
     ignore
-      (Unit.walk (Some cache) ~source:src ~spine env
+      (Unit.walk (Some cache) ~source:src ~chain:"" env
          (Parser.exp_of_string ~file:"lru" src))
   in
   List.iter walk [ "a"; "b"; "c"; "a"; "d"; "e" ];
@@ -666,10 +663,11 @@ let suite =
     Alcotest.test_case "batch keeps only the projection" `Quick
       test_batch_keeps_projection;
     QCheck_alcotest.to_alcotest prop_batch_matches_single_on_generated;
-    Alcotest.test_case "incremental mutation = cold check" `Quick
-      test_incremental_mutation_equals_cold;
-    Alcotest.test_case "length-changing edit re-checks one unit" `Quick
-      test_length_changing_edit_rechecks_one_unit;
+    Alcotest.test_case
+      "incremental mutation = cold check, re-checking from the edit on"
+      `Quick test_incremental_mutation_equals_cold;
+    Alcotest.test_case "length-changing edit re-checks from the edit on"
+      `Quick test_length_changing_edit_rechecks_from_edit;
     QCheck_alcotest.to_alcotest prop_warm_session_equals_cold;
     Alcotest.test_case "warnings replayed exactly once" `Quick
       test_warnings_replayed_once;

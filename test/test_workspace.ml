@@ -1,14 +1,17 @@
 (* The workspace language service.
 
-   The contract under test: (1) an edit re-checks exactly the dirty
-   declaration plus its transitive dependents — unit-cache miss counts
+   The contract under test: (1) an edit re-checks exactly the edited
+   declaration and every declaration after it — unit-cache miss counts
    are asserted, not estimated; (2) warm diagnostics are byte-identical
    to a cold open of the final text, for hand-written edit scripts, for
    qcheck-generated arbitrary splice sequences, and for the whole
-   corpus against a fresh session; (3) the service errors (FG0807
-   unknown document, FG0808 stale version) and the stats JSON shape are
-   stable; (4) hover / definition / completion answer from the position
-   index. *)
+   corpus against a fresh session, and warm hover, definition and
+   completion answers equal a fresh open's at every offset of the
+   corpus; (3) the service errors (FG0807 unknown document, FG0808
+   stale version) and the stats JSON shape are stable; (4) hover /
+   definition / completion answer from the position index; (5) a long
+   run of distinct edits leaves the workspace's memory where the unit
+   cache's bound puts it. *)
 
 open Fg_util
 open Fg_core
@@ -36,44 +39,68 @@ let splice text (start, len, ins) =
   let e = max s (min (s + len) n) in
   String.sub text 0 s ^ ins ^ String.sub text e (n - e)
 
+let index_of_sub haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then Alcotest.failf "substring %S not found" needle
+    else if String.sub haystack i nn = needle then i
+    else go (i + 1)
+  in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Incremental re-checking: exact unit-cache miss counts               *)
 
 let program_3decls =
   "let a = 1 in\nlet b = 2 in\nlet c = a + 3 in\na + b + c"
 
-let test_edit_misses_only_dirty_decl () =
-  let ws = W.create () in
-  ignore (ok (open_doc ws ~name:"t.fg" ~version:1 program_3decls));
-  let before = (W.cache_stats ws).Unit.s_misses in
-  (* mutate the independent declaration [b]: same byte count, same
-     line/column geometry, no dependents *)
-  let off = String.index_from program_3decls 0 '2' in
-  ignore
-    (ok
-       (W.change_doc ws ~name:"t.fg" ~version:2
-          (W.Edits [ { W.e_start = off; e_len = 1; e_text = "7" } ])));
-  let after = (W.cache_stats ws).Unit.s_misses in
-  Alcotest.(check int) "only b re-checked" 1 (after - before)
+(* Re-checking after one same-length splice [(what, text, needle,
+   replacement, misses)]: [needle]'s first byte becomes [replacement]. *)
+let test_edit_misses_only_from_edit () =
+  let commented =
+    "let a = 1 in\n/* then b */\nlet b = 2 in\nlet c = a + 3 in\na + b + c"
+  in
+  List.iter
+    (fun (what, text, needle, replacement, misses) ->
+      let ws = W.create () in
+      ignore (ok (open_doc ws ~name:"t.fg" ~version:1 text));
+      let before = (W.cache_stats ws).Unit.s_misses in
+      let off = index_of_sub text needle in
+      let edited =
+        ok
+          (W.change_doc ws ~name:"t.fg" ~version:2
+             (W.Edits [ { W.e_start = off; e_len = 1; e_text = replacement } ]))
+      in
+      let after = (W.cache_stats ws).Unit.s_misses in
+      Alcotest.(check int) what misses (after - before);
+      Alcotest.(check string) (what ^ ": warm = cold")
+        (ok
+           (open_doc (W.create ()) ~name:"t.fg" ~version:1
+              (splice text (off, 1, replacement))))
+        edited)
+    [
+      (* [b] and the [c] after it, though [c] does not use [b] *)
+      ("b and c re-checked", program_3decls, "2", "7", 2);
+      ("a residual edit re-checks no unit", program_3decls, "+ c", "-", 0);
+      ("a comment edit re-checks every later decl", commented, "then", "w", 2);
+    ]
 
-let test_edit_misses_decl_and_dependents () =
+let test_edit_misses_first_decl_and_later () =
   let ws = W.create () in
   ignore (ok (open_doc ws ~name:"t.fg" ~version:1 program_3decls));
   let before = (W.cache_stats ws).Unit.s_misses in
-  (* mutate [a]: [c] uses [a], so exactly a and c re-check; b replays *)
+  (* mutate [a]: a, b and c all follow the edit *)
   let off = String.index_from program_3decls 0 '1' in
   ignore
     (ok
        (W.change_doc ws ~name:"t.fg" ~version:2
           (W.Edits [ { W.e_start = off; e_len = 1; e_text = "5" } ])));
   let after = (W.cache_stats ws).Unit.s_misses in
-  Alcotest.(check int) "a and its dependent c re-checked" 2
-    (after - before)
+  Alcotest.(check int) "a, b and c re-checked" 3 (after - before)
 
-let test_length_changing_edit_misses_only_dirty_decl () =
-  (* "1" -> "100" shifts the byte offsets of every later declaration
-     (the concept and model included) without moving a line; only [a]
-     itself may re-check. *)
+let test_length_changing_edit_misses_from_edit () =
+  (* "1" -> "100" re-checks [a] and the concept, model and [b] after
+     it. *)
   let text =
     "let a = 1 in\n\
      concept C<t> { m : t; } in\n\
@@ -91,7 +118,8 @@ let test_length_changing_edit_misses_only_dirty_decl () =
          (W.Edits [ { W.e_start = off; e_len = 1; e_text = "100" } ]))
   in
   let after = (W.cache_stats ws).Unit.s_misses in
-  Alcotest.(check int) "only a re-checked" 1 (after - before);
+  Alcotest.(check int) "a and the 3 decls after it re-checked" 4
+    (after - before);
   let cold =
     ok
       (open_doc (W.create ()) ~name:"t.fg" ~version:1
@@ -199,6 +227,88 @@ let test_corpus_matches_driver () =
       Alcotest.(check string) (path ^ ": ws = driver") oneshot from_ws)
     files
 
+(* Every answer the index gives after an edit and its revert — hover,
+   definition and completion at every offset — equals a fresh open's,
+   over every corpus document with and without the prelude.  The edit
+   sits mid-document, so its check replays the units before it, and the
+   revert replays every unit the first open checked: a replayed unit's
+   entries must be exactly what its check recorded. *)
+let test_index_warm_equals_cold () =
+  let files =
+    List.concat_map
+      (fun dir ->
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".fg")
+        |> List.sort String.compare
+        |> List.map (Filename.concat dir))
+      [ "../programs"; "../programs/errors"; "../programs/fuzz_regressions" ]
+  in
+  let answers ws ~name ~offset =
+    String.concat "\n"
+      [
+        ok (W.hover ws ~name ~offset);
+        ok (W.definition ws ~name ~offset);
+        ok (W.completion ws ~name ~offset);
+      ]
+  in
+  let warm = W.create () in
+  List.iter
+    (fun prelude ->
+      List.iter
+        (fun name ->
+          let text = read_file name in
+          let mid = String.length text / 2 in
+          ignore (ok (open_doc warm ~prelude ~name ~version:1 text));
+          List.iteri
+            (fun i edit ->
+              ignore
+                (ok (W.change_doc warm ~name ~version:(i + 2) (W.Edits [ edit ]))))
+            [
+              { W.e_start = mid; e_len = 0; e_text = " " };
+              { W.e_start = mid; e_len = 1; e_text = "" };
+            ];
+          let cold = W.create () in
+          ignore (ok (open_doc cold ~prelude ~name ~version:1 text));
+          for offset = 0 to String.length text do
+            let want = answers cold ~name ~offset in
+            let got = answers warm ~name ~offset in
+            if not (String.equal want got) then
+              Alcotest.(check string)
+                (Printf.sprintf "%s%s @%d" name
+                   (if prelude then " -p" else "")
+                   offset)
+                want got
+          done)
+        files)
+    [ false; true ]
+
+(* Distinct edits do not grow the workspace.  Each edit below changes
+   the first declaration of one prelude document of 31 declarations,
+   so it re-checks all of them: the units it leaves, and the index
+   entries they carry, are bounded by the unit cache's capacity. *)
+let test_distinct_edits_bounded () =
+  let ws = W.create () in
+  let rest = Genprog.shared_prefix ~decls:28 () in
+  let text i = Printf.sprintf "let seed = %d in\n%s" i rest in
+  ignore (ok (open_doc ws ~prelude:true ~name:"soak.fg" ~version:0 (text 0)));
+  let edit first last =
+    for i = first to last do
+      ignore
+        (ok (W.change_doc ws ~name:"soak.fg" ~version:i (W.Full_text (text i))))
+    done
+  in
+  let words () =
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr ws)
+  in
+  edit 1 1_000;
+  let at_1k = words () in
+  edit 1_001 3_000;
+  let at_3k = words () in
+  if 10 * abs (at_3k - at_1k) > at_1k then
+    Alcotest.failf "reachable words: %d after 1,000 edits, %d after 3,000"
+      at_1k at_3k
+
 (* ------------------------------------------------------------------ *)
 (* Service errors                                                      *)
 
@@ -233,15 +343,6 @@ let hover_program =
    Number<t>.mult(x, x) in\n\
    model Number<int> { mult = imult; } in\n\
    square[int](4)"
-
-let index_of_sub haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then Alcotest.failf "substring %S not found" needle
-    else if String.sub haystack i nn = needle then i
-    else go (i + 1)
-  in
-  go 0
 
 let field payload name =
   match Json.of_string payload with
@@ -359,17 +460,21 @@ let test_stats_shape () =
 
 let suite =
   [
-    Alcotest.test_case "edit re-checks only the dirty decl" `Quick
-      test_edit_misses_only_dirty_decl;
-    Alcotest.test_case "edit re-checks decl + transitive dependents"
-      `Quick test_edit_misses_decl_and_dependents;
-    Alcotest.test_case "length-changing edit re-checks only that decl"
-      `Quick test_length_changing_edit_misses_only_dirty_decl;
+    Alcotest.test_case "edit re-checks only the decls from the edit on"
+      `Quick test_edit_misses_only_from_edit;
+    Alcotest.test_case "edit re-checks decl + trailing decls" `Quick
+      test_edit_misses_first_decl_and_later;
+    Alcotest.test_case "length-changing edit re-checks from the edit on"
+      `Quick test_length_changing_edit_misses_from_edit;
     Alcotest.test_case "edit then revert = cold open bytes" `Quick
       test_edit_then_revert_matches_cold;
     QCheck_alcotest.to_alcotest prop_random_edits_match_cold;
     Alcotest.test_case "corpus: workspace = driver bytes" `Slow
       test_corpus_matches_driver;
+    Alcotest.test_case "corpus: warm index answers = fresh open's" `Slow
+      test_index_warm_equals_cold;
+    Alcotest.test_case "distinct edits keep memory bounded" `Slow
+      test_distinct_edits_bounded;
     Alcotest.test_case "FG0807 / FG0808 service errors" `Quick
       test_unknown_and_stale;
     Alcotest.test_case "hover: types and resolved models" `Quick
