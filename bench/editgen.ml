@@ -20,7 +20,6 @@
    Exits nonzero on any byte mismatch or a p95 above the bar. *)
 
 open Fg_util
-module C = Fg_core
 module W = Fg_workspace.Workspace
 
 let edits_per_program =
@@ -81,7 +80,7 @@ let () =
       ignore
         (ok_exn "open"
            (W.open_doc ws ~name:path ~version:!version ~prelude:true
-              ~global_models:false ~backend:C.Backend.Dict text));
+              ~global_models:false text));
       let digits = digit_offsets text in
       if Array.length digits > 0 then begin
         let txt = ref text in
@@ -112,7 +111,7 @@ let () =
             let cold_payload =
               ok_exn "cold open"
                 (W.open_doc cold ~name:path ~version:1 ~prelude:true
-                   ~global_models:false ~backend:C.Backend.Dict !txt)
+                   ~global_models:false !txt)
             in
             if cold_payload <> payload then begin
               incr mismatches;

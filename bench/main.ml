@@ -338,86 +338,6 @@ let print_step_counts () =
       ("FG direct interpreter", s_fg);
     ]
 
-(* Backend comparison: the instantiation-fanout family (one generic
-   called at n distinct ground types, the specializer's scaling
-   dimension) under all three backends.  Beta steps and term sizes are
-   deterministic; wall-clock is the end-to-end pipeline per run, so it
-   includes the specialization passes themselves — specialization pays
-   off when evaluation dominates, which the step column quantifies
-   independently of machine noise. *)
-let print_backend_comparison () =
-  let module B = C.Backend in
-  let backends = [ B.Dict; B.Stencil; B.Hybrid ] in
-  let session_for b =
-    C.Session.of_config { C.Session.Config.default with backend = b }
-  in
-  let rows =
-    List.map
-      (fun (name, src) ->
-        ( name,
-          src,
-          List.map
-            (fun b ->
-              let out = C.Session.run (session_for b) src in
-              let steps, size, stencils, shared =
-                match out.C.Session.spec with
-                | None ->
-                    ( out.C.Session.translated_steps,
-                      F.Ast.exp_size out.C.Session.f_exp, 0, 0 )
-                | Some sp ->
-                    ( sp.C.Session.spec_steps,
-                      F.Ast.exp_size sp.C.Session.spec_exp,
-                      sp.C.Session.spec_stats.F.Specialize.st_stencils,
-                      sp.C.Session.spec_stats.F.Specialize.st_shared )
-              in
-              (b, steps, size, stencils, shared))
-            backends ))
-      [
-        ("fanout_04_reps_06", C.Genprog.instantiation_fanout ~reps:6 4);
-        ("fanout_08_reps_06", C.Genprog.instantiation_fanout ~reps:6 8);
-        ("let_chain_24", C.Genprog.let_chain 24);
-        ("param_depth_06", C.Genprog.param_depth 6);
-      ]
-  in
-  Fmt.pr
-    "@.S4 specializing backends (beta steps evaluating the final System F \
-     term)@.";
-  Fmt.pr "%s@." (String.make 78 '-');
-  Fmt.pr "%-20s %-8s %8s %10s %9s %7s %9s@." "program" "backend" "steps"
-    "vs dict" "exp size" "stencil" "shared";
-  List.iter
-    (fun (name, _, cells) ->
-      let dict_steps =
-        match cells with (_, s, _, _, _) :: _ -> s | [] -> 1
-      in
-      List.iter
-        (fun (b, steps, size, stencils, shared) ->
-          Fmt.pr "%-20s %-8s %8d %9.2fx %9d %7d %9d@." name (B.to_string b)
-            steps
-            (float_of_int steps /. float_of_int (max 1 dict_steps))
-            size stencils shared)
-        cells)
-    rows;
-  (* Wall clock over the whole pipeline, amortized over [iters] runs
-     through one warm session per backend. *)
-  let iters = 40 in
-  Fmt.pr "@.%-20s %-8s %12s@." "program" "backend" "wall (ms/run)";
-  List.iter
-    (fun (name, src, _) ->
-      List.iter
-        (fun b ->
-          let s = session_for b in
-          ignore (C.Session.run s src);
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to iters do
-            ignore (C.Session.run s src)
-          done;
-          let dt = Unix.gettimeofday () -. t0 in
-          Fmt.pr "%-20s %-8s %12.3f@." name (B.to_string b)
-            (dt *. 1000. /. float_of_int iters))
-        backends)
-    rows
-
 (* Batch scaling: wall-clock time to check a batch of substantial
    generated programs across domain counts.  Achievable speedup is
    bounded by the machine's core count (printed below); the "stable"
@@ -561,6 +481,5 @@ let () =
   let results = run_benchmarks () in
   print_results results;
   print_step_counts ();
-  print_backend_comparison ();
   print_batch_scaling ();
   print_incremental ()

@@ -108,8 +108,7 @@ let prelude_flag =
 
 let stats_flag =
   let doc = "Report phase wall times and cache counters (prelude reuse, \
-             model-resolution hits, congruence rebuilds, stencil \
-             counters) on stderr." in
+             model-resolution hits, congruence rebuilds) on stderr." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
 let cache_dir_arg =
@@ -123,21 +122,6 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-
-(* Kept a raw string at the cmdliner layer: unknown names become the
-   stable FG1001 configuration diagnostic (through
-   [Backend.of_string_exn] inside the command body), not a cmdliner
-   usage error — every command accepts and rejects the flag
-   identically. *)
-let backend_arg =
-  let doc =
-    "Translation backend: $(b,dict) (the paper's dictionary passing), \
-     $(b,stencil) (specialize every ground instantiation), or \
-     $(b,hybrid) (share stencils between same-shape instantiations, \
-     gcshape-style).  The specializing backends are re-checked in \
-     System F and evaluated against the dictionary semantics."
-  in
-  Arg.(value & opt string "dict" & info [ "backend" ] ~docv:"NAME" ~doc)
 
 let format_arg =
   let doc = "Output format: $(b,text) (default) or $(b,json)." in
@@ -164,11 +148,8 @@ let positive = int_from 1 "a positive integer"
    one-shot commands' --cache-dir) its unit cache has the disk store
    behind it, attached before the prelude walk so that a checked
    prelude's units persist too. *)
-let make_session ?(backend = "dict") ?cache_dir ~global ~prelude () =
-  let cfg =
-    C.Session.Config.of_flags ~prelude ~global_models:global
-      ~backend:(C.Backend.of_string_exn backend) ()
-  in
+let make_session ?cache_dir ~global ~prelude () =
+  let cfg = C.Session.Config.of_flags ~prelude ~global_models:global () in
   let cache =
     Option.map
       (fun dir ->
@@ -191,33 +172,26 @@ let file_pos_arg =
 (* check                                                             *)
 
 let check_cmd =
-  let run file expr global prelude backend cache_dir stats =
+  let run file expr global prelude cache_dir stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s = make_session ~backend ?cache_dir ~global ~prelude () in
+        let s = make_session ?cache_dir ~global ~prelude () in
         Fmt.pr "%a@." C.Pretty.pp_ty (C.Session.typecheck ~file:name s src))
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Type check an FG program and print its type")
     Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ prelude_flag $ backend_arg $ cache_dir_arg $ stats_flag)
+          $ prelude_flag $ cache_dir_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* translate                                                         *)
 
 let translate_cmd =
-  let run file expr global prelude backend cache_dir show_type stats =
+  let run file expr global prelude cache_dir show_type stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s = make_session ~backend ?cache_dir ~global ~prelude () in
+        let s = make_session ?cache_dir ~global ~prelude () in
         let f = C.Session.translate ~file:name s src in
-        (* Off the Dict backend, print the partially evaluated program
-           (stencils and hoisted dictionaries on the spine). *)
-        let f =
-          match C.Backend.specialize_mode (C.Session.backend s) with
-          | None -> f
-          | Some mode -> fst (F.Specialize.specialize ~mode f)
-        in
         Fmt.pr "%a@." F.Pretty.pp_exp f;
         if show_type then
           Fmt.pr "// : %a@." F.Pretty.pp_ty (F.Typecheck.typecheck f))
@@ -228,21 +202,19 @@ let translate_cmd =
   in
   Cmd.v
     (Cmd.info "translate"
-       ~doc:
-         "Translate an FG program to System F (dictionary passing, or a \
-          specialized backend with $(b,--backend))")
+       ~doc:"Translate an FG program to System F (dictionary passing)")
     Term.(
       const run $ file_pos_arg $ expr_arg $ global_flag $ prelude_flag
-      $ backend_arg $ cache_dir_arg $ show_type $ stats_flag)
+      $ cache_dir_arg $ show_type $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* run                                                               *)
 
 let run_cmd =
-  let run file expr global prelude backend cache_dir verbose format stats =
+  let run file expr global prelude cache_dir verbose format stats =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let name, src = get_source file expr in
-        let s = make_session ~backend ?cache_dir ~global ~prelude () in
+        let s = make_session ?cache_dir ~global ~prelude () in
         (* The recovering pipeline: every independent error in the
            program comes back in one invocation, plus any warnings. *)
         let report = C.Session.run_full ~file:name s src in
@@ -259,16 +231,6 @@ let run_cmd =
                   Fmt.pr "value       : %a@." C.Interp.pp_flat out.value;
                   Fmt.pr "direct steps: %d@." out.direct_steps;
                   Fmt.pr "trans steps : %d@." out.translated_steps;
-                  (match out.spec with
-                  | None -> ()
-                  | Some sp ->
-                      Fmt.pr "spec steps  : %d (%s: %d stencils, %d shared, \
-                              %d fallbacks)@."
-                        sp.C.Session.spec_steps
-                        (C.Backend.to_string out.backend)
-                        sp.C.Session.spec_stats.F.Specialize.st_stencils
-                        sp.C.Session.spec_stats.F.Specialize.st_shared
-                        sp.C.Session.spec_stats.F.Specialize.st_fallbacks);
                   Fmt.pr "theorem     : %s@."
                     (if out.theorem_holds then "holds" else "VIOLATED")
                 end
@@ -288,7 +250,7 @@ let run_cmd =
           (agreeing) value")
     Term.(
       const run $ file_pos_arg $ expr_arg $ global_flag $ prelude_flag
-      $ backend_arg $ cache_dir_arg $ verbose $ format_arg $ stats_flag)
+      $ cache_dir_arg $ verbose $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* elaborate                                                         *)
@@ -356,10 +318,10 @@ let domains_arg =
        & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 let batch_cmd =
-  let run files global prelude backend domains format stats =
+  let run files global prelude domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let jobs = List.map read_input files in
-        let s = make_session ~backend ~global ~prelude () in
+        let s = make_session ~global ~prelude () in
         (* Each job's result is projected to what is printed on the
            domain that ran it, so the batch holds no job's AST or
            translation past its end. *)
@@ -405,18 +367,16 @@ let batch_cmd =
          "Run many FG programs through the full pipeline, fanned out over \
           OCaml domains with a shared session configuration; output order \
           matches the argument order regardless of the domain count")
-    Term.(const run $ files $ global_flag $ prelude_flag $ backend_arg
-          $ domains_arg $ format_arg $ stats_flag)
+    Term.(const run $ files $ global_flag $ prelude_flag $ domains_arg
+          $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* corpus                                                            *)
 
 let corpus_cmd =
-  let run entry all backend domains format stats =
+  let run entry all domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
-        let session () =
-          make_session ~backend ~global:false ~prelude:false ()
-        in
+        let session () = make_session ~global:false ~prelude:false () in
         match (entry, all) with
         | None, false ->
             List.iter
@@ -534,8 +494,8 @@ let corpus_cmd =
   Cmd.v
     (Cmd.info "corpus"
        ~doc:"List or run the built-in corpus of paper example programs")
-    Term.(const run $ entry_arg $ all_flag $ backend_arg $ domains_arg
-          $ format_arg $ stats_flag)
+    Term.(const run $ entry_arg $ all_flag $ domains_arg $ format_arg
+          $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* eq: same-type queries                                             *)
@@ -582,12 +542,11 @@ let eq_cmd =
 (* fuzz                                                              *)
 
 let fuzz_cmd =
-  let run seed count size mutants backend domains format save_dir stats guided
+  let run seed count size mutants domains format save_dir stats guided
       corpus_dir =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let cfg =
           { C.Fuzz.seed; count; size; mutants;
-            backend = C.Backend.of_string_exn backend;
             guided = guided || corpus_dir <> None; corpus_dir }
         in
         let report = C.Fuzz.run ?domains cfg in
@@ -676,8 +635,8 @@ let fuzz_cmd =
           pretty-print/parse round-trip, and error recovery on corrupted \
           variants; failures are shrunk before reporting")
     Term.(const run $ seed_arg $ count_arg $ size_arg $ mutants_arg
-          $ backend_arg $ domains_arg $ format_arg $ save_arg $ stats_flag
-          $ guided_flag $ corpus_arg)
+          $ domains_arg $ format_arg $ save_arg $ stats_flag $ guided_flag
+          $ corpus_arg)
 
 (* ---------------------------------------------------------------- *)
 (* serve: the compiler-service daemon                                 *)
@@ -748,7 +707,7 @@ let serve_cmd =
                    $(b,overload) instead of buffering.")
   in
   let timeout_ms =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "request-timeout-ms" ] ~docv:"MS"
              ~doc:"Default per-request deadline (queue wait + service); \
                    expired requests get a structured $(b,timeout) \
@@ -756,13 +715,13 @@ let serve_cmd =
                    $(b,timeout_ms).")
   in
   let max_frame =
-    Arg.(value & opt int Protocol.default_max_frame
+    Arg.(value & opt positive Protocol.default_max_frame
          & info [ "max-frame-bytes" ] ~docv:"N"
              ~doc:"Largest accepted wire frame; bigger length prefixes \
                    are rejected without allocating.")
   in
   let fuel =
-    Arg.(value & opt int 10_000_000
+    Arg.(value & opt count 10_000_000
          & info [ "fuel" ] ~docv:"STEPS"
              ~doc:"Evaluator step bound per served run (0 = unbounded), \
                    so divergent programs cannot pin a worker.")
@@ -901,12 +860,11 @@ let print_stats_pretty payload =
   | Ok _ -> print_endline payload
 
 let client_cmd =
-  let run action files expr socket port host prelude global backend
-      timeout_ms window doc_version offset at del insert pretty =
+  let run action files expr socket port host prelude global timeout_ms
+      window doc_version offset at del insert pretty =
     match
       handle_code (fun () ->
           let address = address_of ~socket ~port ~host in
-          let backend = C.Backend.of_string_exn backend in
           try
             match action with
             | ("stats" | "shutdown" | "probe") when files <> [] ->
@@ -936,7 +894,7 @@ let client_cmd =
                       | "open" ->
                           let name, source = read_input file in
                           Client.doc_open c ~version:doc_version ~prelude
-                            ~global_models:global ~backend ~name source
+                            ~global_models:global ~name source
                       | "edit" -> (
                           match at with
                           | Some off ->
@@ -969,7 +927,7 @@ let client_cmd =
                     (fun i f ->
                       let name, source = read_input f in
                       Protocol.request ~id:(i + 1) ~file:name ~source ~prelude
-                        ~global_models:global ~backend ?timeout_ms Protocol.Run)
+                        ~global_models:global ?timeout_ms Protocol.Run)
                     files
                 in
                 let c = Client.connect address in
@@ -999,7 +957,7 @@ let client_cmd =
                     let r =
                       Client.request c
                         (Protocol.request ~id:1 ~file:name ~source ~prelude
-                           ~global_models:global ~backend ?timeout_ms kind)
+                           ~global_models:global ?timeout_ms kind)
                     in
                     print_endline r.Protocol.r_payload;
                     exit_of_status r.Protocol.r_status)
@@ -1030,12 +988,12 @@ let client_cmd =
                    accepts directories, expanded to their .fg files.")
   in
   let timeout_ms =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "timeout-ms" ] ~docv:"MS"
              ~doc:"Per-request deadline override sent to the server.")
   in
   let window =
-    Arg.(value & opt int Client.default_window
+    Arg.(value & opt positive Client.default_window
          & info [ "window" ] ~docv:"N"
              ~doc:"Batch pipelining window (requests in flight at once).")
   in
@@ -1086,9 +1044,8 @@ let client_cmd =
           that cannot reach the daemon or read its reply prints one \
           line on stderr and exits 7")
     Term.(ret (const run $ action $ files $ expr_arg $ socket_arg $ port_arg
-               $ host_arg $ prelude_flag $ global_flag $ backend_arg
-               $ timeout_ms $ window $ doc_version $ offset $ at $ del
-               $ insert $ pretty))
+               $ host_arg $ prelude_flag $ global_flag $ timeout_ms $ window
+               $ doc_version $ offset $ at $ del $ insert $ pretty))
 
 (* ---------------------------------------------------------------- *)
 (* repl                                                              *)

@@ -16,7 +16,6 @@ type config = {
   count : int;
   size : int;
   mutants : int;
-  backend : Backend.t;
   guided : bool;
   corpus_dir : string option;
 }
@@ -27,7 +26,6 @@ let default_config =
     count = 100;
     size = 30;
     mutants = 2;
-    backend = Backend.Dict;
     guided = false;
     corpus_dir = None;
   }
@@ -1472,15 +1470,14 @@ let recovery_failures cfg sess mutants_run (p : program) : failure list =
 let run_blind ?domains (cfg : config) =
   let before = Coverage.snapshot () in
   let programs = List.init cfg.count (fun i -> generate cfg ~index:i) in
-  let scfg = { Session.Config.default with backend = cfg.backend } in
-  let sess = Session.of_config scfg in
+  let sess = Session.of_config Session.Config.default in
   let jobs =
     List.map
       (fun p -> (Printf.sprintf "fuzz-%d-%d" cfg.seed p.p_index, p.p_source))
       programs
   in
   let batch = Session.map_batch ?domains sess jobs verdict in
-  let rsess = Session.of_config scfg in
+  let rsess = Session.of_config Session.Config.default in
   let mutants_run = ref 0 in
   let failures =
     List.concat
@@ -1809,10 +1806,10 @@ type measured =
   | MCrash of string
   | MSilent  (* rejected without a single error diagnostic *)
 
-let measure scfg src =
+let measure src =
   let before = Coverage.snapshot () in
   let m =
-    let sess = Session.of_config scfg in
+    let sess = Session.of_config Session.Config.default in
     match Session.run_full ~fuel:shrink_fuel sess src with
     | exception e -> MCrash (Printexc.to_string e)
     | { Session.outcome = Some _; _ } -> MWellTyped
@@ -1825,16 +1822,16 @@ let measure scfg src =
 
 (* A candidate whose recovering run crashed or got silently dropped is
    a recovery-oracle failure whatever its origin. *)
-let guided_bad scfg src =
-  let sess = Session.of_config scfg in
+let guided_bad src =
+  let sess = Session.of_config Session.Config.default in
   match Session.run_full ~fuel:shrink_fuel sess src with
   | exception _ -> true
   | { Session.outcome = None; diagnostics } ->
       not (List.exists (fun d -> d.Diag.severity = Diag.Err) diagnostics)
   | _ -> false
 
-let guided_failure scfg (p : program) msg =
-  let pred c = guided_bad scfg (Pretty.exp_to_string c) in
+let guided_failure (p : program) msg =
+  let pred c = guided_bad (Pretty.exp_to_string c) in
   let shr = try shrink ~still_fails:pred p.p_ast with _ -> p.p_ast in
   {
     f_index = p.p_index;
@@ -1852,7 +1849,6 @@ let guided_failure scfg (p : program) msg =
 let corpus_shrink_fuel = 96
 
 let run_guided ?domains (cfg : config) =
-  let scfg = { Session.Config.default with backend = cfg.backend } in
   (* In-memory corpus: only entries that re-parse can seed mutations;
      everything is tracked by digest so an entry is admitted once. *)
   let initial =
@@ -1896,7 +1892,7 @@ let run_guided ?domains (cfg : config) =
           p
       | None -> generate cfg ~index:i
     in
-    let m, delta = measure scfg p.p_source in
+    let m, delta = measure p.p_source in
     let novel =
       List.filter (fun k -> not (List.mem_assoc k !acc)) (Coverage.keys delta)
     in
@@ -1905,7 +1901,7 @@ let run_guided ?domains (cfg : config) =
       (* Minimize while the novel decision points stay covered, then
          admit to the corpus (and persist, when a directory is given). *)
       let covers src =
-        let _, d = measure scfg src in
+        let _, d = measure src in
         let ks = Coverage.keys d in
         List.for_all (fun k -> List.mem k ks) novel
       in
@@ -1946,13 +1942,14 @@ let run_guided ?domains (cfg : config) =
       well_typed
   in
   let batch =
-    Session.map_batch ?domains (Session.of_config scfg) jobs verdict
+    Session.map_batch ?domains (Session.of_config Session.Config.default) jobs
+      verdict
   in
   let agree = Hashtbl.create 32 in
   List.iter2
     (fun (p, _) res -> Hashtbl.replace agree p.p_index res)
     well_typed batch;
-  let rsess = Session.of_config scfg in
+  let rsess = Session.of_config Session.Config.default in
   let mutants_run = ref 0 in
   let failures =
     List.concat
@@ -1961,10 +1958,10 @@ let run_guided ?domains (cfg : config) =
            let classed =
              match m with
              | MCrash msg ->
-                 [ guided_failure scfg p ("recovering pipeline crashed: " ^ msg) ]
+                 [ guided_failure p ("recovering pipeline crashed: " ^ msg) ]
              | MSilent ->
                  [
-                   guided_failure scfg p
+                   guided_failure p
                      "rejected program produced no error diagnostics";
                  ]
              | MWellTyped | MRejected -> []
@@ -2025,12 +2022,8 @@ let report_to_json r =
              ("size", Json.Int r.r_config.size);
              ("mutants", Json.Int r.r_config.mutants);
            ]
-          (* backend appears only off Dict (and guided only when on),
-             keeping the pinned dictionary-backend JSON shape
-             unchanged *)
-          @ (match r.r_config.backend with
-            | Backend.Dict -> []
-            | b -> [ ("backend", Json.Str (Backend.to_string b)) ])
+          (* guided appears only when on, keeping the pinned blind-mode
+             JSON shape unchanged *)
           @ if r.r_config.guided then [ ("guided", Json.Bool true) ] else []) );
       ("generated", Json.Int r.r_generated);
       ("mutants_run", Json.Int r.r_mutants_run);

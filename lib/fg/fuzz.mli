@@ -47,11 +47,6 @@ type config = {
   count : int;  (** number of programs to generate *)
   size : int;  (** size budget per program (AST-node scale) *)
   mutants : int;  (** corrupted variants per program (recovery oracle) *)
-  backend : Backend.t;
-      (** backend for the agreement oracle's sessions: off
-          {!Backend.Dict}, every generated program additionally runs
-          the specializer and its typecheck/byte-identity oracle, so a
-          fuzz batch doubles as a differential test of stenciling *)
   guided : bool;  (** coverage-guided mutation instead of blind generation *)
   corpus_dir : string option;
       (** on-disk corpus of minimized coverage-adding inputs (entries

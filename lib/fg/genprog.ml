@@ -202,13 +202,8 @@ let shared_prefix ?(edit_at = -1) ?(edit = 0) ~decls () =
 (** [instantiation_fanout ?reps n]: one generic called at [n] distinct
     ground types ([int], [list int], …, [list^(n-1) int]), [reps]
     times each, with the [Size<list t>] dictionaries built by the
-    parameterized model.  This is the specializer's scaling dimension:
-    full stenciling clones the generic [n] times, while the gcshape
-    hybrid keeps one stencil (every [Size] dictionary has the same
-    one-member layout) and shares it across the remaining [n-1]
-    instantiations.  Repetitions amplify what specialization hoists —
-    the dictionary chain is rebuilt at every call under dictionary
-    passing but built once per stencil. *)
+    parameterized model.  Dictionary passing rebuilds the chain at
+    every call, so repetitions multiply the dictionary work. *)
 let instantiation_fanout ?(reps = 3) n =
   assert (n >= 1 && reps >= 1);
   buf_program (fun b ->

@@ -38,10 +38,8 @@ val shared_prefix : ?edit_at:int -> ?edit:int -> decls:int -> unit -> string
 val param_depth : int -> string
 
 (** One generic called at [n] distinct ground types ([int] through
-    [list^(n-1) int]), [reps] times each (default 3) — the
-    specializer's scaling dimension: full stenciling clones the
-    generic per instantiation; the gcshape hybrid keeps one stencil
-    for the whole same-layout family. *)
+    [list^(n-1) int]), [reps] times each (default 3), each call
+    passing a dictionary chain built by the parameterized model. *)
 val instantiation_fanout : ?reps:int -> int -> string
 
 (** [n] calls to a generic function, implicitly or explicitly

@@ -6,7 +6,6 @@
     by construction. *)
 
 open Fg_util
-module F = Fg_systemf
 
 let json_of_diags ds = Json.List (List.map Diag.to_json ds)
 
@@ -20,32 +19,15 @@ let rec json_of_flat : Interp.flat -> Json.t = function
   | Interp.FlFun -> Json.Str "<fun>"
 
 let json_of_outcome ~file (o : Session.outcome) =
-  (* Backend and specialization fields appear only off the Dict
-     backend, so the Dict rendering — what every golden test and the
-     served-vs-one-shot byte-identity check pin — is unchanged. *)
-  let spec_fields =
-    match (o.backend, o.spec) with
-    | Backend.Dict, _ | _, None -> []
-    | b, Some (s : Session.spec) ->
-        [
-          ("backend", Json.Str (Backend.to_string b));
-          ("specialized_steps", Json.Int s.Session.spec_steps);
-          ( "stencils",
-            Json.Int s.Session.spec_stats.F.Specialize.st_stencils );
-          ( "stencils_shared",
-            Json.Int s.Session.spec_stats.F.Specialize.st_shared );
-        ]
-  in
   Json.Obj
-    ([ ("file", Json.Str file);
-       ("ok", Json.Bool true);
-       ("type", Json.Str (Pretty.ty_to_string o.fg_ty));
-       ("value", json_of_flat o.value);
-       ("value_str", Json.Str (Interp.flat_to_string o.value));
-       ("theorem", Json.Bool o.theorem_holds);
-       ("direct_steps", Json.Int o.direct_steps);
-       ("translated_steps", Json.Int o.translated_steps) ]
-    @ spec_fields)
+    [ ("file", Json.Str file);
+      ("ok", Json.Bool true);
+      ("type", Json.Str (Pretty.ty_to_string o.fg_ty));
+      ("value", json_of_flat o.value);
+      ("value_str", Json.Str (Interp.flat_to_string o.value));
+      ("theorem", Json.Bool o.theorem_holds);
+      ("direct_steps", Json.Int o.direct_steps);
+      ("translated_steps", Json.Int o.translated_steps) ]
 
 let json_of_failure ~file d =
   Json.Obj

@@ -28,7 +28,6 @@ module F = Fg_systemf
 
 module Config = struct
   type t = {
-    backend : Backend.t;
     resolution : Resolution.mode;
     escape_check : bool;
     prelude : string option;
@@ -36,7 +35,6 @@ module Config = struct
 
   let default =
     {
-      backend = Backend.Dict;
       resolution = Resolution.Lexical;
       escape_check = true;
       prelude = None;
@@ -44,21 +42,16 @@ module Config = struct
 
   let with_standard_prelude c = { c with prelude = Some Prelude.full }
 
-  let of_flags ~prelude ~global_models ~backend () =
+  let of_flags ~prelude ~global_models () =
     {
       default with
-      backend;
       resolution =
         (if global_models then Resolution.Global else Resolution.Lexical);
       prelude = (if prelude then Some Prelude.full else None);
     }
 end
 
-type spec = {
-  spec_exp : F.Ast.exp;
-  spec_steps : int;
-  spec_stats : F.Specialize.stats;
-}
+type spec = |
 
 type outcome = {
   source : string;
@@ -243,8 +236,6 @@ let of_config ?(cache = Unit.create_cache ()) (cfg : Config.t) : t =
 
 let config t = t.cfg
 
-let backend t = t.cfg.Config.backend
-
 module Table = struct
   type session = t
 
@@ -346,61 +337,10 @@ let verify ?file t source =
   Telemetry.time Telemetry.Verify (fun () ->
       Theorems.report_of_elaboration ?prefix:t.prefix triple)
 
-(* Specializing back end: partially evaluate the translation, then
-   enforce the oracle — the specialized program must re-typecheck in
-   System F at a type alpha-equal to the translation's and evaluate to
-   the same flat value as the direct interpreter.  Either failure is a
-   stable diagnostic (FG0502 / FG0503), not a silent divergence. *)
-let specialized ?fuel ~backend ~direct ~translated_steps
-    (report : Theorems.report) : spec option =
-  match Backend.specialize_mode backend with
-  | None -> None
-  | Some mode ->
-      let f_spec, stats =
-        Telemetry.time Telemetry.Specialize (fun () ->
-            F.Specialize.specialize ~mode report.Theorems.f_exp)
-      in
-      Telemetry.record_stencils_created stats.F.Specialize.st_stencils;
-      Telemetry.record_stencils_shared stats.F.Specialize.st_shared;
-      Telemetry.record_stencil_fallbacks stats.F.Specialize.st_fallbacks;
-      Telemetry.record_dicts_hoisted stats.F.Specialize.st_hoisted;
-      if not (F.Specialize.changed stats) then
-        (* nothing to specialize: the translation is the stencil *)
-        Some
-          {
-            spec_exp = report.Theorems.f_exp;
-            spec_steps = translated_steps;
-            spec_stats = stats;
-          }
-      else begin
-        let spec_ty =
-          Telemetry.time Telemetry.Verify (fun () ->
-              F.Typecheck.typecheck f_spec)
-        in
-        if not (F.Ast.alpha_equal spec_ty report.Theorems.f_ty) then
-          Diag.translate_error ~code:"FG0502"
-            "specialized program has type %s but the translation has type %s"
-            (F.Pretty.ty_to_string spec_ty)
-            (F.Pretty.ty_to_string report.Theorems.f_ty);
-        let v_spec, spec_steps =
-          Telemetry.time Telemetry.Eval (fun () -> F.Eval.run ?fuel f_spec)
-        in
-        let spec_flat = Interp.flatten_f v_spec in
-        if not (Interp.flat_equal direct spec_flat) then
-          Diag.eval_error ~code:"FG0503"
-            "direct interpreter computed %s but the specialized program \
-             computed %s"
-            (Interp.flat_to_string direct)
-            (Interp.flat_to_string spec_flat);
-        Some { spec_exp = f_spec; spec_steps; spec_stats = stats }
-      end
-
 (* Back half of the full pipeline, shared by [run] and [run_full]:
    theorem check (resumed after the session's checked prefix), both
-   evaluations, agreement, and — off the Dict backend — specialization
-   plus its oracle. *)
+   evaluations and agreement. *)
 let complete ?fuel t ~source ~ast triple : outcome =
-  let backend = t.cfg.Config.backend in
   let report =
     Telemetry.time Telemetry.Verify (fun () ->
         Theorems.report_of_elaboration ?prefix:t.prefix triple)
@@ -421,7 +361,6 @@ let complete ?fuel t ~source ~ast triple : outcome =
       "direct interpreter computed %s but the translation computed %s"
       (Interp.flat_to_string direct)
       (Interp.flat_to_string translated);
-  let spec = specialized ?fuel ~backend ~direct ~translated_steps report in
   {
     source;
     ast;
@@ -432,8 +371,8 @@ let complete ?fuel t ~source ~ast triple : outcome =
     value = direct;
     direct_steps;
     translated_steps;
-    backend;
-    spec;
+    backend = Backend.Dict;
+    spec = None;
   }
 
 let run ?file ?fuel t source : outcome =

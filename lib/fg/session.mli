@@ -41,7 +41,6 @@ type t
     or from a driver's flags with {!Config.of_flags}. *)
 module Config : sig
   type t = {
-    backend : Backend.t;  (** translation backend (default {!Backend.Dict}) *)
     resolution : Resolution.mode;
     escape_check : bool;
     prelude : string option;
@@ -58,22 +57,15 @@ module Config : sig
       [fgc]'s flags, a served request's fields and a workspace
       document's open parameters to a {!t}.  [prelude] selects
       {!Prelude.full} and [global_models] {!Resolution.Global}. *)
-  val of_flags :
-    prelude:bool -> global_models:bool -> backend:Backend.t -> unit -> t
+  val of_flags : prelude:bool -> global_models:bool -> unit -> t
 end
 
-(** What the specializing backends add to an outcome: the partially
-    evaluated program, its cost, and the specializer's counters.  The
-    session has already enforced the oracle by the time this record
-    exists: the specialized program re-typechecks in System F at a
-    type alpha-equal to the translation's ([FG0502] otherwise) and
-    evaluates to the same flat value as the direct interpreter
-    ([FG0503] otherwise). *)
-type spec = {
-  spec_exp : F.Ast.exp;  (** the specialized System F program *)
-  spec_steps : int;  (** beta steps evaluating it *)
-  spec_stats : F.Specialize.stats;
-}
+(** Uninhabited: nothing specializes a translation any more.  Kept,
+    with {!outcome}'s [backend] and [spec] fields, only because
+    [benchspine/layers.ml] builds an outcome literal that names every
+    field; nothing in the compiler, its drivers or its tests reads
+    them.  Delete all three when the benchmark stops naming them. *)
+type spec = |
 
 (** Everything the full pipeline produces for one program. *)
 type outcome = {
@@ -89,8 +81,8 @@ type outcome = {
   value : Interp.flat;  (** the program's value (first-order part) *)
   direct_steps : int;  (** beta steps taken by the direct interpreter *)
   translated_steps : int;  (** beta steps evaluating the translation *)
-  backend : Backend.t;  (** the backend this outcome ran under *)
-  spec : spec option;  (** [Some] iff [backend] is not {!Backend.Dict} *)
+  backend : Backend.t;  (** always {!Backend.Dict}; see {!spec} *)
+  spec : spec option;  (** always [None]; see {!spec} *)
 }
 
 (** [of_config cfg] — a new session.  The prelude (if any) is parsed
@@ -138,8 +130,6 @@ end
 
 (** The session's configuration (its creation-time [Config.t]). *)
 val config : t -> Config.t
-
-val backend : t -> Backend.t
 
 (** Warm sessions keyed by configuration, each built by {!of_config}
     on first use over the table's one shared unit cache.  A server

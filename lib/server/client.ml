@@ -217,10 +217,10 @@ let run_file c ?timeout_ms ?(prelude = false) ?(global_models = false)
 (* Workspace language service (v5)                                   *)
 
 let doc_open c ?(version = 1) ?(prelude = false) ?(global_models = false)
-    ?(backend = Fg_core.Backend.Dict) ~name source =
+    ~name source =
   request c
     (Protocol.request ~id:1 ~file:name ~source ~prelude ~global_models
-       ~backend ~doc_version:version Protocol.DocOpen)
+       ~doc_version:version Protocol.DocOpen)
 
 let doc_change c ~version ~name change =
   let source, edits =

@@ -71,7 +71,7 @@ val run_file :
 
 val doc_open :
   conn -> ?version:int -> ?prelude:bool -> ?global_models:bool ->
-  ?backend:Fg_core.Backend.t -> name:string -> string -> Protocol.response
+  name:string -> string -> Protocol.response
 
 (** [change] is [`Text full_source] or [`Edits splices] with each
     splice [(start, len, text)] in pre-edit byte offsets. *)

@@ -2,7 +2,7 @@
 
     One handler lives inside one worker domain and owns one session per
     distinct {!Fg_core.Session.Config.t} it has served — the config a
-    request denotes (prelude × resolution mode × backend) {e is} the
+    request denotes (prelude × resolution mode) {e is} the
     cache key, so adding a session-shaping request field never needs a
     new ad-hoc tuple here.  Each session is created lazily on the first
     request that needs it and kept warm from then on, so the prelude is
@@ -29,8 +29,7 @@ let cache_stats t = C.Unit.stats t.cache
 let warm t =
   ignore
     (C.Session.Table.find t.sessions
-       (C.Session.Config.of_flags ~prelude:true ~global_models:false
-          ~backend:C.Backend.Dict ()))
+       (C.Session.Config.of_flags ~prelude:true ~global_models:false ()))
 
 (* The check/translate payloads mirror the run payload's envelope
    ({"file", "ok", ..., "diagnostics"}) so clients can switch on the
@@ -69,7 +68,7 @@ let handle t (req : Protocol.request) : Protocol.status * string =
       let s =
         C.Session.Table.find t.sessions
           (C.Session.Config.of_flags ~prelude:req.prelude
-             ~global_models:req.global_models ~backend:req.backend ())
+             ~global_models:req.global_models ())
       in
       match req.kind with
       | Protocol.Check ->

@@ -1,7 +1,7 @@
 (** Request execution against warm sessions.  One handler lives inside
     one worker domain and lazily creates (then keeps warm) a session
     per distinct {!Fg_core.Session.Config.t} a request denotes
-    (prelude × resolution mode × backend), so a worker pays the
+    (prelude × resolution mode), so a worker pays the
     prelude check once, not once per request.
 
     [run] payloads are rendered by {!Fg_core.Jsonview.json_of_run_report}

@@ -33,15 +33,9 @@ let all_statuses =
 let n_statuses = List.length all_statuses
 let status_index s = Option.get (List.find_index (( = ) s) all_statuses)
 
-let backend_index b =
-  Option.get (List.find_index (( = ) b) Fg_core.Backend.all)
-
 type metrics = {
   started_ns : int;
   by_kind_status : Shardcounter.t array;  (** [n_kinds * n_statuses] grid *)
-  by_backend : Shardcounter.t array;
-      (** requests that ran a translation backend, per backend, in
-          {!Fg_core.Backend.all} order *)
   queue_depth : Shardcounter.t;
   enqueued : Shardcounter.t;
   protocol_errors : Shardcounter.t;
@@ -55,10 +49,6 @@ let metrics () =
     started_ns = now_ns ();
     by_kind_status =
       Array.init (n_kinds * n_statuses) (fun _ -> Shardcounter.create ());
-    by_backend =
-      Array.init
-        (List.length Fg_core.Backend.all)
-        (fun _ -> Shardcounter.create ());
     queue_depth = Shardcounter.create ();
     enqueued = Shardcounter.create ();
     protocol_errors = Shardcounter.create ();
@@ -71,7 +61,6 @@ let record_outcome m kind status =
   Shardcounter.incr
     m.by_kind_status.((kind_index kind * n_statuses) + status_index status)
 
-let record_backend m b = Shardcounter.incr m.by_backend.(backend_index b)
 let record_protocol_error m = Shardcounter.incr m.protocol_errors
 let record_connection m = Shardcounter.incr m.connections_opened
 
@@ -103,14 +92,6 @@ let metrics_to_json ?(extra = []) m =
        ( "connections_opened",
          Json.Int (Shardcounter.read m.connections_opened) );
        ("requests", Json.Obj requests);
-       ( "backends",
-         Json.Obj
-           (List.map
-              (fun b ->
-                ( Fg_core.Backend.to_string b,
-                  Json.Int (Shardcounter.read m.by_backend.(backend_index b))
-                ))
-              Fg_core.Backend.all) );
        ("latency", Telemetry.Histogram.to_json m.latency);
        ("queue_wait", Telemetry.Histogram.to_json m.queue_wait);
      ]
@@ -224,15 +205,19 @@ let initiate_stop t =
 (* ---------------------------------------------------------------- *)
 (* Worker side                                                       *)
 
+(* The limit printed is the one the deadline was computed from: the
+   request's own [timeout_ms] or the server's default. *)
 let timeout_response (job : job) ~elapsed_ms =
+  let limit_ns =
+    Option.fold ~none:0 ~some:(fun d -> d - job.enqueued_ns) job.deadline_ns
+  in
   {
     Protocol.r_id = job.req.Protocol.id;
     r_status = Protocol.Timeout;
     r_payload =
       Protocol.error_payload ~file:job.req.Protocol.file ~code:"FG0801"
         "request exceeded its deadline (%dms elapsed, limit %dms)"
-        elapsed_ms
-        (Option.value ~default:0 job.req.Protocol.timeout_ms);
+        elapsed_ms (limit_ns / 1_000_000);
   }
 
 let past_deadline (job : job) now =
@@ -243,42 +228,40 @@ let process t handler (job : job) =
   Telemetry.Histogram.observe t.metrics.queue_wait
     (start - job.enqueued_ns);
   let resp =
-    if past_deadline job start then
-      (* Expired while queued: reject without running. *)
-      timeout_response job
-        ~elapsed_ms:((start - job.enqueued_ns) / 1_000_000)
-    else
-      match job.req.Protocol.kind with
-      | Protocol.Stats ->
-          { Protocol.r_id = job.req.Protocol.id; r_status = Protocol.Ok_;
-            r_payload = stats_payload t }
-      | Protocol.Shutdown ->
-          (* Graceful drain: everything enqueued before this sentinel
-             has already been served (FIFO); flip the flag so nothing
-             new is admitted, then acknowledge. *)
-          initiate_stop t;
-          { Protocol.r_id = job.req.Protocol.id; r_status = Protocol.Ok_;
-            r_payload =
-              Json.to_string
-                (Json.Obj
-                   [ ("ok", Json.Bool true);
-                     ("draining", Json.Bool true) ]) }
-      | _ ->
-          (* Only the handler runs a backend: control requests and jobs
-             that expired in the queue count against none. *)
-          record_backend t.metrics job.req.Protocol.backend;
-          let status, payload = Handler.handle_safe handler job.req in
-          let finished = now_ns () in
-          if past_deadline job finished then
-            (* The work completed but its deadline had already passed:
-               honor the contract and report a timeout (the result is
-               discarded, exactly like a caller that stopped
-               waiting). *)
-            timeout_response job
-              ~elapsed_ms:((finished - job.enqueued_ns) / 1_000_000)
-          else
-            { Protocol.r_id = job.req.Protocol.id; r_status = status;
-              r_payload = payload }
+    match job.req.Protocol.kind with
+    | Protocol.Shutdown ->
+        (* Graceful drain: everything enqueued before this sentinel
+           has already been served (FIFO); flip the flag so nothing
+           new is admitted, then acknowledge.  No deadline applies:
+           the server blocks for queue space so that a shutdown cannot
+           be dropped, and an expired one must still start the
+           drain. *)
+        initiate_stop t;
+        { Protocol.r_id = job.req.Protocol.id; r_status = Protocol.Ok_;
+          r_payload =
+            Json.to_string
+              (Json.Obj
+                 [ ("ok", Json.Bool true); ("draining", Json.Bool true) ]) }
+    | _ when past_deadline job start ->
+        (* Expired while queued: reject without running. *)
+        timeout_response job
+          ~elapsed_ms:((start - job.enqueued_ns) / 1_000_000)
+    | Protocol.Stats ->
+        { Protocol.r_id = job.req.Protocol.id; r_status = Protocol.Ok_;
+          r_payload = stats_payload t }
+    | _ ->
+        let status, payload = Handler.handle_safe handler job.req in
+        let finished = now_ns () in
+        if past_deadline job finished then
+          (* The work completed but its deadline had already passed:
+             honor the contract and report a timeout (the result is
+             discarded, exactly like a caller that stopped
+             waiting). *)
+          timeout_response job
+            ~elapsed_ms:((finished - job.enqueued_ns) / 1_000_000)
+        else
+          { Protocol.r_id = job.req.Protocol.id; r_status = status;
+            r_payload = payload }
   in
   let done_ns = now_ns () in
   Telemetry.Histogram.observe t.metrics.latency (done_ns - job.enqueued_ns);

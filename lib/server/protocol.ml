@@ -10,8 +10,9 @@
 
 open Fg_util
 
-(* Version 2 added the optional request field ["backend"] (absent means
-   the dictionary backend).  Version 5 added the workspace
+(* Version 2 added the optional request field ["backend"]; dictionary
+   passing is now the only backend, so it may only be absent or
+   ["dict"].  Version 5 added the workspace
    language-service kinds — [doc_open] / [doc_change] / [doc_close] /
    [doc_diagnostics] / [hover] / [definition] / [completion] — with
    their ["doc_version"] / ["edits"] / ["offset"] fields ([file]
@@ -173,7 +174,6 @@ type request = {
   source : string;
   prelude : bool;
   global_models : bool;
-  backend : Fg_core.Backend.t;  (** v2; absent on the wire means Dict *)
   timeout_ms : int option;  (** overrides the server default deadline *)
   doc_version : int;
       (** doc_open/doc_change: the editor's version of the document
@@ -185,10 +185,10 @@ type request = {
 }
 
 let request ?(file = "<request>") ?(source = "") ?(prelude = false)
-    ?(global_models = false) ?(backend = Fg_core.Backend.Dict) ?timeout_ms
-    ?(doc_version = 0) ?(offset = 0) ?(edits = []) ~id kind =
-  { id; kind; file; source; prelude; global_models; backend; timeout_ms;
-    doc_version; offset; edits }
+    ?(global_models = false) ?timeout_ms ?(doc_version = 0) ?(offset = 0)
+    ?(edits = []) ~id kind =
+  { id; kind; file; source; prelude; global_models; timeout_ms; doc_version;
+    offset; edits }
 
 let request_to_json r =
   Json.Obj
@@ -199,10 +199,6 @@ let request_to_json r =
     @ (if r.source = "" then [] else [ ("source", Json.Str r.source) ])
     @ (if r.prelude then [ ("prelude", Json.Bool true) ] else [])
     @ (if r.global_models then [ ("global_models", Json.Bool true) ] else [])
-    @ (match r.backend with
-      | Fg_core.Backend.Dict -> []
-      | b ->
-          [ ("backend", Json.Str (Fg_core.Backend.to_string b)) ])
     @ (match r.timeout_ms with
       | Some t -> [ ("timeout_ms", Json.Int t) ]
       | None -> [])
@@ -273,20 +269,10 @@ let request_of_json j =
                       l
                 | _ -> []
               in
-              let backend =
-                match Json.str_field "backend" j with
-                | None -> Ok Fg_core.Backend.Dict
-                | Some s -> (
-                    match Fg_core.Backend.of_string s with
-                    | Some b -> Ok b
-                    | None ->
-                        Error
-                          (Bad_request
-                             (Printf.sprintf "unknown backend %S" s)))
-              in
-              match backend with
-              | Error e -> Error e
-              | Ok backend ->
+              match Json.str_field "backend" j with
+              | Some s when s <> "dict" ->
+                  Error (Bad_request (Printf.sprintf "unknown backend %S" s))
+              | _ ->
               if needs_source && Json.str_field "source" j = None then
                 Error
                   (Bad_request
@@ -315,7 +301,6 @@ let request_of_json j =
                     source = str "source" "";
                     prelude = bool "prelude";
                     global_models = bool "global_models";
-                    backend;
                     timeout_ms = Json.int_field "timeout_ms" j;
                     doc_version =
                       Option.value ~default:0

@@ -11,8 +11,8 @@
     [{"v": 6, "id": N, "kind": K, ...}] where [K] is one of
     [check | run | translate | stats | shutdown]; program kinds carry
     ["file"], ["source"] and the one-shot driver's flags
-    (["prelude"], ["global_models"], and an optional ["backend"] of
-    [dict | stencil | hybrid], absent meaning [dict]); the workspace
+    (["prelude"] and ["global_models"]; a ["backend"] field may only be
+    absent or ["dict"], the one backend); the workspace
     kinds ([doc_open | doc_change | doc_close | doc_diagnostics |
     hover | definition | completion]) use ["file"] as the document
     name and carry ["doc_version"] (open/change), ["source"] or an
@@ -95,8 +95,6 @@ type request = {
   source : string;
   prelude : bool;
   global_models : bool;
-  backend : Fg_core.Backend.t;
-      (** added in version 2; absent on the wire means {!Fg_core.Backend.Dict} *)
   timeout_ms : int option;
   doc_version : int;
       (** doc_open/doc_change: the editor's version of the document
@@ -110,8 +108,8 @@ type request = {
 (** Build a request with the wire defaults filled in. *)
 val request :
   ?file:string -> ?source:string -> ?prelude:bool -> ?global_models:bool ->
-  ?backend:Fg_core.Backend.t -> ?timeout_ms:int -> ?doc_version:int ->
-  ?offset:int -> ?edits:(int * int * string) list ->
+  ?timeout_ms:int -> ?doc_version:int -> ?offset:int ->
+  ?edits:(int * int * string) list ->
   id:int -> kind -> request
 
 val request_to_json : request -> Json.t

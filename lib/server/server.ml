@@ -134,11 +134,9 @@ let request_shutdown t =
   Atomic.set t.stop_requested true;
   Pool.initiate_stop t.pool
 
-(* The stats payload: live pool metrics plus the static config, plus
-   the process-wide specializer counters (covering every worker's
-   stencil/hybrid requests, since telemetry is process-global). *)
+(* The stats payload: live pool metrics plus the static config and the
+   workspace service's counters. *)
 let stats_json cfg ws metrics =
-  let t = Telemetry.snapshot () in
   Pool.metrics_to_json metrics
     ~extra:
       [
@@ -148,14 +146,6 @@ let stats_json cfg ws metrics =
           (match cfg.request_timeout_ms with
           | Some t -> Json.Int t
           | None -> Json.Null) );
-        ( "specializer",
-          Json.Obj
-            [
-              ("stencils_created", Json.Int t.Telemetry.stencils_created);
-              ("stencils_shared", Json.Int t.Telemetry.stencils_shared);
-              ("stencil_fallbacks", Json.Int t.Telemetry.stencil_fallbacks);
-              ("dicts_hoisted", Json.Int t.Telemetry.dicts_hoisted);
-            ] );
         ("workspace", Fg_workspace.Workspace.stats_json ws);
       ]
 
@@ -279,8 +269,7 @@ let workspace_response t (req : Protocol.request) =
     | Protocol.DocOpen ->
         Fg_workspace.Workspace.open_doc ws ~name
           ~version:req.Protocol.doc_version ~prelude:req.Protocol.prelude
-          ~global_models:req.Protocol.global_models
-          ~backend:req.Protocol.backend req.Protocol.source
+          ~global_models:req.Protocol.global_models req.Protocol.source
     | Protocol.DocChange ->
         let change =
           if req.Protocol.source <> "" then

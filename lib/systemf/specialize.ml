@@ -1,5 +1,6 @@
-(* Specializing backend: stenciling + gcshape-style sharing over the
-   dictionary-passing translation.
+(* Specializer: stenciling + gcshape-style sharing over the
+   dictionary-passing translation (see the interface: no compiler path
+   runs it).
 
    The translated program is a spine of top-level [let]s (prelude
    declarations, then program declarations) around a residual body.

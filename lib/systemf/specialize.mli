@@ -1,5 +1,12 @@
-(** Specializing backend: partial evaluation of the dictionary-passing
+(** Specializer: partial evaluation of the dictionary-passing
     translation.
+
+    No compiler path runs it: dictionary passing is the only backend.
+    The module is kept only because [benchspine/layers.ml] compiles
+    against it (it times [specialize ~mode], [changed], {!Stencil} and
+    {!Hybrid} as per-layer spans); [test/test_specialize.ml] keeps its
+    contract tested meanwhile.  Delete both when the benchmark stops
+    naming it.
 
     [specialize] walks the top-level [let] spine of a translated
     program and, for every ground instantiation of a generic binding
@@ -24,7 +31,7 @@
     their dictionary-passing call, so each class pays code size once.
 
     The output is observationally equivalent to the input: same System
-    F type (checked by the session oracle), same value, never more
+    F type (checked by [test/test_specialize.ml]), same value, never more
     beta steps on any executed path modulo the constant cost of
     hoisted dictionary construction. *)
 

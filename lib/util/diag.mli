@@ -14,7 +14,7 @@ type phase =
   | Translate
   | Eval
   | Server  (** the [fgc serve] daemon: timeouts, overload, protocol *)
-  | Config  (** driver configuration: flags, backend names, capacities *)
+  | Config  (** driver configuration: flags, cache directories, addresses *)
   | Internal
 
 val phase_name : phase -> string

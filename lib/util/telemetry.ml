@@ -129,14 +129,13 @@ module Histogram = struct
       ]
 end
 
-type phase = Parse | Check | Specialize | Verify | Eval
+type phase = Parse | Check | Verify | Eval
 
 (* ---------------------------------------------------------------- *)
 (* The counters                                                      *)
 
 let parse_ns = Shardcounter.create ()
 let check_ns = Shardcounter.create ()
-let specialize_ns = Shardcounter.create ()
 let verify_ns = Shardcounter.create ()
 let eval_ns = Shardcounter.create ()
 let cc_rebuilds = Shardcounter.create ()
@@ -152,10 +151,6 @@ let fuzz_shrunk = Shardcounter.create ()
 let unit_hits = Shardcounter.create ()
 let unit_misses = Shardcounter.create ()
 let unit_evictions = Shardcounter.create ()
-let stencils_created = Shardcounter.create ()
-let stencils_shared = Shardcounter.create ()
-let stencil_fallbacks = Shardcounter.create ()
-let dicts_hoisted = Shardcounter.create ()
 let disk_hits = Shardcounter.create ()
 let disk_misses = Shardcounter.create ()
 let corrupt_entries = Shardcounter.create ()
@@ -178,16 +173,9 @@ let record_disk_hit () = bump disk_hits
 let record_disk_miss () = bump disk_misses
 let record_corrupt_entry () = bump corrupt_entries
 
-let add c n = if n > 0 then Shardcounter.add c n
-let record_stencils_created n = add stencils_created n
-let record_stencils_shared n = add stencils_shared n
-let record_stencil_fallbacks n = add stencil_fallbacks n
-let record_dicts_hoisted n = add dicts_hoisted n
-
 let phase_counter = function
   | Parse -> parse_ns
   | Check -> check_ns
-  | Specialize -> specialize_ns
   | Verify -> verify_ns
   | Eval -> eval_ns
 
@@ -229,7 +217,6 @@ let time phase f =
 type snapshot = {
   parse_ns : int;
   check_ns : int;
-  specialize_ns : int;
   verify_ns : int;
   eval_ns : int;
   cc_rebuilds : int;
@@ -245,10 +232,6 @@ type snapshot = {
   unit_hits : int;
   unit_misses : int;
   unit_evictions : int;
-  stencils_created : int;
-  stencils_shared : int;
-  stencil_fallbacks : int;
-  dicts_hoisted : int;
   disk_hits : int;
   disk_misses : int;
   corrupt_entries : int;
@@ -258,7 +241,6 @@ let snapshot () =
   {
     parse_ns = Shardcounter.read parse_ns;
     check_ns = Shardcounter.read check_ns;
-    specialize_ns = Shardcounter.read specialize_ns;
     verify_ns = Shardcounter.read verify_ns;
     eval_ns = Shardcounter.read eval_ns;
     cc_rebuilds = Shardcounter.read cc_rebuilds;
@@ -274,10 +256,6 @@ let snapshot () =
     unit_hits = Shardcounter.read unit_hits;
     unit_misses = Shardcounter.read unit_misses;
     unit_evictions = Shardcounter.read unit_evictions;
-    stencils_created = Shardcounter.read stencils_created;
-    stencils_shared = Shardcounter.read stencils_shared;
-    stencil_fallbacks = Shardcounter.read stencil_fallbacks;
-    dicts_hoisted = Shardcounter.read dicts_hoisted;
     disk_hits = Shardcounter.read disk_hits;
     disk_misses = Shardcounter.read disk_misses;
     corrupt_entries = Shardcounter.read corrupt_entries;
@@ -287,7 +265,6 @@ let diff (b : snapshot) (a : snapshot) =
   {
     parse_ns = b.parse_ns - a.parse_ns;
     check_ns = b.check_ns - a.check_ns;
-    specialize_ns = b.specialize_ns - a.specialize_ns;
     verify_ns = b.verify_ns - a.verify_ns;
     eval_ns = b.eval_ns - a.eval_ns;
     cc_rebuilds = b.cc_rebuilds - a.cc_rebuilds;
@@ -303,10 +280,6 @@ let diff (b : snapshot) (a : snapshot) =
     unit_hits = b.unit_hits - a.unit_hits;
     unit_misses = b.unit_misses - a.unit_misses;
     unit_evictions = b.unit_evictions - a.unit_evictions;
-    stencils_created = b.stencils_created - a.stencils_created;
-    stencils_shared = b.stencils_shared - a.stencils_shared;
-    stencil_fallbacks = b.stencil_fallbacks - a.stencil_fallbacks;
-    dicts_hoisted = b.dicts_hoisted - a.dicts_hoisted;
     disk_hits = b.disk_hits - a.disk_hits;
     disk_misses = b.disk_misses - a.disk_misses;
     corrupt_entries = b.corrupt_entries - a.corrupt_entries;
@@ -318,8 +291,6 @@ let pp ppf (s : snapshot) =
   Fmt.pf ppf "@[<v>phase wall time:@,";
   Fmt.pf ppf "  parse          : %10.3f ms@," (ms s.parse_ns);
   Fmt.pf ppf "  check          : %10.3f ms@," (ms s.check_ns);
-  if s.specialize_ns > 0 then
-    Fmt.pf ppf "  specialize     : %10.3f ms@," (ms s.specialize_ns);
   Fmt.pf ppf "  verify         : %10.3f ms@," (ms s.verify_ns);
   Fmt.pf ppf "  eval           : %10.3f ms@," (ms s.eval_ns);
   Fmt.pf ppf "counters:@,";
@@ -345,16 +316,5 @@ let pp ppf (s : snapshot) =
     Fmt.pf ppf "  generated      : %10d@," s.fuzz_generated;
     Fmt.pf ppf "  discarded      : %10d@," s.fuzz_discarded;
     Fmt.pf ppf "  shrink steps   : %10d" s.fuzz_shrunk
-  end;
-  if
-    s.stencils_created + s.stencils_shared + s.stencil_fallbacks
-    + s.dicts_hoisted
-    > 0
-  then begin
-    Fmt.pf ppf "@,specializer:@,";
-    Fmt.pf ppf "  stencils       : %10d@," s.stencils_created;
-    Fmt.pf ppf "  shape shared   : %10d@," s.stencils_shared;
-    Fmt.pf ppf "  fallbacks      : %10d@," s.stencil_fallbacks;
-    Fmt.pf ppf "  dicts hoisted  : %10d" s.dicts_hoisted
   end;
   Fmt.pf ppf "@]"

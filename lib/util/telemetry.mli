@@ -52,7 +52,6 @@ end
 type phase =
   | Parse  (** FG source to AST *)
   | Check  (** type checking + elaboration + translation *)
-  | Specialize  (** stenciling / shape-sharing partial evaluation *)
   | Verify  (** System F re-check and theorem comparison *)
   | Eval  (** both evaluations (direct and translated) *)
 
@@ -118,22 +117,6 @@ val record_unit_eviction : unit -> unit
 (** A bounded compilation-unit cache evicted its least recently used
     entry to make room. *)
 
-val record_stencils_created : int -> unit
-(** The specializing backend created [n] stencils (specialized
-    clones of generic bindings). *)
-
-val record_stencils_shared : int -> unit
-(** [n] call sites were served by an existing same-shape stencil
-    class (hybrid gcshape sharing) instead of a new clone. *)
-
-val record_stencil_fallbacks : int -> unit
-(** [n] ground generic calls stayed on dictionary passing (budget
-    exhausted, non-static dictionaries, unrecognized shape). *)
-
-val record_dicts_hoisted : int -> unit
-(** [n] dictionary expressions were hoisted to top-level bindings by
-    the specializing backend. *)
-
 val record_disk_hit : unit -> unit
 (** The on-disk unit store served a lookup. *)
 
@@ -150,7 +133,6 @@ val record_corrupt_entry : unit -> unit
 type snapshot = {
   parse_ns : int;  (** accumulated wall time per phase, nanoseconds *)
   check_ns : int;
-  specialize_ns : int;
   verify_ns : int;
   eval_ns : int;
   cc_rebuilds : int;
@@ -166,10 +148,6 @@ type snapshot = {
   unit_hits : int;
   unit_misses : int;
   unit_evictions : int;
-  stencils_created : int;
-  stencils_shared : int;
-  stencil_fallbacks : int;
-  dicts_hoisted : int;
   disk_hits : int;
   disk_misses : int;
   corrupt_entries : int;

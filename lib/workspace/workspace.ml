@@ -197,11 +197,9 @@ let with_doc t name f =
   | None -> Error (unknown_doc name)
   | Some doc -> f doc
 
-let open_doc t ~name ~version ~prelude ~global_models ~backend text =
+let open_doc t ~name ~version ~prelude ~global_models ?backend:_ text =
   timed t.h_open t (fun () ->
-      let cfg =
-        C.Session.Config.of_flags ~prelude ~global_models ~backend ()
-      in
+      let cfg = C.Session.Config.of_flags ~prelude ~global_models () in
       let doc =
         match Hashtbl.find_opt t.docs name with
         | Some d when d.d_cfg = cfg ->

@@ -51,17 +51,18 @@ type edit = { e_start : int; e_len : int; e_text : string }
 (** How a [doc_change] supplies the new text. *)
 type change = Full_text of string | Edits of edit list
 
-(** [open_doc t ~name ~version ~prelude ~global_models ~backend text]
-    opens (or re-opens, at any version) a document and checks it.
-    Returns the rendered diagnostics payload — exactly what
-    {!diagnostics} would return. *)
+(** [open_doc t ~name ~version ~prelude ~global_models text] opens (or
+    re-opens, at any version) a document and checks it.  Returns the
+    rendered diagnostics payload — exactly what {!diagnostics} would
+    return.  [backend] is ignored: it is kept only because
+    [benchspine/layers.ml] still passes it; nothing else may. *)
 val open_doc :
   t ->
   name:string ->
   version:int ->
   prelude:bool ->
   global_models:bool ->
-  backend:Fg_core.Backend.t ->
+  ?backend:Fg_core.Backend.t ->
   string ->
   (string, ws_error) result
 

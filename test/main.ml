@@ -44,7 +44,7 @@ let () =
       ("roundtrip", Test_roundtrip.suite);
       ("fuzz", Test_fuzz.suite);
       ("scaling-families", Test_genprog.suite);
-      ("backend", Test_backend.suite);
+      ("backend", Test_specialize.suite);
       ("loc", Test_loc.suite);
       ("workspace", Test_workspace.suite);
     ]

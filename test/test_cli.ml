@@ -458,54 +458,6 @@ let test_repl_using () =
   Alcotest.(check bool) "resolves through using" true
     (Astring_contains.contains ~needle:"- : int = 42" out)
 
-(* --backend: accepted by every driving subcommand, rejected with the
-   stable FG1001 diagnostic (not a cmdliner usage error) everywhere. *)
-let test_backend_flag () =
-  let src =
-    "'concept N<t> { m : fn(t, t) -> t; } in model N<int> { m = imult; } in \
-     let sq = tfun t where N<t> => fun (x : t) => N<t>.m(x, x) in sq(4)'"
-  in
-  check_out ("run --backend=stencil -e " ^ src) "16";
-  check_out ("run --backend=hybrid -e " ^ src) "16";
-  let code, out =
-    run_cmd ("run -v --backend=stencil -e " ^ src) ~stdin_text:""
-  in
-  Alcotest.(check int) "verbose exit" 0 code;
-  Alcotest.(check bool) "verbose reports stencils" true
-    (Astring_contains.contains ~needle:"1 stencils" out);
-  let code, out =
-    run_cmd ("run --format=json --backend=hybrid -e " ^ src) ~stdin_text:""
-  in
-  Alcotest.(check int) "json exit" 0 code;
-  Alcotest.(check bool) "json backend field" true
-    (Astring_contains.contains ~needle:"\"backend\": \"hybrid\"" out);
-  List.iter
-    (fun cmd ->
-      let code, out =
-        run_cmd (cmd ^ " --backend=jit -e '1 + 1'") ~stdin_text:""
-      in
-      Alcotest.(check bool) (cmd ^ " rejects with nonzero exit") true
-        (code <> 0);
-      Alcotest.(check bool) (cmd ^ " names FG1001") true
-        (Astring_contains.contains ~needle:"FG1001" out))
-    [ "run"; "check"; "translate" ];
-  let code, out = run_cmd "fuzz --count 1 --backend=jit" ~stdin_text:"" in
-  Alcotest.(check bool) "fuzz rejects" true (code <> 0);
-  Alcotest.(check bool) "fuzz names FG1001" true
-    (Astring_contains.contains ~needle:"FG1001" out);
-  (* the retired guided backend is an unknown name like any other, and
-     the note lists the three that remain *)
-  let code, out = run_cmd "run --backend=guided -e 1" ~stdin_text:"" in
-  Alcotest.(check int) "guided exit" 1 code;
-  Alcotest.(check bool) "guided names FG1001" true
-    (Astring_contains.contains ~needle:"FG1001" out);
-  Alcotest.(check bool) "guided note lists the backends" true
-    (Astring_contains.contains ~needle:"known backends: dict, stencil, hybrid"
-       out);
-  (* --profile is no flag at all: a cmdliner usage error *)
-  let code, _ = run_cmd "run --profile f -e 1" ~stdin_text:"" in
-  Alcotest.(check int) "--profile is a usage error" 124 code
-
 (* FG1002: a --cache-dir that cannot be used as a store directory is a
    configuration error, reported before anything runs. *)
 let test_bad_cache_dir () =
@@ -688,13 +640,38 @@ let test_client_faults () =
         (Astring_contains.contains ~needle err))
     [ "invalid value 'bogus'"; "'run'"; "'probe'"; "'complete'" ]
 
+(* --backend is no flag any more: dictionary passing is the only
+   backend, so each of the seven subcommands that took it rejects any
+   value, [dict] included, as cmdliner's unknown option (exit 124,
+   nothing on stdout) before anything runs or connects. *)
+let test_backend_flag () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fgc_no_daemon_%d.sock" (Unix.getpid ()))
+  in
+  List.iter
+    (fun args ->
+      let code, out, err = run_env "" args in
+      Alcotest.(check int) (args ^ " exit") 124 code;
+      Alcotest.(check string) (args ^ " stdout") "" out;
+      Alcotest.(check bool) (args ^ ": unknown option") true
+        (Astring_contains.contains ~needle:"unknown option '--backend'" err))
+    [ "run --backend=dict -e 1";
+      "check --backend=stencil -e 1";
+      "translate --backend=hybrid -e 1";
+      "batch --backend=dict ../programs/fig1_square.fg";
+      "corpus --all --backend=stencil";
+      "fuzz --count 1 --backend=hybrid";
+      "client run --backend=dict -e 1 --socket " ^ sock ]
+
 (* Usage mistakes cmdliner cannot see are still its usage errors (exit
    124, nothing on stdout), and a misused subcommand ends in a
    diagnostic (exit 1): none reaches cmdliner's "internal error" (exit
-   125).  [--cache-max-bytes] is no flag at all, a negative fuzz count
-   is a usage error in blind and guided mode alike, and only the
-   one-shot commands take [--cache-dir]: the others reject it before
-   anything could create the directory. *)
+   125).  [--cache-max-bytes] and [--profile] are no flags at all, a
+   negative fuzz count is a usage error in blind and guided mode alike,
+   a daemon flag that would make every request fail is refused before
+   a socket exists, and only the one-shot commands take [--cache-dir]:
+   the others reject it before anything could create the directory. *)
 let test_usage_mistakes () =
   let empty_dir = Filename.temp_dir "fgc_no_programs" "" in
   let store =
@@ -740,6 +717,20 @@ let test_usage_mistakes () =
             "invalid value '0', expected a positive integer");
            ("serve --max-queue=-3 --socket " ^ sock,
             "invalid value '-3', expected a positive integer");
+           ("run --profile f -e 1", "unknown option '--profile'");
+           (* cmdliner wraps the message after the longer flag names,
+              so these match its first words only *)
+           ("serve --fuel=-5 --socket " ^ sock, "invalid value '-5'");
+           ("serve --max-frame-bytes=-1 --socket " ^ sock,
+            "invalid value '-1'");
+           ("serve --max-frame-bytes=0 --socket " ^ sock,
+            "invalid value '0'");
+           ("serve --request-timeout-ms=-1 --socket " ^ sock,
+            "invalid value '-1'");
+           ("client run --timeout-ms=-1 -e 1 --socket " ^ sock,
+            "invalid value '-1'");
+           ("client batch --window=0 ../programs --socket " ^ sock,
+            "invalid value '0'");
          ]
         @ List.map
             (fun args -> (args, "unknown option '--cache-dir'"))

@@ -256,8 +256,8 @@ let fresh_dir tag =
 let test_guided_deterministic () =
   let d1 = fresh_dir "fg-guided-det-1" and d2 = fresh_dir "fg-guided-det-2" in
   let cfg dir =
-    { Fuzz.default_config with Fuzz.seed = 21; count = 40; size = 25;
-      mutants = 1; guided = true; corpus_dir = Some dir }
+    { Fuzz.seed = 21; count = 40; size = 25; mutants = 1; guided = true;
+      corpus_dir = Some dir }
   in
   let r1 = Fuzz.run ~domains:1 (cfg d1) in
   let r2 = Fuzz.run ~domains:4 (cfg d2) in
@@ -301,8 +301,8 @@ let test_guided_cold_repro () =
     (target <> []);
   let dir = fresh_dir "fg-guided-cold" in
   let cfg =
-    { Fuzz.default_config with Fuzz.seed = 2; count = 150; size = 30;
-      mutants = 0; guided = true; corpus_dir = Some dir }
+    { Fuzz.seed = 2; count = 150; size = 30; mutants = 0; guided = true;
+      corpus_dir = Some dir }
   in
   let r = Fuzz.run ~domains:2 cfg in
   let covered = Coverage.keys r.Fuzz.r_coverage in

@@ -149,16 +149,14 @@ let test_request_version_mismatch () =
   | Error (Protocol.Bad_version (Some 999)) -> ()
   | _ -> Alcotest.fail "version precedes shape errors"
 
-(* "backend" is optional: a frame without it decodes to the dictionary
-   backend and routes through a handler to a dict payload. *)
+(* "backend" is optional: a frame without it decodes and routes through
+   a handler to the dictionary-passing payload. *)
 let test_no_backend_routes_dict () =
   let frame = "{\"v\":6,\"id\":7,\"kind\":\"run\",\"source\":\"1 + 1\"}" in
   match parse_request frame with
   | Error _ -> Alcotest.fail "frame without backend does not decode"
   | Ok req ->
       Alcotest.(check int) "id" 7 req.Protocol.id;
-      Alcotest.(check string) "defaults to dict" "dict"
-        (Fg_core.Backend.to_string req.Protocol.backend);
       let handler = Handler.create () in
       let status, payload = Handler.handle_safe handler req in
       Alcotest.(check string) "status" "ok" (Protocol.status_name status);
@@ -168,58 +166,43 @@ let test_no_backend_routes_dict () =
             (match Fg_util.Json.mem "value" j with
             | Some (Fg_util.Json.Int n) -> Some n
             | _ -> None);
-          (* a dict payload must not grow backend fields *)
           Alcotest.(check (option string)) "no backend field" None
             (Fg_util.Json.str_field "backend" j)
       | Error e -> Alcotest.failf "run payload is not JSON: %s" e)
 
+(* Dictionary passing is the only backend: the v2 field may name it or
+   be absent, and any other value is a Bad_request (FG0803 on the
+   wire), the specializers' old names included. *)
 let test_request_backend_field () =
-  (* explicit backend survives the codec round-trip *)
-  let req =
-    Protocol.request ~source:"1" ~backend:Fg_core.Backend.Hybrid ~id:3
-      Protocol.Run
+  let frame backend =
+    Printf.sprintf
+      "{\"v\":6,\"id\":1,\"kind\":\"run\",\"source\":\"1\"%s}" backend
   in
-  let r = roundtrip_request req in
-  Alcotest.(check string) "hybrid survives" "hybrid"
-    (Fg_core.Backend.to_string r.Protocol.backend);
-  (* dict is the wire default, so it is never emitted *)
-  let j = Protocol.request_to_json (Protocol.request ~source:"1" ~id:4 Protocol.Run) in
-  Alcotest.(check (option string)) "dict not on the wire" None
+  let bare = parse_request (frame "") in
+  (match (bare, parse_request (frame ",\"backend\":\"dict\"")) with
+  | Ok a, Ok b -> Alcotest.(check bool) "dict decodes as absent" true (a = b)
+  | _ -> Alcotest.fail "a dict backend field must decode");
+  let j =
+    Protocol.request_to_json (Protocol.request ~source:"1" ~id:4 Protocol.Run)
+  in
+  Alcotest.(check (option string)) "never on the wire" None
     (Fg_util.Json.str_field "backend" j);
-  (* a named backend parses *)
-  (match
-     parse_request
-       "{\"v\":6,\"id\":1,\"kind\":\"run\",\"source\":\"1\",\
-        \"backend\":\"stencil\"}"
-   with
-  | Ok r ->
-      Alcotest.(check string) "stencil parses" "stencil"
-        (Fg_core.Backend.to_string r.Protocol.backend)
-  | Error _ -> Alcotest.fail "stencil backend rejected");
-  (* an unknown backend is a stable Bad_request, not an exception; the
-     retired "guided" is as unknown as any other name *)
   List.iter
     (fun name ->
       match
-        parse_request
-          (Printf.sprintf
-             "{\"v\":6,\"id\":1,\"kind\":\"run\",\"source\":\"1\",\
-              \"backend\":\"%s\"}"
-             name)
+        parse_request (frame (Printf.sprintf ",\"backend\":\"%s\"" name))
       with
       | Error (Protocol.Bad_request msg) ->
           Alcotest.(check bool) ("names the backend " ^ name) true
             (Astring_contains.contains ~needle:name msg)
-      | _ -> Alcotest.failf "unknown backend %s must be Bad_request" name)
-    [ "jit"; "guided" ];
+      | _ -> Alcotest.failf "backend %s must be Bad_request" name)
+    [ "stencil"; "hybrid"; "jit"; "guided" ];
   (* a field the decoder does not read, like the retired "profile"
      object, is ignored: the frame decodes as if it were absent *)
-  let bare = "{\"v\":6,\"id\":1,\"kind\":\"run\",\"source\":\"1\"}" in
   let with_profile =
-    "{\"v\":6,\"id\":1,\"kind\":\"run\",\"source\":\"1\",\
-     \"profile\":{\"fgc_profile\":1,\"programs\":3}}"
+    frame ",\"profile\":{\"fgc_profile\":1,\"programs\":3}"
   in
-  match (parse_request bare, parse_request with_profile) with
+  match (bare, parse_request with_profile) with
   | Ok a, Ok b -> Alcotest.(check bool) "profile field ignored" true (a = b)
   | _ -> Alcotest.fail "a stray profile field must not reject the frame"
 

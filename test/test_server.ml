@@ -134,6 +134,64 @@ let test_timeout () =
           Alcotest.(check string) "after timeout" "ok"
             (Protocol.status_name r.Protocol.r_status)))
 
+(* A run that outlives a 50 ms deadline by several times over: about
+   200 ms of checking and evaluation. *)
+let slow_run ~id =
+  Protocol.request ~id ~file:"slow.fg"
+    ~source:(Fg_core.Genprog.accumulate_workload 15000)
+    Protocol.Run
+
+(* A request without its own [timeout_ms] runs under the server's
+   default, and FG0801 names that limit. *)
+let test_timeout_names_server_limit () =
+  with_server ~workers:1 ~request_timeout_ms:50 (fun addr _srv ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let r = Client.request c (slow_run ~id:1) in
+          Alcotest.(check string) "status" "timeout"
+            (Protocol.status_name r.Protocol.r_status);
+          Alcotest.(check bool) "names the server's limit" true
+            (contains ~needle:"limit 50ms" r.Protocol.r_payload)))
+
+(* A shutdown queued behind a request that outlives the deadline is
+   past its own deadline when a worker takes it, and still starts the
+   drain: the server blocks for queue space so that a shutdown cannot
+   be dropped, and a deadline must not drop it either.  The wait for
+   [Server.run] to return is bounded, so a daemon that keeps serving
+   fails the test instead of hanging it. *)
+let test_shutdown_past_deadline () =
+  let path = next_sock () in
+  let cfg =
+    { (Server.default_config (`Unix path)) with
+      workers = 1;
+      request_timeout_ms = Some 50 }
+  in
+  let srv = Server.create cfg in
+  let returned = Atomic.make false in
+  let th =
+    Thread.create (fun () -> Server.run srv; Atomic.set returned true) ()
+  in
+  let c = Client.connect (`Unix path) in
+  Client.send c (slow_run ~id:1);
+  Client.send c (Protocol.request ~id:2 Protocol.Shutdown);
+  let statuses =
+    List.init 2 (fun _ -> Client.read_response c)
+    |> List.sort (fun a b -> compare a.Protocol.r_id b.Protocol.r_id)
+    |> List.map (fun r -> Protocol.status_name r.Protocol.r_status)
+  in
+  Client.close c;
+  let give_up = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < give_up do
+    Thread.delay 0.01
+  done;
+  let drained = Atomic.get returned in
+  Server.request_shutdown srv;
+  Thread.join th;
+  if Sys.file_exists path then Sys.remove path;
+  Alcotest.(check (list string)) "slow run times out, shutdown is acked"
+    [ "timeout"; "ok" ] statuses;
+  Alcotest.(check bool) "Server.run returned on the shutdown" true drained
+
 let test_protocol_violations () =
   with_server (fun addr _srv ->
       (* Garbage JSON in a well-formed frame: FG0803, connection
@@ -246,10 +304,10 @@ let test_stats () =
                 | _ -> Alcotest.fail "stats object missing"
               in
               Alcotest.(check (list string)) "top-level keys"
-                [ "backends"; "connections_opened"; "enqueued"; "latency";
-                  "max_queue"; "protocol_errors"; "queue_depth"; "queue_wait";
-                  "request_timeout_ms"; "requests"; "specializer";
-                  "unit_cache"; "uptime_ms"; "workers"; "workspace" ]
+                [ "connections_opened"; "enqueued"; "latency"; "max_queue";
+                  "protocol_errors"; "queue_depth"; "queue_wait";
+                  "request_timeout_ms"; "requests"; "unit_cache";
+                  "uptime_ms"; "workers"; "workspace" ]
                 (keys (Some j));
               (* one requests entry per wire kind *)
               Alcotest.(check (list string)) "request kinds"
@@ -322,45 +380,6 @@ let test_connect_leaks_nothing () =
     | exception Client.Client_error _ -> ()
   done;
   Alcotest.(check bool) "no descriptor leaked" true (lowest_free () = before)
-
-(* The stats "backends" object lists every backend and counts only
-   requests that ran one: stats requests (served by the pool, not a
-   handler) leave every count at 0, and one run counts once. *)
-let test_stats_backends () =
-  with_server ~workers:1 (fun addr _srv ->
-      let c = Client.connect addr in
-      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-          let backends () =
-            match
-              Fg_util.Json.of_string (Client.stats c).Protocol.r_payload
-            with
-            | Ok j -> (
-                match Fg_util.Json.mem "backends" j with
-                | Some (Fg_util.Json.Obj kvs) ->
-                    List.map
-                      (fun (k, v) ->
-                        match v with
-                        | Fg_util.Json.Int n -> (k, n)
-                        | _ -> Alcotest.failf "backend %s count" k)
-                      kvs
-                | _ -> Alcotest.fail "stats payload lacks backends")
-            | Error e -> Alcotest.failf "stats payload not JSON: %s" e
-          in
-          ignore (backends ());
-          ignore (backends ());
-          let all =
-            List.map Fg_core.Backend.to_string Fg_core.Backend.all
-            |> List.sort String.compare
-          in
-          Alcotest.(check (list (pair string int)))
-            "stats requests run no backend"
-            (List.map (fun b -> (b, 0)) all)
-            (backends ());
-          ignore (Client.run_file c ~file:"<t>" "1 + 1");
-          Alcotest.(check (list (pair string int)))
-            "one run counts once under dict"
-            (List.map (fun b -> (b, if b = "dict" then 1 else 0)) all)
-            (backends ())))
 
 (* The v5 document kinds over a real socket: lifecycle, splice edits,
    warm/one-shot byte identity, a hover answer, and the FG0807/FG0808
@@ -531,56 +550,50 @@ let test_backoff () =
 (* A warm handler keys sessions on the request's config alone: twenty
    requests of one config (prelude on) through one handler build the
    prelude at most once, and each answer is the bytes a fresh handler
-   gives the same request — for the dictionary backend and for a
-   specializing one. *)
+   gives the same request. *)
 let test_one_session_per_config () =
   let open Fg_util in
-  List.iter
-    (fun backend ->
-      let name = Fg_core.Backend.to_string backend in
-      let request i =
-        let source =
-          Printf.sprintf
-            "accumulate[int](cons[int](%d, cons[int](2, nil[int])))" i
-        in
-        Protocol.request ~id:i ~file:"t.fg" ~source ~prelude:true ~backend
-          Protocol.Run
-      in
-      let fresh =
-        List.init 20 (fun i ->
-            Handler.handle_safe (Handler.create ()) (request i))
-      in
-      let handler = Handler.create () in
-      let before = Telemetry.snapshot () in
-      let served =
-        List.init 20 (fun i -> Handler.handle_safe handler (request i))
-      in
-      let builds =
-        (Telemetry.diff (Telemetry.snapshot ()) before).prelude_builds
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: at most one prelude build (got %d)" name builds)
-        true (builds <= 1);
-      List.iteri
-        (fun i ((st, payload), (st', payload')) ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s request %d status" name i)
-            (Protocol.status_name st) (Protocol.status_name st');
-          Alcotest.(check string)
-            (Printf.sprintf "%s request %d payload" name i)
-            payload payload')
-        (List.combine fresh served))
-    [ Fg_core.Backend.Dict; Fg_core.Backend.Stencil ]
+  let request i =
+    let source =
+      Printf.sprintf "accumulate[int](cons[int](%d, cons[int](2, nil[int])))"
+        i
+    in
+    Protocol.request ~id:i ~file:"t.fg" ~source ~prelude:true Protocol.Run
+  in
+  let fresh =
+    List.init 20 (fun i -> Handler.handle_safe (Handler.create ()) (request i))
+  in
+  let handler = Handler.create () in
+  let before = Telemetry.snapshot () in
+  let served =
+    List.init 20 (fun i -> Handler.handle_safe handler (request i))
+  in
+  let builds = (Telemetry.diff (Telemetry.snapshot ()) before).prelude_builds in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one prelude build (got %d)" builds)
+    true (builds <= 1);
+  List.iteri
+    (fun i ((st, payload), (st', payload')) ->
+      Alcotest.(check string)
+        (Printf.sprintf "request %d status" i)
+        (Protocol.status_name st) (Protocol.status_name st');
+      Alcotest.(check string)
+        (Printf.sprintf "request %d payload" i)
+        payload payload')
+    (List.combine fresh served)
 
 let suite =
   [
     Alcotest.test_case "single requests" `Quick test_single_requests;
     Alcotest.test_case "overload backoff schedule" `Quick test_backoff;
     Alcotest.test_case "deadline timeout" `Quick test_timeout;
+    Alcotest.test_case "expired request names the server's limit" `Quick
+      test_timeout_names_server_limit;
+    Alcotest.test_case "shutdown past its deadline still drains" `Quick
+      test_shutdown_past_deadline;
     Alcotest.test_case "protocol violations" `Quick test_protocol_violations;
     Alcotest.test_case "overload and retry" `Quick test_overload;
     Alcotest.test_case "stats endpoint" `Quick test_stats;
-    Alcotest.test_case "stats backends" `Quick test_stats_backends;
     Alcotest.test_case "stats max_queue is the clamped capacity" `Quick
       test_stats_max_queue_clamped;
     Alcotest.test_case "client read timeout" `Quick test_client_timeout;

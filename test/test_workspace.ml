@@ -17,11 +17,8 @@ open Fg_util
 open Fg_core
 module W = Fg_workspace.Workspace
 
-let dict = Backend.Dict
-
 let open_doc ?(prelude = false) ws ~name ~version text =
-  W.open_doc ws ~name ~version ~prelude ~global_models:false ~backend:dict
-    text
+  W.open_doc ws ~name ~version ~prelude ~global_models:false text
 
 let ok = function
   | Ok payload -> payload

@@ -123,28 +123,6 @@ echo "== fuzz smoke (seed 42, 200 programs)"
 # machine, so a clean run here means a clean run everywhere.
 ./_build/default/bin/fgc.exe fuzz --seed 42 --count 200
 
-echo "== stencil-diff: backend byte-identity (corpus + 1k fuzz)"
-# The specializing backends must be observationally invisible: every
-# program in the tree prints the same bytes under dict, stencil and
-# hybrid (the session's internal oracle additionally asserts the
-# specialized term typechecks and evaluates identically — FG0502 /
-# FG0503 would surface here as diverging output).  The sweep runs
-# without and with the prelude: the prelude's dictionary spine is what
-# the specializers rewrite most, and what the theorem re-check resumes
-# after.  Then a 1k seeded fuzz batch per specializing backend, where
-# every generated program runs the same differential oracle.
-for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
-  for p in "" -p; do
-    d=$(./_build/default/bin/fgc.exe run $p "$f" 2>&1 || true)
-    s=$(./_build/default/bin/fgc.exe run $p --backend=stencil "$f" 2>&1 || true)
-    h=$(./_build/default/bin/fgc.exe run $p --backend=hybrid "$f" 2>&1 || true)
-    [ "$d" = "$s" ] || { echo "stencil-diff: stencil diverges on $p $f"; exit 1; }
-    [ "$d" = "$h" ] || { echo "stencil-diff: hybrid diverges on $p $f"; exit 1; }
-  done
-done
-./_build/default/bin/fgc.exe fuzz --seed 7 --count 1000 --backend=stencil
-./_build/default/bin/fgc.exe fuzz --seed 7 --count 1000 --backend=hybrid
-
 echo "== bench smoke (BENCH_QUOTA=0.02, incremental re-check >= 3x)"
 bench_out=$(mktemp)
 track "$bench_out"
