@@ -542,14 +542,13 @@ let eq_cmd =
 (* fuzz                                                              *)
 
 let fuzz_cmd =
-  let run seed count size mutants domains format save_dir stats guided
-      corpus_dir =
+  let run seed count size mutants format save_dir stats guided corpus_dir =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let cfg =
           { C.Fuzz.seed; count; size; mutants;
             guided = guided || corpus_dir <> None; corpus_dir }
         in
-        let report = C.Fuzz.run ?domains cfg in
+        let report = C.Fuzz.run cfg in
         let saved =
           match save_dir with
           | Some dir when report.C.Fuzz.r_failures <> [] ->
@@ -635,8 +634,7 @@ let fuzz_cmd =
           pretty-print/parse round-trip, and error recovery on corrupted \
           variants; failures are shrunk before reporting")
     Term.(const run $ seed_arg $ count_arg $ size_arg $ mutants_arg
-          $ domains_arg $ format_arg $ save_arg $ stats_flag $ guided_flag
-          $ corpus_arg)
+          $ format_arg $ save_arg $ stats_flag $ guided_flag $ corpus_arg)
 
 (* ---------------------------------------------------------------- *)
 (* serve: the compiler-service daemon                                 *)
@@ -1010,14 +1008,14 @@ let client_cmd =
                    the document.")
   in
   let at =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "at" ] ~docv:"N"
              ~doc:"$(b,edit): splice position (byte offset).  Without \
                    $(b,--at), the file's current contents are sent as \
                    the full new text.")
   in
   let del =
-    Arg.(value & opt int 0
+    Arg.(value & opt count 0
          & info [ "del" ] ~docv:"N"
              ~doc:"$(b,edit): bytes to delete at $(b,--at).")
   in

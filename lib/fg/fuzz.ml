@@ -1294,13 +1294,48 @@ type report = {
   r_generated : int;
   r_mutants_run : int;
   r_failures : failure list;
-  r_coverage : Coverage.map;  (** [] off guided mode *)
+  r_coverage : Coverage.map;
   r_corpus_size : int;
   r_corpus_added : int;
   r_from_corpus : int;  (** candidates mutated from corpus entries *)
 }
 
 let shrink_fuel = 300_000
+
+(* How one run of the recovering pipeline ended.  A candidate runs
+   once, and every oracle reads this verdict of that run. *)
+type verdict =
+  | Accepted
+  | Rejected of Diag.diagnostic  (* its first error diagnostic *)
+  | Crashed of string
+  | Silent  (* rejected without a single error diagnostic *)
+
+let classify sess src =
+  match Session.run_full ~fuel:shrink_fuel sess src with
+  | exception e -> Crashed (Printexc.to_string e)
+  | { Session.outcome = Some _; _ } -> Accepted
+  | { Session.outcome = None; diagnostics } -> (
+      match List.find_opt (fun d -> d.Diag.severity = Diag.Err) diagnostics with
+      | Some d -> Rejected d
+      | None -> Silent)
+
+let fresh_session () = Session.of_config Session.Config.default
+
+(* A failure of [p]: [source] is the offending input when that is not
+   [p] itself (a recovery mutant), [shrunk] its minimized text and
+   node count. *)
+let failure (p : program) ?(source = p.p_source) oracle msg (shrunk, nodes) =
+  {
+    f_index = p.p_index;
+    f_origin = p.p_origin;
+    f_oracle = oracle;
+    f_message = msg;
+    f_source = source;
+    f_shrunk = shrunk;
+    f_shrunk_nodes = nodes;
+  }
+
+let printed ast = (Pretty.exp_to_string ast, Ast.exp_size ast)
 
 let roundtrip_fails ast =
   let src = Pretty.exp_to_string ast in
@@ -1321,17 +1356,9 @@ let roundtrip_failure (p : program) : failure list =
             (Printexc.to_string e)
       | _ -> "pretty -> parse changed the program (up to locations)"
     in
-    let shr = shrink ~still_fails:roundtrip_fails p.p_ast in
     [
-      {
-        f_index = p.p_index;
-        f_origin = p.p_origin;
-        f_oracle = Roundtrip;
-        f_message = msg;
-        f_source = p.p_source;
-        f_shrunk = Pretty.exp_to_string shr;
-        f_shrunk_nodes = Ast.exp_size shr;
-      };
+      failure p Roundtrip msg
+        (printed (shrink ~still_fails:roundtrip_fails p.p_ast));
     ]
   end
 
@@ -1343,52 +1370,52 @@ let agreement_fails ast =
   | Ok _ -> false
   | Error _ -> true
 
-(* What the agreement oracle reads of a batch job: whether it failed,
-   and how.  A batch keeps nothing else of the job. *)
-let verdict _name res = Result.map ignore res
+(* A generated program is well typed by construction, so the pipeline
+   rejecting it, with diagnostic [d], is an agreement failure. *)
+let agreement_failure (p : program) (d : Diag.diagnostic) =
+  let msg =
+    Printf.sprintf "%s [%s] %s" d.Diag.code
+      (Diag.phase_name d.Diag.phase)
+      d.Diag.message
+  in
+  let pred =
+    match d.Diag.phase with
+    | Diag.Translate | Diag.Eval ->
+        (* Keep the interesting shape: candidates must still typecheck
+           and still break the theorem/agreement check, not merely be
+           ill typed. *)
+        fun a -> typechecks a && agreement_fails a
+    | _ -> agreement_fails
+  in
+  failure p Agreement msg (printed (shrink ~still_fails:pred p.p_ast))
 
-let agreement_failure (p : program) (res : (unit, Diag.diagnostic) result) :
-    failure list =
-  match res with
-  | Ok _ -> []
-  | Error (d : Diag.diagnostic) ->
-      let msg =
-        Printf.sprintf "%s [%s] %s" d.Diag.code
-          (Diag.phase_name d.Diag.phase)
-          d.Diag.message
-      in
-      let pred =
-        match d.Diag.phase with
-        | Diag.Translate | Diag.Eval ->
-            (* Keep the interesting shape: candidates must still
-               typecheck and still break the theorem/agreement check,
-               not merely be ill typed. *)
-            fun a -> typechecks a && agreement_fails a
-        | _ -> agreement_fails
-      in
-      let shr = shrink ~still_fails:pred p.p_ast in
-      [
-        {
-          f_index = p.p_index;
-          f_origin = p.p_origin;
-          f_oracle = Agreement;
-          f_message = msg;
-          f_source = p.p_source;
-          f_shrunk = Pretty.exp_to_string shr;
-          f_shrunk_nodes = Ast.exp_size shr;
-        };
-      ]
+(* What a candidate's own run says.  A run that crashed or was rejected
+   silently fails recovery whatever the candidate's origin; a rejected
+   corpus mutant is explored error space. *)
+let verdict_failures (p : program) v =
+  let recovery msg =
+    let pred c =
+      match classify (fresh_session ()) (Pretty.exp_to_string c) with
+      | Crashed _ | Silent -> true
+      | Accepted | Rejected _ -> false
+    in
+    let shr = try shrink ~still_fails:pred p.p_ast with _ -> p.p_ast in
+    [ failure p Recovery msg (printed shr) ]
+  in
+  match v with
+  | Accepted -> []
+  | Rejected d -> if p.p_origin = Gen then [ agreement_failure p d ] else []
+  | Crashed e -> recovery ("recovering pipeline crashed: " ^ e)
+  | Silent -> recovery "rejected program produced no error diagnostics"
 
 (* Recovery oracle: a corrupted program must be rejected with at least
    one error diagnostic, without crashing and without succeeding. *)
 let recovery_bad sess src =
-  match Session.run_full ~fuel:shrink_fuel sess src with
-  | exception e -> Some ("recovering pipeline crashed: " ^ Printexc.to_string e)
-  | { Session.outcome = Some _; _ } ->
-      Some "corrupted program was accepted by the recovering pipeline"
-  | { Session.outcome = None; diagnostics } ->
-      if List.exists (fun d -> d.Diag.severity = Diag.Err) diagnostics then None
-      else Some "corrupted program produced no error diagnostics"
+  match classify sess src with
+  | Rejected _ -> None
+  | Accepted -> Some "corrupted program was accepted by the recovering pipeline"
+  | Crashed e -> Some ("recovering pipeline crashed: " ^ e)
+  | Silent -> Some "corrupted program produced no error diagnostics"
 
 type mutant_kind = KBadChar | KTrailJunk | KUndefVar | KBadConcept
 
@@ -1437,14 +1464,13 @@ let recovery_failures cfg sess mutants_run (p : program) : failure list =
          match recovery_bad sess src with
          | None -> []
          | Some msg ->
-             let shrunk_src, shrunk_nodes =
+             let shrunk =
                match ast with
                | Some a ->
                    let pred c =
                      recovery_bad sess (Pretty.exp_to_string c) <> None
                    in
-                   let shr = shrink ~still_fails:pred a in
-                   (Pretty.exp_to_string shr, Ast.exp_size shr)
+                   printed (shrink ~still_fails:pred a)
                | None ->
                    let pred s = recovery_bad sess s <> None in
                    let shr = shrink_text ~still_fails:pred src in
@@ -1455,51 +1481,7 @@ let recovery_failures cfg sess mutants_run (p : program) : failure list =
                    in
                    (shr, nodes)
              in
-             [
-               {
-                 f_index = p.p_index;
-                 f_origin = p.p_origin;
-                 f_oracle = Recovery;
-                 f_message = msg;
-                 f_source = src;
-                 f_shrunk = shrunk_src;
-                 f_shrunk_nodes = shrunk_nodes;
-               };
-             ]))
-
-let run_blind ?domains (cfg : config) =
-  let before = Coverage.snapshot () in
-  let programs = List.init cfg.count (fun i -> generate cfg ~index:i) in
-  let sess = Session.of_config Session.Config.default in
-  let jobs =
-    List.map
-      (fun p -> (Printf.sprintf "fuzz-%d-%d" cfg.seed p.p_index, p.p_source))
-      programs
-  in
-  let batch = Session.map_batch ?domains sess jobs verdict in
-  let rsess = Session.of_config Session.Config.default in
-  let mutants_run = ref 0 in
-  let failures =
-    List.concat
-      (List.map2
-         (fun p res ->
-           roundtrip_failure p @ agreement_failure p res
-           @ recovery_failures cfg rsess mutants_run p)
-         programs batch)
-  in
-  {
-    r_config = cfg;
-    r_generated = List.length programs;
-    r_mutants_run = !mutants_run;
-    r_failures = failures;
-    (* Blind runs measure a whole-run delta (for coverage comparisons —
-       see tools/ci.sh) but never guide on it; it is surfaced in text
-       output only, so the pinned JSON report shape is unchanged. *)
-    r_coverage = Coverage.diff (Coverage.snapshot ()) before;
-    r_corpus_size = 0;
-    r_corpus_added = 0;
-    r_from_corpus = 0;
-  }
+             [ failure p ~source:src Recovery msg shrunk ]))
 
 (* ------------------------------------------------------------------ *)
 (* Corpus mutators.
@@ -1788,67 +1770,31 @@ let corpus_load ~dir =
                  Some (Filename.remove_extension f, s))
 
 (* ------------------------------------------------------------------ *)
-(* Coverage-guided mode.
+(* The fuzz loop.
 
-   Phase A is strictly sequential: each candidate (mutated from the
-   corpus, or generated when the corpus is dry) runs through a fresh
-   session bracketed by coverage snapshots, so its delta is exact, the
-   corpus-admission decisions are a pure function of (seed, corpus),
-   and the reported coverage map — the union of the per-candidate
-   deltas — is byte-identical whatever [?domains] is.  Phase B then
-   fans the oracles out over domains exactly like blind mode; nothing
-   it does feeds back into the map or the corpus. *)
-
-(* How a candidate's recovering run classified. *)
-type measured =
-  | MWellTyped
-  | MRejected  (* at least one error diagnostic: explored error space *)
-  | MCrash of string
-  | MSilent  (* rejected without a single error diagnostic *)
+   One loop serves both modes.  Each candidate (generated, or in guided
+   mode mutated from the corpus) runs the recovering pipeline once, in
+   a fresh session bracketed by coverage snapshots, so its coverage
+   delta is exact, and every oracle reads the verdict of that run.  The
+   loop is strictly sequential: the coverage map, the corpus-admission
+   decisions and the report are a pure function of (config, corpus).
+   Blind mode is the same loop with an empty corpus that admits
+   nothing. *)
 
 let measure src =
   let before = Coverage.snapshot () in
-  let m =
-    let sess = Session.of_config Session.Config.default in
-    match Session.run_full ~fuel:shrink_fuel sess src with
-    | exception e -> MCrash (Printexc.to_string e)
-    | { Session.outcome = Some _; _ } -> MWellTyped
-    | { Session.outcome = None; diagnostics } ->
-        if List.exists (fun d -> d.Diag.severity = Diag.Err) diagnostics then
-          MRejected
-        else MSilent
-  in
-  (m, Coverage.diff (Coverage.snapshot ()) before)
-
-(* A candidate whose recovering run crashed or got silently dropped is
-   a recovery-oracle failure whatever its origin. *)
-let guided_bad src =
-  let sess = Session.of_config Session.Config.default in
-  match Session.run_full ~fuel:shrink_fuel sess src with
-  | exception _ -> true
-  | { Session.outcome = None; diagnostics } ->
-      not (List.exists (fun d -> d.Diag.severity = Diag.Err) diagnostics)
-  | _ -> false
-
-let guided_failure (p : program) msg =
-  let pred c = guided_bad (Pretty.exp_to_string c) in
-  let shr = try shrink ~still_fails:pred p.p_ast with _ -> p.p_ast in
-  {
-    f_index = p.p_index;
-    f_origin = p.p_origin;
-    f_oracle = Recovery;
-    f_message = msg;
-    f_source = p.p_source;
-    f_shrunk = Pretty.exp_to_string shr;
-    f_shrunk_nodes = Ast.exp_size shr;
-  }
+  let v = classify (fresh_session ()) src in
+  (v, Coverage.diff (Coverage.snapshot ()) before)
 
 (* Shrink budget for corpus admission: novelty is usually preserved by
    much smaller programs, but we cannot afford blind-shrinker fuel on
    every interesting input. *)
 let corpus_shrink_fuel = 96
 
-let run_guided ?domains (cfg : config) =
+let run (cfg : config) =
+  let guided = cfg.guided || cfg.corpus_dir <> None in
+  let cfg = { cfg with guided } in
+  let before = Coverage.snapshot () in
   (* In-memory corpus: only entries that re-parse can seed mutations;
      everything is tracked by digest so an entry is admitted once. *)
   let initial =
@@ -1868,38 +1814,16 @@ let run_guided ?domains (cfg : config) =
   corpus := List.rev !corpus;
   let added = ref 0 in
   let acc = ref [] in
-  let from_corpus = ref 0 in
-  let candidates = ref [] in
-  for i = 0 to cfg.count - 1 do
-    let r = rng_of ~seed:cfg.seed ~index:i in
-    let mutated =
-      if !corpus <> [] && rchance r 0.75 then begin
-        let _, _, base = rchoose r !corpus in
-        let _, _, donor = rchoose r !corpus in
-        match mutate r ~donor base with
-        | None -> None
-        | Some ast0 ->
-            let source = Pretty.exp_to_string ast0 in
-            let ast = try Parser.exp_of_string source with _ -> ast0 in
-            Some { p_index = i; p_origin = Corpus; p_ast = ast; p_source = source }
-      end
-      else None
-    in
-    let p =
-      match mutated with
-      | Some p ->
-          incr from_corpus;
-          p
-      | None -> generate cfg ~index:i
-    in
-    let m, delta = measure p.p_source in
+  (* Admit [p] when its run reached decision points no earlier
+     candidate did: minimize while the novel points stay covered, then
+     add it to the corpus (and persist it, when a directory is
+     given). *)
+  let admit (p : program) delta =
     let novel =
       List.filter (fun k -> not (List.mem_assoc k !acc)) (Coverage.keys delta)
     in
     acc := Coverage.merge !acc delta;
     if novel <> [] then begin
-      (* Minimize while the novel decision points stay covered, then
-         admit to the corpus (and persist, when a directory is given). *)
       let covers src =
         let _, d = measure src in
         let ks = Coverage.keys d in
@@ -1925,72 +1849,65 @@ let run_guided ?domains (cfg : config) =
         | Some d -> corpus_write ~dir:d ~digest src
         | None -> ()
       end
-    end;
-    candidates := (p, m) :: !candidates
-  done;
-  let programs = List.rev !candidates in
-  (* Phase B: oracles, fanned out like blind mode.  Only candidates the
-     recovering pipeline accepted run the agreement batch. *)
-  let well_typed =
-    List.filter (fun (_, m) -> match m with MWellTyped -> true | _ -> false)
-      programs
+    end
   in
-  let jobs =
-    List.map
-      (fun (p, _) ->
-        (Printf.sprintf "fuzz-%d-%d" cfg.seed p.p_index, p.p_source))
-      well_typed
-  in
-  let batch =
-    Session.map_batch ?domains (Session.of_config Session.Config.default) jobs
-      verdict
-  in
-  let agree = Hashtbl.create 32 in
-  List.iter2
-    (fun (p, _) res -> Hashtbl.replace agree p.p_index res)
-    well_typed batch;
-  let rsess = Session.of_config Session.Config.default in
+  let from_corpus = ref 0 in
+  let rsess = fresh_session () in
   let mutants_run = ref 0 in
-  let failures =
-    List.concat
-      (List.map
-         (fun (p, m) ->
-           let classed =
-             match m with
-             | MCrash msg ->
-                 [ guided_failure p ("recovering pipeline crashed: " ^ msg) ]
-             | MSilent ->
-                 [
-                   guided_failure p
-                     "rejected program produced no error diagnostics";
-                 ]
-             | MWellTyped | MRejected -> []
-           in
-           let oracles =
-             match m with
-             | MWellTyped ->
-                 roundtrip_failure p
-                 @ agreement_failure p (Hashtbl.find agree p.p_index)
-             | _ -> []
-           in
-           classed @ oracles @ recovery_failures cfg rsess mutants_run p)
-         programs)
-  in
+  let failures = ref [] in
+  for i = 0 to cfg.count - 1 do
+    let r = rng_of ~seed:cfg.seed ~index:i in
+    let mutated =
+      if !corpus <> [] && rchance r 0.75 then begin
+        let _, _, base = rchoose r !corpus in
+        let _, _, donor = rchoose r !corpus in
+        match mutate r ~donor base with
+        | None -> None
+        | Some ast0 ->
+            let source = Pretty.exp_to_string ast0 in
+            let ast = try Parser.exp_of_string source with _ -> ast0 in
+            Some { p_index = i; p_origin = Corpus; p_ast = ast; p_source = source }
+      end
+      else None
+    in
+    let p =
+      match mutated with
+      | Some p ->
+          incr from_corpus;
+          p
+      | None -> generate cfg ~index:i
+    in
+    let v, delta = measure p.p_source in
+    if guided then admit p delta;
+    (* The round trip is judged on programs that are well typed: every
+       generated one, and the corpus mutants the pipeline accepted. *)
+    let roundtrip =
+      match (p.p_origin, v) with
+      | Gen, _ | Corpus, Accepted -> roundtrip_failure p
+      | Corpus, _ -> []
+    in
+    failures :=
+      List.rev_append
+        (roundtrip @ verdict_failures p v
+        @ recovery_failures cfg rsess mutants_run p)
+        !failures
+  done;
   {
     r_config = cfg;
-    r_generated = List.length programs;
+    r_generated = cfg.count;
     r_mutants_run = !mutants_run;
-    r_failures = failures;
-    r_coverage = !acc;
+    r_failures = List.rev !failures;
+    (* Guided runs report the union of the candidates' own deltas.
+       Blind runs report the whole run's delta, recovery mutants and
+       shrinking included (for coverage comparisons, see tools/ci.sh);
+       it is surfaced in text output only, so the pinned JSON report
+       shape is unchanged. *)
+    r_coverage =
+      (if guided then !acc else Coverage.diff (Coverage.snapshot ()) before);
     r_corpus_size = Hashtbl.length known;
     r_corpus_added = !added;
     r_from_corpus = !from_corpus;
   }
-
-let run ?domains cfg =
-  if cfg.guided || cfg.corpus_dir <> None then
-    run_guided ?domains { cfg with guided = true }
-  else run_blind ?domains cfg
 
 (* ------------------------------------------------------------------ *)
 (* Reporting. *)

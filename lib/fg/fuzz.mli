@@ -5,23 +5,25 @@
 
     Every program is built from a {!Fg_util.Prng} stream split from a
     single integer seed — program [i] of a run is a pure function of
-    [(seed, i, size)], independent of evaluation order, domain count
-    and sibling programs — and exercises the whole Section 5/6 feature
-    surface: refinement diamonds, associated types (including
-    concept-level [same] pins), scoped and shadowing models, named
-    models activated by [using], parameterized models at [list t],
-    nested and multi-parameter [tfun … where] abstractions, implicit
+    [(seed, i, size)], independent of evaluation order and sibling
+    programs — and exercises the whole Section 5/6 feature surface:
+    refinement diamonds, associated types (including concept-level
+    [same] pins), scoped and shadowing models, named models activated
+    by [using], parameterized models at [list t], nested and
+    multi-parameter [tfun … where] abstractions, implicit
     instantiation, member defaults and type aliases.
 
-    Each generated program is checked against three oracles:
+    Each candidate runs the recovering {!Session} pipeline once, in a
+    fresh session, and three oracles read that run:
 
-    - {b agreement} — {!Theorems.check_agreement} through the
-      {!Session} batch machinery (Theorems 1/2 plus semantic agreement
-      of the direct interpreter and the evaluated translation), fanned
-      out over OCaml 5 domains;
+    - {b agreement} — a generated program is well typed by
+      construction, so any rejection of it (a checker error, a
+      Theorem 1/2 violation, or the direct interpreter and the
+      evaluated translation disagreeing) is a failure;
     - {b roundtrip} — the pretty-printed source re-parses to the same
       AST ({!Ast.exp_equal}, locations ignored);
-    - {b recovery} — deterministically corrupted variants must report
+    - {b recovery} — a run must never crash nor reject without an error
+      diagnostic, and deterministically corrupted variants must report
       diagnostics through the recovering pipeline: never crash, never
       succeed.
 
@@ -31,12 +33,13 @@
     swap, model shadow/unshadow, where-clause add/drop), or a blind
     generation when the corpus is dry — is measured against the
     process-wide {!Fg_util.Coverage} map, and inputs that reach new
-    decision points are minimized and admitted to the corpus.
-    Measurement is strictly sequential, so the reported coverage map
-    and the corpus contents are byte-identical across runs and across
-    domain counts.  Corpus mutants need not be well typed: a rejection
-    carrying error diagnostics is explored error space, and only
-    crashes and silent rejections fail the oracle.
+    decision points are minimized and admitted to the corpus.  The
+    loop is strictly sequential, so the reported coverage map and the
+    corpus contents are byte-identical across runs.  Generated
+    candidates are judged exactly as in blind mode.  Corpus mutants
+    need not be well typed: a rejection carrying error diagnostics is
+    explored error space, and only crashes and silent rejections fail
+    the oracle.
 
     Failures are minimized by a greedy shrinker (declaration deletion
     and subterm replacement, every candidate re-validated through the
@@ -101,12 +104,10 @@ type report = {
 }
 
 (** Run the whole harness: generate (or, guided, mutate) [config.count]
-    programs, check the three oracles (agreement fanned out over
-    [domains] OCaml domains via {!Session.map_batch}), shrink any
-    failures.  Output — including the guided-mode coverage map and
-    corpus — is independent of [domains].  Does not raise on oracle
-    failures — they come back in the report. *)
-val run : ?domains:int -> config -> report
+    programs, run each through the pipeline once, check the three
+    oracles on that run, and shrink any failures.  Does not raise on
+    oracle failures — they come back in the report. *)
+val run : config -> report
 
 (** Greedy shrink: repeatedly apply the smallest still-failing
     one-step rewrite (declaration deletion, subterm hoisting, literal

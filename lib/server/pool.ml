@@ -242,13 +242,15 @@ let process t handler (job : job) =
             Json.to_string
               (Json.Obj
                  [ ("ok", Json.Bool true); ("draining", Json.Bool true) ]) }
+    | Protocol.Stats ->
+        (* No deadline applies either: stats read counters and run no
+           program, so a busy daemon can still be looked into. *)
+        { Protocol.r_id = job.req.Protocol.id; r_status = Protocol.Ok_;
+          r_payload = stats_payload t }
     | _ when past_deadline job start ->
         (* Expired while queued: reject without running. *)
         timeout_response job
           ~elapsed_ms:((start - job.enqueued_ns) / 1_000_000)
-    | Protocol.Stats ->
-        { Protocol.r_id = job.req.Protocol.id; r_status = Protocol.Ok_;
-          r_payload = stats_payload t }
     | _ ->
         let status, payload = Handler.handle_safe handler job.req in
         let finished = now_ns () in

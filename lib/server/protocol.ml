@@ -254,25 +254,36 @@ let request_of_json j =
                 | Hover | Definition | Completion -> true
                 | _ -> false
               in
+              (* Each edit is [{start >= 0, len >= 0, text}]; one that
+                 is not refuses the whole request, so a change is never
+                 applied without one of its edits. *)
+              let edit ej =
+                match
+                  ( Json.int_field "start" ej,
+                    Json.int_field "len" ej,
+                    Json.str_field "text" ej )
+                with
+                | Some s, Some len, Some txt when s >= 0 && len >= 0 ->
+                    Some (s, len, txt)
+                | _ -> None
+              in
               let edits =
                 match Json.mem "edits" j with
-                | Some (Json.List l) ->
-                    List.filter_map
-                      (fun ej ->
-                        match
-                          ( Json.int_field "start" ej,
-                            Json.int_field "len" ej,
-                            Json.str_field "text" ej )
-                        with
-                        | Some s, Some len, Some txt -> Some (s, len, txt)
-                        | _ -> None)
-                      l
-                | _ -> []
+                | Some (Json.List l) -> (
+                    let decoded = List.map edit l in
+                    match List.find_index Option.is_none decoded with
+                    | Some i ->
+                        Error
+                          (Printf.sprintf
+                             "edit %d is not {start >= 0, len >= 0, text}" i)
+                    | None -> Ok (List.filter_map Fun.id decoded))
+                | _ -> Ok []
               in
-              match Json.str_field "backend" j with
-              | Some s when s <> "dict" ->
+              match (Json.str_field "backend" j, edits) with
+              | Some s, _ when s <> "dict" ->
                   Error (Bad_request (Printf.sprintf "unknown backend %S" s))
-              | _ ->
+              | _, Error msg -> Error (Bad_request msg)
+              | _, Ok edits ->
               if needs_source && Json.str_field "source" j = None then
                 Error
                   (Bad_request

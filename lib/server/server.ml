@@ -114,8 +114,9 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : address;  (** with the OS-chosen port resolved *)
   reg_m : Mutex.t;
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
+  readers : (int, conn * Thread.t) Hashtbl.t;
+      (** the live readers, by thread id; a reader leaves when it
+          finishes *)
   stop_requested : bool Atomic.t;
 }
 
@@ -235,8 +236,7 @@ let create cfg =
     listen_fd;
     bound;
     reg_m = Mutex.create ();
-    conns = [];
-    readers = [];
+    readers = Hashtbl.create 16;
     stop_requested = Atomic.make false;
   }
 
@@ -448,7 +448,9 @@ let reader t conn =
   (try loop ()
    with e ->
      logf t "reader error: %s" (Printexc.to_string e));
-  mark_eof conn
+  mark_eof conn;
+  Mutex.protect t.reg_m (fun () ->
+      Hashtbl.remove t.readers (Thread.id (Thread.self ())))
 
 (* ---------------------------------------------------------------- *)
 (* Accept loop and shutdown                                          *)
@@ -465,11 +467,12 @@ let accept_one t =
            with Unix.Unix_error _ -> ());
           let conn = mk_conn fd in
           Pool.record_connection (Pool.metrics t.pool);
-          let th = Thread.create (fun () -> reader t conn) () in
-          Mutex.lock t.reg_m;
-          t.conns <- conn :: t.conns;
-          t.readers <- th :: t.readers;
-          Mutex.unlock t.reg_m
+          (* Registered under the lock the reader takes to leave, so a
+             reader that finishes at once still leaves after it was
+             added. *)
+          Mutex.protect t.reg_m (fun () ->
+              let th = Thread.create (fun () -> reader t conn) () in
+              Hashtbl.replace t.readers (Thread.id th) (conn, th))
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
@@ -492,11 +495,12 @@ let run t =
   | `Tcp _ -> ());
   Pool.initiate_stop t.pool;
   Pool.join t.pool;
-  Mutex.lock t.reg_m;
-  let conns = t.conns and readers = t.readers in
-  Mutex.unlock t.reg_m;
-  List.iter force_shutdown conns;
-  List.iter Thread.join readers;
+  let live =
+    Mutex.protect t.reg_m (fun () ->
+        Hashtbl.fold (fun _ r acc -> r :: acc) t.readers [])
+  in
+  List.iter (fun (conn, _) -> force_shutdown conn) live;
+  List.iter (fun (_, th) -> Thread.join th) live;
   logf t "drained; bye"
 
 let serve cfg = run (create cfg)

@@ -92,27 +92,6 @@ module Histogram = struct
       in
       walk 0 0
 
-  let reset t =
-    Array.iter (fun b -> Atomic.set b 0) t.buckets;
-    Atomic.set t.count 0;
-    Atomic.set t.sum 0;
-    Atomic.set t.max_v 0
-
-  (* Bucket-wise sum into a fresh histogram — the same snapshot/merge
-     shape as the sharded counters: each side is read racily, the
-     result is a consistent standalone value.  Bucket boundaries are a
-     compile-time constant, so merging is exact (no re-bucketing). *)
-  let merge a b =
-    let t = create () in
-    for i = 0 to n_buckets - 1 do
-      Atomic.set t.buckets.(i)
-        (Atomic.get a.buckets.(i) + Atomic.get b.buckets.(i))
-    done;
-    Atomic.set t.count (count a + count b);
-    Atomic.set t.sum (sum a + sum b);
-    Atomic.set t.max_v (max (max_value a) (max_value b));
-    t
-
   (* Rendered in milliseconds on the assumption that observations are
      nanoseconds — which is what every histogram in the tree records.
      Keys are emitted in sorted order (stats output is byte-stable). *)

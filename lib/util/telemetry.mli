@@ -35,14 +35,6 @@ module Histogram : sig
       clamped to the exact maximum); 0 when empty. *)
   val percentile : t -> float -> int
 
-  val reset : t -> unit
-
-  (** [merge a b] — a fresh histogram holding both sides' samples
-      (bucket-wise sum; exact, since bucket boundaries are fixed).
-      Reads each side racily, like every snapshot in this module; the
-      multi-worker / fleet merge operation. *)
-  val merge : t -> t -> t
-
   (** [{"count", "max_ms", "mean_ms", "p50_ms", "p95_ms", "p99_ms"}]
       (keys sorted) — samples are assumed to be nanoseconds. *)
   val to_json : t -> Json.t

@@ -711,8 +711,8 @@ let test_usage_mistakes () =
             "invalid value '0', expected a positive integer");
            ("corpus --all --domains=-1",
             "invalid value '-1', expected a positive integer");
-           ("fuzz --count 1 --domains=-1",
-            "invalid value '-1', expected a positive integer");
+           ("fuzz --count 1 --domains=-1", "unknown option '--domains'");
+           ("fuzz --count 1 -j 2", "unknown option '-j'");
            ("serve --workers 0 --socket " ^ sock,
             "invalid value '0', expected a positive integer");
            ("serve --max-queue=-3 --socket " ^ sock,
@@ -731,6 +731,10 @@ let test_usage_mistakes () =
             "invalid value '-1'");
            ("client batch --window=0 ../programs --socket " ^ sock,
             "invalid value '0'");
+           ("client edit a.fg --at=-4 --del=2 --insert x --socket " ^ sock,
+            "invalid value '-4'");
+           ("client edit a.fg --at=4 --del=-2 --insert x --socket " ^ sock,
+            "invalid value '-2'");
          ]
         @ List.map
             (fun args -> (args, "unknown option '--cache-dir'"))

@@ -74,7 +74,7 @@ let test_generate_deterministic () =
    oracles, and the run is reproducible end to end. *)
 let test_run_clean () =
   let cfg = { Fuzz.default_config with Fuzz.seed = 5; count = 15; size = 25; mutants = 2 } in
-  let r = Fuzz.run ~domains:2 cfg in
+  let r = Fuzz.run cfg in
   Alcotest.(check int) "generated" 15 r.Fuzz.r_generated;
   Alcotest.(check int) "mutants run" 30 r.Fuzz.r_mutants_run;
   (match r.Fuzz.r_failures with
@@ -83,8 +83,8 @@ let test_run_clean () =
       Alcotest.failf "oracle %s failed on #%d: %s\n%s"
         (Fuzz.oracle_name f.Fuzz.f_oracle)
         f.Fuzz.f_index f.Fuzz.f_message f.Fuzz.f_source);
-  let r' = Fuzz.run ~domains:1 cfg in
-  Alcotest.(check string) "report independent of domain count"
+  let r' = Fuzz.run cfg in
+  Alcotest.(check string) "report reproducible"
     (Json.to_string (Fuzz.report_to_json r))
     (Json.to_string (Fuzz.report_to_json r'))
 
@@ -124,7 +124,7 @@ let test_shrink_deletes_decls () =
 (* The stable report shape documented in docs/LANGUAGE.md. *)
 let test_report_json_shape () =
   let cfg = { Fuzz.default_config with Fuzz.seed = 3; count = 2; size = 15; mutants = 1 } in
-  let r = Fuzz.run ~domains:1 cfg in
+  let r = Fuzz.run cfg in
   match Fuzz.report_to_json r with
   | Json.Obj fields ->
       Alcotest.(check (list string))
@@ -248,29 +248,28 @@ let fresh_dir tag =
   rm_rf d;
   d
 
-(* Guided runs are byte-deterministic: same seed into fresh corpus
-   dirs under different domain counts must produce an identical
-   coverage map, an identical report JSON, and on-disk
-   corpora that agree entry for entry — Phase A measurement is
-   sequential, and the parallel oracle phase never feeds the map. *)
+(* Guided runs are byte-deterministic: the same seed run twice into
+   fresh corpus dirs produces an identical coverage map, an identical
+   report JSON, and on-disk corpora that agree entry for entry — the
+   loop is sequential and each candidate's coverage delta is exact. *)
 let test_guided_deterministic () =
   let d1 = fresh_dir "fg-guided-det-1" and d2 = fresh_dir "fg-guided-det-2" in
   let cfg dir =
     { Fuzz.seed = 21; count = 40; size = 25; mutants = 1; guided = true;
       corpus_dir = Some dir }
   in
-  let r1 = Fuzz.run ~domains:1 (cfg d1) in
-  let r2 = Fuzz.run ~domains:4 (cfg d2) in
+  let r1 = Fuzz.run (cfg d1) in
+  let r2 = Fuzz.run (cfg d2) in
   Alcotest.(check (list (pair string int)))
-    "coverage map identical across -j" r1.Fuzz.r_coverage r2.Fuzz.r_coverage;
-  Alcotest.(check string) "report JSON byte-identical across -j"
+    "coverage map identical across runs" r1.Fuzz.r_coverage r2.Fuzz.r_coverage;
+  Alcotest.(check string) "report JSON byte-identical across runs"
     (Json.to_string (Fuzz.report_to_json r1))
     (Json.to_string (Fuzz.report_to_json r2));
   Alcotest.(check bool) "the run guided at all" true
     (r1.Fuzz.r_from_corpus > 0 && r1.Fuzz.r_corpus_added > 0);
   let e1 = Fuzz.corpus_load ~dir:d1 and e2 = Fuzz.corpus_load ~dir:d2 in
   Alcotest.(check bool) "corpus is non-empty" true (e1 <> []);
-  Alcotest.(check bool) "corpora byte-identical across -j" true (e1 = e2);
+  Alcotest.(check bool) "corpora byte-identical across runs" true (e1 = e2);
   Alcotest.(check int) "corpus size reported" (List.length e1)
     r1.Fuzz.r_corpus_size;
   rm_rf d1;
@@ -304,12 +303,32 @@ let test_guided_cold_repro () =
     { Fuzz.seed = 2; count = 150; size = 30; mutants = 0; guided = true;
       corpus_dir = Some dir }
   in
-  let r = Fuzz.run ~domains:2 cfg in
+  let r = Fuzz.run cfg in
   let covered = Coverage.keys r.Fuzz.r_coverage in
   let missing = List.filter (fun k -> not (List.mem k covered)) target in
   Alcotest.(check (list string))
     "every regression decision point re-found from cold" [] missing;
   rm_rf dir
+
+(* Guided mode judges a generated candidate exactly as blind mode
+   does: the agreement failures it reports among generated candidates
+   are blind mode's over the same programs (at seed 2 blind mode
+   reports #152, where the interpreter and the translation disagree
+   over a shadowed model reached through refinement). *)
+let test_guided_agrees_with_blind () =
+  let cfg = { Fuzz.default_config with Fuzz.seed = 2; count = 153; mutants = 0 } in
+  let generated_agreement (r : Fuzz.report) =
+    List.filter_map
+      (fun (f : Fuzz.failure) ->
+        if f.Fuzz.f_oracle = Fuzz.Agreement && f.Fuzz.f_origin = Fuzz.Gen then
+          Some (f.Fuzz.f_index, f.Fuzz.f_message, f.Fuzz.f_shrunk)
+        else None)
+      r.Fuzz.r_failures
+  in
+  Alcotest.(check (list (triple int string string)))
+    "guided agreement failures on generated candidates = blind's"
+    (generated_agreement (Fuzz.run cfg))
+    (generated_agreement (Fuzz.run { cfg with Fuzz.guided = true }))
 
 let suite =
   [
@@ -329,4 +348,6 @@ let suite =
       test_guided_deterministic;
     Alcotest.test_case "guided cold reproduction" `Quick
       test_guided_cold_repro;
+    Alcotest.test_case "guided judges generated as blind does" `Quick
+      test_guided_agrees_with_blind;
   ]

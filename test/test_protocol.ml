@@ -236,6 +236,39 @@ let test_request_bad_shapes () =
       ("fuzz_one", ",\"seed\":1,\"size\":30,\"mutants\":0");
       ("fuzz_batch", ",\"coverage\":{\"a\":1},\"corpus\":{},\"have\":[]") ]
 
+(* A doc_change's edits are all [{start >= 0, len >= 0, text}], or the
+   request is refused naming the first edit that is not: a misspelled
+   edit beside good ones is not dropped, and a negative offset is not
+   clamped onto the document's first bytes.  An over-long range decodes
+   (the workspace clamps it to the document). *)
+let test_request_edits () =
+  let frame edits =
+    Printf.sprintf
+      "{\"v\":6,\"id\":1,\"kind\":\"doc_change\",\"file\":\"d.fg\",\"doc_version\":2,\"edits\":[%s]}"
+      (String.concat "," edits)
+  in
+  let good = {|{"start":0,"len":0,"text":"a"}|} in
+  let far = {|{"start":1000,"len":99999,"text":""}|} in
+  (match parse_request (frame [ good; far ]) with
+  | Ok r ->
+      Alcotest.(check (list (triple int int string))) "edits in order"
+        [ (0, 0, "a"); (1000, 99999, "") ] r.Protocol.edits
+  | Error _ -> Alcotest.fail "well-formed edits must decode");
+  List.iter
+    (fun (edits, index) ->
+      match parse_request (frame edits) with
+      | Error (Protocol.Bad_request msg) ->
+          Alcotest.(check string) (String.concat "," edits)
+            (Printf.sprintf "edit %d is not {start >= 0, len >= 0, text}"
+               index)
+            msg
+      | _ -> Alcotest.failf "%s must be Bad_request" (String.concat "," edits))
+    [ ([ good; {|{"start":1,"lenn":1,"text":"b"}|}; good ], 1);
+      ([ {|{"start":-4,"len":2,"text":"x"}|} ], 0);
+      ([ good; good; {|{"start":4,"len":-2,"text":"x"}|} ], 2);
+      ([ {|{"start":4,"len":2}|} ], 0);
+      ([ good; {|[4, 2, "x"]|} ], 1) ]
+
 (* A decoder reads a connection through one buffer of its own: reading
    100 small frames allocates far less than one 64 KiB block per read
    would. *)
@@ -322,6 +355,8 @@ let suite =
     Alcotest.test_case "request version mismatch" `Quick
       test_request_version_mismatch;
     Alcotest.test_case "request bad shapes" `Quick test_request_bad_shapes;
+    Alcotest.test_case "request edits are validated" `Quick
+      test_request_edits;
     Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
     Alcotest.test_case "error payload shape" `Quick test_error_payload_shape;
     Alcotest.test_case "no backend field means dict" `Quick

@@ -192,6 +192,27 @@ let test_shutdown_past_deadline () =
     [ "timeout"; "ok" ] statuses;
   Alcotest.(check bool) "Server.run returned on the shutdown" true drained
 
+(* A stats request queued behind a run that outlives the deadline is
+   past its own deadline when a worker takes it, and still answers: it
+   reads counters and runs no program, so a busy daemon can always be
+   looked into. *)
+let test_stats_past_deadline () =
+  with_server ~workers:1 ~request_timeout_ms:50 (fun addr _srv ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          Client.send c (slow_run ~id:1);
+          Client.send c (Protocol.request ~id:2 Protocol.Stats);
+          let resps =
+            List.init 2 (fun _ -> Client.read_response c)
+            |> List.sort (fun a b -> compare a.Protocol.r_id b.Protocol.r_id)
+          in
+          Alcotest.(check (list string)) "slow run times out, stats answer"
+            [ "timeout"; "ok" ]
+            (List.map (fun r -> Protocol.status_name r.Protocol.r_status) resps);
+          Alcotest.(check bool) "the stats payload" true
+            (contains ~needle:{|"workers": 1|}
+               (List.nth resps 1).Protocol.r_payload)))
+
 let test_protocol_violations () =
   with_server (fun addr _srv ->
       (* Garbage JSON in a well-formed frame: FG0803, connection
@@ -381,6 +402,29 @@ let test_connect_leaks_nothing () =
   done;
   Alcotest.(check bool) "no descriptor leaked" true (lowest_free () = before)
 
+(* A connection leaves the server when its reader finishes: once the
+   first 200 connect/run/close cycles have warmed it, 2,000 more leave
+   the server's reachable words within 10% of their level. *)
+let test_connections_leave () =
+  with_server ~workers:1 (fun addr srv ->
+      let words_after n =
+        for _ = 1 to n do
+          let c = Client.connect addr in
+          Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+              ignore (Client.run_file c ~file:"<t>" "1 + 1"))
+        done;
+        (* let the last readers see their end of file *)
+        Thread.delay 0.1;
+        Obj.reachable_words (Obj.repr srv)
+      in
+      let warm = words_after 200 in
+      let later = words_after 2000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "reachable words %d after 200, %d after 2,200" warm
+           later)
+        true
+        (float_of_int later <= 1.1 *. float_of_int warm))
+
 (* The v5 document kinds over a real socket: lifecycle, splice edits,
    warm/one-shot byte identity, a hover answer, and the FG0807/FG0808
    service errors with their exit-relevant Failed status. *)
@@ -419,6 +463,25 @@ let test_workspace_kinds () =
             (Protocol.status_name r.Protocol.r_status);
           Alcotest.(check bool) "stale is FG0808" true
             (contains ~needle:"FG0808" r.Protocol.r_payload);
+          (* a malformed edit: refused, document and version untouched *)
+          let r =
+            Client.doc_change c ~version:3 ~name:"w.fg"
+              (`Edits [ (8, 1, "5"); (-4, 2, "x") ])
+          in
+          Alcotest.(check string) "malformed edit is a protocol error"
+            "protocol_error"
+            (Protocol.status_name r.Protocol.r_status);
+          Alcotest.(check bool) "names the edit" true
+            (contains ~needle:"FG0803" r.Protocol.r_payload
+            && contains ~needle:"edit 1 is not" r.Protocol.r_payload);
+          let d = Client.doc_diagnostics c ~name:"w.fg" in
+          Alcotest.(check string) "document untouched" edited
+            d.Protocol.r_payload;
+          let r =
+            Client.doc_change c ~version:3 ~name:"w.fg" (`Text source)
+          in
+          Alcotest.(check string) "version 3 still ahead" "ok"
+            (Protocol.status_name r.Protocol.r_status);
           let r = Client.doc_close c ~name:"w.fg" in
           Alcotest.(check string) "close ok" "ok"
             (Protocol.status_name r.Protocol.r_status);
@@ -591,6 +654,8 @@ let suite =
       test_timeout_names_server_limit;
     Alcotest.test_case "shutdown past its deadline still drains" `Quick
       test_shutdown_past_deadline;
+    Alcotest.test_case "stats past its deadline still answers" `Quick
+      test_stats_past_deadline;
     Alcotest.test_case "protocol violations" `Quick test_protocol_violations;
     Alcotest.test_case "overload and retry" `Quick test_overload;
     Alcotest.test_case "stats endpoint" `Quick test_stats;
@@ -599,6 +664,8 @@ let suite =
     Alcotest.test_case "client read timeout" `Quick test_client_timeout;
     Alcotest.test_case "failed connect leaks nothing" `Quick
       test_connect_leaks_nothing;
+    Alcotest.test_case "closed connections leave the server" `Quick
+      test_connections_leave;
     Alcotest.test_case "workspace document kinds" `Quick
       test_workspace_kinds;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_drain;

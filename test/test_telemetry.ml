@@ -32,9 +32,7 @@ let test_histogram_basics () =
      bucket bound is clamped to the observed maximum). *)
   Alcotest.(check int) "p50 of singleton" 7 (Telemetry.Histogram.percentile h 50.);
   Alcotest.(check int) "p100 of singleton" 7
-    (Telemetry.Histogram.percentile h 100.);
-  Telemetry.Histogram.reset h;
-  Alcotest.(check int) "reset" 0 (Telemetry.Histogram.count h)
+    (Telemetry.Histogram.percentile h 100.)
 
 let test_histogram_accuracy () =
   let h = Telemetry.Histogram.create () in
@@ -77,50 +75,6 @@ let test_histogram_parallel () =
   done;
   Alcotest.(check int) "exact sum" !expected_sum (Telemetry.Histogram.sum h);
   Alcotest.(check int) "exact max" n (Telemetry.Histogram.max_value h)
-
-(* Fleet merge: two histograms whose samples landed in disjoint bucket
-   ranges must combine exactly — fixed bucket boundaries make the merge
-   a bucket-wise sum, not an approximation of an approximation. *)
-let test_histogram_merge () =
-  let a = Telemetry.Histogram.create () in
-  let b = Telemetry.Histogram.create () in
-  for v = 1 to 100 do
-    Telemetry.Histogram.observe a v
-  done;
-  for v = 1_000_000 to 1_000_100 do
-    Telemetry.Histogram.observe b v
-  done;
-  let m = Telemetry.Histogram.merge a b in
-  Alcotest.(check int) "merged count" (100 + 101)
-    (Telemetry.Histogram.count m);
-  Alcotest.(check int) "merged sum"
-    (Telemetry.Histogram.sum a + Telemetry.Histogram.sum b)
-    (Telemetry.Histogram.sum m);
-  Alcotest.(check int) "merged max" 1_000_100
-    (Telemetry.Histogram.max_value m);
-  (* The inputs are untouched... *)
-  Alcotest.(check int) "left input intact" 100 (Telemetry.Histogram.count a);
-  Alcotest.(check int) "right input intact" 101 (Telemetry.Histogram.count b);
-  (* ...and rank statistics straddle the two populations: the low half
-     comes from [a], the high percentiles from [b]. *)
-  Alcotest.(check bool) "p25 from the low range" true
-    (Telemetry.Histogram.percentile m 25. <= 125);
-  Alcotest.(check bool) "p99 from the high range" true
-    (Telemetry.Histogram.percentile m 99. >= 1_000_000);
-  (* Merging with empty is identity on every statistic. *)
-  let e = Telemetry.Histogram.create () in
-  let me = Telemetry.Histogram.merge m e in
-  Alcotest.(check int) "merge with empty: count"
-    (Telemetry.Histogram.count m) (Telemetry.Histogram.count me);
-  Alcotest.(check int) "merge with empty: sum" (Telemetry.Histogram.sum m)
-    (Telemetry.Histogram.sum me);
-  Alcotest.(check int) "merge with empty: max"
-    (Telemetry.Histogram.max_value m) (Telemetry.Histogram.max_value me);
-  (* Merge of two empties stays fully empty (quantiles included). *)
-  let ee = Telemetry.Histogram.merge e (Telemetry.Histogram.create ()) in
-  Alcotest.(check int) "empty merge count" 0 (Telemetry.Histogram.count ee);
-  Alcotest.(check int) "empty merge p99" 0
-    (Telemetry.Histogram.percentile ee 99.)
 
 (* The sharded counters under the same 4-domain hammer as the
    histograms: one anonymous counter and one registry key bumped from
@@ -186,8 +140,6 @@ let suite =
     Alcotest.test_case "histogram accuracy" `Quick test_histogram_accuracy;
     Alcotest.test_case "histogram under 4 domains" `Quick
       test_histogram_parallel;
-    Alcotest.test_case "histogram merge (disjoint ranges)" `Quick
-      test_histogram_merge;
     Alcotest.test_case "sharded counters under 4 domains" `Quick
       test_shardcounter_hammer;
     Alcotest.test_case "histogram json shape" `Quick test_histogram_json;
